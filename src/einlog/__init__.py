@@ -1,8 +1,9 @@
 """einlog: mean-field inference for Markov logic compiled to einsums."""
 
 from .engine import (CompiledImplication, EngineConfig, EngineError,
-                     IterationTrace, MarginalTable, UnaryTable, compile_rules,
-                     iterate, message, run_inference, transitivity_violations)
+                     IterationTrace, MarginalTable, Program, UnaryTable,
+                     compile_rules, initial_marginals, iterate, message,
+                     run_inference, transitivity_violations)
 from .fol import (Clause, CnfFormula, Implication, Literal, Predicate, RuleError,
                   RuleSet, Term, binary_literal, constant, format_rules,
                   parse_rules, split_cnf, to_implications, variable)
@@ -12,8 +13,7 @@ from .metrics import MetricError, auc_pr
 from .oracle import (Grounding, OracleError, brute_einsum, enumerate_groundings,
                      exact_marginals, naive_mf_step)
 from .planner import ContractionPlan, ContractionStep, PlanError, execute, plan
-from .tensor import (DenseTensor, EinsumSpec, TensorError, einsum, elementwise,
-                     slice_fixed, softmax_lastaxis)
+from .tensor import EinsumSpec, TensorError, einsum, softmax_lastaxis
 
 __version__ = "0.1.0"
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import engine, io, oracle, testing
 from .demo import run_demo
 from .engine import EngineConfig, EngineError, IterationTrace, UnaryTable
-from .fol import CnfFormula, RuleError, parse_rules
+from .fol import RuleError, parse_rules
 from .kb import EvidenceError, KnowledgeBase, load_evidence, load_queries
 from .metrics import MetricError, auc_pr
 from .planner import PlanError
@@ -69,26 +69,17 @@ def cmd_infer(args) -> int:
     config = EngineConfig(iterations=args.iterations,
                           weights=_parse_weight_overrides(args.weight))
 
-    compiled = engine.compile_rules(ruleset, kb)
+    program = engine.compile_rules(ruleset, kb)
     if args.oracle:
-        got = engine.iterate(phi, compiled, EngineConfig(iterations=1,
-                                                         weights=config.weights),
-                             kb.masks())
-        rules_for_oracle = [CnfFormula(f.clauses,
-                                       weight=config.weights.get(f.id, f.weight),
-                                       id=f.id) for f in ruleset]
-        q0 = testing.initial_marginals(phi, kb)
-        want = oracle.naive_mf_step(q0, rules_for_oracle, kb, phi)
-        gap = max(float(abs(got.tables[n] - want.tables[n]).max())
-                  for n in kb.predicates)
+        gap = testing.engine_oracle_gap(kb, ruleset, phi, config.weights)
         print(f"oracle cross-check: max deviation {gap:.3e}", file=sys.stderr)
         if gap > 1e-9:
             print("oracle cross-check FAILED", file=sys.stderr)
             return EXIT_CHECK
 
     trace = IterationTrace()
-    result = engine.iterate(phi, compiled, config, kb.masks(), trace=trace)
-    for ci in compiled:
+    result = engine.iterate(phi, program, config, trace=trace)
+    for ci in program.implications:
         print(ci.describe(), file=sys.stderr)
     secs = ", ".join(f"{s:.4f}s" for s in trace.seconds)
     print(f"iterations={config.iterations} wall clock per iteration: {secs}",
@@ -118,8 +109,7 @@ def cmd_plan(args) -> int:
     filler = max(args.entities - len(constants), 2)
     kb = KnowledgeBase(constants + [f"e{i}" for i in range(filler)],
                        ruleset.predicates, {})
-    compiled = engine.compile_rules(ruleset, kb)
-    for ci in compiled:
+    for ci in engine.compile_rules(ruleset, kb).implications:
         plan = ci.plan
         print(f"# rule {ci.rule_id} clause {ci.clause_id} -> {ci.hypothesis}"
               f" (labels {list(ci.target_labels)}), spec {ci.spec}")
@@ -144,10 +134,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_aucpr(args) -> int:
-    # the truth file doubles as the predicate/entity declaration source
-    ruleset = parse_rules(_read(args.rules)) if args.rules else None
-    if ruleset is None:
-        raise UsageError("--rules is required to declare predicates")
+    ruleset = parse_rules(_read(args.rules))
     kb = load_evidence(_read(args.truth), ruleset.predicates)
     predictions = io.load_predictions(_read(args.predictions), kb)
     truth = io.load_truth(_read(args.truth), kb)
@@ -185,7 +172,6 @@ def build_parser() -> _Parser:
     p.add_argument("--weight", action="append", metavar="NAME=V")
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check one iteration against the sequential oracle")
     p.set_defaults(fn=cmd_infer)

@@ -20,7 +20,7 @@ import numpy as np
 from . import planner
 from .fol import Clause, CnfFormula, Literal, split_cnf, to_implications
 from .kb import KnowledgeBase, ObservationMask
-from .tensor import DenseTensor, EinsumSpec, softmax_lastaxis
+from .tensor import EinsumSpec, softmax_lastaxis
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -105,14 +105,24 @@ class CompiledImplication:
     weight: float
     hypothesis: str
     target_labels: tuple[int, ...]
-    out_pattern: tuple[object, ...]      # per hypothesis arg: letter (str) or entity index (int)
     premises: tuple[PremiseInput, ...]
     spec: EinsumSpec
     plan: planner.ContractionPlan
+    # per hypothesis arg: an arange over the message axis of its variable, or
+    # the entity index of its constant; places the message on hypothesis cells
+    scatter: tuple = field(compare=False, repr=False)
 
     def describe(self) -> str:
         return (f"rule {self.rule_id} -> {self.hypothesis}: spec {self.spec} "
                 f"M'={self.plan.max_intermediate_arity}")
+
+
+@dataclass(frozen=True)
+class Program:
+    """Rules compiled against one knowledge base: every implication, planned."""
+
+    kb: KnowledgeBase
+    implications: tuple[CompiledImplication, ...]
 
 
 @dataclass
@@ -120,7 +130,6 @@ class EngineConfig:
     iterations: int = 5
     weights: dict[str, float] = field(default_factory=dict)  # rule id -> override
     damping: float = 0.0
-    clamp_observed: bool = True
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -193,12 +202,26 @@ def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[Com
         out.append(CompiledImplication(
             rule_id=rule_id, clause_id=clause.id or rule_id,
             weight=clause.weight, hypothesis=hyp.predicate.name,
-            target_labels=tuple(sorted(hyp.value_set)), out_pattern=pattern,
-            premises=tuple(premises), spec=spec, plan=cplan))
+            target_labels=tuple(sorted(hyp.value_set)),
+            premises=tuple(premises), spec=spec, plan=cplan,
+            scatter=_scatter_index(out_sub, pattern, kb.n)))
     return out
 
 
-def compile_rules(rules, kb: KnowledgeBase) -> list[CompiledImplication]:
+def _scatter_index(output: str, pattern, n: int) -> tuple:
+    """Fancy index mapping the message tensor onto hypothesis cells."""
+    idx = []
+    for item in pattern:
+        if isinstance(item, str):
+            shape = [1] * len(output)
+            shape[output.index(item)] = n
+            idx.append(np.arange(n).reshape(shape))
+        else:
+            idx.append(item)
+    return tuple(idx)
+
+
+def compile_rules(rules, kb: KnowledgeBase) -> Program:
     """Split CNF formulas into clauses and plan every implication."""
     compiled = []
     for i, formula in enumerate(rules):
@@ -208,75 +231,56 @@ def compile_rules(rules, kb: KnowledgeBase) -> list[CompiledImplication]:
         rule_id = formula.id or f"f{i + 1}"
         for clause in split_cnf(formula):
             compiled.extend(_compile_clause(clause, kb, rule_id))
-    return compiled
+    return Program(kb, tuple(compiled))
 
 
-def message(ci: CompiledImplication, marginals: MarginalTable) -> DenseTensor:
+def message(ci: CompiledImplication, marginals: MarginalTable) -> np.ndarray:
     """Expected count of true-premise groundings per hypothesis cell."""
     arrays = [p.gather(marginals.tables[p.predicate]) for p in ci.premises]
     return planner.execute(ci.plan, arrays)
 
 
-def _scatter_index(ci: CompiledImplication, n: int):
-    """Fancy index mapping the message tensor onto hypothesis cells."""
-    dims = {ch: d for d, ch in enumerate(ci.spec.output)}
-    idx = []
-    for item in ci.out_pattern:
-        if isinstance(item, str):
-            shape = [1] * len(ci.spec.output)
-            shape[dims[item]] = n
-            idx.append(np.arange(n).reshape(shape))
-        else:
-            idx.append(item)
-    return tuple(idx)
+def _clamp(q: MarginalTable, masks: dict[str, ObservationMask]):
+    """Pin observed cells to the one-hot marginal of their observed label."""
+    for name, m in masks.items():
+        if m.mask.any():
+            arr = q.tables[name]
+            arr[m.mask] = np.eye(arr.shape[-1])[m.labels[m.mask]]
 
 
-def _clamp(q: np.ndarray, mask: ObservationMask, num_labels: int):
-    if mask.mask.any():
-        q[mask.mask] = np.eye(num_labels)[mask.labels[mask.mask]]
+def initial_marginals(phi: UnaryTable, kb: KnowledgeBase) -> MarginalTable:
+    """The starting point of inference: label softmax, observed cells pinned."""
+    q = MarginalTable({name: softmax_lastaxis(arr) for name, arr in phi.tables.items()})
+    _clamp(q, kb.masks())
+    return q
 
 
-def iterate(phi: UnaryTable, compiled, config: EngineConfig,
-            masks: dict[str, ObservationMask] | None = None,
+def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
             trace: IterationTrace | None = None) -> MarginalTable:
     """Run mean-field iterations and return the final marginals."""
-    num_labels = {name: arr.shape[-1] for name, arr in phi.tables.items()}
-    n = None
-    for name, arr in phi.tables.items():
-        if arr.ndim > 1:
-            n = arr.shape[0]
-    if n is None:
-        n = 1
-    masks = masks or {}
-
-    q = MarginalTable({name: softmax_lastaxis(arr).data for name, arr in phi.tables.items()})
-    if config.clamp_observed:
-        for name, m in masks.items():
-            _clamp(q.tables[name], m, num_labels[name])
-
-    scatter = {id(ci): _scatter_index(ci, n) for ci in compiled}
+    unknown = sorted(set(config.weights) - {ci.rule_id for ci in program.implications})
+    if unknown:
+        raise EngineError(f"weight override for unknown rule id {', '.join(unknown)}")
+    masks = program.kb.masks()
+    q = initial_marginals(phi, program.kb)
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
         logits = {name: arr.copy() for name, arr in phi.tables.items()}
-        for ci in compiled:
-            msg = message(ci, q).data
+        for ci in program.implications:
+            msg = message(ci, q)
             w = config.effective_weight(ci)
             target = logits[ci.hypothesis]
-            idx = scatter[id(ci)]
             for label in ci.target_labels:
-                target[idx + (label,)] += w * msg
+                target[ci.scatter + (label,)] += w * msg
         for name, arr in logits.items():
             if not np.all(np.isfinite(arr)):
                 raise EngineError(f"non-finite logits for {name} at iteration {t}")
-        new_q = MarginalTable({name: softmax_lastaxis(arr).data
-                               for name, arr in logits.items()})
+        new_q = MarginalTable({name: softmax_lastaxis(arr) for name, arr in logits.items()})
         if config.damping > 0.0:
             lam = config.damping
             for name in new_q.tables:
                 new_q.tables[name] = (1.0 - lam) * new_q.tables[name] + lam * q.tables[name]
-        if config.clamp_observed:
-            for name, m in masks.items():
-                _clamp(new_q.tables[name], m, num_labels[name])
+        _clamp(new_q, masks)
         q = new_q
         if trace is not None:
             trace.seconds.append(time.perf_counter() - started)
@@ -288,8 +292,7 @@ def run_inference(rules, kb: KnowledgeBase, phi: UnaryTable, config: EngineConfi
                   trace: IterationTrace | None = None) -> MarginalTable:
     """Compile rules against the knowledge base and iterate."""
     phi.validate(kb)
-    compiled = compile_rules(rules, kb)
-    return iterate(phi, compiled, config, kb.masks(), trace)
+    return iterate(phi, compile_rules(rules, kb), config, trace)
 
 
 def transitivity_violations(q: np.ndarray) -> int:

@@ -106,17 +106,6 @@ class KnowledgeBase:
     def masks(self) -> dict[str, ObservationMask]:
         return self._masks
 
-    def unobserved_atoms(self, name: str):
-        """Latent cells of one predicate in lexicographic arg order."""
-        pred = self.predicates[name]
-        for args in np.ndindex(*self.shape(pred)):
-            if (name, tuple(int(a) for a in args)) not in self.observations:
-                yield GroundAtom(pred, tuple(int(a) for a in args))
-
-    def atom_name(self, name: str, args: tuple[int, ...]) -> str:
-        inner = ",".join(self.entities[a] for a in args)
-        return f"{name}({inner})"
-
 
 def _parse_atom_line(line: str, lineno: int):
     m = ATOM_RE.match(line)

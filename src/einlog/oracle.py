@@ -98,7 +98,6 @@ def _as_clauses(rules) -> list[Clause]:
 
 def naive_mf_step(q: MarginalTable, rules, kb: KnowledgeBase, phi: UnaryTable, *,
                   simplified: bool = False, include_self_groundings: bool = True,
-                  clamp_observed: bool = True,
                   message_limit: int = 10 ** 5) -> MarginalTable:
     """One sequential mean-field update over explicitly enumerated groundings.
 
@@ -107,7 +106,8 @@ def naive_mf_step(q: MarginalTable, rules, kb: KnowledgeBase, phi: UnaryTable, *
     potential over every premise-position label assignment (``simplified=False``)
     or only the true-premise product (``simplified=True``); both normalize to
     the same marginals.  ``include_self_groundings=False`` skips hypothesis
-    positions whose premise mentions the target atom itself.
+    positions whose premise mentions the target atom itself.  Observed cells
+    are pinned to their observed label afterwards, as in the engine.
     """
     clauses = _as_clauses(rules)
     total = 0
@@ -162,11 +162,10 @@ def naive_mf_step(q: MarginalTable, rules, kb: KnowledgeBase, phi: UnaryTable, *
         e = np.exp(shifted)
         out[name] = e / e.sum(axis=-1, keepdims=True)
     result = MarginalTable(out)
-    if clamp_observed:
-        for (name, args), label in kb.observations.items():
-            cell = np.zeros(kb.predicates[name].num_labels)
-            cell[label] = 1.0
-            result.tables[name][args] = cell
+    for (name, args), label in kb.observations.items():
+        cell = np.zeros(kb.predicates[name].num_labels)
+        cell[label] = 1.0
+        result.tables[name][args] = cell
     return result
 
 

@@ -20,7 +20,7 @@ from math import prod
 
 import numpy as np
 
-from .tensor import DenseTensor, EinsumSpec, as_array, broadcast_output
+from .tensor import EinsumSpec, broadcast_output
 
 
 class PlanError(Exception):
@@ -36,14 +36,6 @@ class ContractionStep:
     operand_subscripts: tuple[str, ...]
     result_subscript: str
     est_flops: float
-
-    @property
-    def left(self) -> int:
-        return self.operand_ids[0]
-
-    @property
-    def right(self) -> int | None:
-        return self.operand_ids[1] if len(self.operand_ids) == 2 else None
 
     @property
     def expr(self) -> str:
@@ -264,9 +256,9 @@ def _materialize(merges, spec, group_letters, core_output):
     return steps
 
 
-def execute(cplan: ContractionPlan, inputs) -> DenseTensor:
+def execute(cplan: ContractionPlan, inputs) -> np.ndarray:
     """Run a plan; equals the unplanned einsum of the same spec."""
-    arrays = [as_array(t) for t in inputs]
+    arrays = [np.asarray(t, dtype=np.float64) for t in inputs]
     spec = cplan.spec
     if len(arrays) != len(spec.inputs):
         raise PlanError(f"plan has {len(spec.inputs)} operands, got {len(arrays)}")
@@ -282,5 +274,5 @@ def execute(cplan: ContractionPlan, inputs) -> DenseTensor:
     if last is None:
         last = np.asarray(np.float64(1.0))
     if cplan.final_subscript == spec.output:
-        return DenseTensor(last)
-    return DenseTensor(broadcast_output(last, cplan.final_subscript, spec, ext))
+        return np.asarray(last)
+    return broadcast_output(last, cplan.final_subscript, spec, ext)

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with a pairwise-friendly Einstein-summation kernel.
+"""Einstein-summation kernel over float64 ndarrays, with broadcast outputs.
 
 The kernel extends ordinary einsum with *broadcast output letters*: an output
 index that appears in no input replicates the contracted value along a new
@@ -15,59 +15,6 @@ import numpy as np
 
 class TensorError(Exception):
     """Inconsistent subscripts, extents, or shapes."""
-
-
-@dataclass
-class DenseTensor:
-    """Row-major float64 array; thin value wrapper around numpy storage."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def rank(self) -> int:
-        return self.data.ndim
-
-    def validate(self) -> "DenseTensor":
-        if not np.all(np.isfinite(self.data)):
-            raise TensorError("tensor contains non-finite values")
-        return self
-
-    def dump(self) -> str:
-        """Text form: `shape: d1 d2 ...` then row-major values, 17 digits."""
-        header = "shape: " + " ".join(str(d) for d in self.shape)
-        body = "\n".join(f"{v:.17g}" for v in self.data.reshape(-1))
-        return header + "\n" + body + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "DenseTensor":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("shape:"):
-            raise TensorError("missing 'shape:' header")
-        shape = tuple(int(tok) for tok in lines[0].split()[1:])
-        values = np.array([float(ln) for ln in lines[1:]], dtype=np.float64)
-        expected = int(np.prod(shape)) if shape else 1
-        if values.size != expected:
-            raise TensorError(f"expected {expected} values, got {values.size}")
-        return cls(values.reshape(shape))
-
-    @classmethod
-    def zeros(cls, shape) -> "DenseTensor":
-        return cls(np.zeros(shape, dtype=np.float64))
-
-    @classmethod
-    def ones(cls, shape) -> "DenseTensor":
-        return cls(np.ones(shape, dtype=np.float64))
-
-
-def as_array(t) -> np.ndarray:
-    return t.data if isinstance(t, DenseTensor) else np.asarray(t, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -99,10 +46,6 @@ class EinsumSpec:
 
     def input_letters(self) -> set[str]:
         return {ch for sub in self.inputs for ch in sub}
-
-    def broadcast_letters(self) -> tuple[str, ...]:
-        seen = self.input_letters()
-        return tuple(ch for ch in self.output if ch not in seen)
 
     def resolve_extents(self, shapes, extents=None) -> dict[str, int]:
         """Letter extents from input shapes, checking consistency.
@@ -143,7 +86,7 @@ def broadcast_output(core: np.ndarray, core_subscript: str, spec: EinsumSpec,
     return np.ascontiguousarray(np.broadcast_to(out, target))
 
 
-def einsum(spec, inputs, extents=None) -> DenseTensor:
+def einsum(spec, inputs, extents=None) -> np.ndarray:
     """Single-shot (unplanned) Einstein summation with broadcast output.
 
     output[o] = sum over bound indices of the product of projected inputs;
@@ -151,50 +94,18 @@ def einsum(spec, inputs, extents=None) -> DenseTensor:
     """
     if isinstance(spec, str):
         spec = EinsumSpec.parse(spec)
-    arrays = [as_array(t) for t in inputs]
+    arrays = [np.asarray(t, dtype=np.float64) for t in inputs]
     ext = spec.resolve_extents([a.shape for a in arrays], extents)
     core_sub = "".join(ch for ch in spec.output if ch in spec.input_letters())
     if arrays:
         core = np.einsum(",".join(spec.inputs) + "->" + core_sub, *arrays, optimize=False)
     else:
         core = np.float64(1.0)
-    return DenseTensor(broadcast_output(np.asarray(core), core_sub, spec, ext))
+    return broadcast_output(np.asarray(core), core_sub, spec, ext)
 
 
-def slice_fixed(t, axis: int, position: int) -> DenseTensor:
-    """Fix one axis at a position, reducing rank by one."""
-    arr = as_array(t)
-    if not 0 <= axis < arr.ndim:
-        raise TensorError(f"axis {axis} out of range for rank {arr.ndim}")
-    if not 0 <= position < arr.shape[axis]:
-        raise TensorError(f"position {position} out of range for axis {axis} "
-                          f"(extent {arr.shape[axis]})")
-    return DenseTensor(np.take(arr, position, axis=axis))
-
-
-def softmax_lastaxis(t) -> DenseTensor:
-    arr = as_array(t)
+def softmax_lastaxis(t) -> np.ndarray:
+    arr = np.asarray(t, dtype=np.float64)
     shifted = arr - arr.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return DenseTensor(e / e.sum(axis=-1, keepdims=True))
-
-
-_ELEMENTWISE = {
-    "add": lambda t, u: DenseTensor(as_array(t) + as_array(u)),
-    "sub_from_one": lambda t: DenseTensor(1.0 - as_array(t)),
-    "scale": lambda t, c: DenseTensor(as_array(t) * float(c)),
-    "exp": lambda t: DenseTensor(np.exp(as_array(t))),
-    "softmax_lastaxis": softmax_lastaxis,
-}
-
-
-def elementwise(op: str, t, *args) -> DenseTensor:
-    """Pointwise ops: add, sub_from_one, scale, exp, softmax_lastaxis."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise TensorError(f"unknown elementwise op {op!r}") from None
-    try:
-        return fn(t, *args)
-    except ValueError as exc:
-        raise TensorError(str(exc)) from exc
+    return e / e.sum(axis=-1, keepdims=True)

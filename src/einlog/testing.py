@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import engine, oracle
-from .engine import EngineConfig, MarginalTable, UnaryTable
+from .engine import EngineConfig, UnaryTable, initial_marginals
 from .fol import Clause, CnfFormula, Literal, Predicate, variable
 from .kb import KnowledgeBase
-from .tensor import softmax_lastaxis
 
 _VARS = ("x", "y", "z")
 
@@ -75,26 +76,17 @@ def random_instance(rng: np.random.Generator, *, max_entities: int = 6,
     return kb, rules, phi
 
 
-def initial_marginals(phi: UnaryTable, kb: KnowledgeBase,
-                      clamp_observed: bool = True) -> MarginalTable:
-    """The engine's starting point: label-softmax with observed cells pinned."""
-    q = MarginalTable({name: softmax_lastaxis(arr).data
-                       for name, arr in phi.tables.items()})
-    if clamp_observed:
-        for (name, args), label in kb.observations.items():
-            cell = np.zeros(kb.predicates[name].num_labels)
-            cell[label] = 1.0
-            q.tables[name][args] = cell
-    return q
+def engine_oracle_gap(kb: KnowledgeBase, rules, phi: UnaryTable,
+                      weights: dict[str, float] | None = None) -> float:
+    """Max |engine - sequential oracle| over unobserved cells after one step.
 
-
-def engine_oracle_gap(kb: KnowledgeBase, rules, phi: UnaryTable, *,
-                      simplified: bool = False) -> float:
-    """Max |engine - sequential oracle| over unobserved cells after one step."""
-    compiled = engine.compile_rules(rules, kb)
-    got = engine.iterate(phi, compiled, EngineConfig(iterations=1), kb.masks())
-    q0 = initial_marginals(phi, kb)
-    want = oracle.naive_mf_step(q0, rules, kb, phi, simplified=simplified)
+    ``weights`` overrides rule weights by formula id, in both computations.
+    """
+    weights = weights or {}
+    got = engine.iterate(phi, engine.compile_rules(rules, kb),
+                         EngineConfig(iterations=1, weights=weights))
+    rules = [replace(f, weight=weights.get(f.id, f.weight)) for f in rules]
+    want = oracle.naive_mf_step(initial_marginals(phi, kb), rules, kb, phi)
     worst = 0.0
     for name in kb.predicates:
         diff = np.abs(got.tables[name] - want.tables[name])

@@ -16,12 +16,12 @@ import einlog as E
 from einlog import planner
 from einlog.demo import RULES_TEXT, run_demo
 from einlog.engine import (EngineConfig, IterationTrace, MarginalTable, UnaryTable,
-                           compile_rules, iterate, message)
+                           compile_rules, initial_marginals, iterate, message)
 from einlog.fol import Clause, CnfFormula, Literal, Predicate, binary_literal, variable
 from einlog.kb import KnowledgeBase
 from einlog.oracle import brute_einsum, naive_mf_step
 from einlog.tensor import EinsumSpec, einsum, softmax_lastaxis
-from einlog.testing import engine_oracle_gap, initial_marginals, random_instance
+from einlog.testing import engine_oracle_gap, random_instance
 
 from test_demo import reference_three_message_update
 
@@ -166,8 +166,8 @@ def test_cnf_split_bit_identical_50_draws():
         cnf = [CnfFormula(tuple(clauses), weight=weight, id="cnf")]
         split = [CnfFormula((c,), weight=weight, id=f"c{i}")
                  for i, c in enumerate(clauses)]
-        a = iterate(phi, compile_rules(cnf, kb), EngineConfig(iterations=2), kb.masks())
-        b = iterate(phi, compile_rules(split, kb), EngineConfig(iterations=2), kb.masks())
+        a = iterate(phi, compile_rules(cnf, kb), EngineConfig(iterations=2))
+        b = iterate(phi, compile_rules(split, kb), EngineConfig(iterations=2))
         for name in kb.predicates:
             exact = exact and np.array_equal(a.tables[name], b.tables[name])
     report("CNF formula vs split clauses (50 draws)", exact,
@@ -183,10 +183,10 @@ def test_multiclass_reduces_to_binary_50_draws():
         kb, _rules, phi = random_instance(rng, max_labels=2, max_clauses=1)
         predicates = list(kb.predicates.values())
         clauses = _random_distinct_clauses(rng, predicates, 1)
-        compiled = compile_rules([CnfFormula(tuple(clauses), weight=1.0, id="b")], kb)
+        program = compile_rules([CnfFormula(tuple(clauses), weight=1.0, id="b")], kb)
         q = initial_marginals(phi, kb)
-        for ci in compiled:
-            got = message(ci, q).data
+        for ci in program.implications:
+            got = message(ci, q)
             # binary reference: opposite-label slice per premise literal
             ref_inputs = []
             for p in ci.premises:
@@ -196,7 +196,7 @@ def test_multiclass_reduces_to_binary_50_draws():
                 (label,) = p.complement_labels
                 # contiguous copy so the kernel iterates identically
                 ref_inputs.append(np.ascontiguousarray(arr[..., label]))
-            want = planner.execute(ci.plan, ref_inputs).data
+            want = planner.execute(ci.plan, ref_inputs)
             exact = exact and np.array_equal(got, want)
     report("multi-class message path at D=2 vs binary slices (50 draws)", exact,
            "messages bit-identical" if exact else "messages differ")
@@ -218,7 +218,7 @@ def test_planner_matches_nested_loops_on_fixture_set():
         for trial in range(3):
             ext = {c: int(rng.integers(2, 5)) for c in letters}
             ins = [rng.random(tuple(ext[c] for c in s)) for s in spec.inputs]
-            got = planner.execute(planner.plan(spec, ext), ins).data
+            got = planner.execute(planner.plan(spec, ext), ins)
             want = brute_einsum(spec, ins, ext)
             scale = max(1.0, float(np.abs(want).max()))
             worst = max(worst, float(np.abs(got - want).max()) / scale)
@@ -366,7 +366,7 @@ SMOKE_ATOMS = [("smoke", (1,)), ("smoke", (0,)), ("friend", (1, 1)),
 
 
 def test_smoke_fixture_directions(smoke_rules, smoke_kb, smoke_phi):
-    free = {n: softmax_lastaxis(smoke_phi.tables[n]).data for n in smoke_kb.predicates}
+    free = {n: softmax_lastaxis(smoke_phi.tables[n]) for n in smoke_kb.predicates}
     exact = E.exact_marginals(smoke_kb, smoke_rules, smoke_phi)
     trace = IterationTrace()
     got = E.run_inference(smoke_rules, smoke_kb, smoke_phi,

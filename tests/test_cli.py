@@ -92,6 +92,25 @@ def test_infer_weight_override_changes_output(tmp_path, capsys):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+def test_unknown_weight_name_is_data_error(tmp_path, capsys):
+    out, argv = infer_args(tmp_path, "--weight", "nosuchrule=50")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "nosuchrule" in err
+    assert not out.exists()
+
+
+def test_nonfinite_unary_logit_is_data_error(tmp_path, capsys):
+    unary = tmp_path / "nan.unary"
+    unary.write_text("smoke(A) 0 nan\n")
+    out, argv = infer_args(tmp_path)
+    argv[argv.index("--unary") + 1] = str(unary)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "non-finite" in err
+    assert not out.exists()
+
+
 def test_bad_weight_flag_is_usage_error(tmp_path, capsys):
     _, argv = infer_args(tmp_path)
     argv += ["--weight", "f1"]

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from einlog.engine import EngineConfig, MarginalTable, UnaryTable, compile_rules, iterate
+from einlog.engine import (EngineConfig, MarginalTable, UnaryTable, compile_rules,
+                           initial_marginals, iterate)
 from einlog.fol import Clause, CnfFormula, Predicate, binary_literal, variable
 from einlog.kb import KnowledgeBase
 from einlog.oracle import (OracleError, brute_einsum, enumerate_groundings,
                            exact_marginals, naive_mf_step)
 from einlog.tensor import softmax_lastaxis
-from einlog.testing import initial_marginals, random_instance
+from einlog.testing import random_instance
 
 S = Predicate("s", 1)
 F = Predicate("f", 2)
@@ -59,7 +60,7 @@ def test_no_rules_is_softmax():
     q0 = initial_marginals(phi, kb)
     out = naive_mf_step(q0, [], kb, phi)
     for name in kb.predicates:
-        assert np.allclose(out.tables[name], softmax_lastaxis(phi.tables[name]).data)
+        assert np.allclose(out.tables[name], softmax_lastaxis(phi.tables[name]))
 
 
 def test_hand_computed_two_variable_update():
@@ -172,10 +173,27 @@ def test_engine_matches_oracle_on_degenerate_diagonals():
     phi = UnaryTable({"s": rng.normal(size=(3, 2)), "f": rng.normal(size=(3, 3, 2))})
     loop = Clause((binary_literal(F, (X, Y), True), binary_literal(F, (Y, X))),
                   weight=0.9, id="loop")
-    compiled = compile_rules([loop], kb)
-    got = iterate(phi, compiled, EngineConfig(iterations=1), kb.masks())
+    got = iterate(phi, compile_rules([loop], kb), EngineConfig(iterations=1))
     want = naive_mf_step(initial_marginals(phi, kb), [loop], kb, phi)
     assert got.max_abs_diff(want) <= 1e-12
+
+
+# 0.3 also tells the two operands of the damping mix apart
+@pytest.mark.parametrize("damping", [0.0, 0.3, 0.5])
+def test_three_iterations_match_chained_oracle_steps(damping):
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(20):
+        kb, rules, phi = random_instance(rng)
+        got = iterate(phi, compile_rules(rules, kb),
+                      EngineConfig(iterations=3, damping=damping))
+        q = initial_marginals(phi, kb)
+        for _step in range(3):
+            new = naive_mf_step(q, rules, kb, phi)
+            q = MarginalTable({name: (1.0 - damping) * new.tables[name]
+                               + damping * q.tables[name] for name in new.tables})
+        worst = max(worst, got.max_abs_diff(q))
+    assert worst <= 1e-9
 
 
 def test_brute_einsum_agrees_with_numpy():

@@ -48,7 +48,7 @@ def test_unit_clause_zero_cost():
     assert p.steps == ()
     assert p.total_cost == 0.0
     out = execute(p, [])
-    assert np.array_equal(out.data, np.ones(5))
+    assert np.array_equal(out, np.ones(5))
 
 
 @pytest.mark.parametrize("spec", ["a,ab->b", "abcd,bc,cd,ad->ac", "abc,bcd,cb,ad->ac"])
@@ -73,10 +73,10 @@ def test_execute_matches_brute_force(spec):
     ext = uniform_extents(spec, 3)
     p = plan(spec, ext)
     ins = random_inputs(spec, ext, seed=42)
-    got = execute(p, ins).data
+    got = execute(p, ins)
     want = brute_einsum(spec, ins, ext)
     assert np.allclose(got, want, atol=1e-10)
-    direct = einsum(spec, ins, ext).data
+    direct = einsum(spec, ins, ext)
     assert np.allclose(got, direct, atol=1e-10)
 
 
@@ -92,8 +92,8 @@ def test_chain_execute_matches_direct_at_4():
     spec = "ab,bc,cd->ad"
     ext = uniform_extents(spec, 4)
     ins = random_inputs(spec, ext, seed=1)
-    planned = execute(plan(spec, ext), ins).data
-    direct = einsum(spec, ins).data
+    planned = execute(plan(spec, ext), ins)
+    direct = einsum(spec, ins)
     assert np.max(np.abs(planned - direct)) <= 1e-10 * max(1.0, np.abs(direct).max())
 
 
@@ -123,7 +123,7 @@ def test_greedy_path_beyond_exhaustive_bound():
     ext = uniform_extents(spec, 3)
     p = plan(spec, ext)
     ins = random_inputs(spec, ext, seed=3)
-    got = execute(p, ins).data
+    got = execute(p, ins)
     want = brute_einsum(spec, ins, ext)
     assert np.allclose(got, want, atol=1e-10)
     assert p.total_cost <= p.naive_cost
