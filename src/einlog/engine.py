@@ -89,11 +89,20 @@ class PremiseInput:
     complement_labels: tuple[int, ...]   # labels on which the literal is false
 
     def gather(self, q: np.ndarray) -> np.ndarray:
-        for axis, pos in reversed(self.const_slices):
-            q = np.take(q, pos, axis=axis)
-        # mass on the labels that falsify the literal; for binary literals this
-        # is exactly the single opposite-label slice
-        return q[..., list(self.complement_labels)].sum(axis=-1)
+        """Mass on the labels that falsify the literal, as a fresh contiguous
+        array; for binary literals it is the single opposite-label slice.
+
+        A strided view of ``q`` would change the summation order of the
+        contraction, so even a single label is copied.
+        """
+        cells = [slice(None)] * (q.ndim - 1)
+        for axis, pos in self.const_slices:
+            cells[axis] = pos
+        first, *rest = self.complement_labels
+        out = q[(*cells, first)].copy()
+        for label in rest:
+            out += q[(*cells, label)]
+        return out
 
 
 @dataclass(frozen=True)
@@ -108,8 +117,7 @@ class CompiledImplication:
     premises: tuple[PremiseInput, ...]
     spec: EinsumSpec
     plan: planner.ContractionPlan
-    # per hypothesis arg: an arange over the message axis of its variable, or
-    # the entity index of its constant; places the message on hypothesis cells
+    # index of the hypothesis cells, in message axis order; see _scatter_index
     scatter: tuple = field(compare=False, repr=False)
 
     def describe(self) -> str:
@@ -143,10 +151,12 @@ class EngineConfig:
 
 @dataclass
 class IterationTrace:
-    """Optional per-iteration record for diagnostics and tests."""
+    """Optional per-iteration record: wall seconds, and with ``snapshots`` a
+    copy of every marginal table after each iteration (N^arity x D each)."""
 
-    marginals: list[MarginalTable] = field(default_factory=list)
+    snapshots: bool = False
     seconds: list[float] = field(default_factory=list)
+    marginals: list[MarginalTable] = field(default_factory=list)
 
 
 def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[CompiledImplication]:
@@ -209,7 +219,16 @@ def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[Com
 
 
 def _scatter_index(output: str, pattern, n: int) -> tuple:
-    """Fancy index mapping the message tensor onto hypothesis cells."""
+    """Index mapping the message tensor onto hypothesis cells.
+
+    Without a repeated variable the cells form a basic-indexed view (a full
+    slice per variable, the entity index per constant), so the message is
+    added in place.  A repeated variable, as in ``p(a,a)``, selects a
+    diagonal, which needs an arange fancy index over its message axis.
+    """
+    variables = [item for item in pattern if isinstance(item, str)]
+    if len(variables) == len(set(variables)):
+        return tuple(slice(None) if isinstance(item, str) else item for item in pattern)
     idx = []
     for item in pattern:
         if isinstance(item, str):
@@ -267,11 +286,10 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
         started = time.perf_counter()
         logits = {name: arr.copy() for name, arr in phi.tables.items()}
         for ci in program.implications:
-            msg = message(ci, q)
-            w = config.effective_weight(ci)
+            weighted = config.effective_weight(ci) * message(ci, q)
             target = logits[ci.hypothesis]
             for label in ci.target_labels:
-                target[ci.scatter + (label,)] += w * msg
+                target[ci.scatter + (label,)] += weighted
         for name, arr in logits.items():
             if not np.all(np.isfinite(arr)):
                 raise EngineError(f"non-finite logits for {name} at iteration {t}")
@@ -284,7 +302,8 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
         q = new_q
         if trace is not None:
             trace.seconds.append(time.perf_counter() - started)
-            trace.marginals.append(q.copy())
+            if trace.snapshots:
+                trace.marginals.append(q.copy())
     return q
 
 

@@ -33,6 +33,7 @@ def report(name, ok, detail=""):
 
 # --- engine vs sequential oracle -------------------------------------------
 
+@pytest.mark.timing
 def test_engine_oracle_equivalence_200_instances():
     rng = np.random.default_rng(20240817)
     started = time.perf_counter()
@@ -308,6 +309,7 @@ def _measured_slope(planned):
     return _offset_power_fit(ns, ts), ts
 
 
+@pytest.mark.timing
 def test_planner_scaling_slopes():
     planned_slopes, unplanned_slopes = [], []
     for _ in range(3):
@@ -352,6 +354,7 @@ def test_transitivity_three_token_hand_trace():
            f"max deviation {gap:.3e} (tol 1e-12)")
 
 
+@pytest.mark.timing
 def test_demo_512_tokens_single_iteration_under_two_seconds():
     r = run_demo(512, 0.1, seed=0, iterations=1)
     secs = r.seconds_per_iteration[0]
@@ -368,7 +371,7 @@ SMOKE_ATOMS = [("smoke", (1,)), ("smoke", (0,)), ("friend", (1, 1)),
 def test_smoke_fixture_directions(smoke_rules, smoke_kb, smoke_phi):
     free = {n: softmax_lastaxis(smoke_phi.tables[n]) for n in smoke_kb.predicates}
     exact = E.exact_marginals(smoke_kb, smoke_rules, smoke_phi)
-    trace = IterationTrace()
+    trace = IterationTrace(snapshots=True)
     got = E.run_inference(smoke_rules, smoke_kb, smoke_phi,
                           EngineConfig(iterations=5), trace=trace)
     lines = []
@@ -397,7 +400,7 @@ def test_smoke_fixture_directions(smoke_rules, smoke_kb, smoke_phi):
 
 
 def test_smoke_fixture_convergence_stability(smoke_rules, smoke_kb, smoke_phi):
-    trace = IterationTrace()
+    trace = IterationTrace(snapshots=True)
     E.run_inference(smoke_rules, smoke_kb, smoke_phi,
                     EngineConfig(iterations=10), trace=trace)
     delta = trace.marginals[9].max_abs_diff(trace.marginals[4])

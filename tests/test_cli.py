@@ -130,6 +130,22 @@ def test_plan_reports_chain_costs(tmp_path, capsys):
     assert "M'=3" in out
 
 
+def test_plan_reports_largest_intermediate_bytes(tmp_path, capsys):
+    rules = tmp_path / "mixed.rules"
+    rules.write_text("predicate r1(t,t)\npredicate r2(t,t)\npredicate r3(t,t)\n"
+                     "predicate r4(t,t)\npredicate s(t)\n"
+                     "r1(a,b) & r2(b,c) & r3(c,d) => r4(a,d)\ns(a)\n")
+    code, out, _ = run(capsys, "plan", "--rules", str(rules), "--entities", "10")
+    assert code == 0
+    chunks = {chunk.split("\n", 1)[0]: chunk for chunk in out.split("# rule")[1:]}
+    # every step of the chain yields a 10 x 10 float64 table
+    chain = chunks[" f1 clause f1 -> r4 (labels [1]), spec ab,bc,cd->ad"]
+    assert "M'=3 total_cost=2000 naive_cost=10000 reducible=yes " \
+           "max_intermediate_bytes=800\n" in chain
+    unit = chunks[" f2 clause f2 -> s (labels [1]), spec ->a"]
+    assert "max_intermediate_bytes=0\n" in unit
+
+
 def test_plan_flags_irreducible(tmp_path, capsys):
     rules = tmp_path / "hard.rules"
     rules.write_text("predicate r1(t,t,t,t)\npredicate r2(t,t)\npredicate r3(t,t)\n"

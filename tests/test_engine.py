@@ -8,6 +8,7 @@ from einlog.engine import (EngineConfig, EngineError, IterationTrace, MarginalTa
 from einlog.fol import Clause, CnfFormula, Literal, Predicate, binary_literal, variable
 from einlog.kb import KnowledgeBase
 from einlog.tensor import softmax_lastaxis
+from einlog.testing import engine_oracle_gap
 
 C = Predicate("c", 2)
 A, B, D = variable("a"), variable("b"), variable("d")
@@ -97,7 +98,7 @@ def test_zero_weight_rules_leave_softmax_unchanged(smoke_rules, smoke_kb, smoke_
 
 
 def test_normalization_and_clamping_every_iteration(smoke_rules, smoke_kb, smoke_phi):
-    trace = IterationTrace()
+    trace = IterationTrace(snapshots=True)
     E.run_inference(smoke_rules, smoke_kb, smoke_phi,
                     EngineConfig(iterations=7), trace=trace)
     for m in trace.marginals:
@@ -107,8 +108,17 @@ def test_normalization_and_clamping_every_iteration(smoke_rules, smoke_kb, smoke
         assert m.tables["cancer"][0, 1] == 1.0     # cancer(B) observed true
 
 
+def test_trace_keeps_snapshots_only_on_request(smoke_rules, smoke_kb, smoke_phi):
+    plain, full = IterationTrace(), IterationTrace(snapshots=True)
+    for trace in (plain, full):
+        E.run_inference(smoke_rules, smoke_kb, smoke_phi,
+                        EngineConfig(iterations=3), trace=trace)
+    assert len(plain.seconds) == 3 and plain.marginals == []
+    assert len(full.seconds) == 3 and len(full.marginals) == 3
+
+
 def test_fixed_point_stability(smoke_rules, smoke_kb, smoke_phi):
-    trace = IterationTrace()
+    trace = IterationTrace(snapshots=True)
     E.run_inference(smoke_rules, smoke_kb, smoke_phi,
                     EngineConfig(iterations=42), trace=trace)
     assert trace.marginals[41].max_abs_diff(trace.marginals[40]) <= 1e-9
@@ -284,3 +294,68 @@ def test_engine_handles_arity_zero_predicate():
     out = iterate(phi, program, EngineConfig(iterations=2))
     out.validate(kb)
     assert out.tables["r"][:, 1].min() > 0.5  # the confident flag pushes r up
+
+
+# Hypothesis shapes that random_instance never draws: each rule is one clause,
+# so every literal in it becomes a hypothesis in turn.
+SHAPE_DECLS = """\
+predicate flag()
+predicate r(e)
+predicate k(e) labels {A,B,C}
+predicate p(e,e)
+predicate t(e,e,e)
+"""
+SCATTER_SHAPES = {
+    "constant": "!r(a) | p(a,E1)",
+    "constant-only, multi-label": "!r(a) | k(E2) in {A,B}",
+    "repeated variable": "!r(a) | p(a,a)",
+    "repeated variable and constant": "!r(a) | t(a,E0,a)",
+    "free hypothesis variable": "!p(a,b) | t(a,b,c)",
+    "arity-0 hypothesis": "!r(a) | flag()",
+    "arity-0 premise": "!flag() | k(a) in {C}",
+}
+
+
+@pytest.mark.parametrize("rule", SCATTER_SHAPES.values(), ids=SCATTER_SHAPES.keys())
+def test_scatter_shapes_match_oracle(rule):
+    rules = E.parse_rules(SHAPE_DECLS + rule)
+    kb = KnowledgeBase([f"E{i}" for i in range(4)], rules.predicates, {})
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        phi = UnaryTable({name: rng.normal(0.0, 1.5, kb.shape(p) + (p.num_labels,))
+                          for name, p in kb.predicates.items()})
+        assert engine_oracle_gap(kb, rules, phi) <= 1e-9
+    program = compile_rules(rules, kb)
+    out = iterate(phi, program, EngineConfig(iterations=1))
+    for ci in program.implications:  # every message landed somewhere
+        free = softmax_lastaxis(phi.tables[ci.hypothesis])
+        assert not np.array_equal(out.tables[ci.hypothesis], free)
+
+
+def test_scatter_index_is_basic_unless_a_variable_repeats():
+    rules = E.parse_rules(SHAPE_DECLS + "\n".join(SCATTER_SHAPES.values()))
+    kb = KnowledgeBase([f"E{i}" for i in range(4)], rules.predicates, {})
+    fancy = []
+    for ci in compile_rules(rules, kb).implications:
+        variable_args = sum(1 for i in ci.scatter if not isinstance(i, int))
+        if variable_args > len(ci.spec.output):  # a variable repeats
+            fancy.append(ci)
+        else:
+            assert all(isinstance(i, (slice, int)) for i in ci.scatter), str(ci.spec)
+    assert sorted(ci.hypothesis for ci in fancy) == ["p", "t"]
+    assert all(isinstance(i, (np.ndarray, int)) for ci in fancy for i in ci.scatter)
+
+
+@pytest.mark.parametrize("rule", ["!r(a) | !p(a,b) | r(b)",
+                                  "!k(a) in {A,C} | !p(a,E1) | r(a)",
+                                  "!t(a,E0,E2) | r(a)"])
+def test_gather_returns_fresh_contiguous_array(rule):
+    rules = E.parse_rules(SHAPE_DECLS + rule)
+    kb = KnowledgeBase([f"E{i}" for i in range(4)], rules.predicates, {})
+    q = initial_marginals(UnaryTable.zeros(kb), kb)
+    for ci in compile_rules(rules, kb).implications:
+        for premise in ci.premises:
+            table = q.tables[premise.predicate]
+            out = premise.gather(table)
+            assert not np.shares_memory(out, table)
+            assert out.flags.c_contiguous and out.ndim == len(premise.subscript)

@@ -110,3 +110,25 @@ def test_exp_normalize_equals_softmax():
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     manual = e / e.sum(axis=-1, keepdims=True)
     assert np.allclose(manual, softmax_lastaxis(logits), atol=1e-12)
+
+
+def _reduction_softmax(arr):
+    e = np.exp(arr - arr.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("labels", [2, 3, 5])
+@pytest.mark.parametrize("arity", [0, 1, 2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_slice_softmax_equals_reduction_form_bitwise(labels, arity, scale):
+    # at scale 1e3 most labels underflow to exp(...) == 0 after the shift
+    rng = np.random.default_rng(100 * labels + arity)
+    logits = rng.normal(size=(7,) * arity + (labels,)) * scale
+    logits.flat[::3] = scale * np.sign(logits.flat[::3])   # exact ties at +-scale
+    before = logits.copy()
+    q = softmax_lastaxis(logits)
+    assert np.array_equal(q, _reduction_softmax(logits))
+    assert np.array_equal(logits, before)                  # input left untouched
+    assert np.max(np.abs(q.sum(axis=-1) - 1.0)) <= 1e-15
+    if scale > 1.0:
+        assert (q == 0.0).any()
