@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from math import prod
 from pathlib import Path
 
 from . import engine, io, oracle, testing
@@ -95,12 +94,6 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def _intermediate_bytes(plan) -> int:
-    """float64 bytes of the largest step result: the product of its extents x 8."""
-    return 8 * max((prod(plan.extents[ch] for ch in step.result_subscript)
-                    for step in plan.steps), default=0)
-
-
 def cmd_plan(args) -> int:
     ruleset = parse_rules(_read(args.rules))
     if not len(ruleset):
@@ -120,7 +113,7 @@ def cmd_plan(args) -> int:
         plan = ci.plan
         print(f"# rule {ci.rule_id} clause {ci.clause_id} -> {ci.hypothesis}"
               f" (labels {list(ci.target_labels)}), spec {ci.spec}")
-        print(f"{plan.describe()} max_intermediate_bytes={_intermediate_bytes(plan)}")
+        print(plan.describe())
         ratio = plan.naive_cost / plan.total_cost if plan.total_cost else float("inf")
         print(f"naive={int(plan.naive_cost)} optimized={int(plan.total_cost)} "
               f"ratio={ratio:.1f}")

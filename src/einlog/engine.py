@@ -151,12 +151,9 @@ class EngineConfig:
 
 @dataclass
 class IterationTrace:
-    """Optional per-iteration record: wall seconds, and with ``snapshots`` a
-    copy of every marginal table after each iteration (N^arity x D each)."""
+    """Optional per-iteration record of wall seconds."""
 
-    snapshots: bool = False
     seconds: list[float] = field(default_factory=list)
-    marginals: list[MarginalTable] = field(default_factory=list)
 
 
 def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[CompiledImplication]:
@@ -302,8 +299,6 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
         q = new_q
         if trace is not None:
             trace.seconds.append(time.perf_counter() - started)
-            if trace.snapshots:
-                trace.marginals.append(q.copy())
     return q
 
 

@@ -59,11 +59,17 @@ class ContractionPlan:
     def max_result_arity(self) -> int:
         return max((len(s.result_subscript) for s in self.steps), default=0)
 
+    def max_intermediate_bytes(self) -> int:
+        """float64 bytes of the largest step result: its extents x 8."""
+        return 8 * max((prod(self.extents[ch] for ch in s.result_subscript)
+                        for s in self.steps), default=0)
+
     def describe(self) -> str:
         lines = [s.describe() for s in self.steps]
         lines.append(f"M'={self.max_intermediate_arity} total_cost={int(self.total_cost)} "
                      f"naive_cost={int(self.naive_cost)} "
-                     f"reducible={'yes' if self.reducible else 'no'}")
+                     f"reducible={'yes' if self.reducible else 'no'} "
+                     f"max_intermediate_bytes={self.max_intermediate_bytes()}")
         return "\n".join(lines)
 
 

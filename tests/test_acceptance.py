@@ -15,7 +15,7 @@ import pytest
 import einlog as E
 from einlog import planner
 from einlog.demo import RULES_TEXT, run_demo
-from einlog.engine import (EngineConfig, IterationTrace, MarginalTable, UnaryTable,
+from einlog.engine import (EngineConfig, MarginalTable, UnaryTable,
                            compile_rules, initial_marginals, iterate, message)
 from einlog.fol import Clause, CnfFormula, Literal, Predicate, binary_literal, variable
 from einlog.kb import KnowledgeBase
@@ -33,7 +33,6 @@ def report(name, ok, detail=""):
 
 # --- engine vs sequential oracle -------------------------------------------
 
-@pytest.mark.timing
 def test_engine_oracle_equivalence_200_instances():
     rng = np.random.default_rng(20240817)
     started = time.perf_counter()
@@ -371,9 +370,9 @@ SMOKE_ATOMS = [("smoke", (1,)), ("smoke", (0,)), ("friend", (1, 1)),
 def test_smoke_fixture_directions(smoke_rules, smoke_kb, smoke_phi):
     free = {n: softmax_lastaxis(smoke_phi.tables[n]) for n in smoke_kb.predicates}
     exact = E.exact_marginals(smoke_kb, smoke_rules, smoke_phi)
-    trace = IterationTrace(snapshots=True)
-    got = E.run_inference(smoke_rules, smoke_kb, smoke_phi,
-                          EngineConfig(iterations=5), trace=trace)
+    per_iteration = [E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=k))
+                     for k in range(1, 6)]
+    got = per_iteration[-1]
     lines = []
     ok = True
     for name, args in SMOKE_ATOMS:
@@ -393,16 +392,15 @@ def test_smoke_fixture_directions(smoke_rules, smoke_kb, smoke_phi):
                 if abs(exact.tables[name][args + (1,)] - free[name][args + (1,)]) > 1e-9)
     # observed cells stay pinned through every iteration
     clamped = all(m.tables["friend"][0, 1, 1] == 1.0 and m.tables["cancer"][0, 1] == 1.0
-                  for m in trace.marginals)
+                  for m in per_iteration)
     ok = ok and clamped and moved >= 4
     report("two-entity fixture directions vs exact enumeration", ok,
            f"exact/engine moves {' '.join(lines)}; observed one-hot: {clamped}")
 
 
 def test_smoke_fixture_convergence_stability(smoke_rules, smoke_kb, smoke_phi):
-    trace = IterationTrace(snapshots=True)
-    E.run_inference(smoke_rules, smoke_kb, smoke_phi,
-                    EngineConfig(iterations=10), trace=trace)
-    delta = trace.marginals[9].max_abs_diff(trace.marginals[4])
+    m5, m10 = (E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=k))
+               for k in (5, 10))
+    delta = m10.max_abs_diff(m5)
     report("fixture marginal change between iterations 5 and 10", delta <= 1e-3,
            f"max change {delta:.3e} (tol 1e-3)")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import einlog as E
-from einlog.engine import (EngineConfig, EngineError, IterationTrace, MarginalTable,
+from einlog.engine import (EngineConfig, EngineError, MarginalTable,
                            Program, UnaryTable, compile_rules, initial_marginals,
                            iterate, message, transitivity_violations)
 from einlog.fol import Clause, CnfFormula, Literal, Predicate, binary_literal, variable
@@ -98,30 +98,18 @@ def test_zero_weight_rules_leave_softmax_unchanged(smoke_rules, smoke_kb, smoke_
 
 
 def test_normalization_and_clamping_every_iteration(smoke_rules, smoke_kb, smoke_phi):
-    trace = IterationTrace(snapshots=True)
-    E.run_inference(smoke_rules, smoke_kb, smoke_phi,
-                    EngineConfig(iterations=7), trace=trace)
-    for m in trace.marginals:
+    for k in range(1, 8):
+        m = E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=k))
         m.validate(smoke_kb, atol=1e-9)
         assert m.tables["friend"][0, 1, 1] == 1.0  # friend(B,A) observed true
         assert m.tables["friend"][0, 1, 0] == 0.0
         assert m.tables["cancer"][0, 1] == 1.0     # cancer(B) observed true
 
 
-def test_trace_keeps_snapshots_only_on_request(smoke_rules, smoke_kb, smoke_phi):
-    plain, full = IterationTrace(), IterationTrace(snapshots=True)
-    for trace in (plain, full):
-        E.run_inference(smoke_rules, smoke_kb, smoke_phi,
-                        EngineConfig(iterations=3), trace=trace)
-    assert len(plain.seconds) == 3 and plain.marginals == []
-    assert len(full.seconds) == 3 and len(full.marginals) == 3
-
-
 def test_fixed_point_stability(smoke_rules, smoke_kb, smoke_phi):
-    trace = IterationTrace(snapshots=True)
-    E.run_inference(smoke_rules, smoke_kb, smoke_phi,
-                    EngineConfig(iterations=42), trace=trace)
-    assert trace.marginals[41].max_abs_diff(trace.marginals[40]) <= 1e-9
+    m41, m42 = (E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=k))
+                for k in (41, 42))
+    assert m42.max_abs_diff(m41) <= 1e-9
 
 
 def test_full_damping_freezes_marginals(smoke_rules, smoke_kb, smoke_phi):
