@@ -82,8 +82,9 @@ def cmd_infer(args) -> int:
     for ci in program.implications:
         print(ci.describe(), file=sys.stderr)
     secs = ", ".join(f"{s:.4f}s" for s in trace.seconds)
-    print(f"iterations={config.iterations} wall clock per iteration: {secs}",
-          file=sys.stderr)
+    residual = ", ".join(f"{r:.3e}" for r in trace.residual)
+    print(f"iterations={config.iterations} wall clock per iteration: {secs}; "
+          f"residual max|q_t - q_t-1|: {residual}", file=sys.stderr)
 
     text = (io.format_marginals_json(result, kb, queries) if args.format == "json"
             else io.format_marginals_csv(result, kb, queries))

@@ -20,7 +20,7 @@ import numpy as np
 from . import planner
 from .fol import Clause, CnfFormula, Literal, split_cnf, to_implications
 from .kb import KnowledgeBase, ObservationMask
-from .tensor import EinsumSpec, softmax_lastaxis
+from .tensor import EinsumSpec, label_planes, softmax_lastaxis
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -37,7 +37,7 @@ class UnaryTable:
 
     @classmethod
     def zeros(cls, kb: KnowledgeBase) -> "UnaryTable":
-        return cls({name: np.zeros(kb.shape(p) + (p.num_labels,))
+        return cls({name: label_planes(kb.shape(p) + (p.num_labels,), np.zeros)
                     for name, p in kb.predicates.items()})
 
     def copy(self) -> "UnaryTable":
@@ -87,6 +87,11 @@ class PremiseInput:
     subscript: str                       # letters of variable args, constants sliced away
     const_slices: tuple[tuple[int, int], ...]  # (axis, entity index), ascending axes
     complement_labels: tuple[int, ...]   # labels on which the literal is false
+
+    @property
+    def key(self) -> tuple:
+        """What ``gather`` reads: premises with equal keys get equal arrays."""
+        return (self.predicate, self.const_slices, self.complement_labels)
 
     def gather(self, q: np.ndarray) -> np.ndarray:
         """Mass on the labels that falsify the literal, as a fresh contiguous
@@ -151,9 +156,11 @@ class EngineConfig:
 
 @dataclass
 class IterationTrace:
-    """Optional per-iteration record of wall seconds."""
+    """Optional per-iteration record: wall seconds, and the residual
+    ``max|q_t - q_{t-1}|`` over every cell of every predicate."""
 
     seconds: list[float] = field(default_factory=list)
+    residual: list[float] = field(default_factory=list)
 
 
 def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[CompiledImplication]:
@@ -250,56 +257,91 @@ def compile_rules(rules, kb: KnowledgeBase) -> Program:
     return Program(kb, tuple(compiled))
 
 
-def message(ci: CompiledImplication, marginals: MarginalTable) -> np.ndarray:
-    """Expected count of true-premise groundings per hypothesis cell."""
-    arrays = [p.gather(marginals.tables[p.predicate]) for p in ci.premises]
+def message(ci: CompiledImplication, marginals: MarginalTable,
+            gathered: dict | None = None) -> np.ndarray:
+    """Expected count of true-premise groundings per hypothesis cell.
+
+    ``gathered`` shares premise inputs between the messages that read one
+    marginal snapshot, keyed by ``PremiseInput.key``; ``planner.execute``
+    does not write to its inputs, so one array can feed several messages.
+    A message without contraction (``ab->ab``) is a view of its gathered
+    input, so callers must not write to it in place.
+    """
+    if gathered is None:
+        gathered = {}
+    arrays = []
+    for p in ci.premises:
+        arr = gathered.get(p.key)
+        if arr is None:
+            arr = gathered[p.key] = p.gather(marginals.tables[p.predicate])
+        arrays.append(arr)
     return planner.execute(ci.plan, arrays)
 
 
-def _clamp(q: MarginalTable, masks: dict[str, ObservationMask]):
+def _clamp(tables: dict[str, np.ndarray], masks: dict[str, ObservationMask]):
     """Pin observed cells to the one-hot marginal of their observed label."""
     for name, m in masks.items():
         if m.mask.any():
-            arr = q.tables[name]
+            arr = tables[name]
             arr[m.mask] = np.eye(arr.shape[-1])[m.labels[m.mask]]
 
 
 def initial_marginals(phi: UnaryTable, kb: KnowledgeBase) -> MarginalTable:
-    """The starting point of inference: label softmax, observed cells pinned."""
-    q = MarginalTable({name: softmax_lastaxis(arr) for name, arr in phi.tables.items()})
+    """The starting point of inference: label softmax, observed cells pinned.
+
+    The tables are label-plane (see ``tensor.label_planes``), as every
+    marginal table ``iterate`` returns.
+    """
+    q = {name: softmax_lastaxis(arr, out=label_planes(arr.shape))
+         for name, arr in phi.tables.items()}
     _clamp(q, kb.masks())
-    return q
+    return MarginalTable(q)
+
+
+def _add_messages(logits: dict[str, np.ndarray], program: Program,
+                  q: MarginalTable, config: EngineConfig):
+    """Add every weighted message, all read from the snapshot ``q``."""
+    gathered: dict = {}
+    for ci in program.implications:
+        weighted = config.effective_weight(ci) * message(ci, q, gathered)
+        target = logits[ci.hypothesis]
+        for label in ci.target_labels:
+            target[ci.scatter + (label,)] += weighted
 
 
 def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
             trace: IterationTrace | None = None) -> MarginalTable:
-    """Run mean-field iterations and return the final marginals."""
+    """Run mean-field iterations and return the final marginals.
+
+    Two label-plane tables per predicate take turns: one holds the current
+    marginals, the other is refilled with the unary logits, receives the
+    messages and is normalized, damped and clamped in place.
+    """
     unknown = sorted(set(config.weights) - {ci.rule_id for ci in program.implications})
     if unknown:
         raise EngineError(f"weight override for unknown rule id {', '.join(unknown)}")
     masks = program.kb.masks()
-    q = initial_marginals(phi, program.kb)
+    q = initial_marginals(phi, program.kb).tables
+    spare = {name: label_planes(arr.shape) for name, arr in q.items()}
+    lam = config.damping
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
-        logits = {name: arr.copy() for name, arr in phi.tables.items()}
-        for ci in program.implications:
-            weighted = config.effective_weight(ci) * message(ci, q)
-            target = logits[ci.hypothesis]
-            for label in ci.target_labels:
-                target[ci.scatter + (label,)] += weighted
-        for name, arr in logits.items():
+        for name, arr in spare.items():
+            np.copyto(arr, phi.tables[name])
+        _add_messages(spare, program, MarginalTable(q), config)
+        for name, arr in spare.items():
             if not np.all(np.isfinite(arr)):
                 raise EngineError(f"non-finite logits for {name} at iteration {t}")
-        new_q = MarginalTable({name: softmax_lastaxis(arr) for name, arr in logits.items()})
-        if config.damping > 0.0:
-            lam = config.damping
-            for name in new_q.tables:
-                new_q.tables[name] = (1.0 - lam) * new_q.tables[name] + lam * q.tables[name]
-        _clamp(new_q, masks)
-        q = new_q
+            softmax_lastaxis(arr, out=arr)
+            if lam > 0.0:
+                arr *= 1.0 - lam
+                arr += lam * q[name]
+        _clamp(spare, masks)
+        q, spare = spare, q
         if trace is not None:
             trace.seconds.append(time.perf_counter() - started)
-    return q
+            trace.residual.append(MarginalTable(q).max_abs_diff(MarginalTable(spare)))
+    return MarginalTable(q)
 
 
 def run_inference(rules, kb: KnowledgeBase, phi: UnaryTable, config: EngineConfig,

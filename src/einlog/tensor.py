@@ -9,6 +9,7 @@ input subscript select the diagonal, as usual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -104,23 +105,51 @@ def einsum(spec, inputs, extents=None) -> np.ndarray:
     return broadcast_output(np.asarray(core), core_sub, spec, ext)
 
 
-def softmax_lastaxis(t) -> np.ndarray:
+def label_planes(shape: tuple[int, ...], alloc=np.empty) -> np.ndarray:
+    """A float64 table of ``shape`` (labels last) stored label-major.
+
+    Each label slice ``t[..., l]`` is then one contiguous plane, so the
+    slice loops of normalize, gather and scatter read and write contiguous
+    memory.  Indexing is unchanged; only the strides differ from C order.
+    """
+    return np.moveaxis(alloc(shape[-1:] + shape[:-1]), 0, -1)
+
+
+# Cells per normalize block: a block's label slices and its max and sum rows
+# stay in a core's L2 cache through the passes over the block.
+_BLOCK_CELLS = 1 << 14
+
+
+def softmax_lastaxis(t, out: np.ndarray | None = None) -> np.ndarray:
     """Normalize over the label axis, which is short (2 to a few labels).
 
     numpy's ``max``/``sum`` over a short last axis cost several times a pass
-    over the data, so the max and the sum loop over the label slices
-    ``arr[..., k]`` instead.  Below eight labels this adds in the same order
-    as ``sum(axis=-1)``, so the result is bit-identical to the reduction form.
+    over the data, so the max, the shift, the sum and the division loop over
+    the label slices ``arr[..., k]`` instead.  Below eight labels this adds
+    in the same order as ``sum(axis=-1)``, so the result is bit-identical to
+    the reduction form.  The passes run block by block along the first axis,
+    so each block is read from memory once.  ``out`` may be the input
+    itself; without it the result is a new table in the input's layout.
     """
     arr = np.asarray(t, dtype=np.float64)
-    labels = arr.shape[-1]
-    top = arr[..., 0].copy()
-    for k in range(1, labels):
-        np.maximum(top, arr[..., k], out=top)
-    e = arr - top[..., None]
-    np.exp(e, out=e)
-    total = e[..., 0].copy()
-    for k in range(1, labels):
-        total += e[..., k]
-    e /= total[..., None]
+    e = np.empty_like(arr) if out is None else out
+    src, dst = (arr[None], e[None]) if arr.ndim == 1 else (arr, e)  # arity 0: one row
+    rows, cells = src.shape[0], src.shape[1:-1]
+    step = max(1, _BLOCK_CELLS // max(1, prod(cells)))
+    top = np.empty((min(step, rows),) + cells)
+    total = np.empty_like(top)
+    for i in range(0, rows, step):
+        a, b = src[i:i + step], dst[i:i + step]
+        m, s = top[:len(a)], total[:len(a)]
+        np.copyto(m, a[..., 0])
+        for k in range(1, a.shape[-1]):
+            np.maximum(m, a[..., k], out=m)
+        for k in range(a.shape[-1]):
+            np.subtract(a[..., k], m, out=b[..., k])
+        np.exp(b, out=b)
+        np.copyto(s, b[..., 0])
+        for k in range(1, b.shape[-1]):
+            s += b[..., k]
+        for k in range(b.shape[-1]):
+            np.divide(b[..., k], s, out=b[..., k])
     return e

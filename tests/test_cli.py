@@ -39,6 +39,16 @@ def test_infer_writes_expected_rows(tmp_path, capsys):
     assert "M'=" in err
 
 
+def test_infer_reports_residual_per_iteration(tmp_path, capsys):
+    _, argv = infer_args(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out == ""
+    (line,) = [l for l in err.splitlines() if "wall clock per iteration" in l]
+    residual = [float(r) for r in line.split("residual max|q_t - q_t-1|: ")[1].split(", ")]
+    assert len(residual) == 5 and all(r > 0.0 for r in residual)
+    assert residual[-1] < residual[0]
+
+
 def test_infer_is_deterministic(tmp_path, capsys):
     out1, argv1 = infer_args(tmp_path / "a")
     out2, argv2 = infer_args(tmp_path / "b")

@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import einlog as E
-from einlog.engine import (EngineConfig, EngineError, MarginalTable,
-                           Program, UnaryTable, compile_rules, initial_marginals,
-                           iterate, message, transitivity_violations)
+from einlog import planner
+from einlog.engine import (EngineConfig, EngineError, IterationTrace, MarginalTable,
+                           PremiseInput, Program, UnaryTable, compile_rules,
+                           initial_marginals, iterate, message, transitivity_violations)
 from einlog.fol import Clause, CnfFormula, Literal, Predicate, binary_literal, variable
 from einlog.kb import KnowledgeBase
 from einlog.tensor import softmax_lastaxis
-from einlog.testing import engine_oracle_gap
+from einlog.testing import engine_oracle_gap, random_instance
 
 C = Predicate("c", 2)
 A, B, D = variable("a"), variable("b"), variable("d")
@@ -347,3 +350,139 @@ def test_gather_returns_fresh_contiguous_array(rule):
             out = premise.gather(table)
             assert not np.shares_memory(out, table)
             assert out.flags.c_contiguous and out.ndim == len(premise.subscript)
+
+
+def _reference_softmax(arr):
+    """The reduction form; it matches the slice loops bit for bit below 8 labels."""
+    e = np.exp(arr - arr.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_iterate(phi, program, config):
+    """Mean field on fresh C-order tables each iteration, one gather per premise."""
+    masks = program.kb.masks()
+
+    def clamp(tables):
+        for name, m in masks.items():
+            tables[name][m.mask] = np.eye(tables[name].shape[-1])[m.labels[m.mask]]
+
+    q = {name: _reference_softmax(arr) for name, arr in phi.tables.items()}
+    clamp(q)
+    for _ in range(config.iterations):
+        logits = {name: np.array(arr, order="C") for name, arr in phi.tables.items()}
+        for ci in program.implications:
+            arrays = [p.gather(q[p.predicate]) for p in ci.premises]
+            weighted = config.effective_weight(ci) * planner.execute(ci.plan, arrays)
+            for label in ci.target_labels:
+                logits[ci.hypothesis][ci.scatter + (label,)] += weighted
+        new_q = {name: _reference_softmax(arr) for name, arr in logits.items()}
+        if config.damping > 0.0:
+            lam = config.damping
+            new_q = {name: (1.0 - lam) * arr + lam * q[name] for name, arr in new_q.items()}
+        clamp(new_q)
+        q = new_q
+    return q
+
+
+def _is_label_plane(table):
+    return np.moveaxis(table, -1, 0).flags.c_contiguous
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+@pytest.mark.parametrize("iterations", [1, 3, 5])
+def test_iterate_matches_c_order_reference_bitwise(iterations, damping):
+    rng = np.random.default_rng(40 + iterations)
+    for _ in range(12):
+        kb, rules, phi = random_instance(rng, max_entities=5, max_arity=3)
+        program = compile_rules(rules, kb)
+        config = EngineConfig(iterations=iterations, damping=damping)
+        got = iterate(phi, program, config)
+        want = _reference_iterate(phi, program, config)
+        assert got.tables.keys() == want.keys()
+        for name, table in got.tables.items():
+            assert _is_label_plane(table), name
+            assert np.array_equal(table, want[name]), name
+    assert all(_is_label_plane(t) for t in initial_marginals(phi, kb).tables.values())
+    assert all(_is_label_plane(t) for t in UnaryTable.zeros(kb).tables.values())
+
+
+def test_trace_residual_is_the_change_between_iterations(smoke_rules, smoke_kb, smoke_phi):
+    trace = IterationTrace()
+    E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=6), trace)
+    assert len(trace.residual) == len(trace.seconds) == 6
+    prev = initial_marginals(smoke_phi, smoke_kb)
+    for k in range(1, 7):
+        cur = E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=k))
+        assert trace.residual[k - 1] == cur.max_abs_diff(prev)
+        prev = cur
+    assert 0.0 < trace.residual[-1] < trace.residual[0]
+
+
+# The rule file of the benchmark's knowledge-base-completion workload.
+KBC_RULES = """\
+predicate active()
+predicate kind(ent) labels {K0,K1,K2,K3,K4}
+predicate link(ent,ent)
+predicate rel(ent,ent)
+predicate tri(ent,ent,ent)
+2.0: (!link(a,b) | rel(a,b)) & (link(a,b) | !rel(a,b))
+!rel(a,b) | tri(a,b,c)
+!tri(a,b,c) | !rel(b,c) | rel(a,c)
+!active() | !rel(a,b) | rel(b,a)
+!rel(E0,b) | kind(b) in {K0,K1}
+!kind(a) in {K2} | !rel(a,b) | kind(b) in {K2,K3}
+!link(a,b) | !rel(b,c) | !link(c,d) | rel(a,d)
+"""
+
+
+def _kbc_instance(n, seed=3):
+    rules = E.parse_rules(KBC_RULES)
+    kb = KnowledgeBase([f"E{i}" for i in range(n)], rules.predicates, {})
+    rng = np.random.default_rng(seed)
+    phi = UnaryTable({name: rng.normal(0.0, 1.5, kb.shape(p) + (p.num_labels,))
+                      for name, p in kb.predicates.items()})
+    return rules, kb, phi
+
+
+def test_one_gather_per_distinct_premise_key(monkeypatch):
+    rules, kb, phi = _kbc_instance(4)
+    program = compile_rules(rules, kb)
+    premises = [p for ci in program.implications for p in ci.premises]
+    keys = {p.key for p in premises}
+    assert (len(premises), len(keys)) == (38, 11)
+
+    q = iterate(phi, program, EngineConfig(iterations=2))
+    shared: dict = {}
+    for ci in program.implications:
+        assert np.array_equal(message(ci, q, shared), message(ci, q))
+    assert shared.keys() == keys
+
+    calls = []
+    original = PremiseInput.gather
+
+    def counting(self, table):
+        calls.append(self.key)
+        return original(self, table)
+
+    monkeypatch.setattr(PremiseInput, "gather", counting)
+    for iterations in (1, 3):
+        calls.clear()
+        iterate(phi, program, EngineConfig(iterations=iterations))
+        assert len(calls) == iterations * len(keys)
+        assert set(calls) == keys
+
+
+def test_iterate_memory_does_not_grow_with_iterations():
+    rules, kb, phi = _kbc_instance(48)
+    program = compile_rules(rules, kb)
+    table_bytes = phi.tables["tri"].nbytes
+
+    def peak(iterations):
+        tracemalloc.start()
+        try:
+            iterate(phi, program, EngineConfig(iterations=iterations))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(6) <= peak(2) + table_bytes

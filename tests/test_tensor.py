@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from einlog.oracle import brute_einsum
-from einlog.tensor import EinsumSpec, TensorError, einsum, softmax_lastaxis
+from einlog.tensor import (EinsumSpec, TensorError, einsum, label_planes,
+                           softmax_lastaxis)
 
 
 def test_identity_contraction():
@@ -132,3 +133,45 @@ def test_slice_softmax_equals_reduction_form_bitwise(labels, arity, scale):
     assert np.max(np.abs(q.sum(axis=-1) - 1.0)) <= 1e-15
     if scale > 1.0:
         assert (q == 0.0).any()
+
+
+def _in_layout(arr, layout):
+    """A copy of ``arr`` in C order or label-plane order."""
+    if layout == "c":
+        return np.array(arr, order="C")
+    out = label_planes(arr.shape)
+    np.copyto(out, arr)
+    return out
+
+
+def _is_label_plane(arr):
+    return np.moveaxis(arr, -1, 0).flags.c_contiguous
+
+
+def test_label_planes_are_contiguous_label_slices():
+    t = label_planes((4, 3, 5, 2))
+    assert t.shape == (4, 3, 5, 2) and t.dtype == np.float64
+    assert _is_label_plane(t) and not t.flags.c_contiguous
+    assert all(t[..., k].flags.c_contiguous for k in range(2))
+    assert not label_planes((3, 2), np.zeros).any()
+
+
+# the last two shapes span several 2^14-cell normalize blocks, ending in a partial one
+@pytest.mark.parametrize("labels", [2, 3, 5])
+@pytest.mark.parametrize("cells", [(), (5,), (5, 5, 5), (131, 131), (41, 41, 41)])
+def test_softmax_out_equals_reduction_form_bitwise_in_either_layout(labels, cells):
+    rng = np.random.default_rng(10 * labels + len(cells))
+    logits = rng.normal(size=cells + (labels,)) * 30
+    logits.flat[::4] = 30.0                                # exact ties
+    want = _reduction_softmax(logits)
+    for layout in ("c", "label-plane"):
+        arr = _in_layout(logits, layout)
+        fresh = softmax_lastaxis(arr)
+        assert fresh.strides == arr.strides                # keeps the input's layout
+        assert np.array_equal(fresh, want)
+        got = softmax_lastaxis(arr, out=arr)               # in place
+        assert got is arr and np.array_equal(arr, want)
+    for src in ("c", "label-plane"):                       # into another table
+        out = label_planes(logits.shape)
+        assert softmax_lastaxis(_in_layout(logits, src), out=out) is out
+        assert np.array_equal(out, want)
