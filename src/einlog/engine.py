@@ -300,13 +300,25 @@ def initial_marginals(phi: UnaryTable, kb: KnowledgeBase) -> MarginalTable:
 
 def _add_messages(logits: dict[str, np.ndarray], program: Program,
                   q: MarginalTable, config: EngineConfig):
-    """Add every weighted message, all read from the snapshot ``q``."""
+    """Add every weighted message, all read from the snapshot ``q``.
+
+    A message that ``planner.execute`` allocated is scaled in place (it
+    rounds as ``w * msg``).  A view, such as a message without contraction
+    that aliases a shared gathered input, is scaled into a new array.  Each
+    message is dropped before the next is computed.
+    """
     gathered: dict = {}
     for ci in program.implications:
-        weighted = config.effective_weight(ci) * message(ci, q, gathered)
+        msg = message(ci, q, gathered)
+        w = config.effective_weight(ci)
+        if msg.flags.owndata:
+            msg *= w
+        else:
+            msg = w * msg
         target = logits[ci.hypothesis]
         for label in ci.target_labels:
-            target[ci.scatter + (label,)] += weighted
+            target[ci.scatter + (label,)] += msg
+        del msg
 
 
 def iterate(phi: UnaryTable, program: Program, config: EngineConfig,

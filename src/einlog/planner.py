@@ -10,12 +10,16 @@ up to six operands and greedy beyond that.  When no pairwise decomposition
 beats evaluating the whole expression at once, the plan falls back to a
 single multi-operand step so a plan never costs more than the naive
 single-shot evaluation.
+
+A pairwise step that is a plain 2-D matrix product runs as one BLAS
+``np.matmul`` on (transposed) views; every other step runs as
+``np.einsum(..., optimize=False)``.  The choice is made once, when planning.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
@@ -36,13 +40,20 @@ class ContractionStep:
     operand_subscripts: tuple[str, ...]
     result_subscript: str
     est_flops: float
+    # (left id, right id, transpose left, transpose right) when the step is
+    # one 2-D matrix product run by np.matmul; None runs np.einsum
+    gemm: tuple[int, int, bool, bool] | None = None
 
     @property
     def expr(self) -> str:
         return ",".join(self.operand_subscripts) + "->" + self.result_subscript
 
+    @property
+    def kernel(self) -> str:
+        return "einsum" if self.gemm is None else "gemm"
+
     def describe(self) -> str:
-        return f"{self.expr} cost={int(self.est_flops)}"
+        return f"{self.expr} kernel={self.kernel} cost={int(self.est_flops)}"
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,12 @@ class ContractionPlan:
     total_cost: float
     naive_cost: float
     reducible: bool
+    # operand shapes fixed by the extents, so execute compares tuples only
+    input_shapes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "input_shapes", tuple(
+            tuple(self.extents[ch] for ch in sub) for sub in self.spec.inputs))
 
     def max_result_arity(self) -> int:
         return max((len(s.result_subscript) for s in self.steps), default=0)
@@ -240,6 +257,29 @@ def _search_greedy(all_ids, group_letters, extents):
     return merges
 
 
+def _gemm(operand_ids, operand_subscripts, result):
+    """Lower a step to one matrix product ``left @ right``, or return None.
+
+    A step qualifies when both operands are matrices over two distinct
+    letters, they share exactly one letter, which the step sums away, and
+    the result is the other two letters.  The operand holding the result's
+    row letter goes left, and each operand is transposed (a view) where
+    needed, so the product comes out in result order with no copy.
+    """
+    if len(operand_subscripts) != 2 or len(result) != 2:
+        return None
+    s, t = operand_subscripts
+    if any(len(sub) != 2 or sub[0] == sub[1] for sub in (s, t)):
+        return None
+    shared = set(s) & set(t)
+    if len(shared) != 1 or set(result) != set(s) ^ set(t):
+        return None
+    (k,) = shared
+    left, right = (0, 1) if result[0] in s else (1, 0)
+    return (operand_ids[left], operand_ids[right],
+            operand_subscripts[left][0] == k, operand_subscripts[right][1] == k)
+
+
 def _materialize(merges, spec, group_letters, core_output):
     """Turn merge pairs into concrete steps with subscripts and operand ids."""
     k = len(spec.inputs)
@@ -256,7 +296,8 @@ def _materialize(merges, spec, group_letters, core_output):
             result = core_output
         else:
             result = _ordered(group_letters(merged), lsub, rsub)
-        steps.append(ContractionStep((lid, rid), (lsub, rsub), result, cost))
+        steps.append(ContractionStep((lid, rid), (lsub, rsub), result, cost,
+                                     _gemm((lid, rid), (lsub, rsub), result)))
         sub_of[merged] = (next_id, result)
         next_id += 1
     return steps
@@ -266,19 +307,22 @@ def execute(cplan: ContractionPlan, inputs) -> np.ndarray:
     """Run a plan; equals the unplanned einsum of the same spec."""
     arrays = [np.asarray(t, dtype=np.float64) for t in inputs]
     spec = cplan.spec
-    if len(arrays) != len(spec.inputs):
+    if len(arrays) != len(cplan.input_shapes):
         raise PlanError(f"plan has {len(spec.inputs)} operands, got {len(arrays)}")
-    ext = cplan.extents
-    for sub, arr in zip(spec.inputs, arrays):
-        if arr.ndim != len(sub) or any(ext[ch] != d for ch, d in zip(sub, arr.shape)):
+    for arr, shape, sub in zip(arrays, cplan.input_shapes, spec.inputs):
+        if arr.shape != shape:
             raise PlanError(f"operand shape {arr.shape} does not match subscript {sub!r}")
-    pool = list(arrays)
+    pool = arrays
     last = None
     for step in cplan.steps:
-        last = np.einsum(step.expr, *(pool[i] for i in step.operand_ids), optimize=False)
+        if step.gemm is None:
+            last = np.einsum(step.expr, *(pool[i] for i in step.operand_ids), optimize=False)
+        else:
+            i, j, ti, tj = step.gemm
+            last = np.matmul(pool[i].T if ti else pool[i], pool[j].T if tj else pool[j])
         pool.append(last)
     if last is None:
         last = np.asarray(np.float64(1.0))
     if cplan.final_subscript == spec.output:
         return np.asarray(last)
-    return broadcast_output(last, cplan.final_subscript, spec, ext)
+    return broadcast_output(last, cplan.final_subscript, spec, cplan.extents)

@@ -135,7 +135,7 @@ def test_plan_reports_chain_costs(tmp_path, capsys):
                      "r1(a,b) & r2(b,c) & r3(c,d) => r4(a,d)\n")
     code, out, _ = run(capsys, "plan", "--rules", str(rules), "--entities", "10")
     assert code == 0
-    assert "ab,bc->ac cost=1000" in out
+    assert "ab,bc->ac kernel=gemm cost=1000" in out
     assert "naive=10000 optimized=2000 ratio=5.0" in out
     assert "M'=3" in out
 

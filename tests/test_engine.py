@@ -6,7 +6,7 @@ import pytest
 import einlog as E
 from einlog import planner
 from einlog.engine import (EngineConfig, EngineError, IterationTrace, MarginalTable,
-                           PremiseInput, Program, UnaryTable, compile_rules,
+                           PremiseInput, Program, UnaryTable, _add_messages, compile_rules,
                            initial_marginals, iterate, message, transitivity_violations)
 from einlog.fol import Clause, CnfFormula, Literal, Predicate, binary_literal, variable
 from einlog.kb import KnowledgeBase
@@ -470,6 +470,49 @@ def test_one_gather_per_distinct_premise_key(monkeypatch):
         iterate(phi, program, EngineConfig(iterations=iterations))
         assert len(calls) == iterations * len(keys)
         assert set(calls) == keys
+
+
+def test_chain_steps_of_workload_rules_run_as_gemm():
+    rules, kb, _ = _kbc_instance(4)
+    steps = [(ci.rule_id, s) for ci in compile_rules(rules, kb).implications
+             for s in ci.plan.steps]
+    # the 4-literal chain: two matrix products per implication
+    assert sum(s.kernel == "gemm" for _, s in steps) == 8
+    assert all(s.kernel == "gemm" for rid, s in steps if rid == "f7")
+    trans = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(5)).implications
+    assert [s.kernel for ci in trans for s in ci.plan.steps] == ["gemm"] * 3
+
+
+def test_weighting_leaves_shared_gathered_input_unchanged(monkeypatch):
+    # the r and s messages are views of one gathered p(a,b) complement, and
+    # neither weight is 1
+    rules = E.parse_rules("predicate p(t,t)\npredicate r(t,t)\npredicate s(t,t)\n"
+                          "2.5: !p(a,b) | r(a,b)\n0.5: !p(a,b) | s(a,b)\n")
+    kb = KnowledgeBase([f"E{i}" for i in range(3)], rules.predicates, {})
+    program = compile_rules(rules, kb)
+    rng = np.random.default_rng(1)
+    q = initial_marginals(UnaryTable({name: rng.normal(size=(3, 3, 2)) for name in "prs"}), kb)
+    gathered = []
+    original = PremiseInput.gather
+
+    def recording(self, table):
+        out = original(self, table)
+        gathered.append((self.key, out, out.copy()))
+        return out
+
+    monkeypatch.setattr(PremiseInput, "gather", recording)
+    logits = UnaryTable.zeros(kb).tables
+    config = EngineConfig()
+    _add_messages(logits, program, q, config)
+    assert [key for key, _, _ in gathered].count(("p", (), (1,))) == 1
+    assert all(np.array_equal(out, before) for _, out, before in gathered)
+    want = UnaryTable.zeros(kb).tables
+    for ci in program.implications:
+        weighted = config.effective_weight(ci) * planner.execute(
+            ci.plan, [original(p, q.tables[p.predicate]) for p in ci.premises])
+        for label in ci.target_labels:
+            want[ci.hypothesis][ci.scatter + (label,)] += weighted
+    assert all(np.array_equal(logits[name], want[name]) for name in want)
 
 
 def test_iterate_memory_does_not_grow_with_iterations():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,46 @@ def test_execute_rejects_wrong_shapes():
         execute(p, [np.ones((2, 3)), np.ones((3, 2))])
     with pytest.raises(PlanError, match="operands"):
         execute(p, [np.ones((2, 2))])
+    p = plan("ab,bc->ac", {"a": 2, "b": 3, "c": 4})
+    assert p.input_shapes == ((2, 3), (3, 4))
+    with pytest.raises(PlanError, match="shape"):
+        execute(p, [np.ones((3, 2)), np.ones((3, 4))])   # transposed operand
+    with pytest.raises(PlanError, match="shape"):
+        execute(p, [np.ones(6), np.ones((3, 4))])
+    with pytest.raises(PlanError, match="operands"):
+        execute(p, [np.ones((2, 3)), np.ones((3, 4)), np.ones((4, 2))])
+
+
+# every letter order of xy,yz->xz: operand order, each operand transposed or
+# not, and both result orders
+MATMUL_SPECS = [f"{s},{t}->{r}"
+                for l, rt in itertools.product(("xy", "yx"), ("yz", "zy"))
+                for s, t in ((l, rt), (rt, l))
+                for r in ("xz", "zx")]
+
+
+@pytest.mark.parametrize("spec", MATMUL_SPECS)
+def test_matrix_product_steps_run_as_gemm(spec):
+    ext = {"x": 3, "y": 4, "z": 5}
+    p = plan(spec, ext)
+    (step,) = p.steps
+    assert step.kernel == "gemm" and step.expr == spec
+    ins = random_inputs(spec, ext, seed=7)
+    got = execute(p, ins)
+    want = np.einsum(step.expr, *ins, optimize=False)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("spec", ["abc,bc->ac", "bc,ac->abc", "aa,ab->b", "ab,cd->ac",
+                                  ",ab->ba", "ab->ba", "ab->a", "a,ab->b",
+                                  "abcd,bc,cd,ad->ac"])
+def test_other_steps_stay_on_einsum(spec):
+    ext = uniform_extents(spec, 3)
+    p = plan(spec, ext)
+    assert p.steps and all(s.kernel == "einsum" and s.gemm is None for s in p.steps)
+    ins = random_inputs(spec, ext, seed=5)
+    assert np.allclose(execute(p, ins), brute_einsum(spec, ins, ext), atol=1e-10)
 
 
 def test_describe_step_format():
@@ -149,3 +191,4 @@ def test_describe_step_format():
     assert "M'=3" in text
     first = text.splitlines()[0]
     assert "->" in first and first.endswith("cost=512")
+    assert [line.split()[1] for line in text.splitlines()[:2]] == ["kernel=gemm"] * 2
