@@ -261,11 +261,13 @@ def message(ci: CompiledImplication, marginals: MarginalTable,
             gathered: dict | None = None) -> np.ndarray:
     """Expected count of true-premise groundings per hypothesis cell.
 
-    ``gathered`` shares premise inputs between the messages that read one
-    marginal snapshot, keyed by ``PremiseInput.key``; ``planner.execute``
-    does not write to its inputs, so one array can feed several messages.
-    A message without contraction (``ab->ab``) is a view of its gathered
-    input, so callers must not write to it in place.
+    The message broadcasts to the hypothesis cells: a hypothesis variable
+    absent from every premise gets a size-1 axis.  ``gathered`` shares
+    premise inputs between the messages that read one marginal snapshot,
+    keyed by ``PremiseInput.key``; ``planner.execute`` does not write to its
+    inputs, so one array can feed several messages.  A message without
+    contraction (``ab->ab``) is a view of its gathered input, so callers
+    must not write to it in place.
     """
     if gathered is None:
         gathered = {}
@@ -304,8 +306,9 @@ def _add_messages(logits: dict[str, np.ndarray], program: Program,
 
     A message that ``planner.execute`` allocated is scaled in place (it
     rounds as ``w * msg``).  A view, such as a message without contraction
-    that aliases a shared gathered input, is scaled into a new array.  Each
-    message is dropped before the next is computed.
+    that aliases a shared gathered input, is scaled into a new array.  The
+    ``+=`` broadcasts a message's size-1 axes over the hypothesis cells.
+    Each message is dropped before the next is computed.
     """
     gathered: dict = {}
     for ci in program.implications:

@@ -43,6 +43,15 @@ class RuleError(Exception):
         super().__init__(message)
 
 
+def content_lines(text: str):
+    """Yield ``(line number, line)`` for each non-blank line, ``#`` comments
+    and surrounding whitespace stripped; numbers count from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 class RuleWarning(UserWarning):
     """Non-fatal oddity in a rule file (tautological or duplicate clause)."""
 
@@ -286,8 +295,6 @@ class RuleSet:
         return self.formulas[i]
 
 
-IDENT_RE = re.compile(r"[A-Za-z0-9_.+-]+")
-
 _TOKEN_RE = re.compile(r"""
       (?P<ws>[ \t]+)
     | (?P<implies>=>)
@@ -358,6 +365,15 @@ class _LineParser:
             raise RuleError(f"expected {what}, got {got}", self.lineno, col)
         return self.next()
 
+    def idents(self, close: str, what: str) -> list[str]:
+        """``ident (, ident)* close``, after the opening bracket."""
+        out = []
+        while True:
+            out.append(self.expect_ident(what).value)
+            if self.accept(close):
+                return out
+            self.expect(",")
+
 
 # Raw literal straight out of the grammar, before semantic checks.
 @dataclass
@@ -374,24 +390,13 @@ def _parse_atom(p: _LineParser) -> _RawLiteral:
     negated = p.accept("!")
     name_tok = p.expect_ident("predicate name")
     p.expect("(")
-    args: list[str] = []
-    if not p.accept(")"):
-        while True:
-            args.append(p.expect_ident("argument").value)
-            if p.accept(")"):
-                break
-            p.expect(",")
+    args = [] if p.accept(")") else p.idents(")", "argument")
     values = None
     nxt = p.peek()
     if nxt is not None and nxt.value == "in":
         p.next()
         p.expect("{")
-        values = []
-        while True:
-            values.append(p.expect_ident("label name").value)
-            if p.accept("}"):
-                break
-            p.expect(",")
+        values = p.idents("}", "label name")
     return _RawLiteral(negated, name_tok.value, args, values, name_tok.line, name_tok.col)
 
 
@@ -512,23 +517,12 @@ def _parse_declaration(p: _LineParser, predicates: dict[str, Predicate]):
         raise RuleError(f"duplicate predicate declaration {name!r}",
                         name_tok.line, name_tok.col)
     p.expect("(")
-    arg_types: list[str] = []
-    if not p.accept(")"):
-        while True:
-            arg_types.append(p.expect_ident("argument type").value)
-            if p.accept(")"):
-                break
-            p.expect(",")
+    arg_types = [] if p.accept(")") else p.idents(")", "argument type")
     label_names = None
     if p.peek() is not None and p.peek().value == "labels":
         p.next()
         p.expect("{")
-        label_names = []
-        while True:
-            label_names.append(p.expect_ident("label name").value)
-            if p.accept("}"):
-                break
-            p.expect(",")
+        label_names = p.idents("}", "label name")
         if len(set(label_names)) != len(label_names):
             raise RuleError(f"duplicate label names for {name}", name_tok.line)
     tok = p.peek()
@@ -556,10 +550,7 @@ def parse_rules(text: str) -> RuleSet:
     """Parse a rule file into predicate declarations and validated formulas."""
     ruleset = RuleSet()
     n_formulas = 0
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         toks = _tokenize(line, lineno)
         p = _LineParser(toks, lineno)
         if toks[0].value == "predicate" and len(toks) > 1 and toks[1].value != "(":
@@ -602,11 +593,5 @@ def format_rules(ruleset: RuleSet) -> str:
         if pred.label_names is not None:
             decl += f" labels {{{','.join(pred.label_names)}}}"
         lines.append(decl)
-    for formula in ruleset.formulas:
-        body = " & ".join(f"({c})" for c in formula.clauses) \
-            if len(formula.clauses) > 1 else str(formula.clauses[0])
-        if formula.weight != 1.0:
-            lines.append(f"{formula.weight!r}: {body}")
-        else:
-            lines.append(body)
+    lines.extend(str(formula) for formula in ruleset.formulas)
     return "\n".join(lines) + "\n"

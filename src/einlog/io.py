@@ -14,40 +14,25 @@ import json
 import numpy as np
 
 from .engine import MarginalTable, UnaryTable
-from .kb import ATOM_RE, EvidenceError, GroundAtom, KnowledgeBase
-
-
-def _parse_bare_atom(line: str, lineno: int, kb: KnowledgeBase):
-    m = ATOM_RE.match(line)
-    if m is None or m.group("neg") or m.group("label") is not None:
-        raise EvidenceError(f"line {lineno}: malformed atom {line!r}")
-    name = m.group("name")
-    pred = kb.predicates.get(name)
-    if pred is None:
-        raise EvidenceError(f"line {lineno}: undeclared predicate {name!r}")
-    syms = tuple(a for a in m.group("args").split(",") if a)
-    if len(syms) != pred.arity:
-        raise EvidenceError(f"line {lineno}: {name} expects {pred.arity} args")
-    return pred, tuple(kb.entity_index(s) for s in syms)
+from .fol import content_lines
+from .kb import EvidenceError, GroundAtom, KnowledgeBase, parse_atom
 
 
 def load_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
     """Unary logit table from text; zero logits for unlisted cells."""
     table = UnaryTable.zeros(kb)
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        pred, args = _parse_bare_atom(parts[0], lineno, kb)
-        values = parts[1:]
+    for lineno, line in content_lines(text):
+        atom, *values = line.split()
+        negated, pred, args, label = parse_atom(atom, lineno, kb.predicates, kb.index)
+        if negated or label is not None:
+            raise EvidenceError(f"line {lineno}: malformed atom {atom!r}")
         if len(values) != pred.num_labels:
             raise EvidenceError(f"line {lineno}: {pred.name} needs {pred.num_labels} "
                                 f"logits, got {len(values)}")
         key = (pred.name, args)
         if key in seen:
-            raise EvidenceError(f"line {lineno}: duplicate unary entry for {parts[0]}")
+            raise EvidenceError(f"line {lineno}: duplicate unary entry for {atom}")
         seen.add(key)
         try:
             table.tables[pred.name][args] = [float(v) for v in values]
@@ -101,21 +86,21 @@ def format_marginals_json(result: MarginalTable, kb: KnowledgeBase, queries=None
 def load_predictions(text: str, kb: KnowledgeBase):
     """Scored atoms: one `Atom score` per line."""
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise EvidenceError(f"line {lineno}: expected 'Atom score'")
-        pred, args = _parse_bare_atom(parts[0], lineno, kb)
+        atom, value = parts
+        negated, pred, args, label = parse_atom(atom, lineno, kb.predicates, kb.index)
+        if negated or label is not None:
+            raise EvidenceError(f"line {lineno}: malformed atom {atom!r}")
         try:
-            score = float(parts[1])
+            score = float(value)
         except ValueError:
-            raise EvidenceError(f"line {lineno}: bad score {parts[1]!r}") from None
+            raise EvidenceError(f"line {lineno}: bad score {value!r}") from None
         key = (pred.name, args)
         if key in out:
-            raise EvidenceError(f"line {lineno}: duplicate prediction for {parts[0]}")
+            raise EvidenceError(f"line {lineno}: duplicate prediction for {atom}")
         out[key] = score
     if not out:
         raise EvidenceError("empty prediction file")
@@ -125,18 +110,14 @@ def load_predictions(text: str, kb: KnowledgeBase):
 def load_truth(text: str, kb: KnowledgeBase):
     """Held-out binary facts: `Atom` lines are true, `!Atom` lines false."""
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = ATOM_RE.match(line)
-        if m is None or m.group("label") is not None:
+    for lineno, line in content_lines(text):
+        negated, pred, args, label = parse_atom(line, lineno, kb.predicates, kb.index)
+        if label is not None:
             raise EvidenceError(f"line {lineno}: malformed truth atom {line!r}")
-        pred, args = _parse_bare_atom(line.lstrip("!"), lineno, kb)
         if pred.num_labels != 2:
             raise EvidenceError(f"line {lineno}: truth atoms must be binary")
         key = (pred.name, args)
-        truth = not m.group("neg")
+        truth = not negated
         if key in out and out[key] != truth:
             raise EvidenceError(f"line {lineno}: conflicting truth for {line!r}")
         out[key] = truth

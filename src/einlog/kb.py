@@ -9,7 +9,9 @@ inside atoms, ``#`` comments)::
     label(T3)=B-PER      # multi-class predicate fixed to a label
 
 Entity constants are collected in first-occurrence order; an optional seed
-list pins the leading indices.
+list pins the leading indices.  ``parse_atom`` reads the atom syntax for every
+data file (evidence, queries, unary potentials, predictions, truth), so each
+reader error starts with ``line N:``.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .fol import Predicate
+from .fol import Predicate, RuleError, content_lines
 
+_SYMBOL = r"[A-Za-z0-9_.-]+"
 ATOM_RE = re.compile(
-    r"^(?P<neg>!?)(?P<name>[A-Za-z0-9_.-]+)\((?P<args>[A-Za-z0-9_.,-]*)\)"
-    r"(?:=(?P<label>[A-Za-z0-9_.-]+))?$")
+    rf"^(?P<neg>!?)(?P<name>{_SYMBOL})\((?P<args>(?:{_SYMBOL}(?:,{_SYMBOL})*)?)\)"
+    rf"(?:=(?P<label>{_SYMBOL}))?$")
 
 
 class EvidenceError(Exception):
@@ -61,8 +64,8 @@ class KnowledgeBase:
         self.predicates: dict[str, Predicate] = dict(predicates)
         # (predicate name, arg index tuple) -> observed label
         self.observations: dict[tuple[str, tuple[int, ...]], int] = dict(observations)
-        self._index = {name: i for i, name in enumerate(self.entities)}
-        if len(self._index) != len(self.entities):
+        self.index: dict[str, int] = {name: i for i, name in enumerate(self.entities)}
+        if len(self.index) != len(self.entities):
             raise EvidenceError("duplicate entity names")
         for (name, args), label in self.observations.items():
             pred = self.predicates.get(name)
@@ -81,7 +84,7 @@ class KnowledgeBase:
 
     def entity_index(self, name: str) -> int:
         try:
-            return self._index[name]
+            return self.index[name]
         except KeyError:
             raise EvidenceError(f"unknown entity {name!r}") from None
 
@@ -107,61 +110,68 @@ class KnowledgeBase:
         return self._masks
 
 
-def _parse_atom_line(line: str, lineno: int):
+class _Numbering(dict):
+    """Entity name -> index map that numbers each new name on first lookup."""
+
+    def __missing__(self, name: str) -> int:
+        self[name] = index = len(self)
+        return index
+
+
+def parse_atom(line: str, lineno: int, predicates: dict[str, Predicate], entities):
+    """``(negated, predicate, args, label)`` of one atom line.
+
+    ``entities`` maps entity names to indices; a name it lacks is an unknown
+    entity unless it numbers new names itself.  Every error names the line.
+    """
     m = ATOM_RE.match(line)
     if m is None:
         raise EvidenceError(f"line {lineno}: malformed atom {line!r}")
-    args = m.group("args")
-    return (bool(m.group("neg")), m.group("name"),
-            tuple(a for a in args.split(",") if a) if args else (),
-            m.group("label"))
+    negated, name, syms, label = m.groups()
+    pred = predicates.get(name)
+    if pred is None:
+        raise EvidenceError(f"line {lineno}: undeclared predicate {name!r}")
+    syms = syms.split(",") if syms else ()
+    if len(syms) != pred.arity:
+        raise EvidenceError(f"line {lineno}: {name} expects {pred.arity} args, "
+                            f"got {len(syms)}")
+    try:
+        args = tuple(map(entities.__getitem__, syms))
+    except KeyError as exc:
+        raise EvidenceError(f"line {lineno}: unknown entity {exc.args[0]!r}") from None
+    return bool(negated), pred, args, label
 
 
 def load_evidence(text: str, predicates, entities=None) -> KnowledgeBase:
     """Build a KnowledgeBase from evidence text and declared predicates."""
     preds = {p.name: p for p in (predicates.values() if isinstance(predicates, dict)
                                  else predicates)}
-    names: list[str] = list(entities) if entities else []
-    index = {e: i for i, e in enumerate(names)}
+    seed = list(entities or ())
+    index = _Numbering(zip(seed, range(len(seed))))
+    if len(index) != len(seed):
+        raise EvidenceError("duplicate entity names")
     observations: dict[tuple[str, tuple[int, ...]], int] = {}
-
-    def intern(symbol: str) -> int:
-        if symbol not in index:
-            index[symbol] = len(names)
-            names.append(symbol)
-        return index[symbol]
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        negated, name, arg_syms, label_sym = _parse_atom_line(line, lineno)
-        pred = preds.get(name)
-        if pred is None:
-            raise EvidenceError(f"line {lineno}: undeclared predicate {name!r}")
-        if len(arg_syms) != pred.arity:
-            raise EvidenceError(f"line {lineno}: {name} expects {pred.arity} args, "
-                                f"got {len(arg_syms)}")
-        if negated and label_sym is not None:
+    for lineno, line in content_lines(text):
+        negated, pred, args, label_sym = parse_atom(line, lineno, preds, index)
+        if label_sym is None:
+            if pred.num_labels != 2:
+                raise EvidenceError(f"line {lineno}: multi-class fact {pred.name} "
+                                    "needs '=LABEL'")
+            label = 0 if negated else 1
+        elif negated:
             raise EvidenceError(f"line {lineno}: '!' and '=' cannot be combined")
-        if label_sym is not None:
+        else:
             try:
                 label = pred.label_index(label_sym)
-            except Exception as exc:
+            except RuleError as exc:
                 raise EvidenceError(f"line {lineno}: {exc}") from None
-        elif pred.num_labels == 2:
-            label = 0 if negated else 1
-        else:
-            raise EvidenceError(f"line {lineno}: multi-class fact {name} needs '=LABEL'")
-        args = tuple(intern(s) for s in arg_syms)
-        key = (name, args)
-        if key in observations and observations[key] != label:
+        key = (pred.name, args)
+        if observations.setdefault(key, label) != label:
             raise EvidenceError(f"line {lineno}: conflicting observation for {line!r}")
-        observations[key] = label
 
-    if not names:
+    if not index:
         raise EvidenceError("empty entity domain: no entities seeded or observed")
-    return KnowledgeBase(names, preds, observations)
+    return KnowledgeBase(index, preds, observations)
 
 
 def variable_universe(kb: KnowledgeBase) -> dict[str, int]:
@@ -176,16 +186,9 @@ def variable_universe(kb: KnowledgeBase) -> dict[str, int]:
 def load_queries(text: str, kb: KnowledgeBase) -> list[GroundAtom]:
     """Ground atoms to report, using the evidence atom syntax without !/=."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        negated, name, arg_syms, label_sym = _parse_atom_line(line, lineno)
-        if negated or label_sym is not None:
+    for lineno, line in content_lines(text):
+        negated, pred, args, label = parse_atom(line, lineno, kb.predicates, kb.index)
+        if negated or label is not None:
             raise EvidenceError(f"line {lineno}: queries are bare atoms")
-        pred = kb.predicates.get(name)
-        if pred is None:
-            raise EvidenceError(f"line {lineno}: undeclared predicate {name!r}")
-        args = tuple(kb.entity_index(s) for s in arg_syms)
         out.append(GroundAtom(pred, args))
     return out

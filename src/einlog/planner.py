@@ -61,7 +61,6 @@ class ContractionPlan:
     spec: EinsumSpec
     extents: dict[str, int]
     steps: tuple[ContractionStep, ...]
-    final_subscript: str
     max_intermediate_arity: int  # M': max distinct indices active in one step
     total_cost: float
     naive_cost: float
@@ -146,7 +145,7 @@ def plan(spec, extents) -> ContractionPlan:
     core_output = "".join(ch for ch in spec.output if ch in spec.input_letters())
 
     if k == 0:
-        return ContractionPlan(spec, extents, (), core_output, 0, 0.0, naive_cost, False)
+        return ContractionPlan(spec, extents, (), 0, 0.0, naive_cost, False)
 
     operand_letters = [_distinct(sub) for sub in spec.inputs]
 
@@ -156,8 +155,8 @@ def plan(spec, extents) -> ContractionPlan:
         has_diag = len(sub) != len(operand_letters[0])
         cost = _cost(operand_letters[0], extents) if (summed or has_diag) else 0.0
         step = ContractionStep((0,), (sub,), core_output, cost)
-        return ContractionPlan(spec, extents, (step,), core_output,
-                               len(operand_letters[0]), cost, naive_cost, False)
+        return ContractionPlan(spec, extents, (step,), len(operand_letters[0]), cost,
+                               naive_cost, False)
 
     appearances: dict[str, int] = {}
     for ls in operand_letters:
@@ -184,13 +183,13 @@ def plan(spec, extents) -> ContractionPlan:
     if tree_cost > single_shot:
         # irreducible: one multi-operand step is cheapest
         step = ContractionStep(tuple(range(k)), tuple(spec.inputs), core_output, single_shot)
-        return ContractionPlan(spec, extents, (step,), core_output,
-                               len(input_union), single_shot, naive_cost, False)
+        return ContractionPlan(spec, extents, (step,), len(input_union), single_shot,
+                               naive_cost, False)
 
     steps = _materialize(merges, spec, group_letters, core_output)
     mprime = max(len({ch for sub in s.operand_subscripts for ch in sub}) for s in steps)
-    return ContractionPlan(spec, extents, tuple(steps), core_output,
-                           mprime, tree_cost, naive_cost, len(steps) > 1)
+    return ContractionPlan(spec, extents, tuple(steps), mprime, tree_cost, naive_cost,
+                           len(steps) > 1)
 
 
 def _search_exhaustive(all_ids, group_letters, extents):
@@ -304,7 +303,9 @@ def _materialize(merges, spec, group_letters, core_output):
 
 
 def execute(cplan: ContractionPlan, inputs) -> np.ndarray:
-    """Run a plan; equals the unplanned einsum of the same spec."""
+    """Run a plan; the result broadcasts to the unplanned einsum of the same
+    spec.  Each broadcast output letter gets a size-1 axis rather than a
+    replicated one, so the result is never larger than the contraction."""
     arrays = [np.asarray(t, dtype=np.float64) for t in inputs]
     spec = cplan.spec
     if len(arrays) != len(cplan.input_shapes):
@@ -321,8 +322,5 @@ def execute(cplan: ContractionPlan, inputs) -> np.ndarray:
             i, j, ti, tj = step.gemm
             last = np.matmul(pool[i].T if ti else pool[i], pool[j].T if tj else pool[j])
         pool.append(last)
-    if last is None:
-        last = np.asarray(np.float64(1.0))
-    if cplan.final_subscript == spec.output:
-        return np.asarray(last)
-    return broadcast_output(last, cplan.final_subscript, spec, cplan.extents)
+    last = np.asarray(np.float64(1.0) if last is None else last)
+    return last if last.ndim == len(spec.output) else broadcast_output(last, spec)

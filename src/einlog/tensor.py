@@ -69,22 +69,15 @@ class EinsumSpec:
         return out
 
 
-def broadcast_output(core: np.ndarray, core_subscript: str, spec: EinsumSpec,
-                     extents: dict[str, int]) -> np.ndarray:
-    """Expand a contracted core to the full output, adding broadcast axes.
+def broadcast_output(core: np.ndarray, spec: EinsumSpec) -> np.ndarray:
+    """A contracted core with a size-1 axis at each broadcast output letter.
 
-    ``core_subscript`` must list exactly the non-broadcast output letters in
-    output order; broadcast letters are inserted as replicated axes.
+    The core's axes are the non-broadcast output letters in output order.
+    The result is a view that broadcasts against the full output shape.
     """
-    expected = "".join(ch for ch in spec.output if ch in spec.input_letters())
-    if core_subscript != expected:
-        core = np.einsum(f"{core_subscript}->{expected}", core)
-    out = core
-    for pos, ch in enumerate(spec.output):
-        if ch not in expected:
-            out = np.expand_dims(out, pos)
-    target = tuple(extents[ch] for ch in spec.output)
-    return np.ascontiguousarray(np.broadcast_to(out, target))
+    letters = spec.input_letters()
+    return np.expand_dims(core, tuple(pos for pos, ch in enumerate(spec.output)
+                                      if ch not in letters))
 
 
 def einsum(spec, inputs, extents=None) -> np.ndarray:
@@ -102,7 +95,8 @@ def einsum(spec, inputs, extents=None) -> np.ndarray:
         core = np.einsum(",".join(spec.inputs) + "->" + core_sub, *arrays, optimize=False)
     else:
         core = np.float64(1.0)
-    return broadcast_output(np.asarray(core), core_sub, spec, ext)
+    return np.broadcast_to(broadcast_output(core, spec),
+                           tuple(ext[ch] for ch in spec.output)).copy()
 
 
 def label_planes(shape: tuple[int, ...], alloc=np.empty) -> np.ndarray:

@@ -121,6 +121,18 @@ def test_nonfinite_unary_logit_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("atom", ["friend(A,,B)", "friend(,A)", "cancer(B,)"])
+def test_empty_atom_argument_is_data_error(tmp_path, capsys, atom):
+    evidence = tmp_path / "bad.evidence"
+    evidence.write_text(f"friend(B,A)\n{atom}\n")
+    out, argv = infer_args(tmp_path)
+    argv[argv.index("--evidence") + 1] = str(evidence)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"line 2: malformed atom {atom!r}" in err
+    assert not out.exists()
+
+
 def test_bad_weight_flag_is_usage_error(tmp_path, capsys):
     _, argv = infer_args(tmp_path)
     argv += ["--weight", "f1"]

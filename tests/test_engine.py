@@ -54,7 +54,9 @@ def test_unit_clause_message_is_all_ones():
     (ci,) = compile_rules([clause], kb).implications
     assert ci.premises == ()
     q = MarginalTable({"p": np.full((3, 2), 0.5)})
-    assert np.array_equal(message(ci, q), np.ones(3))
+    msg = message(ci, q)
+    assert msg.shape == (1,)
+    assert np.array_equal(np.broadcast_to(msg, (3,)), np.ones(3))
 
 
 def test_message_annihilated_by_zero_premise():
@@ -481,6 +483,19 @@ def test_chain_steps_of_workload_rules_run_as_gemm():
     assert all(s.kernel == "gemm" for rid, s in steps if rid == "f7")
     trans = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(5)).implications
     assert [s.kernel for ci in trans for s in ci.plan.steps] == ["gemm"] * 3
+
+
+def test_broadcast_message_keeps_its_contracted_size():
+    rules, kb, phi = _kbc_instance(4)
+    program = compile_rules(rules, kb)
+    (ci,) = [ci for ci in program.implications
+             if ci.rule_id == "f2" and ci.hypothesis == "tri"]
+    assert str(ci.spec) == "ab->abc"
+    assert message(ci, initial_marginals(phi, kb)).shape == (4, 4, 1)
+    config = EngineConfig(iterations=3)
+    got = iterate(phi, program, config)
+    want = _reference_iterate(phi, program, config)
+    assert all(np.array_equal(got.tables[name], want[name]) for name in want)
 
 
 def test_weighting_leaves_shared_gathered_input_unchanged(monkeypatch):

@@ -7,7 +7,7 @@ import einlog as E
 from einlog.engine import EngineConfig
 from einlog.io import (format_marginals_csv, format_marginals_json, load_predictions,
                        load_truth, load_unary, marginal_rows)
-from einlog.kb import EvidenceError, load_queries
+from einlog.kb import EvidenceError, load_evidence, load_queries
 
 
 def test_unary_defaults_to_zero(smoke_kb):
@@ -92,3 +92,33 @@ def test_prediction_and_truth_loaders(smoke_kb):
         load_predictions("smoke(A) 1\nsmoke(A) 2\n", smoke_kb)
     with pytest.raises(EvidenceError, match="conflicting"):
         load_truth("smoke(A)\n!smoke(A)\n", smoke_kb)
+
+
+# Each reader gets a comment line, one good line, then the atom under test.
+ATOM_READERS = {
+    "evidence": lambda kb, atom: load_evidence(f"#\nsmoke(A)\n{atom}\n", kb.predicates),
+    "queries": lambda kb, atom: load_queries(f"#\nsmoke(A)\n{atom}\n", kb),
+    "unary": lambda kb, atom: load_unary(f"#\nsmoke(A) 0 0\n{atom} 0 0\n", kb),
+    "predictions": lambda kb, atom: load_predictions(f"#\nsmoke(A) 1\n{atom} 0\n", kb),
+    "truth": lambda kb, atom: load_truth(f"#\nsmoke(A)\n{atom}\n", kb),
+}
+
+
+ATOM_ERRORS = [
+    ("smoke(Q)", "unknown entity 'Q'"),
+    ("friend(A)", "friend expects 2 args, got 1"),
+    ("friend(A,,B)", "malformed atom 'friend(A,,B)'"),
+    ("friend(,A)", "malformed atom 'friend(,A)'"),
+    ("cancer(B,)", "malformed atom 'cancer(B,)'"),
+    ("ghost(A)", "undeclared predicate 'ghost'"),
+]
+
+
+# evidence numbers new entities, so it has no unknown-entity case
+@pytest.mark.parametrize("reader,atom,message", [
+    (reader, atom, message) for reader in sorted(ATOM_READERS) for atom, message in ATOM_ERRORS
+    if (reader, atom) != ("evidence", "smoke(Q)")])
+def test_atom_reader_errors_name_their_line(smoke_kb, reader, atom, message):
+    with pytest.raises(EvidenceError) as err:
+        ATOM_READERS[reader](smoke_kb, atom)
+    assert str(err.value) == f"line 3: {message}"

@@ -43,6 +43,19 @@ def test_seed_entities_allow_empty_evidence():
     assert variable_universe(kb)["friend"] == 9
 
 
+def test_seed_entities_keep_their_indices():
+    kb = load_evidence("friend(D,B)\nsmoke(C)\nsmoke(D)\n", SMOKE_PREDS,
+                       entities=["A", "B"])
+    assert kb.entities == ("A", "B", "D", "C")
+    assert kb.observed_label("friend", (2, 1)) == 1
+    assert kb.observed_label("smoke", (3,)) == 1
+
+
+def test_repeated_seed_entity_rejected():
+    with pytest.raises(EvidenceError, match="duplicate entity names"):
+        load_evidence("smoke(C)\n", SMOKE_PREDS, entities=["A", "B", "A"])
+
+
 def test_negative_evidence_and_multiclass_labels():
     preds = SMOKE_PREDS + [Predicate("label", 1, 3, ("O", "B", "I"))]
     kb = load_evidence("!smoke(A)\nlabel(A)=B\n", preds)
