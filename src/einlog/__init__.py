@@ -7,7 +7,7 @@ from .engine import (CompiledImplication, EngineConfig, EngineError,
 from .fol import (Clause, CnfFormula, Implication, Literal, Predicate, RuleError,
                   RuleSet, Term, binary_literal, constant, format_rules,
                   parse_rules, split_cnf, to_implications, variable)
-from .kb import (EvidenceError, GroundAtom, KnowledgeBase, ObservationMask,
+from .kb import (EvidenceError, GroundAtom, KnowledgeBase, ObservationMask, Queries,
                  load_evidence, load_queries, variable_universe)
 from .metrics import MetricError, auc_pr
 from .oracle import (Grounding, OracleError, brute_einsum, enumerate_groundings,

@@ -10,16 +10,54 @@ predicates report the positive label only) or the same records as JSON.
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain, repeat
 
 import numpy as np
 
 from .engine import MarginalTable, UnaryTable
 from .fol import content_lines
-from .kb import EvidenceError, GroundAtom, KnowledgeBase, parse_atom
+from .kb import (Declined, EvidenceError, KnowledgeBase, Queries, atom_blocks, flat_cells,
+                 parse_atom, read_bulk)
 
 
 def load_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
     """Unary logit table from text; zero logits for unlisted cells."""
+    return read_bulk(_bulk_unary, _walk_unary, text, kb)
+
+
+def _bulk_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
+    found = {name: ([np.empty((0, p.arity), np.int64)], [np.empty((0, p.num_labels))])
+             for name, p in kb.predicates.items()}
+    for block in atom_blocks(text, kb.predicates, kb.index):
+        if any(block.negs) or any(block.labels):
+            raise Declined
+        fields = list(map(str.split, block.fields))
+        counts = np.fromiter(map(len, fields), np.intp, len(fields))
+        values = np.fromiter(map(float, chain.from_iterable(fields)), np.float64,
+                             int(counts.sum()))
+        if not np.all(np.isfinite(values)):
+            raise Declined
+        first = np.cumsum(counts) - counts
+        for pred, at, cells in block.groups:
+            if np.any(counts[at] != pred.num_labels):
+                raise Declined
+            found[pred.name][0].append(cells)
+            found[pred.name][1].append(values[first[at, None] + np.arange(pred.num_labels)])
+    tables = {}
+    for name, pred in kb.predicates.items():
+        flat = flat_cells(np.concatenate(found[name][0]), kb.n)
+        if np.any(np.diff(np.sort(flat)) == 0):
+            raise Declined                      # duplicate unary entry
+        # label-major storage, as UnaryTable.zeros allocates it
+        planes = np.zeros((pred.num_labels, kb.n ** pred.arity))
+        planes[:, flat] = np.concatenate(found[name][1]).T
+        tables[name] = np.moveaxis(planes.reshape((pred.num_labels,) + kb.shape(pred)), 0, -1)
+    return UnaryTable(tables)
+
+
+def _walk_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
+    """The per-line unary reader; its errors name the first bad line."""
     table = UnaryTable.zeros(kb)
     seen = set()
     for lineno, line in content_lines(text):
@@ -35,42 +73,61 @@ def load_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
             raise EvidenceError(f"line {lineno}: duplicate unary entry for {atom}")
         seen.add(key)
         try:
-            table.tables[pred.name][args] = [float(v) for v in values]
+            logits = [float(v) for v in values]
         except ValueError:
             raise EvidenceError(f"line {lineno}: bad logit value") from None
+        if not all(map(math.isfinite, logits)):
+            raise EvidenceError(f"line {lineno}: non-finite logit")
+        table.tables[pred.name][args] = logits
     return table
 
 
-def marginal_rows(result: MarginalTable, kb: KnowledgeBase, queries=None):
+def marginal_rows(result: MarginalTable, kb: KnowledgeBase, queries: Queries | None = None):
     """Report rows (predicate, arg names, label name, probability, observed).
 
     Defaults to every cell of every predicate with observed cells flagged;
-    an explicit query list restricts the report to those atoms.
+    ``queries`` from ``load_queries`` restricts the report to those atoms,
+    with one row set per query line.  Rows sort by predicate name, then
+    argument names, then label name.
     """
-    if queries is None:
-        atoms = [GroundAtom(pred, args)
-                 for name, pred in kb.predicates.items()
-                 for args in np.ndindex(*kb.shape(pred))]
-    else:
-        atoms = list(queries)
+    names = np.array(kb.entities, dtype=object)
+    rank = _ranks(kb.entities)
+    masks = kb.masks()
     rows = []
-    for atom in atoms:
-        name = atom.predicate.name
-        args = tuple(int(a) for a in atom.args)
-        observed = int((name, args) in kb.observations)
-        cell = result.tables[name][args]
-        labels = range(atom.predicate.num_labels) if atom.predicate.num_labels > 2 else (1,)
-        for label in labels:
-            rows.append((name, tuple(kb.entities[a] for a in args),
-                         atom.predicate.label_name(label), float(cell[label]), observed))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    for name in sorted(kb.predicates):
+        pred = kb.predicates[name]
+        if queries is None:
+            cells = np.indices(kb.shape(pred)).reshape(pred.arity, kb.n ** pred.arity).T
+        else:
+            cells = queries.cells[name]
+        labels = np.arange(pred.num_labels) if pred.num_labels > 2 else np.array([1])
+        label_names = np.array([pred.label_name(k) for k in labels.tolist()], dtype=object)
+        # row r of the unsorted report is cell r // L, label r % L
+        width = len(labels)
+        keys = [np.tile(_ranks(label_names), len(cells))]
+        keys += [np.repeat(rank[c], width) for c in cells.T[::-1]]
+        atom, label = np.divmod(np.lexsort(keys), width)
+        cell = flat_cells(cells, kb.n)[atom]
+        planes = np.moveaxis(result.tables[name], -1, 0).reshape(pred.num_labels, -1)
+        args = zip(*(names[c].tolist() for c in cells[atom].T)) if pred.arity \
+            else repeat((), len(atom))
+        rows += zip(repeat(name), args, label_names[label].tolist(),
+                    planes[labels[label], cell].tolist(),
+                    masks[name].mask.reshape(-1)[cell].astype(int).tolist())
     return rows
 
 
+def _ranks(names) -> np.ndarray:
+    """Position of each name in string order."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[order] = np.arange(len(names))
+    return rank
+
+
 def format_marginals_csv(result: MarginalTable, kb: KnowledgeBase, queries=None) -> str:
-    lines = []
-    for name, args, label, prob, observed in marginal_rows(result, kb, queries):
-        lines.append(",".join([name, *args, label, f"{prob:.9f}", str(observed)]))
+    lines = [",".join([name, *args, label, f"{prob:.9f}", str(observed)])
+             for name, args, label, prob, observed in marginal_rows(result, kb, queries)]
     return "\n".join(lines) + "\n"
 
 
@@ -98,6 +155,8 @@ def load_predictions(text: str, kb: KnowledgeBase):
             score = float(value)
         except ValueError:
             raise EvidenceError(f"line {lineno}: bad score {value!r}") from None
+        if not math.isfinite(score):
+            raise EvidenceError(f"line {lineno}: non-finite score")
         key = (pred.name, args)
         if key in out:
             raise EvidenceError(f"line {lineno}: duplicate prediction for {atom}")

@@ -1,0 +1,213 @@
+"""The bulk readers against the per-line walks they fall back on.
+
+Every evidence, query and unary text must give the same result from the bulk
+reader as from the per-line walk, or the same error string.  Small block
+sizes put block edges between the lines, so a first error in a later block
+must still carry its own line number.
+"""
+
+import itertools
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from einlog import io, kb
+from einlog.fol import Predicate
+from einlog.kb import EvidenceError, KnowledgeBase, load_evidence, load_queries
+
+PREDS = {p.name: p for p in [
+    Predicate("active", 0), Predicate("smoke", 1), Predicate("friend", 2),
+    Predicate("tri", 3), Predicate("tag", 1, 3, ("O", "B", "I")), Predicate("kind", 1, 3)]}
+ENTITIES = ["E2", "E10", "A", "B"]
+CELLS = [(p, args) for p in PREDS.values()
+         for args in itertools.product(ENTITIES, repeat=p.arity)]
+GOOD_LOGITS = ["0", "1.5", "-2e-3", ".5", "+3", "1E2", "1_0", "-0"]
+BAD_LOGITS = ["x", "nan", "inf", "-inf", "1e400", "1,5", "--1"]
+SPACES = [" ", "\t", "\xa0", "  "]
+
+
+def _atom(pred, args, neg="", label=""):
+    return f"{neg}{pred.name}({','.join(args)}){label}"
+
+
+def _label_suffix(draw, pred):
+    if pred.label_names is not None:
+        return "=" + draw(st.sampled_from(pred.label_names))
+    if pred.num_labels > 2:
+        return "=" + draw(st.sampled_from(["0", "1", "2", "01"]))
+    return draw(st.sampled_from(["", "", "!", "=0", "=1"]))
+
+
+def _good_line(draw, reader, pred, args):
+    if reader == "queries":
+        return _atom(pred, args)
+    if reader == "unary":
+        values = draw(st.lists(st.sampled_from(GOOD_LOGITS),
+                               min_size=pred.num_labels, max_size=pred.num_labels))
+        seps = draw(st.lists(st.sampled_from(SPACES), min_size=len(values),
+                             max_size=len(values)))
+        return _atom(pred, args) + "".join(s + v for s, v in zip(seps, values))
+    suffix = _label_suffix(draw, pred)
+    return _atom(pred, args, neg="!" if suffix == "!" else "",
+                 label="" if suffix == "!" else suffix)
+
+
+def _bad_lines(reader, pred, args, good):
+    """Every kind of bad line for ``reader``, built from one cell and its good line."""
+    shapes = [
+        "ghost(A)", _atom(pred, args + ("A",)), good.replace("(", "( ", 1),
+        good.replace(")", ",)", 1), good.replace("(", "(,", 1), good.replace(")", "", 1),
+        good + "x", _atom(pred, ("Q",) * pred.arity), "!" + _atom(pred, args, label="=1"),
+        _atom(pred, args, label="=X"), _atom(pred, args, label="=5"),
+    ]
+    if pred.arity:
+        shapes.append(_atom(pred, args[1:]))
+        shapes.append(_atom(pred, args).replace(",", ",,", 1) if pred.arity > 1
+                      else _atom(pred, ("",)))
+    if reader == "evidence":
+        shapes.append(_atom(pred, args))                      # '=LABEL' missing if multi-class
+        # each conflicts with the good line when that comes first
+        shapes += ["!" + _atom(pred, args),
+                   _atom(pred, args, label="=" + pred.label_name(pred.num_labels - 1))]
+    if reader == "queries":
+        shapes += ["!" + good, good + "=1", good + " 0"]
+    if reader == "unary":
+        head = good.rsplit(None, 1)[0]
+        shapes += [good + " 0", head, "!" + good, _atom(pred, args) + "=0 0 0",
+                   _atom(pred, args)]
+        shapes += [f"{head}{space}{value}" for space in SPACES[:2] for value in BAD_LOGITS]
+    return shapes
+
+
+def _decorated(draw, line):
+    lead = draw(st.sampled_from(["", "", " ", "\t", "\xa0"]))
+    trail = draw(st.sampled_from(["", "", " ", "\t", "\xa0", "  # note", "#x"]))
+    return lead + line + trail
+
+
+@st.composite
+def reader_texts(draw, reader):
+    """A block size and a text of good lines, comments and blanks, with up to
+    two bad lines (most often one, so that each kind of bad line is met alone)."""
+    picks = draw(st.lists(st.integers(0, len(CELLS) - 1), max_size=30,
+                          unique=draw(st.booleans())))
+    lines = []
+    for i in picks:
+        lines.append(_decorated(draw, _good_line(draw, reader, *CELLS[i])))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "# comment", "\t#", "\xa0"])))
+    if lines and draw(st.booleans()):
+        lines.append(lines[draw(st.integers(0, len(lines) - 1))])   # a repeated line
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        pred, args = CELLS[draw(st.integers(0, len(CELLS) - 1))]
+        bad = draw(st.sampled_from(_bad_lines(reader, pred, args,
+                                              _good_line(draw, reader, pred, args))))
+        lines.insert(draw(st.integers(0, len(lines))), _decorated(draw, bad))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    block = draw(st.sampled_from([1, 2, 3, 5, kb.BLOCK_LINES]))
+    return block, newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(read, *args):
+    try:
+        got = read(*args)
+    except EvidenceError as exc:
+        return "error", str(exc)
+    if isinstance(got, KnowledgeBase):
+        return "ok", (got.entities, dict(got.observations),
+                      {name: (c.tolist(), v.tolist()) for name, (c, v) in got.observed.items()})
+    if isinstance(got, io.UnaryTable):
+        return "ok", {name: t.tolist() for name, t in got.tables.items()}
+    return "ok", [(a.predicate.name, a.args) for a in got]
+
+
+def _assert_same(block, bulk, walk, *args):
+    with mock.patch.object(kb, "BLOCK_LINES", block):
+        assert _outcome(bulk, *args) == _outcome(walk, *args)
+
+
+SEEDED = KnowledgeBase(ENTITIES, PREDS, {})
+READERS = {  # reader -> (bulk, walk), both taking the text
+    "evidence": (lambda t: load_evidence(t, PREDS), lambda t: kb._walk_evidence(t, PREDS, [])),
+    "queries": (lambda t: load_queries(t, SEEDED), lambda t: kb._walk_queries(t, SEEDED)),
+    "unary": (lambda t: io.load_unary(t, SEEDED), lambda t: io._walk_unary(t, SEEDED)),
+}
+PROPERTY = settings(max_examples=200, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(reader_texts("evidence"), st.sampled_from([[], ["E10", "E2"], ENTITIES]))
+def test_bulk_evidence_matches_line_walk(case, seed):
+    block, text = case
+    _assert_same(block, lambda t: load_evidence(t, PREDS, seed),
+                 lambda t: kb._walk_evidence(t, PREDS, seed), text)
+
+
+@PROPERTY
+@given(reader_texts("queries"))
+def test_bulk_queries_match_line_walk(case):
+    _assert_same(case[0], *READERS["queries"], case[1])
+
+
+@PROPERTY
+@given(reader_texts("unary"))
+def test_bulk_unary_matches_line_walk(case):
+    _assert_same(case[0], *READERS["unary"], case[1])
+
+
+def _plain_good_line(reader, pred, args):
+    if reader == "unary":
+        return _atom(pred, args) + " 0.5" * pred.num_labels
+    if reader == "evidence" and pred.num_labels > 2:
+        return _atom(pred, args, label="=" + pred.label_name(0))
+    return _atom(pred, args)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_each_kind_of_bad_line_alone_gets_the_walk_error(reader):
+    others = [_plain_good_line(reader, p, tuple((ENTITIES[2:] + ENTITIES)[:p.arity]))
+              for p in PREDS.values() if p.arity]
+    assert _outcome(READERS[reader][0], "\n".join(others))[0] == "ok"
+    for pred in PREDS.values():
+        args = tuple(ENTITIES[:pred.arity])
+        good = _plain_good_line(reader, pred, args)
+        # evidence repeats a cell to conflict; a repeated unary cell would be
+        # the first error itself
+        first = [good] if reader == "evidence" else []
+        for bad in _bad_lines(reader, pred, args, good):
+            text = "\n".join(others[:2] + first + [bad] + others[2:])
+            for block in (1, kb.BLOCK_LINES):
+                _assert_same(block, *READERS[reader], text)
+
+
+def test_first_error_in_a_later_block_names_its_line():
+    n = kb.BLOCK_LINES + 600
+    preds = {name: PREDS[name] for name in ("smoke", "friend")}
+    base = KnowledgeBase([f"E{i}" for i in range(n + 1)], preds, {})
+    cases = {
+        "evidence": ([f"friend(E{i},E{i + 1})" for i in range(n)], "",
+                     lambda t: load_evidence(t, preds)),
+        "queries": ([f"smoke(E{i})" for i in range(n)], "", lambda t: load_queries(t, base)),
+        "unary": ([f"smoke(E{i}) 1 -1" for i in range(n)], " 0 0",
+                  lambda t: io.load_unary(t, base)),
+    }
+    bad_at = kb.BLOCK_LINES + 57
+    for reader, (lines, tail, read) in cases.items():
+        read("\n".join(lines))
+        text = "\n".join(lines[:bad_at - 1] + ["friend(A,,B)" + tail] + lines[bad_at - 1:])
+        with pytest.raises(EvidenceError) as err:
+            read(text)
+        assert str(err.value) == f"line {bad_at}: malformed atom 'friend(A,,B)'", reader
+
+
+def test_bulk_unary_tables_are_label_plane():
+    phi = io.load_unary("friend(A,B) 1 2\nactive() 0 3\n", SEEDED)
+    assert phi.tables["friend"][2, 3].tolist() == [1.0, 2.0]
+    assert phi.tables["active"].tolist() == [0.0, 3.0]
+    assert np.count_nonzero(phi.tables["friend"]) == 2
+    for table in phi.tables.values():
+        assert table[..., 0].flags.c_contiguous

@@ -117,8 +117,20 @@ def test_nonfinite_unary_logit_is_data_error(tmp_path, capsys):
     argv[argv.index("--unary") + 1] = str(unary)
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert "non-finite" in err
+    assert "line 1: non-finite logit" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-1e400"])
+def test_nonfinite_prediction_score_is_data_error(tmp_path, capsys, score):
+    rules, preds, truth = (tmp_path / name for name in ("r.rules", "p.txt", "t.txt"))
+    rules.write_text("predicate smoke(person)\n")
+    preds.write_text(f"smoke(A) 0.9\nsmoke(B) {score}\n")
+    truth.write_text("smoke(A)\n!smoke(B)\n")
+    code, _, err = run(capsys, "aucpr", "--rules", str(rules),
+                       "--predictions", str(preds), "--truth", str(truth))
+    assert code == 2
+    assert "line 2: non-finite score" in err
 
 
 @pytest.mark.parametrize("atom", ["friend(A,,B)", "friend(,A)", "cancer(B,)"])

@@ -518,9 +518,12 @@ def test_weighting_leaves_shared_gathered_input_unchanged(monkeypatch):
     monkeypatch.setattr(PremiseInput, "gather", recording)
     logits = UnaryTable.zeros(kb).tables
     config = EngineConfig()
+    snapshot = q.copy()
     _add_messages(logits, program, q, config)
     assert [key for key, _, _ in gathered].count(("p", (), (1,))) == 1
     assert all(np.array_equal(out, before) for _, out, before in gathered)
+    # a message without contraction may alias the live snapshot q itself
+    assert all(np.array_equal(q.tables[name], snapshot.tables[name]) for name in q.tables)
     want = UnaryTable.zeros(kb).tables
     for ci in program.implications:
         weighted = config.effective_weight(ci) * planner.execute(
