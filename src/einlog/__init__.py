@@ -4,9 +4,9 @@ from .engine import (CompiledImplication, EngineConfig, EngineError,
                      IterationTrace, MarginalTable, Program, UnaryTable,
                      compile_rules, initial_marginals, iterate, message,
                      run_inference, transitivity_violations)
-from .fol import (Clause, CnfFormula, Implication, Literal, Predicate, RuleError,
-                  RuleSet, Term, binary_literal, constant, format_rules,
-                  parse_rules, split_cnf, to_implications, variable)
+from .fol import (Clause, CnfFormula, Literal, Predicate, RuleError, RuleSet, Term,
+                  binary_literal, constant, format_rules, parse_rules, split_cnf,
+                  variable)
 from .kb import (EvidenceError, GroundAtom, KnowledgeBase, ObservationMask, Queries,
                  load_evidence, load_queries, variable_universe)
 from .metrics import MetricError, auc_pr

@@ -10,6 +10,7 @@ equivalence trials).  Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -52,9 +53,12 @@ def _parse_weight_overrides(items) -> dict[str, float]:
             raise UsageError(f"--weight expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
         try:
-            out[name] = float(value)
+            weight = float(value)
         except ValueError:
-            raise UsageError(f"bad weight value in {item!r}") from None
+            weight = math.nan
+        if not math.isfinite(weight):
+            raise UsageError(f"bad weight value in {item!r}")
+        out[name] = weight
     return out
 
 

@@ -12,13 +12,14 @@ synchronous: all messages of one iteration read the same marginal snapshot.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import planner
-from .fol import Clause, CnfFormula, Literal, split_cnf, to_implications
+from .fol import Clause, normalize_rules, split_cnf
 from .kb import KnowledgeBase, ObservationMask
 from .tensor import EinsumSpec, label_planes, softmax_lastaxis
 
@@ -149,9 +150,9 @@ class EngineConfig:
             raise EngineError("iterations must be >= 1")
         if not 0.0 <= self.damping <= 1.0:
             raise EngineError("damping must lie in [0, 1]")
-
-    def effective_weight(self, ci: CompiledImplication) -> float:
-        return self.weights.get(ci.rule_id, ci.weight)
+        bad = sorted(rid for rid, w in self.weights.items() if not math.isfinite(w))
+        if bad:
+            raise EngineError(f"non-finite weight override for rule id {', '.join(bad)}")
 
 
 @dataclass
@@ -164,16 +165,7 @@ class IterationTrace:
 
 
 def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[CompiledImplication]:
-    letters: dict[str, str] = {}
-
-    def letter(symbol: str) -> str:
-        if symbol not in letters:
-            if len(letters) >= len(_LETTERS):
-                raise EngineError("more than 26 distinct variables in one clause")
-            letters[symbol] = _LETTERS[len(letters)]
-        return letters[symbol]
-
-    def check(lit: Literal):
+    for lit in clause.literals:
         pred = kb.predicates.get(lit.predicate.name)
         if pred is None:
             raise EngineError(f"rule {rule_id}: predicate {lit.predicate.name!r} "
@@ -181,36 +173,26 @@ def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[Com
         if pred != lit.predicate:
             raise EngineError(f"rule {rule_id}: predicate {lit.predicate.name!r} "
                               "differs from the knowledge-base declaration")
-
-    for lit in clause.literals:
-        check(lit)
-        for term in lit.args:
-            if not term.is_constant:
-                letter(term.symbol)
+    variables = clause.variables()
+    if len(variables) > len(_LETTERS):
+        raise EngineError("more than 26 distinct variables in one clause")
+    letter = dict(zip(variables, _LETTERS))
 
     out = []
-    for imp in to_implications(clause):
-        hyp = imp.hypothesis
-        pattern = tuple(kb.entity_index(t.symbol) if t.is_constant else letter(t.symbol)
+    for h, hyp in enumerate(clause.literals):
+        pattern = tuple(kb.entity_index(t.symbol) if t.is_constant else letter[t.symbol]
                         for t in hyp.args)
-        out_sub = ""
-        for t in hyp.args:
-            if not t.is_constant and letter(t.symbol) not in out_sub:
-                out_sub += letter(t.symbol)
+        out_sub = "".join(dict.fromkeys(letter[t.symbol] for t in hyp.args
+                                        if not t.is_constant))
         premises = []
-        in_subs = []
-        for plit in imp.premise:
-            sub = ""
-            consts = []
-            for axis, t in enumerate(plit.args):
-                if t.is_constant:
-                    consts.append((axis, kb.entity_index(t.symbol)))
-                else:
-                    sub += letter(t.symbol)
-            premises.append(PremiseInput(plit.predicate.name, sub, tuple(consts),
+        for plit in clause.literals[:h] + clause.literals[h + 1:]:
+            sub = "".join(letter[t.symbol] for t in plit.args if not t.is_constant)
+            consts = tuple((axis, kb.entity_index(t.symbol))
+                           for axis, t in enumerate(plit.args) if t.is_constant)
+            premises.append(PremiseInput(plit.predicate.name, sub, consts,
                                          plit.complement_labels()))
-            in_subs.append(sub)
-        spec = EinsumSpec(tuple(in_subs), out_sub)
+        in_subs = tuple(p.subscript for p in premises)
+        spec = EinsumSpec(in_subs, out_sub)
         extents = {ch: kb.n for sub in (*in_subs, out_sub) for ch in sub}
         cplan = planner.plan(spec, extents)
         out.append(CompiledImplication(
@@ -247,13 +229,9 @@ def _scatter_index(output: str, pattern, n: int) -> tuple:
 def compile_rules(rules, kb: KnowledgeBase) -> Program:
     """Split CNF formulas into clauses and plan every implication."""
     compiled = []
-    for i, formula in enumerate(rules):
-        if isinstance(formula, Clause):
-            formula = CnfFormula((formula,), weight=formula.weight,
-                                 id=formula.id or f"f{i + 1}")
-        rule_id = formula.id or f"f{i + 1}"
+    for formula in normalize_rules(rules):
         for clause in split_cnf(formula):
-            compiled.extend(_compile_clause(clause, kb, rule_id))
+            compiled.extend(_compile_clause(clause, kb, formula.id))
     return Program(kb, tuple(compiled))
 
 
@@ -301,8 +279,9 @@ def initial_marginals(phi: UnaryTable, kb: KnowledgeBase) -> MarginalTable:
 
 
 def _add_messages(logits: dict[str, np.ndarray], program: Program,
-                  q: MarginalTable, config: EngineConfig):
-    """Add every weighted message, all read from the snapshot ``q``.
+                  q: MarginalTable, weights: tuple[float, ...]):
+    """Add every message, scaled by its entry of ``weights`` (aligned with
+    ``program.implications``), all read from the snapshot ``q``.
 
     A message that ``planner.execute`` allocated is scaled in place (it
     rounds as ``w * msg``).  A view, such as a message without contraction
@@ -311,9 +290,8 @@ def _add_messages(logits: dict[str, np.ndarray], program: Program,
     Each message is dropped before the next is computed.
     """
     gathered: dict = {}
-    for ci in program.implications:
+    for ci, w in zip(program.implications, weights):
         msg = message(ci, q, gathered)
-        w = config.effective_weight(ci)
         if msg.flags.owndata:
             msg *= w
         else:
@@ -335,6 +313,7 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     unknown = sorted(set(config.weights) - {ci.rule_id for ci in program.implications})
     if unknown:
         raise EngineError(f"weight override for unknown rule id {', '.join(unknown)}")
+    weights = tuple(config.weights.get(ci.rule_id, ci.weight) for ci in program.implications)
     masks = program.kb.masks()
     q = initial_marginals(phi, program.kb).tables
     spare = {name: label_planes(arr.shape) for name, arr in q.items()}
@@ -343,7 +322,7 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
         started = time.perf_counter()
         for name, arr in spare.items():
             np.copyto(arr, phi.tables[name])
-        _add_messages(spare, program, MarginalTable(q), config)
+        _add_messages(spare, program, MarginalTable(q), weights)
         for name, arr in spare.items():
             if not np.all(np.isfinite(arr)):
                 raise EngineError(f"non-finite logits for {name} at iteration {t}")

@@ -8,7 +8,7 @@ clauses, with ``=>`` sugar for implications::
     predicate friend(person,person)
     predicate label(token) labels {O,B-PER,I-PER}
 
-    # weight prefix is optional and defaults to 1.0
+    # weight prefix is optional, defaults to 1.0 and must be finite
     1.5: !smoke(a) | !friend(a,b) | smoke(b)
     smoke(a) => cancer(a)
     (!smoke(a) | cancer(a)) & (smoke(a) | !cancer(a))
@@ -26,9 +26,10 @@ label set covers every label are tautologies and are dropped with a warning.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 class RuleError(Exception):
@@ -107,10 +108,6 @@ class Term:
     symbol: str
     is_constant: bool = False
 
-    @property
-    def kind(self) -> str:
-        return "constant" if self.is_constant else "variable"
-
     def __str__(self) -> str:
         return self.symbol
 
@@ -148,11 +145,6 @@ class Literal:
             raise RuleError(f"value set of {self.predicate.name} literal covers every label "
                             "(tautology)")
 
-    @property
-    def negated(self) -> bool:
-        """True-as-negation view for binary predicates."""
-        return self.predicate.num_labels == 2 and self.value_set == frozenset({0})
-
     def complement_labels(self) -> tuple[int, ...]:
         """Labels under which this literal is false, in increasing order."""
         return tuple(v for v in range(self.predicate.num_labels) if v not in self.value_set)
@@ -174,6 +166,27 @@ def binary_literal(predicate: Predicate, args: tuple[Term, ...], negated: bool =
     return Literal(predicate, args, frozenset({0 if negated else 1}))
 
 
+def merge_literals(literals) -> tuple[Literal, ...] | None:
+    """Literals with repeated atoms merged by unioning their label sets, in
+    first-occurrence order; None once a merged set covers every label (the
+    clause is a tautology), without reading the rest of ``literals``."""
+    merged: dict[tuple, Literal] = {}
+    for lit in literals:
+        key = lit.atom_key()
+        if key in merged:
+            union = merged[key].value_set | lit.value_set
+            if len(union) == lit.predicate.num_labels:
+                return None
+            lit = Literal(lit.predicate, lit.args, union)
+        merged[key] = lit
+    return tuple(merged.values())
+
+
+def _check_weight(weight: float):
+    if not math.isfinite(weight):
+        raise RuleError(f"rule weight must be finite, got {weight!r}")
+
+
 @dataclass(frozen=True)
 class Clause:
     """Disjunction of literals with a rule weight."""
@@ -183,6 +196,7 @@ class Clause:
     id: str = ""
 
     def __post_init__(self):
+        _check_weight(self.weight)
         if not self.literals:
             raise RuleError("clause must contain at least one literal")
         seen = set()
@@ -197,12 +211,8 @@ class Clause:
 
     def variables(self) -> tuple[str, ...]:
         """Distinct variable symbols in first-occurrence order."""
-        out: list[str] = []
-        for lit in self.literals:
-            for term in lit.args:
-                if not term.is_constant and term.symbol not in out:
-                    out.append(term.symbol)
-        return tuple(out)
+        return tuple(dict.fromkeys(term.symbol for lit in self.literals for term in lit.args
+                                   if not term.is_constant))
 
     def __str__(self) -> str:
         return " | ".join(str(lit) for lit in self.literals)
@@ -217,6 +227,7 @@ class CnfFormula:
     id: str = ""
 
     def __post_init__(self):
+        _check_weight(self.weight)
         if not self.clauses:
             raise RuleError("formula must contain at least one clause")
         plain = [(c.literals,) for c in self.clauses]
@@ -233,36 +244,18 @@ class CnfFormula:
         return body
 
 
-@dataclass(frozen=True)
-class Implication:
-    """Clause rewritten with one literal as hypothesis and the rest negated."""
-
-    clause: Clause
-    hypothesis_index: int
-
-    def __post_init__(self):
-        if not 0 <= self.hypothesis_index < len(self.clause.literals):
-            raise RuleError("hypothesis index out of range")
-
-    @property
-    def hypothesis(self) -> Literal:
-        return self.clause.literals[self.hypothesis_index]
-
-    @property
-    def premise(self) -> tuple[Literal, ...]:
-        """Premise literals; the premise holds when every one of them is false."""
-        return tuple(lit for i, lit in enumerate(self.clause.literals)
-                     if i != self.hypothesis_index)
-
-    def __str__(self) -> str:
-        if not self.premise:
-            return f"=> {self.hypothesis}"
-        return " & ".join(f"~[{p}]" for p in self.premise) + f" => {self.hypothesis}"
-
-
-def to_implications(clause: Clause) -> list[Implication]:
-    """One implication per literal, in literal order."""
-    return [Implication(clause, h) for h in range(len(clause.literals))]
+def normalize_rules(rules) -> list[CnfFormula]:
+    """A rule list as CNF formulas with ids: a bare clause becomes a
+    one-clause formula, and a formula without an id is named ``f<position>``
+    (counting from 1)."""
+    out = []
+    for i, rule in enumerate(rules):
+        if isinstance(rule, Clause):
+            rule = CnfFormula((rule,), weight=rule.weight, id=rule.id)
+        elif not isinstance(rule, CnfFormula):
+            raise RuleError(f"unsupported rule object {rule!r}")
+        out.append(rule if rule.id else replace(rule, id=f"f{i + 1}"))
+    return out
 
 
 def split_cnf(formula: CnfFormula) -> list[Clause]:
@@ -468,14 +461,17 @@ def _build_literal(raw: _RawLiteral, predicates: dict[str, Predicate]) -> Litera
     if len(raw.args) != pred.arity:
         raise RuleError(f"{pred.name} expects {pred.arity} args, got {len(raw.args)}",
                         raw.line, raw.col)
-    args = tuple(_term_from_symbol(a) for a in raw.args)
-    if raw.values is not None:
-        values = frozenset(pred.label_index(v) for v in raw.values)
-    elif pred.num_labels == 2:
+    try:
+        args = tuple(_term_from_symbol(a) for a in raw.args)
+        values = (None if raw.values is None
+                  else frozenset(pred.label_index(v) for v in raw.values))
+    except RuleError as exc:  # term and label errors carry no position of their own
+        raise RuleError(str(exc), raw.line, raw.col) from None
+    if values is None:
+        if pred.num_labels != 2:
+            raise RuleError(f"multi-class predicate {pred.name} needs an 'in {{...}}' "
+                            "value set", raw.line, raw.col)
         values = frozenset({1})
-    else:
-        raise RuleError(f"multi-class predicate {pred.name} needs an 'in {{...}}' value set",
-                        raw.line, raw.col)
     if raw.negated:
         values = frozenset(range(pred.num_labels)) - values
     if not values:
@@ -487,27 +483,15 @@ def _build_literal(raw: _RawLiteral, predicates: dict[str, Predicate]) -> Litera
 
 def _build_clause(raws: list[_RawLiteral], predicates: dict[str, Predicate],
                   weight: float, cid: str, lineno: int) -> Clause | None:
-    """Merge repeated atoms and validate; None when the clause is a tautology."""
-    merged: dict[tuple, Literal] = {}
-    order: list[tuple] = []
-    for raw in raws:
-        lit = _build_literal(raw, predicates)
-        if lit is None:
-            warnings.warn(f"line {lineno}: tautological clause dropped", RuleWarning,
-                          stacklevel=3)
-            return None
-        key = lit.atom_key()
-        if key in merged:
-            union = merged[key].value_set | lit.value_set
-            if len(union) == lit.predicate.num_labels:
-                warnings.warn(f"line {lineno}: tautological clause dropped", RuleWarning,
-                              stacklevel=3)
-                return None
-            merged[key] = Literal(lit.predicate, lit.args, union)
-        else:
-            merged[key] = lit
-            order.append(key)
-    return Clause(tuple(merged[k] for k in order), weight=weight, id=cid)
+    """Validate every literal, then merge repeated atoms; None when the clause
+    is a tautology."""
+    literals = [_build_literal(raw, predicates) for raw in raws]
+    merged = None if any(lit is None for lit in literals) else merge_literals(literals)
+    if merged is None:
+        warnings.warn(f"line {lineno}: tautological clause dropped", RuleWarning,
+                      stacklevel=3)
+        return None
+    return Clause(merged, weight=weight, id=cid)
 
 
 def _parse_declaration(p: _LineParser, predicates: dict[str, Predicate]):
@@ -529,18 +513,24 @@ def _parse_declaration(p: _LineParser, predicates: dict[str, Predicate]):
     if tok is not None:
         raise RuleError(f"trailing input {tok.value!r}", tok.line, tok.col)
     num_labels = len(label_names) if label_names is not None else 2
-    predicates[name] = Predicate(name, len(arg_types), num_labels,
-                                 tuple(label_names) if label_names else None,
-                                 tuple(arg_types))
+    try:
+        predicates[name] = Predicate(name, len(arg_types), num_labels,
+                                     tuple(label_names) if label_names else None,
+                                     tuple(arg_types))
+    except RuleError as exc:
+        raise RuleError(str(exc), name_tok.line, name_tok.col) from None
 
 
 def _try_weight_prefix(p: _LineParser) -> float | None:
     """Consume a leading `NUMBER :` if present."""
     if len(p.toks) >= 2 and p.toks[0].kind == "ident" and p.toks[1].value == ":":
+        tok = p.toks[0]
         try:
-            w = float(p.toks[0].value)
+            w = float(tok.value)
         except ValueError:
             return None
+        if not math.isfinite(w):
+            raise RuleError(f"rule weight must be finite, got {tok.value!r}", tok.line, tok.col)
         p.pos = 2
         return w
     return None

@@ -128,7 +128,8 @@ def _ranks(names) -> np.ndarray:
 def format_marginals_csv(result: MarginalTable, kb: KnowledgeBase, queries=None) -> str:
     lines = [",".join([name, *args, label, f"{prob:.9f}", str(observed)])
              for name, args, label, prob, observed in marginal_rows(result, kb, queries)]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # every row ends in a newline; a report without rows is empty
+    return "\n".join(lines)
 
 
 def format_marginals_json(result: MarginalTable, kb: KnowledgeBase, queries=None) -> str:

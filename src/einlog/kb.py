@@ -151,7 +151,8 @@ class KnowledgeBase:
         out = {}
         for name, pred in self.predicates.items():
             cells, observed = self.observed[name]
-            labels = np.full(self.n ** pred.arity, -1, dtype=np.int64)
+            # the smallest signed type that holds -1 and every label: int8 up to 128 labels
+            labels = np.full(self.n ** pred.arity, -1, np.min_scalar_type(-pred.num_labels))
             labels[flat_cells(cells, self.n)] = observed
             labels = labels.reshape(self.shape(pred))
             out[name] = ObservationMask(labels >= 0, labels)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import MarginalTable, UnaryTable
-from .fol import Clause, CnfFormula, split_cnf
+from .fol import Clause, normalize_rules, split_cnf
 from .kb import GroundAtom, KnowledgeBase
 from .tensor import EinsumSpec
 
@@ -49,9 +49,8 @@ class Grounding:
     atoms: tuple[GroundAtom, ...]        # one ground atom per literal
 
 
-def _literal_atoms(clause: Clause, kb: KnowledgeBase):
-    """Per literal: argument slots as variable positions or fixed indices."""
-    variables = clause.variables()
+def _literal_atoms(clause: Clause, kb: KnowledgeBase, variables: tuple[str, ...]):
+    """Per literal: argument slots as positions in ``variables`` or fixed indices."""
     var_pos = {v: i for i, v in enumerate(variables)}
     slots = []
     for lit in clause.literals:
@@ -62,7 +61,7 @@ def _literal_atoms(clause: Clause, kb: KnowledgeBase):
             else:
                 slot.append(("var", var_pos[term.symbol]))
         slots.append(tuple(slot))
-    return variables, slots
+    return slots
 
 
 def _ground_args(slot, assignment) -> tuple[int, ...]:
@@ -72,7 +71,8 @@ def _ground_args(slot, assignment) -> tuple[int, ...]:
 def enumerate_groundings(clause: Clause, kb: KnowledgeBase,
                          limit: int = 10 ** 6) -> list[Grounding]:
     """All groundings of a clause in lexicographic assignment order."""
-    variables, slots = _literal_atoms(clause, kb)
+    variables = clause.variables()
+    slots = _literal_atoms(clause, kb, variables)
     count = kb.n ** len(variables)
     if count > limit:
         raise OracleError(f"{count} groundings exceed the limit of {limit}")
@@ -82,18 +82,6 @@ def enumerate_groundings(clause: Clause, kb: KnowledgeBase,
                       for lit, slot in zip(clause.literals, slots))
         out.append(Grounding(clause, assignment, atoms))
     return out
-
-
-def _as_clauses(rules) -> list[Clause]:
-    clauses = []
-    for formula in rules:
-        if isinstance(formula, Clause):
-            clauses.append(formula)
-        elif isinstance(formula, CnfFormula):
-            clauses.extend(split_cnf(formula))
-        else:
-            raise OracleError(f"unsupported rule object {formula!r}")
-    return clauses
 
 
 def naive_mf_step(q: MarginalTable, rules, kb: KnowledgeBase, phi: UnaryTable, *,
@@ -109,7 +97,7 @@ def naive_mf_step(q: MarginalTable, rules, kb: KnowledgeBase, phi: UnaryTable, *
     positions whose premise mentions the target atom itself.  Observed cells
     are pinned to their observed label afterwards, as in the engine.
     """
-    clauses = _as_clauses(rules)
+    clauses = [c for formula in normalize_rules(rules) for c in split_cnf(formula)]
     total = 0
     for clause in clauses:
         total += (kb.n ** len(clause.variables())) * len(clause.literals)
@@ -169,15 +157,6 @@ def naive_mf_step(q: MarginalTable, rules, kb: KnowledgeBase, phi: UnaryTable, *
     return result
 
 
-def _formula_variables(formula: CnfFormula) -> tuple[str, ...]:
-    out: list[str] = []
-    for clause in formula.clauses:
-        for v in clause.variables():
-            if v not in out:
-                out.append(v)
-    return tuple(out)
-
-
 def _clause_satisfied(clause: Clause, slots, assignment, values) -> bool:
     for lit, slot in zip(clause.literals, slots):
         args = _ground_args(slot, assignment)
@@ -200,20 +179,11 @@ def exact_marginals(kb: KnowledgeBase, rules, phi: UnaryTable,
                           f"limit of {max_bits}")
 
     formulas: list[tuple[float, list]] = []
-    for formula in rules:
-        if isinstance(formula, Clause):
-            formula = CnfFormula((formula,), weight=formula.weight, id=formula.id)
-        variables = _formula_variables(formula)
-        var_pos = {v: i for i, v in enumerate(variables)}
-        grounded_clauses = []
-        for clause in formula.clauses:
-            _, slots = _literal_atoms(clause, kb)
-            remap = []
-            for lit, slot in zip(clause.literals, slots):
-                remap.append(tuple(
-                    (kind, idx if kind == "const" else var_pos[clause.variables()[idx]])
-                    for kind, idx in slot))
-            grounded_clauses.append((clause, remap))
+    for formula in normalize_rules(rules):
+        # the variables of every clause, in first-occurrence order
+        variables = tuple(dict.fromkeys(v for c in formula.clauses for v in c.variables()))
+        grounded_clauses = [(clause, _literal_atoms(clause, kb, variables))
+                            for clause in formula.clauses]
         formulas.append((formula.weight, (variables, grounded_clauses)))
 
     def energy(values) -> float:

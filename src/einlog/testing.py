@@ -8,7 +8,8 @@ import numpy as np
 
 from . import engine, oracle
 from .engine import EngineConfig, UnaryTable, initial_marginals
-from .fol import Clause, CnfFormula, Literal, Predicate, variable
+from .fol import (Clause, CnfFormula, Literal, Predicate, merge_literals, normalize_rules,
+                  variable)
 from .kb import KnowledgeBase
 
 _VARS = ("x", "y", "z")
@@ -16,27 +17,19 @@ _VARS = ("x", "y", "z")
 
 def _random_clause(rng: np.random.Generator, predicates, max_literals: int,
                    weight: float, cid: str) -> Clause | None:
-    length = int(rng.integers(1, max_literals + 1))
-    merged: dict[tuple, Literal] = {}
-    order = []
-    for _ in range(length):
+    """None when the drawn literals merge into a tautology; the caller redraws."""
+    def draw() -> Literal:
         pred = predicates[int(rng.integers(len(predicates)))]
         args = tuple(variable(_VARS[int(rng.integers(len(_VARS)))])
                      for _ in range(pred.arity))
         size = int(rng.integers(1, pred.num_labels))
         values = frozenset(int(v) for v in
                            rng.choice(pred.num_labels, size=size, replace=False))
-        lit = Literal(pred, args, values)
-        key = lit.atom_key()
-        if key in merged:
-            union = merged[key].value_set | lit.value_set
-            if len(union) == pred.num_labels:
-                return None  # tautology after merging; caller redraws
-            merged[key] = Literal(pred, args, union)
-        else:
-            merged[key] = lit
-            order.append(key)
-    return Clause(tuple(merged[k] for k in order), weight=weight, id=cid)
+        return Literal(pred, args, values)
+
+    length = int(rng.integers(1, max_literals + 1))
+    literals = merge_literals(draw() for _ in range(length))
+    return None if literals is None else Clause(literals, weight=weight, id=cid)
 
 
 def random_instance(rng: np.random.Generator, *, max_entities: int = 6,
@@ -83,6 +76,7 @@ def engine_oracle_gap(kb: KnowledgeBase, rules, phi: UnaryTable,
     ``weights`` overrides rule weights by formula id, in both computations.
     """
     weights = weights or {}
+    rules = normalize_rules(rules)
     got = engine.iterate(phi, engine.compile_rules(rules, kb),
                          EngineConfig(iterations=1, weights=weights))
     rules = [replace(f, weight=weights.get(f.id, f.weight)) for f in rules]

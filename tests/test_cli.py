@@ -152,6 +152,37 @@ def test_bad_weight_flag_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e400", "x"])
+def test_nonfinite_weight_flag_is_usage_error(tmp_path, capsys, value):
+    out, argv = infer_args(tmp_path, "--weight", f"f1={value}")
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert f"bad weight value in 'f1={value}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "1e400"])
+def test_nonfinite_rule_weight_is_data_error(tmp_path, capsys, weight):
+    rules = tmp_path / "w.rules"
+    text = (DATA / "smoke.rules").read_text()
+    rules.write_text(text + f"{weight}: smoke(a)\n")
+    out, argv = infer_args(tmp_path)
+    argv[argv.index("--rules") + 1] = str(rules)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"line {len(text.splitlines()) + 1}, column 1: rule weight must be finite, got '{weight}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt,want", [("csv", ""), ("json", "[]\n")])
+def test_query_file_without_atoms_gives_empty_report(tmp_path, capsys, fmt, want):
+    queries = tmp_path / "empty.queries"
+    queries.write_text("# no atoms\n\n")
+    out, argv = infer_args(tmp_path, "--queries", str(queries), "--format", fmt)
+    assert run(capsys, *argv)[0] == 0
+    assert out.read_text() == want
+
+
 def test_plan_reports_chain_costs(tmp_path, capsys):
     rules = tmp_path / "chain.rules"
     rules.write_text("predicate r1(t,t)\npredicate r2(t,t)\npredicate r3(t,t)\n"

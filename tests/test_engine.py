@@ -140,6 +140,25 @@ def test_unknown_weight_override_rejected(smoke_rules, smoke_kb, smoke_phi):
         iterate(smoke_phi, program, EngineConfig(weights={"f1": 2.0, "nosuchrule": 50.0}))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_weight_override_rejected(value):
+    with pytest.raises(EngineError, match="non-finite weight override for rule id f2"):
+        EngineConfig(weights={"f1": 2.0, "f2": value})
+
+
+def test_oracle_gap_overrides_rules_without_ids():
+    # the engine names a bare clause and an unnamed formula by position, so
+    # the oracle side must apply the overrides to the same rules
+    s = Predicate("s", 1)
+    kb = KnowledgeBase([f"E{i}" for i in range(3)], {"c": C, "s": s}, {})
+    bare = Clause(TRANSITIVITY.literals, weight=1.0)
+    unnamed = CnfFormula((Clause((binary_literal(C, (A, B), True), binary_literal(s, (B,)))),),
+                         weight=0.7)
+    rng = np.random.default_rng(5)
+    phi = UnaryTable({"c": rng.normal(size=(3, 3, 2)), "s": rng.normal(size=(3, 2))})
+    assert engine_oracle_gap(kb, [bare, unnamed], phi, {"f1": 3.0, "f2": -1.5}) <= 1e-9
+
+
 def test_validate_rejects_missing_table(smoke_kb, smoke_phi):
     tables = {k: v for k, v in smoke_phi.tables.items() if k != "cancer"}
     with pytest.raises(EngineError, match="missing unary table for cancer"):
@@ -374,7 +393,8 @@ def _reference_iterate(phi, program, config):
         logits = {name: np.array(arr, order="C") for name, arr in phi.tables.items()}
         for ci in program.implications:
             arrays = [p.gather(q[p.predicate]) for p in ci.premises]
-            weighted = config.effective_weight(ci) * planner.execute(ci.plan, arrays)
+            w = config.weights.get(ci.rule_id, ci.weight)
+            weighted = w * planner.execute(ci.plan, arrays)
             for label in ci.target_labels:
                 logits[ci.hypothesis][ci.scatter + (label,)] += weighted
         new_q = {name: _reference_softmax(arr) for name, arr in logits.items()}
@@ -517,16 +537,15 @@ def test_weighting_leaves_shared_gathered_input_unchanged(monkeypatch):
 
     monkeypatch.setattr(PremiseInput, "gather", recording)
     logits = UnaryTable.zeros(kb).tables
-    config = EngineConfig()
     snapshot = q.copy()
-    _add_messages(logits, program, q, config)
+    _add_messages(logits, program, q, tuple(ci.weight for ci in program.implications))
     assert [key for key, _, _ in gathered].count(("p", (), (1,))) == 1
     assert all(np.array_equal(out, before) for _, out, before in gathered)
     # a message without contraction may alias the live snapshot q itself
     assert all(np.array_equal(q.tables[name], snapshot.tables[name]) for name in q.tables)
     want = UnaryTable.zeros(kb).tables
     for ci in program.implications:
-        weighted = config.effective_weight(ci) * planner.execute(
+        weighted = ci.weight * planner.execute(
             ci.plan, [original(p, q.tables[p.predicate]) for p in ci.premises])
         for label in ci.target_labels:
             want[ci.hypothesis][ci.scatter + (label,)] += weighted

@@ -2,9 +2,11 @@ import warnings
 
 import pytest
 
+from einlog.engine import compile_rules
 from einlog.fol import (Clause, CnfFormula, Literal, Predicate, RuleError,
                         RuleWarning, binary_literal, constant, format_rules,
-                        parse_rules, split_cnf, to_implications, variable)
+                        parse_rules, split_cnf, variable)
+from einlog.kb import KnowledgeBase
 
 HEADER = """\
 predicate smoke(person)
@@ -25,9 +27,9 @@ def test_parse_clause_with_negations():
     f = parse_one("!smoke(a) | !friend(a,b) | smoke(b)")
     clause = f.clauses[0]
     assert [lit.predicate.name for lit in clause.literals] == ["smoke", "friend", "smoke"]
+    # a negated binary literal is true on label 0 alone
     assert [lit.value_set for lit in clause.literals] == [
         frozenset({0}), frozenset({0}), frozenset({1})]
-    assert [lit.negated for lit in clause.literals] == [True, True, False]
 
 
 def test_implication_sugar_rewrites_to_clause():
@@ -106,31 +108,37 @@ def test_error_carries_line_number():
 
 
 def test_to_implications_counts():
+    # a clause compiles to one implication per literal, in literal order
     smoke = Predicate("smoke", 1)
     friend = Predicate("friend", 2)
     a, b = variable("a"), variable("b")
+    kb = KnowledgeBase(["E0", "E1"], {"smoke": smoke, "friend": friend}, {})
     clause = Clause((binary_literal(smoke, (a,), True),
                      binary_literal(friend, (a, b), True),
                      binary_literal(smoke, (b,))))
-    imps = to_implications(clause)
+    imps = compile_rules([clause], kb).implications
     assert len(imps) == len(clause.literals) == 3
-    assert [i.hypothesis_index for i in imps] == [0, 1, 2]
+    assert [ci.hypothesis for ci in imps] == ["smoke", "friend", "smoke"]
+    assert [ci.target_labels for ci in imps] == [(0,), (0,), (1,)]
+    assert [[p.predicate for p in ci.premises] for ci in imps] == [
+        ["friend", "smoke"], ["smoke", "smoke"], ["smoke", "friend"]]
 
     unit = Clause((binary_literal(smoke, (a,)),))
-    (only,) = to_implications(unit)
-    assert only.premise == ()
+    (only,) = compile_rules([unit], kb).implications
+    assert only.premises == ()
 
 
 def test_transitivity_premise_complement():
     c = Predicate("c", 2)
     a, b, d = variable("a"), variable("b"), variable("d")
+    kb = KnowledgeBase(["E0", "E1"], {"c": c}, {})
     clause = Clause((binary_literal(c, (a, b), True),
                      binary_literal(c, (b, d), True),
                      binary_literal(c, (a, d))))
-    imp = to_implications(clause)[2]
-    assert imp.hypothesis.value_set == frozenset({1})
+    imp = compile_rules([clause], kb).implications[2]
+    assert imp.target_labels == (1,)
     # the premise holds when its literals are false, i.e. both atoms take label 1
-    assert [p.complement_labels() for p in imp.premise] == [(1,), (1,)]
+    assert [p.complement_labels for p in imp.premises] == [(1,), (1,)]
 
 
 def test_split_cnf_copies_weight():
@@ -198,5 +206,60 @@ def test_cnf_requires_distinct_clauses():
 
 
 def test_constant_term_helpers():
-    assert constant("Bob").kind == "constant"
-    assert variable("x").kind == "variable"
+    assert constant("Bob").is_constant
+    assert not variable("x").is_constant
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400"])
+def test_nonfinite_rule_weight_names_its_line(weight):
+    with pytest.raises(RuleError, match="must be finite") as err:
+        parse_rules(HEADER + f"smoke(a) => cancer(a)\n{weight}: smoke(a)\n")
+    assert (err.value.line, err.value.column) == (7, 1)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+def test_hand_built_rules_reject_nonfinite_weight(weight):
+    lit = binary_literal(Predicate("smoke", 1), (variable("a"),))
+    with pytest.raises(RuleError, match="must be finite"):
+        Clause((lit,), weight=weight)
+    with pytest.raises(RuleError, match="must be finite"):
+        CnfFormula((Clause((lit,)),), weight=weight)
+
+
+@pytest.mark.parametrize("literal,fragment", [
+    ("label(i) in {Z}", "unknown label"),
+    ("label(i) in {O,Q}", "unknown label"),
+    ("friend(a,b) in {T}", "no named labels"),
+    ("friend(a,b) in {5}", "out of range"),
+    ("smoke(+)", "'\\+' prefix"),
+])
+def test_label_and_term_errors_name_their_line(literal, fragment):
+    with pytest.raises(RuleError, match=fragment) as err:
+        parse_rules(HEADER + f"smoke(a) => cancer(a)\nsmoke(a) | {literal}\n")
+    assert (err.value.line, err.value.column) == (7, 12)
+
+
+def test_declaration_errors_name_their_line():
+    with pytest.raises(RuleError, match="num_labels must be >= 2") as err:
+        parse_rules("predicate smoke(person)\npredicate one(t) labels {A}\n")
+    assert (err.value.line, err.value.column) == (2, 11)
+
+
+@pytest.mark.parametrize("literal,fragment", [
+    ("ghost(a,b,c)", "undeclared"),
+    ("smoke(a,b)", "expects 1 args"),
+    ("label(a) in {NOPE}", "unknown label"),
+    ("label(a)", "value set"),
+])
+@pytest.mark.parametrize("tautology", ["smoke(a) | !smoke(a)",
+                                       "label(a) in {O,B-PER,I-PER}"])
+def test_tautology_does_not_hide_a_bad_literal(tautology, literal, fragment):
+    with pytest.raises(RuleError, match=fragment) as err:
+        parse_rules(HEADER + f"{tautology} | {literal}\n")
+    assert err.value.line == 6
+
+
+def test_pure_tautology_still_warns_and_is_dropped():
+    with pytest.warns(RuleWarning, match="line 6: tautological clause dropped"):
+        ruleset = parse_rules(HEADER + "smoke(a) | !smoke(a) | cancer(a)\nsmoke(a) => cancer(a)\n")
+    assert [str(f) for f in ruleset] == ["!smoke(a) | cancer(a)"]

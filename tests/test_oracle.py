@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from einlog.engine import (EngineConfig, MarginalTable, UnaryTable, compile_rules,
                            initial_marginals, iterate)
-from einlog.fol import Clause, CnfFormula, Predicate, binary_literal, variable
+from einlog.fol import (Clause, CnfFormula, Literal, Predicate, binary_literal, constant,
+                        merge_literals, variable)
 from einlog.kb import KnowledgeBase
 from einlog.oracle import (OracleError, brute_einsum, enumerate_groundings,
                            exact_marginals, naive_mf_step)
@@ -178,6 +181,16 @@ def test_engine_matches_oracle_on_degenerate_diagonals():
     assert got.max_abs_diff(want) <= 1e-12
 
 
+def chained_oracle(phi, rules, kb, iterations, damping) -> MarginalTable:
+    """``iterations`` damped sequential oracle steps from the initial marginals."""
+    q = initial_marginals(phi, kb)
+    for _ in range(iterations):
+        new = naive_mf_step(q, rules, kb, phi)
+        q = MarginalTable({name: (1.0 - damping) * new.tables[name]
+                           + damping * q.tables[name] for name in new.tables})
+    return q
+
+
 # 0.3 also tells the two operands of the damping mix apart
 @pytest.mark.parametrize("damping", [0.0, 0.3, 0.5])
 def test_three_iterations_match_chained_oracle_steps(damping):
@@ -187,13 +200,62 @@ def test_three_iterations_match_chained_oracle_steps(damping):
         kb, rules, phi = random_instance(rng)
         got = iterate(phi, compile_rules(rules, kb),
                       EngineConfig(iterations=3, damping=damping))
-        q = initial_marginals(phi, kb)
-        for _step in range(3):
-            new = naive_mf_step(q, rules, kb, phi)
-            q = MarginalTable({name: (1.0 - damping) * new.tables[name]
-                               + damping * q.tables[name] for name in new.tables})
-        worst = max(worst, got.max_abs_diff(q))
+        worst = max(worst, got.max_abs_diff(chained_oracle(phi, rules, kb, 3, damping)))
     assert worst <= 1e-9
+
+
+# Every rule shape the parser accepts: arities 0 to 3, multi-class
+# predicates, constants and repeated variables in any literal, and two-clause
+# CNF formulas whose clauses share variables.
+PALETTE = (Predicate("flag", 0), Predicate("r", 1), Predicate("k", 1, 3),
+           Predicate("p", 2), Predicate("m", 2, 3), Predicate("t", 3))
+TERMS = (variable("x"), variable("y"), variable("z"), constant("E0"), constant("E1"))
+
+
+@st.composite
+def literals(draw):
+    pred = draw(st.sampled_from(PALETTE))
+    args = tuple(draw(st.sampled_from(TERMS)) for _ in range(pred.arity))
+    values = draw(st.sets(st.integers(0, pred.num_labels - 1), min_size=1,
+                          max_size=pred.num_labels - 1))
+    return Literal(pred, args, frozenset(values))
+
+
+@st.composite
+def clauses(draw):
+    merged = merge_literals(draw(st.lists(literals(), min_size=1, max_size=3)))
+    assume(merged is not None)
+    return Clause(merged)
+
+
+@st.composite
+def rule_lists(draw):
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        body = draw(st.lists(clauses(), min_size=1, max_size=2,
+                             unique_by=lambda c: c.literals))
+        weight = draw(st.floats(-2.0, 2.0, allow_nan=False))
+        rules.append(CnfFormula(tuple(body), weight=weight))
+    return rules
+
+
+@given(rules=rule_lists(), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+       damping=st.sampled_from([0.0, 0.3]), iterations=st.integers(1, 3))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_iterate_matches_chained_oracle_on_every_rule_shape(rules, n, seed, damping,
+                                                            iterations):
+    rng = np.random.default_rng(seed)
+    kb = KnowledgeBase([f"E{i}" for i in range(n)], {p.name: p for p in PALETTE}, {
+        (p.name, cell): int(rng.integers(p.num_labels))
+        for p in PALETTE for cell in np.ndindex(*(n,) * p.arity) if rng.random() < 0.2})
+    phi = UnaryTable({p.name: rng.normal(0.0, 1.5, (n,) * p.arity + (p.num_labels,))
+                      for p in PALETTE})
+    got = iterate(phi, compile_rules(rules, kb),
+                  EngineConfig(iterations=iterations, damping=damping))
+    q = chained_oracle(phi, rules, kb, iterations, damping)
+    for name, mask in kb.masks().items():
+        diff = np.abs(got.tables[name] - q.tables[name])[~mask.mask]
+        assert diff.size == 0 or diff.max() <= 1e-9
 
 
 def test_brute_einsum_agrees_with_numpy():

@@ -38,7 +38,7 @@ def reference_rows(result, kb, queries=None):
 def reference_csv(rows) -> str:
     lines = [",".join([name, *args, label, f"{prob:.9f}", str(observed)])
              for name, args, label, prob, observed in rows]
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def reference_json(rows) -> str:
