@@ -87,7 +87,9 @@ def cmd_infer(args) -> int:
         print(ci.describe(), file=sys.stderr)
     secs = ", ".join(f"{s:.4f}s" for s in trace.seconds)
     residual = ", ".join(f"{r:.3e}" for r in trace.residual)
+    changed = ", ".join(map(str, trace.changed))
     print(f"iterations={config.iterations} wall clock per iteration: {secs}; "
+          f"latent cells whose argmax changed: {changed}; "
           f"residual max|q_t - q_t-1|: {residual}", file=sys.stderr)
 
     text = (io.format_marginals_json(result, kb, queries) if args.format == "json"

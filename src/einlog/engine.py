@@ -8,6 +8,11 @@ value at a hypothesis cell is the expected number of groundings whose premise
 holds, and it is added, scaled by the rule weight, to the logits of the
 labels in the hypothesis value set before renormalizing.  Updates are
 synchronous: all messages of one iteration read the same marginal snapshot.
+
+Inside ``iterate`` a binary predicate is held as one plane, since
+``q0 = 1 - q1``: the logit difference ``x1 - x0`` while messages are added,
+then ``q1``.  A table whose ``ndim`` equals its predicate's arity is such a
+plane; every other table is ``N^arity x D`` with the labels last.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from . import planner
 from .fol import Clause, normalize_rules, split_cnf
 from .kb import KnowledgeBase, ObservationMask
-from .tensor import EinsumSpec, label_planes, softmax_lastaxis
+from .tensor import EinsumSpec, label_planes, sigmoid, softmax_lastaxis
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -95,15 +100,23 @@ class PremiseInput:
         return (self.predicate, self.const_slices, self.complement_labels)
 
     def gather(self, q: np.ndarray) -> np.ndarray:
-        """Mass on the labels that falsify the literal, as a fresh contiguous
-        array; for binary literals it is the single opposite-label slice.
+        """Mass on the labels that falsify the literal, as a contiguous array.
 
-        A strided view of ``q`` would change the summation order of the
-        contraction, so even a single label is copied.
+        From an ``N^arity x D`` table it is a fresh array: for binary
+        literals the single opposite-label slice, otherwise their sum.  From
+        the ``q1`` plane of a binary predicate it is ``q1`` itself (a view)
+        when label 1 falsifies the literal and ``1 - q1`` when label 0 does.
+        A constant slice that comes out strided is copied, since a strided
+        operand would change the summation order of the contraction.
         """
-        cells = [slice(None)] * (q.ndim - 1)
+        cells = [slice(None)] * (len(self.subscript) + len(self.const_slices))
         for axis, pos in self.const_slices:
             cells[axis] = pos
+        if q.ndim == len(cells):
+            plane = q[(*cells, ...)]
+            if self.complement_labels == (0,):
+                return np.subtract(1.0, plane)
+            return plane if plane.flags.c_contiguous else plane.copy()
         first, *rest = self.complement_labels
         out = q[(*cells, first)].copy()
         for label in rest:
@@ -157,11 +170,13 @@ class EngineConfig:
 
 @dataclass
 class IterationTrace:
-    """Optional per-iteration record: wall seconds, and the residual
-    ``max|q_t - q_{t-1}|`` over every cell of every predicate."""
+    """Optional per-iteration record: wall seconds, the residual
+    ``max|q_t - q_{t-1}|`` over every cell of every predicate, and the number
+    of latent cells whose argmax label changed."""
 
     seconds: list[float] = field(default_factory=list)
     residual: list[float] = field(default_factory=list)
+    changed: list[int] = field(default_factory=list)
 
 
 def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[CompiledImplication]:
@@ -259,23 +274,75 @@ def message(ci: CompiledImplication, marginals: MarginalTable,
 
 
 def _clamp(tables: dict[str, np.ndarray], masks: dict[str, ObservationMask]):
-    """Pin observed cells to the one-hot marginal of their observed label."""
+    """Pin observed cells to the one-hot marginal of their observed label; a
+    ``q1`` plane gets the label itself."""
     for name, m in masks.items():
         if m.mask.any():
             arr = tables[name]
-            arr[m.mask] = np.eye(arr.shape[-1])[m.labels[m.mask]]
+            observed = m.labels[m.mask]
+            arr[m.mask] = observed if arr.ndim == m.mask.ndim \
+                else np.eye(arr.shape[-1])[observed]
+
+
+def _storage(kb: KnowledgeBase) -> tuple[dict, dict, frozenset]:
+    """Label-plane ``N^arity x D`` output tables; the storage ``iterate``
+    works in, which is label 1's plane of a binary table and the table
+    itself otherwise; and the names of the binary predicates."""
+    tables = {name: label_planes(kb.shape(p) + (p.num_labels,))
+              for name, p in kb.predicates.items()}
+    planes = frozenset(name for name, p in kb.predicates.items() if p.num_labels == 2)
+    return tables, {name: t[..., 1] if name in planes else t
+                    for name, t in tables.items()}, planes
+
+
+def _refill(tables: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset):
+    """Unary logits into each table; a binary plane gets ``x1 - x0``, which
+    may overflow: the finite check of ``iterate`` reports it."""
+    with np.errstate(over="ignore"):
+        for name, arr in tables.items():
+            logits = phi.tables[name]
+            if name in planes:
+                np.subtract(logits[..., 1], logits[..., 0], out=arr)
+            else:
+                np.copyto(arr, logits)
+
+
+def _normalize(tables: dict[str, np.ndarray], planes: frozenset):
+    """Logits to marginals in place: the sigmoid of a binary plane's logit
+    difference, the label softmax of a table."""
+    for name, arr in tables.items():
+        if name in planes:
+            sigmoid(arr, out=arr)
+        else:
+            softmax_lastaxis(arr, out=arr)
+
+
+def _start(q: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset,
+           masks: dict[str, ObservationMask]):
+    """The state inference starts from, into ``q``: label softmax (a sigmoid
+    for binary planes), observed cells pinned."""
+    _refill(q, phi, planes)
+    _normalize(q, planes)
+    _clamp(q, masks)
+
+
+def _expand(tables: dict[str, np.ndarray], planes: frozenset) -> MarginalTable:
+    """Fill label 0 of each binary table with ``1 - q1``."""
+    for name in planes:
+        np.subtract(1.0, tables[name][..., 1], out=tables[name][..., 0])
+    return MarginalTable(tables)
 
 
 def initial_marginals(phi: UnaryTable, kb: KnowledgeBase) -> MarginalTable:
-    """The starting point of inference: label softmax, observed cells pinned.
+    """The starting point of inference: label softmax (a sigmoid for binary
+    predicates), observed cells pinned.
 
     The tables are label-plane (see ``tensor.label_planes``), as every
-    marginal table ``iterate`` returns.
+    marginal table ``iterate`` returns, and hold what ``iterate`` starts from.
     """
-    q = {name: softmax_lastaxis(arr, out=label_planes(arr.shape))
-         for name, arr in phi.tables.items()}
-    _clamp(q, kb.masks())
-    return MarginalTable(q)
+    tables, q, planes = _storage(kb)
+    _start(q, phi, planes, kb.masks())
+    return _expand(tables, planes)
 
 
 def _add_messages(logits: dict[str, np.ndarray], program: Program,
@@ -283,59 +350,93 @@ def _add_messages(logits: dict[str, np.ndarray], program: Program,
     """Add every message, scaled by its entry of ``weights`` (aligned with
     ``program.implications``), all read from the snapshot ``q``.
 
+    A binary plane holds ``x1 - x0``, so a message to label 0 is added with
+    its weight negated; negation is exact, so this rounds as a subtraction.
     A message that ``planner.execute`` allocated is scaled in place (it
     rounds as ``w * msg``).  A view, such as a message without contraction
-    that aliases a shared gathered input, is scaled into a new array.  The
-    ``+=`` broadcasts a message's size-1 axes over the hypothesis cells.
-    Each message is dropped before the next is computed.
+    that aliases a shared gathered input or ``q`` itself, is scaled into a
+    new array.  The ``+=`` broadcasts a message's size-1 axes over the
+    hypothesis cells.  Each message is dropped before the next is computed.
     """
     gathered: dict = {}
     for ci, w in zip(program.implications, weights):
+        target = logits[ci.hypothesis]
+        if target.ndim == len(ci.scatter):
+            (label,) = ci.target_labels
+            w, cells = (w if label else -w), [ci.scatter]
+        else:
+            cells = [ci.scatter + (label,) for label in ci.target_labels]
         msg = message(ci, q, gathered)
         if msg.flags.owndata:
             msg *= w
         else:
             msg = w * msg
-        target = logits[ci.hypothesis]
-        for label in ci.target_labels:
-            target[ci.scatter + (label,)] += msg
+        for index in cells:
+            target[index] += msg
         del msg
+
+
+def _record(trace: IterationTrace, q: dict, new: dict, planes: frozenset):
+    """Residual and argmax changes between two states, as the expanded
+    ``N^arity x D`` tables would give them.  Observed cells stay pinned, so
+    every cell whose argmax changes is latent."""
+    residual, changed = 0.0, 0
+    for name, arr in new.items():
+        old = q[name]
+        if name in planes:
+            pairs = ((arr, old), (1.0 - arr, 1.0 - old))
+            moved = (arr > 1.0 - arr) != (old > 1.0 - old)
+        else:
+            pairs = ((arr, old),)
+            moved = arr.argmax(axis=-1) != old.argmax(axis=-1)
+        residual = max(residual, *(float(np.max(np.abs(a - b))) for a, b in pairs))
+        changed += int(np.count_nonzero(moved))
+    trace.residual.append(residual)
+    trace.changed.append(changed)
 
 
 def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
             trace: IterationTrace | None = None) -> MarginalTable:
     """Run mean-field iterations and return the final marginals.
 
-    Two label-plane tables per predicate take turns: one holds the current
-    marginals, the other is refilled with the unary logits, receives the
-    messages and is normalized, damped and clamped in place.
+    Two tables per predicate take turns: one holds the current marginals,
+    the other is refilled with the unary logits, receives the messages and
+    is normalized, damped and clamped in place.  A binary predicate's pair
+    is two planes (see the module docstring), and the one the last
+    iteration writes is label 1 of its output table from the start, so the
+    result costs one ``1 - q1`` pass and no copy.
     """
     unknown = sorted(set(config.weights) - {ci.rule_id for ci in program.implications})
     if unknown:
         raise EngineError(f"weight override for unknown rule id {', '.join(unknown)}")
     weights = tuple(config.weights.get(ci.rule_id, ci.weight) for ci in program.implications)
     masks = program.kb.masks()
-    q = initial_marginals(phi, program.kb).tables
-    spare = {name: label_planes(arr.shape) for name, arr in q.items()}
+    tables, last, planes = _storage(program.kb)
+    other = {name: np.empty(arr.shape) if name in planes else label_planes(arr.shape)
+             for name, arr in last.items()}
+    # iteration t writes the spare table; after T iterations that is `last`
+    q, spare = (last, other) if config.iterations % 2 == 0 else (other, last)
+    _start(q, phi, planes, masks)
     lam = config.damping
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
-        for name, arr in spare.items():
-            np.copyto(arr, phi.tables[name])
+        _refill(spare, phi, planes)
         _add_messages(spare, program, MarginalTable(q), weights)
         for name, arr in spare.items():
             if not np.all(np.isfinite(arr)):
                 raise EngineError(f"non-finite logits for {name} at iteration {t}")
-            softmax_lastaxis(arr, out=arr)
-            if lam > 0.0:
+        _normalize(spare, planes)
+        if lam > 0.0:
+            for name, arr in spare.items():
                 arr *= 1.0 - lam
                 arr += lam * q[name]
         _clamp(spare, masks)
         q, spare = spare, q
         if trace is not None:
             trace.seconds.append(time.perf_counter() - started)
-            trace.residual.append(MarginalTable(q).max_abs_diff(MarginalTable(spare)))
-    return MarginalTable(q)
+            _record(trace, spare, q, planes)
+    del q, spare, other  # free the spare planes before label 0 is written
+    return _expand(tables, planes)
 
 
 def run_inference(rules, kb: KnowledgeBase, phi: UnaryTable, config: EngineConfig,

@@ -133,12 +133,18 @@ def format_marginals_csv(result: MarginalTable, kb: KnowledgeBase, queries=None)
 
 
 def format_marginals_json(result: MarginalTable, kb: KnowledgeBase, queries=None) -> str:
-    records = [
-        {"predicate": name, "args": list(args), "label": label,
-         "probability": round(prob, 9), "observed": bool(observed)}
-        for name, args, label, prob, observed in marginal_rows(result, kb, queries)
-    ]
-    return json.dumps(records, indent=2) + "\n"
+    """The report rows as ``json.dumps(records, indent=2)`` writes one record
+    per row, built as text with each name encoded once."""
+    labels = (p.label_name(k) for p in kb.predicates.values() for k in range(p.num_labels))
+    quoted = {name: json.dumps(name) for name in chain(kb.entities, kb.predicates, labels)}
+    records = []
+    for name, args, label, prob, observed in marginal_rows(result, kb, queries):
+        arg_list = ("[\n      " + ",\n      ".join(map(quoted.__getitem__, args)) + "\n    ]"
+                    if args else "[]")
+        records.append(f'  {{\n    "predicate": {quoted[name]},\n    "args": {arg_list},\n'
+                       f'    "label": {quoted[label]},\n    "probability": {round(prob, 9)!r},\n'
+                       f'    "observed": {"true" if observed else "false"}\n  }}')
+    return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"
 
 
 def load_predictions(text: str, kb: KnowledgeBase):

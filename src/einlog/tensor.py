@@ -147,3 +147,29 @@ def softmax_lastaxis(t, out: np.ndarray | None = None) -> np.ndarray:
         for k in range(b.shape[-1]):
             np.divide(b[..., k], s, out=b[..., k])
     return e
+
+
+def sigmoid(d, out: np.ndarray | None = None) -> np.ndarray:
+    """``1 / (1 + exp(-d))`` elementwise: label 1's probability of a binary
+    predicate whose logit difference ``x1 - x0`` is ``d``.
+
+    The passes run in blocks of ``_BLOCK_CELLS`` cells, so each block is
+    read from memory once.  ``exp`` over- and underflows silently, so a
+    saturated ``d`` (``|d| > 745`` certainly) gives exactly 0 or 1.  ``out``
+    may be the input itself; without it the result is a new array.
+    """
+    arr = np.asarray(d, dtype=np.float64)
+    e = np.empty_like(arr) if out is None else out
+    if arr.flags.c_contiguous and e.flags.c_contiguous:
+        src, dst = arr.reshape(-1), e.reshape(-1)
+        blocks = [(src[i:i + _BLOCK_CELLS], dst[i:i + _BLOCK_CELLS])
+                  for i in range(0, src.size, _BLOCK_CELLS)]
+    else:
+        blocks = [(arr, e)]
+    with np.errstate(over="ignore", under="ignore"):
+        for a, b in blocks:
+            np.negative(a, out=b)
+            np.exp(b, out=b)
+            b += 1.0
+            np.divide(1.0, b, out=b)
+    return e

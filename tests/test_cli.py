@@ -49,6 +49,16 @@ def test_infer_reports_residual_per_iteration(tmp_path, capsys):
     assert residual[-1] < residual[0]
 
 
+def test_infer_reports_argmax_changes_per_iteration(tmp_path, capsys):
+    # the smoke fixture's unary logits already pick every argmax the rules keep
+    _, argv = infer_args(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    (line,) = [l for l in err.splitlines() if "wall clock per iteration" in l]
+    changed = line.split("latent cells whose argmax changed: ")[1].split(";")[0]
+    assert changed == "0, 0, 0, 0, 0"
+
+
 def test_infer_is_deterministic(tmp_path, capsys):
     out1, argv1 = infer_args(tmp_path / "a")
     out2, argv2 = infer_args(tmp_path / "b")

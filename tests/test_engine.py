@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -90,9 +91,13 @@ def unobserved(kb):
 
 def test_no_rules_returns_softmax(smoke_kb, smoke_phi):
     cfg = EngineConfig(iterations=3)
-    out = iterate(smoke_phi, Program(unobserved(smoke_kb), ()), cfg)
+    program = Program(unobserved(smoke_kb), ())
+    out = iterate(smoke_phi, program, cfg)
+    want = _reference_iterate(smoke_phi, program, cfg)
     for name, arr in smoke_phi.tables.items():
-        assert np.array_equal(out.tables[name], softmax_lastaxis(arr))
+        assert np.array_equal(want[name], softmax_lastaxis(arr))
+        assert _is_label_plane(out.tables[name])
+        assert np.max(np.abs(out.tables[name] - want[name])) <= 1e-12
 
 
 def test_zero_weight_rules_leave_softmax_unchanged(smoke_rules, smoke_kb, smoke_phi):
@@ -410,6 +415,18 @@ def _is_label_plane(table):
     return np.moveaxis(table, -1, 0).flags.c_contiguous
 
 
+def _assert_matches_reference(phi, program, config):
+    got = iterate(phi, program, config)
+    want = _reference_iterate(phi, program, config)
+    assert got.tables.keys() == want.keys()
+    for name, pred in program.kb.predicates.items():
+        table = got.tables[name]
+        assert _is_label_plane(table), name
+        assert np.max(np.abs(table - want[name])) <= 1e-12, name
+        if pred.num_labels == 2:
+            assert np.array_equal(table[..., 0], 1.0 - table[..., 1]), name
+
+
 @pytest.mark.parametrize("damping", [0.0, 0.3])
 @pytest.mark.parametrize("iterations", [1, 3, 5])
 def test_iterate_matches_c_order_reference_bitwise(iterations, damping):
@@ -417,13 +434,8 @@ def test_iterate_matches_c_order_reference_bitwise(iterations, damping):
     for _ in range(12):
         kb, rules, phi = random_instance(rng, max_entities=5, max_arity=3)
         program = compile_rules(rules, kb)
-        config = EngineConfig(iterations=iterations, damping=damping)
-        got = iterate(phi, program, config)
-        want = _reference_iterate(phi, program, config)
-        assert got.tables.keys() == want.keys()
-        for name, table in got.tables.items():
-            assert _is_label_plane(table), name
-            assert np.array_equal(table, want[name]), name
+        # binary predicates run as one plane, so agreement is to rounding
+        _assert_matches_reference(phi, program, EngineConfig(iterations, damping=damping))
     assert all(_is_label_plane(t) for t in initial_marginals(phi, kb).tables.values())
     assert all(_is_label_plane(t) for t in UnaryTable.zeros(kb).tables.values())
 
@@ -515,7 +527,7 @@ def test_broadcast_message_keeps_its_contracted_size():
     config = EngineConfig(iterations=3)
     got = iterate(phi, program, config)
     want = _reference_iterate(phi, program, config)
-    assert all(np.array_equal(got.tables[name], want[name]) for name in want)
+    assert all(np.max(np.abs(got.tables[name] - want[name])) <= 1e-12 for name in want)
 
 
 def test_weighting_leaves_shared_gathered_input_unchanged(monkeypatch):
@@ -566,3 +578,124 @@ def test_iterate_memory_does_not_grow_with_iterations():
             tracemalloc.stop()
 
     assert peak(6) <= peak(2) + table_bytes
+
+
+# --- binary predicates as one plane -----------------------------------------
+
+def _with_evidence(kb, rng, share=0.3):
+    """The same domain with a random share of every predicate's cells observed."""
+    observations = {}
+    for name, p in kb.predicates.items():
+        for cell in np.ndindex(*kb.shape(p)):
+            if rng.random() < share:
+                observations[(name, cell)] = int(rng.integers(p.num_labels))
+    return KnowledgeBase(kb.entities, kb.predicates, observations)
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+@pytest.mark.parametrize("rule", [*SCATTER_SHAPES.values(), "\n".join(SCATTER_SHAPES.values())],
+                         ids=[*SCATTER_SHAPES.keys(), "all shapes"])
+def test_scatter_shapes_match_two_plane_reference(rule, damping):
+    rules = E.parse_rules(SHAPE_DECLS + rule)
+    rng = np.random.default_rng(21)
+    kb = _with_evidence(KnowledgeBase([f"E{i}" for i in range(4)], rules.predicates, {}), rng)
+    assert any(m.mask.any() for m in kb.masks().values())
+    phi = UnaryTable({name: rng.normal(0.0, 1.5, kb.shape(p) + (p.num_labels,))
+                      for name, p in kb.predicates.items()})
+    _assert_matches_reference(phi, compile_rules(rules, kb), EngineConfig(3, damping=damping))
+
+
+def test_saturated_logit_difference_gives_exact_marginals():
+    p = Predicate("p", 1)
+    kb = KnowledgeBase(["x", "y", "z"], {"p": p}, {})
+    phi = UnaryTable({"p": np.array([[0.0, 800.0], [800.0, 0.0], [0.0, 700.0]])})
+    program = compile_rules([Clause((binary_literal(p, (A,)),), weight=50.0, id="u")], kb)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        out = iterate(phi, program, EngineConfig(iterations=2))
+        start = initial_marginals(phi, kb)
+    # |x1 - x0| is 850, 750 and 750 after the +50 message
+    assert out.tables["p"].tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+    assert start.tables["p"].tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def test_overflowing_logit_difference_names_predicate_and_iteration():
+    p = Predicate("p", 1)
+    kb = KnowledgeBase(["x"], {"p": p}, {})
+    phi = UnaryTable({"p": np.array([[-1e308, 1e308]])}).validate(kb)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert initial_marginals(phi, kb).tables["p"].tolist() == [[0.0, 1.0]]
+        with pytest.raises(EngineError, match="non-finite logits for p at iteration 1"):
+            iterate(phi, Program(kb, ()), EngineConfig(iterations=1))
+
+
+def test_gather_from_a_binary_plane():
+    rules = E.parse_rules(SHAPE_DECLS + "!p(a,b) | r(a)\np(a,b) | r(a)\n"
+                          "!p(a,E1) | r(a)\n!p(E1,b) | r(b)\n!flag() | r(a)\n")
+    kb = KnowledgeBase([f"E{i}" for i in range(4)], rules.predicates, {})
+    rng = np.random.default_rng(3)
+    planes = {"p": rng.random((4, 4)), "r": rng.random(4), "flag": np.array(0.25)}
+    seen = set()
+    for ci in compile_rules(rules, kb).implications:
+        for premise in ci.premises:
+            q1 = planes[premise.predicate]
+            cells = [slice(None)] * q1.ndim
+            for axis, pos in premise.const_slices:
+                cells[axis] = pos
+            want = q1[tuple(cells)]
+            out = premise.gather(q1)
+            if premise.complement_labels == (0,):
+                want = 1.0 - want
+                assert not np.shares_memory(out, q1)
+            else:
+                # a contiguous slice is q1 itself; a strided one is copied
+                assert np.shares_memory(out, q1) == want.flags.c_contiguous
+            assert np.array_equal(out, want)
+            assert np.asarray(out).flags.c_contiguous
+            seen.add((premise.predicate, premise.complement_labels, premise.const_slices))
+    assert {(1,), (0,)} <= {labels for _, labels, _ in seen}
+    assert {((1, 1),), ((0, 1),)} <= {consts for _, _, consts in seen}
+
+
+def test_one_plane_weighting_leaves_aliased_snapshot_unchanged():
+    # the r and s messages read p's label-1 plane itself, through one view
+    rules = E.parse_rules("predicate p(t,t)\npredicate r(t,t)\npredicate s(t,t)\n"
+                          "2.5: !p(a,b) | r(a,b)\n0.5: !p(a,b) | !s(a,b)\n")
+    kb = KnowledgeBase([f"E{i}" for i in range(3)], rules.predicates, {})
+    program = compile_rules(rules, kb)
+    rng = np.random.default_rng(2)
+    q1 = {name: rng.random((3, 3)) for name in "prs"}
+    snapshot = {name: arr.copy() for name, arr in q1.items()}
+    diff = {name: np.zeros((3, 3)) for name in "prs"}
+    weights = tuple(ci.weight for ci in program.implications)
+    _add_messages(diff, program, MarginalTable(q1), weights)
+    assert all(np.array_equal(q1[name], snapshot[name]) for name in q1)
+    # the same messages added to two label planes give x1 - x0 exactly
+    q = MarginalTable({name: np.stack([1.0 - arr, arr], axis=-1) for name, arr in q1.items()})
+    logits = {name: np.zeros((3, 3, 2)) for name in "prs"}
+    _add_messages(logits, program, q, weights)
+    for name in "prs":
+        assert np.array_equal(diff[name], logits[name][..., 1] - logits[name][..., 0])
+    assert np.array_equal(diff["r"], 2.5 * q1["p"]) and np.array_equal(diff["s"], -0.5 * q1["p"])
+
+
+def _argmax_changes(new, old, kb):
+    return sum(int(np.count_nonzero((new.tables[name].argmax(-1) != old.tables[name].argmax(-1))
+                                    & ~kb.masks()[name].mask))
+               for name in kb.predicates)
+
+
+def test_trace_counts_latent_cells_whose_argmax_changed(smoke_rules, smoke_kb, smoke_phi):
+    rules, kb, phi = _kbc_instance(6, seed=8)
+    kb = _with_evidence(kb, np.random.default_rng(8))
+    for rules, kb, phi in [(smoke_rules, smoke_kb, smoke_phi), (rules, kb, phi)]:
+        trace = IterationTrace()
+        E.run_inference(rules, kb, phi, EngineConfig(iterations=5), trace)
+        assert len(trace.changed) == 5
+        prev = initial_marginals(phi, kb)
+        for k in range(1, 6):
+            cur = E.run_inference(rules, kb, phi, EngineConfig(iterations=k))
+            assert trace.changed[k - 1] == _argmax_changes(cur, prev, kb)
+            prev = cur
+    assert trace.changed[0] > 0     # the kbc rules move some argmax at once

@@ -101,3 +101,16 @@ def test_reference_cases_cover_the_orders_the_report_sorts_by():
     assert any(kb.entities.index("E10") < kb.entities.index("E2")
                for _, kb, _ in cases if {"E10", "E2"} <= set(kb.entities))
     assert any(len(q) > len({(a.predicate.name, a.args) for a in q}) for _, _, q in cases)
+
+
+def test_json_report_without_rows_and_with_escaped_names():
+    on, tag = Predicate("on", 0), Predicate("tag", 1, 3, ('O"', "B\\", "\u00c9"))
+    kb = KnowledgeBase(['E"0', "\u00e9\n1"], {"on": on, "tag": tag}, {("tag", (1,)): 2})
+    tables = {"on": np.array([0.25, 0.75]),
+              "tag": np.array([[0.2, 0.3, 0.5], [0.0, 0.0, 1.0]])}
+    result = MarginalTable(tables)
+    want = reference_rows(result, kb)
+    assert format_marginals_json(result, kb) == reference_json(want)
+    assert '"E\\"0"' in format_marginals_json(result, kb)
+    empty = load_queries("", kb)
+    assert format_marginals_json(result, kb, empty) == reference_json([]) == "[]\n"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from einlog.oracle import brute_einsum
-from einlog.tensor import (EinsumSpec, TensorError, einsum, label_planes,
+from einlog.tensor import (EinsumSpec, TensorError, einsum, label_planes, sigmoid,
                            softmax_lastaxis)
 
 
@@ -175,3 +175,24 @@ def test_softmax_out_equals_reduction_form_bitwise_in_either_layout(labels, cell
         out = label_planes(logits.shape)
         assert softmax_lastaxis(_in_layout(logits, src), out=out) is out
         assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("cells", [(), (5,), (131, 131), (41, 41, 41)])
+def test_sigmoid_matches_binary_softmax(cells):
+    rng = np.random.default_rng(len(cells))
+    d = np.asarray(rng.normal(size=cells) * 20)
+    want = _reduction_softmax(np.stack([np.zeros(cells), d], axis=-1))[..., 1]
+    assert np.max(np.abs(sigmoid(d) - want), initial=0.0) <= 1e-15
+    # at d >= 0 both forms compute 1 / (1 + exp(-d)), so they agree bit for bit
+    assert np.array_equal(sigmoid(d)[d >= 0], want[d >= 0])
+    strided = np.stack([d, d], axis=-1)[..., 1]
+    assert np.array_equal(sigmoid(strided), sigmoid(d))
+    arr = d.copy()
+    assert sigmoid(arr, out=arr) is arr and np.array_equal(arr, sigmoid(d))
+
+
+def test_sigmoid_saturates_without_warnings():
+    d = np.array([-1e308, -800.0, -745.5, 745.5, 800.0, 1e308, 0.0])
+    with np.errstate(all="raise"):
+        got = sigmoid(d)
+    assert got.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5]
