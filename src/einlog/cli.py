@@ -124,8 +124,24 @@ def cmd_plan(args) -> int:
         ratio = plan.naive_cost / plan.total_cost if plan.total_cost else float("inf")
         print(f"naive={int(plan.naive_cost)} optimized={int(plan.total_cost)} "
               f"ratio={ratio:.1f}")
+        if ci.complement is not None:
+            _print_complement(ci, kb)
         print()
     return EXIT_OK
+
+
+def _print_complement(ci: engine.CompiledImplication, kb: KnowledgeBase):
+    """The expanded premise, ``N^k`` and the ones-term plan's steps."""
+    cx = ci.complement
+    premise = ci.premises[cx.index]
+    args = list(premise.subscript)
+    for axis, pos in premise.const_slices:
+        args.insert(axis, kb.entities[pos])
+    own = set(premise.subscript).difference(cx.ones.spec.output, *cx.ones.spec.inputs)
+    print(f"complement {premise.predicate}({','.join(args)}): {kb.n}^{len(own)} - sum q1; "
+          f"ones plan {cx.ones.spec} total_cost={int(cx.ones.total_cost)}")
+    for step in cx.ones.steps:
+        print(step.describe())
 
 
 def cmd_demo(args) -> int:

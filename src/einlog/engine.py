@@ -12,14 +12,17 @@ synchronous: all messages of one iteration read the same marginal snapshot.
 Inside ``iterate`` a binary predicate is held as one plane, since
 ``q0 = 1 - q1``: the logit difference ``x1 - x0`` while messages are added,
 then ``q1``.  A table whose ``ndim`` equals its predicate's arity is such a
-plane; every other table is ``N^arity x D`` with the labels last.
+plane; every other table is ``N^arity x D`` with the labels last.  Where a
+summed premise would read ``1 - q1``, the message is expanded as
+``N^k * contract(other premises) - contract(..., q1, ...)`` instead (see
+``ComplementExpansion``), so no complement table is built.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -95,6 +98,10 @@ class PremiseInput:
     complement_labels: tuple[int, ...]   # labels on which the literal is false
 
     @property
+    def arity(self) -> int:
+        return len(self.subscript) + len(self.const_slices)
+
+    @property
     def key(self) -> tuple:
         """What ``gather`` reads: premises with equal keys get equal arrays."""
         return (self.predicate, self.const_slices, self.complement_labels)
@@ -109,10 +116,10 @@ class PremiseInput:
         A constant slice that comes out strided is copied, since a strided
         operand would change the summation order of the contraction.
         """
-        cells = [slice(None)] * (len(self.subscript) + len(self.const_slices))
+        cells = [slice(None)] * self.arity
         for axis, pos in self.const_slices:
             cells[axis] = pos
-        if q.ndim == len(cells):
+        if q.ndim == self.arity:
             plane = q[(*cells, ...)]
             if self.complement_labels == (0,):
                 return np.subtract(1.0, plane)
@@ -122,6 +129,19 @@ class PremiseInput:
         for label in rest:
             out += q[(*cells, label)]
         return out
+
+
+@dataclass(frozen=True)
+class ComplementExpansion:
+    """The premise ``index``, falsified by label 0 of a binary predicate, read
+    as ``q1``: ``contract(..., 1 - q1, ...)`` equals
+    ``scale * contract(others) - contract(..., q1, ...)``, where ``scale`` is
+    ``N^k`` for the k letters only that premise holds and ``ones`` plans the
+    other premises onto the message's output."""
+
+    index: int
+    scale: float
+    ones: planner.ContractionPlan
 
 
 @dataclass(frozen=True)
@@ -136,6 +156,7 @@ class CompiledImplication:
     premises: tuple[PremiseInput, ...]
     spec: EinsumSpec
     plan: planner.ContractionPlan
+    complement: ComplementExpansion | None  # used on q1 planes only
     # index of the hypothesis cells, in message axis order; see _scatter_index
     scatter: tuple = field(compare=False, repr=False)
 
@@ -215,8 +236,36 @@ def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[Com
             weight=clause.weight, hypothesis=hyp.predicate.name,
             target_labels=tuple(sorted(hyp.value_set)),
             premises=tuple(premises), spec=spec, plan=cplan,
+            complement=_complement_expansion(premises, spec, extents, kb),
             scatter=_scatter_index(out_sub, pattern, kb.n)))
     return out
+
+
+def _complement_expansion(premises, spec: EinsumSpec, extents: dict,
+                          kb: KnowledgeBase) -> ComplementExpansion | None:
+    """The expansion of the one premise a binary label 0 falsifies, when the
+    ``1 - q1`` table it saves has more cells than the ones-term's plan costs
+    plus the message core holds; None otherwise.
+
+    A premise worth expanding sums a letter, so the main plan's result is a
+    fresh array that the expansion may overwrite.
+    """
+    found = [i for i, p in enumerate(premises) if p.complement_labels == (0,)
+             and kb.predicates[p.predicate].num_labels == 2]
+    if len(found) != 1:
+        return None
+    (i,) = found
+    others = spec.inputs[:i] + spec.inputs[i + 1:]
+    ones = planner.plan(EinsumSpec(others, spec.output), extents)
+
+    def cells(letters) -> int:
+        return math.prod(extents[ch] for ch in letters)
+
+    core = spec.input_letters().intersection(spec.output)
+    if cells(set(spec.inputs[i])) <= ones.total_cost + cells(core):
+        return None
+    own = set(spec.inputs[i]).difference(spec.output, *others)
+    return ComplementExpansion(i, float(cells(own)), ones)
 
 
 def _scatter_index(output: str, pattern, n: int) -> tuple:
@@ -261,16 +310,32 @@ def message(ci: CompiledImplication, marginals: MarginalTable,
     inputs, so one array can feed several messages.  A message without
     contraction (``ab->ab``) is a view of its gathered input, so callers
     must not write to it in place.
+
+    With a ``q1`` plane under its expanded premise, ``ci.complement`` reads
+    that premise as ``q1`` (gathered under its label-1 key) and the message
+    is ``scale * ones - main``, written over ``main``.
     """
     if gathered is None:
         gathered = {}
+    premises, cx = ci.premises, ci.complement
+    if cx is not None:
+        p = premises[cx.index]
+        if marginals.tables[p.predicate].ndim == p.arity:
+            premises = (*premises[:cx.index], replace(p, complement_labels=(1,)),
+                        *premises[cx.index + 1:])
+        else:
+            cx = None
     arrays = []
-    for p in ci.premises:
+    for p in premises:
         arr = gathered.get(p.key)
         if arr is None:
             arr = gathered[p.key] = p.gather(marginals.tables[p.predicate])
         arrays.append(arr)
-    return planner.execute(ci.plan, arrays)
+    main = planner.execute(ci.plan, arrays)
+    if cx is None:
+        return main
+    ones = planner.execute(cx.ones, arrays[:cx.index] + arrays[cx.index + 1:])
+    return np.subtract(cx.scale * ones, main, out=main)
 
 
 def _clamp(tables: dict[str, np.ndarray], masks: dict[str, ObservationMask]):

@@ -488,7 +488,7 @@ def _build_clause(raws: list[_RawLiteral], predicates: dict[str, Predicate],
     literals = [_build_literal(raw, predicates) for raw in raws]
     merged = None if any(lit is None for lit in literals) else merge_literals(literals)
     if merged is None:
-        warnings.warn(f"line {lineno}: tautological clause dropped", RuleWarning,
+        warnings.warn(f"line {lineno}: tautological clause dropped ({cid})", RuleWarning,
                       stacklevel=3)
         return None
     return Clause(merged, weight=weight, id=cid)
@@ -537,7 +537,12 @@ def _try_weight_prefix(p: _LineParser) -> float | None:
 
 
 def parse_rules(text: str) -> RuleSet:
-    """Parse a rule file into predicate declarations and validated formulas."""
+    """Parse a rule file into predicate declarations and validated formulas.
+
+    Formula lines are numbered in file order, ``f1, f2, ...``; a line whose
+    clauses are all tautologies is dropped and keeps its number, so the ids
+    of later lines do not depend on it.
+    """
     ruleset = RuleSet()
     n_formulas = 0
     for lineno, line in content_lines(text):
@@ -568,14 +573,14 @@ def parse_rules(text: str) -> RuleSet:
                 continue
             distinct.append(c)
         if not distinct:
-            n_formulas -= 1
             continue
         ruleset.formulas.append(CnfFormula(tuple(distinct), weight=weight, id=fid))
     return ruleset
 
 
 def format_rules(ruleset: RuleSet) -> str:
-    """Rule file text that reparses to an equal RuleSet."""
+    """Rule file text that reparses to an equal RuleSet, up to formula ids
+    where the parsed file had a tautological line (reparsing closes the gap)."""
     lines = []
     for pred in ruleset.predicates.values():
         types = pred.arg_types or tuple(f"t{i}" for i in range(pred.arity))

@@ -26,3 +26,11 @@ def smoke_kb(smoke_rules):
 def smoke_phi(smoke_kb):
     from einlog.io import load_unary
     return load_unary((DATA / "smoke.unary").read_text(), smoke_kb)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's workload module, for its rule texts."""
+    monkeypatch.syspath_prepend(str(DATA.parents[1] / "perfbench"))
+    import workloads
+    return workloads

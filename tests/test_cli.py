@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from einlog.cli import main
+from einlog.fol import RuleWarning
 
 DATA = Path(__file__).parent / "data"
 
@@ -238,6 +239,44 @@ def test_plan_unit_clause_zero_cost(tmp_path, capsys):
     code, out, _ = run(capsys, "plan", "--rules", str(rules))
     assert code == 0
     assert "total_cost=0" in out
+
+
+def test_plan_names_the_complement_expansion(tmp_path, capsys, workloads):
+    rules = tmp_path / "kbc.rules"
+    rules.write_text(workloads.KBC_RULES)
+    code, out, _ = run(capsys, "plan", "--rules", str(rules), "--entities", "128")
+    assert code == 0
+    chunks = {chunk.split("\n", 1)[0]: chunk for chunk in out.split("# rule")[1:]}
+    expanded = [head for head, chunk in chunks.items() if "\ncomplement " in chunk]
+    assert expanded == [" f2 clause f2 -> rel (labels [0]), spec abc->ab"]
+    assert chunks[expanded[0]].endswith(
+        "naive=2097152 optimized=2097152 ratio=1.0\n"
+        "complement tri(a,b,c): 128^1 - sum q1; ones plan ->ab total_cost=0\n\n")
+
+
+def test_plan_lists_the_ones_plan_steps(tmp_path, capsys):
+    rules = tmp_path / "side.rules"
+    rules.write_text("predicate r(e)\npredicate p(e,e)\npredicate t(e,e,e)\n"
+                     "!r(a) | !p(a,b) | t(a,b,c)\n!r(a) | t(a,E1,c)\n")
+    code, out, _ = run(capsys, "plan", "--rules", str(rules), "--entities", "10")
+    assert code == 0
+    assert "complement t(a,b,c): 10^1 - sum q1; ones plan ab->a total_cost=100\n" \
+           "ab->a kernel=einsum cost=100\n\n" in out
+    # letters follow each clause's own variable order
+    assert "complement t(a,E1,b): 10^1 - sum q1; ones plan ->a total_cost=0\n\n" in out
+
+
+def test_weight_ids_count_a_dropped_tautological_line(tmp_path, capsys):
+    rules = tmp_path / "gap.rules"
+    rules.write_text("predicate smoke(person)\npredicate cancer(person)\n"
+                     "smoke(a) | !smoke(a)\nsmoke(a)\n3.0: !smoke(a) | cancer(a)\n")
+    evidence = tmp_path / "gap.evidence"
+    evidence.write_text("smoke(Ann)\n")
+    argv = ["infer", "--rules", str(rules), "--evidence", str(evidence)]
+    with pytest.warns(RuleWarning, match=r"\(f1\)"):
+        assert run(capsys, *argv, "--weight", "f3=0")[0] == 0
+        code, _, err = run(capsys, *argv, "--weight", "f1=0")
+    assert code == 2 and "unknown rule id f1" in err
 
 
 def test_demo_command(capsys):

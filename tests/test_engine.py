@@ -11,6 +11,7 @@ from einlog.engine import (EngineConfig, EngineError, IterationTrace, MarginalTa
                            initial_marginals, iterate, message, transitivity_violations)
 from einlog.fol import Clause, CnfFormula, Literal, Predicate, binary_literal, variable
 from einlog.kb import KnowledgeBase
+from einlog.oracle import naive_mf_step
 from einlog.tensor import softmax_lastaxis
 from einlog.testing import engine_oracle_gap, random_instance
 
@@ -498,12 +499,17 @@ def test_one_gather_per_distinct_premise_key(monkeypatch):
         calls.append(self.key)
         return original(self, table)
 
+    # an expanded premise reads q1 under its label-1 key inside iterate, so
+    # ('tri', (), (0,)) is never gathered there
+    expanded = {ci.premises[ci.complement.index].key
+                for ci in program.implications if ci.complement is not None}
+    assert expanded == {("tri", (), (0,))}
     monkeypatch.setattr(PremiseInput, "gather", counting)
     for iterations in (1, 3):
         calls.clear()
         iterate(phi, program, EngineConfig(iterations=iterations))
-        assert len(calls) == iterations * len(keys)
-        assert set(calls) == keys
+        assert len(calls) == iterations * len(keys - expanded)
+        assert set(calls) == keys - expanded
 
 
 def test_chain_steps_of_workload_rules_run_as_gemm():
@@ -699,3 +705,73 @@ def test_trace_counts_latent_cells_whose_argmax_changed(smoke_rules, smoke_kb, s
             assert trace.changed[k - 1] == _argmax_changes(cur, prev, kb)
             prev = cur
     assert trace.changed[0] > 0     # the kbc rules move some argmax at once
+
+
+# --- summed 1 - q1 premises expanded into N^k - sum q1 -----------------------
+
+def _expanded(rules, n):
+    kb = KnowledgeBase([f"E{i}" for i in range(n)], rules.predicates, {})
+    return [ci for ci in compile_rules(rules, kb).implications if ci.complement is not None]
+
+
+@pytest.mark.parametrize("n", [2, 128])
+def test_only_the_summed_tri_premise_of_kbc_expands(workloads, n):
+    (ci,) = _expanded(E.parse_rules(workloads.KBC_RULES), n)
+    assert (ci.hypothesis, str(ci.spec)) == ("rel", "abc->ab")
+    assert ci.premises[ci.complement.index].key == ("tri", (), (0,))
+    assert ci.complement.scale == float(n)
+    assert str(ci.complement.ones.spec) == "->ab" and ci.complement.ones.total_cost == 0
+
+
+@pytest.mark.parametrize("n", [9, 1024])
+@pytest.mark.parametrize("name", ["TRANSITIVITY_RULES", "REPORT_RULES"])
+def test_no_transitivity_or_report_implication_expands(workloads, name, n):
+    assert _expanded(E.parse_rules(getattr(workloads, name)), n) == []
+
+
+def test_message_on_public_tables_is_the_unexpanded_contraction():
+    rules, kb, phi = _kbc_instance(5)
+    program = compile_rules(rules, kb)
+    q = iterate(phi, program, EngineConfig(iterations=2))
+    planes = MarginalTable({name: t[..., 1] if kb.predicates[name].num_labels == 2 else t
+                            for name, t in q.tables.items()})
+    (expanded,) = [ci for ci in program.implications if ci.complement is not None]
+    for ci in program.implications:
+        want = planner.execute(ci.plan, [p.gather(q.tables[p.predicate]) for p in ci.premises])
+        assert np.array_equal(message(ci, q), want)
+        got = message(ci, planes)
+        if ci is expanded:
+            assert np.max(np.abs(got - want)) <= 1e-12
+        else:
+            assert np.array_equal(got, want)
+
+
+EXPANDING_SHAPES = {
+    "arity-2 sum": "!r(a) | p(a,b)",
+    "repeated variable": "!r(a) | t(a,b,b)",
+    "constant": "!r(a) | t(a,E1,c)",
+    "beside another premise": "!r(a) | !p(a,b) | t(a,b,c)",
+    "broadcast hypothesis": "!p(a,d) | r(b)",
+    "two-clause CNF": "2.0: (!r(a) | p(a,b)) & (!p(a,b) | t(a,b,c))",
+}
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+@pytest.mark.parametrize("rule", EXPANDING_SHAPES.values(), ids=EXPANDING_SHAPES.keys())
+def test_expanded_shapes_match_reference_and_chained_oracle(rule, damping):
+    rules = E.parse_rules(SHAPE_DECLS + rule)
+    rng = np.random.default_rng(27)
+    kb = _with_evidence(KnowledgeBase([f"E{i}" for i in range(4)], rules.predicates, {}), rng)
+    program = compile_rules(rules, kb)
+    assert any(ci.complement is not None for ci in program.implications)
+    phi = UnaryTable({name: rng.normal(0.0, 1.5, kb.shape(p) + (p.num_labels,))
+                      for name, p in kb.predicates.items()})
+    config = EngineConfig(3, damping=damping)
+    _assert_matches_reference(phi, program, config)
+    got = iterate(phi, program, config)
+    q = initial_marginals(phi, kb)
+    for _ in range(3):
+        new = naive_mf_step(q, rules, kb, phi)
+        q = MarginalTable({name: (1.0 - damping) * new.tables[name] + damping * q.tables[name]
+                           for name in new.tables})
+    assert got.max_abs_diff(q) <= 1e-9

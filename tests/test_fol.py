@@ -263,3 +263,13 @@ def test_pure_tautology_still_warns_and_is_dropped():
     with pytest.warns(RuleWarning, match="line 6: tautological clause dropped"):
         ruleset = parse_rules(HEADER + "smoke(a) | !smoke(a) | cancer(a)\nsmoke(a) => cancer(a)\n")
     assert [str(f) for f in ruleset] == ["!smoke(a) | cancer(a)"]
+
+
+def test_formula_ids_keep_the_number_of_a_dropped_tautology():
+    text = "predicate p(e)\npredicate q(e)\np(a) | !p(a)\nq(a)\n3.0: !q(a) | p(a)\n"
+    with pytest.warns(RuleWarning, match=r"line 3: tautological clause dropped \(f1\)"):
+        ruleset = parse_rules(text)
+    assert [(f.id, str(f)) for f in ruleset] == [("f2", "q(a)"), ("f3", "3.0: !q(a) | p(a)")]
+    kb = KnowledgeBase(["u"], ruleset.predicates, {})
+    weights = {ci.rule_id: ci.weight for ci in compile_rules(ruleset, kb).implications}
+    assert weights == {"f2": 1.0, "f3": 3.0}
