@@ -8,7 +8,7 @@ from .fol import (Clause, CnfFormula, Literal, Predicate, RuleError, RuleSet, Te
                   binary_literal, constant, format_rules, parse_rules, split_cnf,
                   variable)
 from .kb import (EvidenceError, GroundAtom, KnowledgeBase, ObservationMask, Queries,
-                 load_evidence, load_queries, variable_universe)
+                 load_evidence, load_queries)
 from .metrics import MetricError, auc_pr
 from .oracle import (Grounding, OracleError, brute_einsum, enumerate_groundings,
                      exact_marginals, naive_mf_step)

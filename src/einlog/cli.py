@@ -68,7 +68,6 @@ def cmd_infer(args) -> int:
     ruleset = parse_rules(_read(args.rules))
     kb = load_evidence(_read(args.evidence), ruleset.predicates)
     phi = io.load_unary(_read(args.unary), kb) if args.unary else UnaryTable.zeros(kb)
-    phi.validate(kb)
     queries = load_queries(_read(args.queries), kb) if args.queries else None
     config = EngineConfig(iterations=args.iterations,
                           weights=_parse_weight_overrides(args.weight))

@@ -10,17 +10,19 @@ labels in the hypothesis value set before renormalizing.  Updates are
 synchronous: all messages of one iteration read the same marginal snapshot.
 
 Inside ``iterate`` a binary predicate is held as one plane, since
-``q0 = 1 - q1``: the logit difference ``x1 - x0`` while messages are added,
-then ``q1``.  A table whose ``ndim`` equals its predicate's arity is such a
-plane; every other table is ``N^arity x D`` with the labels last.  Where a
-summed premise would read ``1 - q1``, the message is expanded as
-``N^k * contract(other premises) - contract(..., q1, ...)`` instead (see
-``ComplementExpansion``), so no complement table is built.
+``q0 = 1 - q1``: the logit difference ``x0 - x1`` while messages are added,
+then ``q1 = 1 / (1 + exp(x0 - x1))``.  A table whose ``ndim`` equals its
+predicate's arity is such a plane; every other table is ``N^arity x D``
+with the labels last.  Where a summed premise would read ``1 - q1``, the
+message is expanded as ``N^k * contract(other premises) -
+contract(..., q1, ...)`` instead (see ``ComplementExpansion``), so no
+complement table is built.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -180,6 +182,8 @@ class EngineConfig:
     damping: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.iterations, numbers.Integral):
+            raise EngineError(f"iterations must be an integer, got {self.iterations!r}")
         if self.iterations < 1:
             raise EngineError("iterations must be >= 1")
         if not 0.0 <= self.damping <= 1.0:
@@ -361,13 +365,13 @@ def _storage(kb: KnowledgeBase) -> tuple[dict, dict, frozenset]:
 
 
 def _refill(tables: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset):
-    """Unary logits into each table; a binary plane gets ``x1 - x0``, which
+    """Unary logits into each table; a binary plane gets ``x0 - x1``, which
     may overflow: the finite check of ``iterate`` reports it."""
     with np.errstate(over="ignore"):
         for name, arr in tables.items():
             logits = phi.tables[name]
             if name in planes:
-                np.subtract(logits[..., 1], logits[..., 0], out=arr)
+                np.subtract(logits[..., 0], logits[..., 1], out=arr)
             else:
                 np.copyto(arr, logits)
 
@@ -415,7 +419,7 @@ def _add_messages(logits: dict[str, np.ndarray], program: Program,
     """Add every message, scaled by its entry of ``weights`` (aligned with
     ``program.implications``), all read from the snapshot ``q``.
 
-    A binary plane holds ``x1 - x0``, so a message to label 0 is added with
+    A binary plane holds ``x0 - x1``, so a message to label 1 is added with
     its weight negated; negation is exact, so this rounds as a subtraction.
     A message that ``planner.execute`` allocated is scaled in place (it
     rounds as ``w * msg``).  A view, such as a message without contraction
@@ -428,7 +432,7 @@ def _add_messages(logits: dict[str, np.ndarray], program: Program,
         target = logits[ci.hypothesis]
         if target.ndim == len(ci.scatter):
             (label,) = ci.target_labels
-            w, cells = (w if label else -w), [ci.scatter]
+            w, cells = (-w if label else w), [ci.scatter]
         else:
             cells = [ci.scatter + (label,) for label in ci.target_labels]
         msg = message(ci, q, gathered)
@@ -469,8 +473,10 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     is normalized, damped and clamped in place.  A binary predicate's pair
     is two planes (see the module docstring), and the one the last
     iteration writes is label 1 of its output table from the start, so the
-    result costs one ``1 - q1`` pass and no copy.
+    result costs one ``1 - q1`` pass and no copy.  ``phi`` is validated
+    against the program's knowledge base first.
     """
+    phi.validate(program.kb)
     unknown = sorted(set(config.weights) - {ci.rule_id for ci in program.implications})
     if unknown:
         raise EngineError(f"weight override for unknown rule id {', '.join(unknown)}")
@@ -507,7 +513,6 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
 def run_inference(rules, kb: KnowledgeBase, phi: UnaryTable, config: EngineConfig,
                   trace: IterationTrace | None = None) -> MarginalTable:
     """Compile rules against the knowledge base and iterate."""
-    phi.validate(kb)
     return iterate(phi, compile_rules(rules, kb), config, trace)
 
 

@@ -60,12 +60,17 @@ class GroundAtom:
             raise EvidenceError(f"{self.predicate.name} expects {self.predicate.arity} args")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservationMask:
-    """Per-cell observation flags and observed labels (-1 where latent)."""
+    """Per-cell observation flags and observed labels (-1 where latent),
+    both read-only."""
 
     mask: np.ndarray
     labels: np.ndarray
+
+    def __post_init__(self):
+        self.mask.setflags(write=False)
+        self.labels.setflags(write=False)
 
 
 def flat_cells(cells: np.ndarray, n: int) -> np.ndarray:
@@ -80,7 +85,8 @@ class KnowledgeBase:
     ``observations`` is a ``{(name, args): label}`` mapping, or per-predicate
     arrays ``{name: (cells, labels)}`` as ``load_evidence`` passes them: an
     (m, arity) entity index array and the m labels observed at those cells.
-    Both forms are kept as the arrays in ``observed`` and validated there.
+    Both forms are kept as read-only copies in ``observed`` and validated
+    there.
     """
 
     def __init__(self, entities, predicates, observations):
@@ -108,8 +114,8 @@ class KnowledgeBase:
             if pred is None:
                 raise EvidenceError(f"observation for undeclared predicate {name!r}")
             try:
-                labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-                cells = np.asarray(cells, dtype=np.int64).reshape(len(labels), pred.arity)
+                labels = np.array(labels, dtype=np.int64).reshape(-1)
+                cells = np.array(cells, dtype=np.int64).reshape(len(labels), pred.arity)
             except ValueError:
                 raise EvidenceError(f"observation arity mismatch for {name}") from None
             unknown = np.flatnonzero(((cells < 0) | (cells >= self.n)).any(axis=1))
@@ -121,6 +127,9 @@ class KnowledgeBase:
             if np.any(np.diff(np.sort(flat_cells(cells, self.n))) == 0):
                 raise EvidenceError(f"repeated observation cell for {name}")
             self.observed[name] = (cells, labels)
+        for arrays in self.observed.values():
+            for arr in arrays:
+                arr.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -142,9 +151,6 @@ class KnowledgeBase:
 
     def shape(self, pred: Predicate) -> tuple[int, ...]:
         return (self.n,) * pred.arity
-
-    def observed_label(self, name: str, args: tuple[int, ...]) -> int | None:
-        return self.observations.get((name, args))
 
     @cached_property
     def _masks(self) -> dict[str, ObservationMask]:
@@ -358,12 +364,6 @@ def _walk_evidence(text: str, preds: dict[str, Predicate], seed: list) -> Knowle
     if not index:
         raise EvidenceError("empty entity domain: no entities seeded or observed")
     return KnowledgeBase(index, preds, observations)
-
-
-def variable_universe(kb: KnowledgeBase) -> dict[str, int]:
-    """Number of unobserved ground atoms per predicate."""
-    return {name: kb.n ** pred.arity - len(kb.observed[name][1])
-            for name, pred in kb.predicates.items()}
 
 
 def load_queries(text: str, kb: KnowledgeBase) -> Queries:

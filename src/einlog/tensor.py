@@ -9,7 +9,6 @@ input subscript select the diagonal, as usual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -102,74 +101,39 @@ def einsum(spec, inputs, extents=None) -> np.ndarray:
 def label_planes(shape: tuple[int, ...], alloc=np.empty) -> np.ndarray:
     """A float64 table of ``shape`` (labels last) stored label-major.
 
-    Each label slice ``t[..., l]`` is then one contiguous plane, so the
-    slice loops of normalize, gather and scatter read and write contiguous
-    memory.  Indexing is unchanged; only the strides differ from C order.
+    Each label slice ``t[..., l]`` is then one contiguous plane, so gather
+    and scatter read and write contiguous memory.  Indexing is unchanged;
+    only the strides differ from C order.
     """
     return np.moveaxis(alloc(shape[-1:] + shape[:-1]), 0, -1)
 
 
-# Cells per normalize block: a block's label slices and its max and sum rows
-# stay in a core's L2 cache through the passes over the block.
-_BLOCK_CELLS = 1 << 14
-
-
 def softmax_lastaxis(t, out: np.ndarray | None = None) -> np.ndarray:
-    """Normalize over the label axis, which is short (2 to a few labels).
+    """Normalize over the label axis: shift by the label maximum, ``exp``
+    and divide by the label sum, each a whole-array pass.
 
-    numpy's ``max``/``sum`` over a short last axis cost several times a pass
-    over the data, so the max, the shift, the sum and the division loop over
-    the label slices ``arr[..., k]`` instead.  Below eight labels this adds
-    in the same order as ``sum(axis=-1)``, so the result is bit-identical to
-    the reduction form.  The passes run block by block along the first axis,
-    so each block is read from memory once.  ``out`` may be the input
-    itself; without it the result is a new table in the input's layout.
+    ``out`` may be the input itself; without it the result is a new table in
+    the input's layout.
     """
     arr = np.asarray(t, dtype=np.float64)
-    e = np.empty_like(arr) if out is None else out
-    src, dst = (arr[None], e[None]) if arr.ndim == 1 else (arr, e)  # arity 0: one row
-    rows, cells = src.shape[0], src.shape[1:-1]
-    step = max(1, _BLOCK_CELLS // max(1, prod(cells)))
-    top = np.empty((min(step, rows),) + cells)
-    total = np.empty_like(top)
-    for i in range(0, rows, step):
-        a, b = src[i:i + step], dst[i:i + step]
-        m, s = top[:len(a)], total[:len(a)]
-        np.copyto(m, a[..., 0])
-        for k in range(1, a.shape[-1]):
-            np.maximum(m, a[..., k], out=m)
-        for k in range(a.shape[-1]):
-            np.subtract(a[..., k], m, out=b[..., k])
-        np.exp(b, out=b)
-        np.copyto(s, b[..., 0])
-        for k in range(1, b.shape[-1]):
-            s += b[..., k]
-        for k in range(b.shape[-1]):
-            np.divide(b[..., k], s, out=b[..., k])
-    return e
+    out = np.subtract(arr, arr.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
-def sigmoid(d, out: np.ndarray | None = None) -> np.ndarray:
-    """``1 / (1 + exp(-d))`` elementwise: label 1's probability of a binary
-    predicate whose logit difference ``x1 - x0`` is ``d``.
+def sigmoid(e, out: np.ndarray | None = None) -> np.ndarray:
+    """``1 / (1 + exp(e))`` elementwise: label 1's probability of a binary
+    predicate whose logit difference ``x0 - x1`` is ``e``.
 
-    The passes run in blocks of ``_BLOCK_CELLS`` cells, so each block is
-    read from memory once.  ``exp`` over- and underflows silently, so a
-    saturated ``d`` (``|d| > 745`` certainly) gives exactly 0 or 1.  ``out``
-    may be the input itself; without it the result is a new array.
+    ``exp`` over- and underflows silently, so a saturated ``e`` (``|e| > 745``
+    certainly) gives exactly 0 or 1.  ``out`` may be the input itself;
+    without it the result is a new array.
     """
-    arr = np.asarray(d, dtype=np.float64)
-    e = np.empty_like(arr) if out is None else out
-    if arr.flags.c_contiguous and e.flags.c_contiguous:
-        src, dst = arr.reshape(-1), e.reshape(-1)
-        blocks = [(src[i:i + _BLOCK_CELLS], dst[i:i + _BLOCK_CELLS])
-                  for i in range(0, src.size, _BLOCK_CELLS)]
-    else:
-        blocks = [(arr, e)]
+    arr = np.asarray(e, dtype=np.float64)
+    out = np.empty_like(arr) if out is None else out
     with np.errstate(over="ignore", under="ignore"):
-        for a, b in blocks:
-            np.negative(a, out=b)
-            np.exp(b, out=b)
-            b += 1.0
-            np.divide(1.0, b, out=b)
-    return e
+        np.exp(arr, out=out)
+        out += 1.0
+        np.divide(1.0, out, out=out)
+    return out

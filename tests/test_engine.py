@@ -152,6 +152,22 @@ def test_nonfinite_weight_override_rejected(value):
         EngineConfig(weights={"f1": 2.0, "f2": value})
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, "3"])
+def test_non_integer_iterations_rejected(value):
+    with pytest.raises(EngineError, match="iterations must be an integer"):
+        EngineConfig(iterations=value)
+
+
+def test_iterate_rejects_misshaped_unary_table():
+    # a (1,3,2) table would broadcast against p's (3,3) cells
+    p = Predicate("p", 2)
+    kb = KnowledgeBase(["x", "y", "z"], {"p": p}, {})
+    program = compile_rules([Clause((binary_literal(p, (A, B)),), weight=1.0, id="u")], kb)
+    phi = UnaryTable({"p": np.zeros((1, 3, 2))})
+    with pytest.raises(EngineError, match=r"unary table p: shape \(1, 3, 2\)"):
+        iterate(phi, program, EngineConfig(iterations=1))
+
+
 def test_oracle_gap_overrides_rules_without_ids():
     # the engine names a bare clause and an unnamed formula by position, so
     # the oracle side must apply the overrides to the same rules
@@ -620,7 +636,7 @@ def test_saturated_logit_difference_gives_exact_marginals():
         warnings.simplefilter("error")
         out = iterate(phi, program, EngineConfig(iterations=2))
         start = initial_marginals(phi, kb)
-    # |x1 - x0| is 850, 750 and 750 after the +50 message
+    # |x0 - x1| is 850, 750 and 750 after the +50 message
     assert out.tables["p"].tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
     assert start.tables["p"].tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
 
@@ -677,13 +693,13 @@ def test_one_plane_weighting_leaves_aliased_snapshot_unchanged():
     weights = tuple(ci.weight for ci in program.implications)
     _add_messages(diff, program, MarginalTable(q1), weights)
     assert all(np.array_equal(q1[name], snapshot[name]) for name in q1)
-    # the same messages added to two label planes give x1 - x0 exactly
+    # the same messages added to two label planes give x0 - x1 exactly
     q = MarginalTable({name: np.stack([1.0 - arr, arr], axis=-1) for name, arr in q1.items()})
     logits = {name: np.zeros((3, 3, 2)) for name in "prs"}
     _add_messages(logits, program, q, weights)
     for name in "prs":
-        assert np.array_equal(diff[name], logits[name][..., 1] - logits[name][..., 0])
-    assert np.array_equal(diff["r"], 2.5 * q1["p"]) and np.array_equal(diff["s"], -0.5 * q1["p"])
+        assert np.array_equal(diff[name], logits[name][..., 0] - logits[name][..., 1])
+    assert np.array_equal(diff["r"], -2.5 * q1["p"]) and np.array_equal(diff["s"], 0.5 * q1["p"])
 
 
 def _argmax_changes(new, old, kb):

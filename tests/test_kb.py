@@ -1,10 +1,15 @@
+import numpy as np
 import pytest
 
 from einlog.fol import Predicate
-from einlog.kb import (EvidenceError, KnowledgeBase, load_evidence, load_queries,
-                       variable_universe)
+from einlog.kb import EvidenceError, KnowledgeBase, load_evidence, load_queries
 
 SMOKE_PREDS = [Predicate("smoke", 1), Predicate("friend", 2), Predicate("cancer", 1)]
+
+
+def _latent_cells(kb):
+    """Number of unobserved ground atoms per predicate, read from the masks."""
+    return {name: int(np.count_nonzero(~m.mask)) for name, m in kb.masks().items()}
 
 
 def test_smoke_example_counts():
@@ -12,14 +17,14 @@ def test_smoke_example_counts():
     assert kb.n == 2
     assert len(kb.observations) == 2
     # 2 + 4 + 2 cells minus two observed
-    assert sum(variable_universe(kb).values()) == 6
-    assert variable_universe(kb) == {"smoke": 2, "friend": 3, "cancer": 1}
+    assert sum(_latent_cells(kb).values()) == 6
+    assert _latent_cells(kb) == {"smoke": 2, "friend": 3, "cancer": 1}
     # latent + observed cells account for every cell of every predicate
     observed_per = {name: 0 for name in kb.predicates}
     for (name, _args) in kb.observations:
         observed_per[name] += 1
     for name, pred in kb.predicates.items():
-        assert variable_universe(kb)[name] + observed_per[name] == kb.n ** pred.arity
+        assert _latent_cells(kb)[name] + observed_per[name] == kb.n ** pred.arity
 
 
 def test_duplicate_line_is_idempotent():
@@ -40,15 +45,17 @@ def test_empty_file_without_seed_entities_fails():
 def test_seed_entities_allow_empty_evidence():
     kb = load_evidence("", SMOKE_PREDS, entities=["A", "B", "C"])
     assert kb.n == 3
-    assert variable_universe(kb)["friend"] == 9
+    assert _latent_cells(kb)["friend"] == 9
 
 
 def test_seed_entities_keep_their_indices():
     kb = load_evidence("friend(D,B)\nsmoke(C)\nsmoke(D)\n", SMOKE_PREDS,
                        entities=["A", "B"])
     assert kb.entities == ("A", "B", "D", "C")
-    assert kb.observed_label("friend", (2, 1)) == 1
-    assert kb.observed_label("smoke", (3,)) == 1
+    assert kb.observations[("friend", (2, 1))] == 1
+    assert kb.observations[("smoke", (3,))] == 1
+    assert kb.masks()["friend"].labels[2, 1] == 1 and kb.masks()["smoke"].labels[3] == 1
+    assert ("smoke", (0,)) not in kb.observations and kb.masks()["smoke"].labels[0] == -1
 
 
 def test_repeated_seed_entity_rejected():
@@ -59,8 +66,9 @@ def test_repeated_seed_entity_rejected():
 def test_negative_evidence_and_multiclass_labels():
     preds = SMOKE_PREDS + [Predicate("label", 1, 3, ("O", "B", "I"))]
     kb = load_evidence("!smoke(A)\nlabel(A)=B\n", preds)
-    assert kb.observed_label("smoke", (0,)) == 0
-    assert kb.observed_label("label", (0,)) == 1
+    assert kb.observations[("smoke", (0,))] == 0
+    assert kb.observations[("label", (0,))] == 1
+    assert kb.masks()["smoke"].labels[0] == 0 and kb.masks()["label"].labels[0] == 1
 
 
 def test_multiclass_requires_label():
@@ -106,7 +114,23 @@ def test_masks_mark_observed_cells():
 def test_fully_observed_predicate_has_zero_latents():
     preds = [Predicate("p", 1)]
     kb = load_evidence("p(A)\n!p(B)\n", preds)
-    assert variable_universe(kb)["p"] == 0
+    assert _latent_cells(kb)["p"] == 0
+
+
+def test_observation_arrays_are_read_only():
+    cells = np.array([[0, 1]])
+    labels = np.array([1])
+    kb = KnowledgeBase(["A", "B"], {"friend": SMOKE_PREDS[1]}, {"friend": (cells, labels)})
+    m = kb.masks()["friend"]
+    for arr in (m.mask, m.labels, *kb.observed["friend"]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
+    with pytest.raises(AttributeError):
+        m.mask = m.mask.copy()
+    # the knowledge base keeps its own copies of the caller's arrays
+    cells[0, 1], labels[0] = 0, 0
+    assert kb.observations == {("friend", (0, 1)): 1}
+    assert kb.masks()["friend"].labels[0, 1] == 1
 
 
 def test_queries_roundtrip():

@@ -156,7 +156,7 @@ def test_label_planes_are_contiguous_label_slices():
     assert not label_planes((3, 2), np.zeros).any()
 
 
-# the last two shapes span several 2^14-cell normalize blocks, ending in a partial one
+# from one row of labels (arity 0) up to tables of 17,161 and 68,921 cells
 @pytest.mark.parametrize("labels", [2, 3, 5])
 @pytest.mark.parametrize("cells", [(), (5,), (5, 5, 5), (131, 131), (41, 41, 41)])
 def test_softmax_out_equals_reduction_form_bitwise_in_either_layout(labels, cells):
@@ -180,19 +180,19 @@ def test_softmax_out_equals_reduction_form_bitwise_in_either_layout(labels, cell
 @pytest.mark.parametrize("cells", [(), (5,), (131, 131), (41, 41, 41)])
 def test_sigmoid_matches_binary_softmax(cells):
     rng = np.random.default_rng(len(cells))
-    d = np.asarray(rng.normal(size=cells) * 20)
-    want = _reduction_softmax(np.stack([np.zeros(cells), d], axis=-1))[..., 1]
-    assert np.max(np.abs(sigmoid(d) - want), initial=0.0) <= 1e-15
-    # at d >= 0 both forms compute 1 / (1 + exp(-d)), so they agree bit for bit
-    assert np.array_equal(sigmoid(d)[d >= 0], want[d >= 0])
-    strided = np.stack([d, d], axis=-1)[..., 1]
-    assert np.array_equal(sigmoid(strided), sigmoid(d))
-    arr = d.copy()
-    assert sigmoid(arr, out=arr) is arr and np.array_equal(arr, sigmoid(d))
+    e = np.asarray(rng.normal(size=cells) * 20)           # x0 - x1
+    want = _reduction_softmax(np.stack([e, np.zeros(cells)], axis=-1))[..., 1]
+    assert np.max(np.abs(sigmoid(e) - want), initial=0.0) <= 1e-15
+    # at e <= 0 both forms compute 1 / (1 + exp(e)), so they agree bit for bit
+    assert np.array_equal(sigmoid(e)[e <= 0], want[e <= 0])
+    strided = np.stack([e, e], axis=-1)[..., 1]
+    assert np.array_equal(sigmoid(strided), sigmoid(e))
+    arr = e.copy()
+    assert sigmoid(arr, out=arr) is arr and np.array_equal(arr, sigmoid(e))
 
 
 def test_sigmoid_saturates_without_warnings():
     d = np.array([-1e308, -800.0, -745.5, 745.5, 800.0, 1e308, 0.0])
     with np.errstate(all="raise"):
         got = sigmoid(d)
-    assert got.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5]
+    assert got.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.5]
