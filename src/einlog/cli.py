@@ -70,7 +70,8 @@ def cmd_infer(args) -> int:
     phi = io.load_unary(_read(args.unary), kb) if args.unary else UnaryTable.zeros(kb)
     queries = load_queries(_read(args.queries), kb) if args.queries else None
     config = EngineConfig(iterations=args.iterations,
-                          weights=_parse_weight_overrides(args.weight))
+                          weights=_parse_weight_overrides(args.weight),
+                          damping=args.damping)
 
     program = engine.compile_rules(ruleset, kb)
     if args.oracle:
@@ -130,15 +131,18 @@ def cmd_plan(args) -> int:
 
 
 def _print_complement(ci: engine.CompiledImplication, kb: KnowledgeBase):
-    """The expanded premise, ``N^k`` and the ones-term plan's steps."""
+    """The expanded premise, ``N^k``, whether the main plan is a symmetric
+    product (at half its cost) and the ones-term plan's steps."""
     cx = ci.complement
     premise = ci.premises[cx.index]
     args = list(premise.subscript)
     for axis, pos in premise.const_slices:
         args.insert(axis, kb.entities[pos])
     own = set(premise.subscript).difference(cx.ones.spec.output, *cx.ones.spec.inputs)
+    symmetric = f"; main plan symmetric cost={int(ci.plan.total_cost / 2)}" \
+        if cx.symmetric else ""
     print(f"complement {premise.predicate}({','.join(args)}): {kb.n}^{len(own)} - sum q1; "
-          f"ones plan {cx.ones.spec} total_cost={int(cx.ones.total_cost)}")
+          f"ones plan {cx.ones.spec} total_cost={int(cx.ones.total_cost)}{symmetric}")
     for step in cx.ones.steps:
         print(step.describe())
 
@@ -192,6 +196,8 @@ def build_parser() -> _Parser:
     p.add_argument("--queries", default=None)
     p.add_argument("--iterations", type=int, default=5)
     p.add_argument("--weight", action="append", metavar="NAME=V")
+    p.add_argument("--damping", type=float, default=0.0,
+                   help="q <- (1-d)*q_new + d*q_old each iteration, d in [0, 1]")
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--oracle", action="store_true",

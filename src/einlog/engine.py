@@ -16,7 +16,10 @@ predicate's arity is such a plane; every other table is ``N^arity x D``
 with the labels last.  Where a summed premise would read ``1 - q1``, the
 message is expanded as ``N^k * contract(other premises) -
 contract(..., q1, ...)`` instead (see ``ComplementExpansion``), so no
-complement table is built.
+complement table is built.  Each snapshot of ``q1`` on a plane of arity at
+most 2 holds exactly 0 wherever it would hold less than ``_FLUSH``, so the
+product of two nonzero entries of a matrix-product operand is a normal
+number.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from .kb import KnowledgeBase, ObservationMask
 from .tensor import EinsumSpec, label_planes, sigmoid, softmax_lastaxis
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# sqrt of the smallest normal float64, about 1.49e-154: two q1 entries at
+# or above it multiply to a normal number
+_FLUSH = math.sqrt(np.finfo(np.float64).tiny)
 
 
 class EngineError(Exception):
@@ -55,6 +61,9 @@ class UnaryTable:
         return UnaryTable({k: v.copy() for k, v in self.tables.items()})
 
     def validate(self, kb: KnowledgeBase) -> "UnaryTable":
+        unknown = sorted(set(self.tables).difference(kb.predicates))
+        if unknown:
+            raise EngineError(f"unary table for unknown predicate {', '.join(unknown)}")
         for name, pred in kb.predicates.items():
             arr = self.tables.get(name)
             if arr is None:
@@ -139,11 +148,14 @@ class ComplementExpansion:
     as ``q1``: ``contract(..., 1 - q1, ...)`` equals
     ``scale * contract(others) - contract(..., q1, ...)``, where ``scale`` is
     ``N^k`` for the k letters only that premise holds and ``ones`` plans the
-    other premises onto the message's output."""
+    other premises onto the message's output.  ``symmetric`` marks a main
+    plan that is one matrix product of the relabelled premise's ``q1`` with
+    its own transpose, which numpy runs as a symmetric product."""
 
     index: int
     scale: float
     ones: planner.ContractionPlan
+    symmetric: bool
 
 
 @dataclass(frozen=True)
@@ -240,36 +252,55 @@ def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[Com
             weight=clause.weight, hypothesis=hyp.predicate.name,
             target_labels=tuple(sorted(hyp.value_set)),
             premises=tuple(premises), spec=spec, plan=cplan,
-            complement=_complement_expansion(premises, spec, extents, kb),
+            complement=_complement_expansion(premises, cplan, kb),
             scatter=_scatter_index(out_sub, pattern, kb.n)))
     return out
 
 
-def _complement_expansion(premises, spec: EinsumSpec, extents: dict,
+def _complement_expansion(premises, main: planner.ContractionPlan,
                           kb: KnowledgeBase) -> ComplementExpansion | None:
-    """The expansion of the one premise a binary label 0 falsifies, when the
-    ``1 - q1`` table it saves has more cells than the ones-term's plan costs
-    plus the message core holds; None otherwise.
+    """The expansion of the one premise a binary label 0 falsifies, when it
+    costs less than the unexpanded message; None otherwise.
 
-    A premise worth expanding sums a letter, so the main plan's result is a
-    fresh array that the expansion may overwrite.
+    Unexpanded, the message builds the ``1 - q1`` table and runs ``main``.
+    Expanded, it runs the ones-term's plan, writes the message core and runs
+    ``main`` on ``q1``, which counts half when that is a symmetric product.
+    ``main`` cancels otherwise, so the test compares the table's cells with
+    the ones plan's cost plus the core's cells.  A premise worth expanding
+    sums a letter, so the main plan's result is a fresh array that the
+    expansion may overwrite.
     """
     found = [i for i, p in enumerate(premises) if p.complement_labels == (0,)
              and kb.predicates[p.predicate].num_labels == 2]
     if len(found) != 1:
         return None
     (i,) = found
+    spec, extents = main.spec, main.extents
     others = spec.inputs[:i] + spec.inputs[i + 1:]
     ones = planner.plan(EinsumSpec(others, spec.output), extents)
 
     def cells(letters) -> int:
         return math.prod(extents[ch] for ch in letters)
 
+    keys = [p.key for p in premises]
+    keys[i] = replace(premises[i], complement_labels=(1,)).key
+    symmetric = _self_transposed_product(main, keys)
+    saved = main.total_cost / 2 if symmetric else 0
     core = spec.input_letters().intersection(spec.output)
-    if cells(set(spec.inputs[i])) <= ones.total_cost + cells(core):
+    if cells(set(spec.inputs[i])) + saved <= ones.total_cost + cells(core):
         return None
     own = set(spec.inputs[i]).difference(spec.output, *others)
-    return ComplementExpansion(i, float(cells(own)), ones)
+    return ComplementExpansion(i, float(cells(own)), ones, symmetric)
+
+
+def _self_transposed_product(cplan: planner.ContractionPlan, keys) -> bool:
+    """Whether the plan is one matrix product of an operand with its own
+    transpose: both operands gather under one premise key, so ``message``
+    hands them one array, and exactly one of them is transposed."""
+    if len(cplan.steps) != 1 or cplan.steps[0].gemm is None:
+        return False
+    left, right, t_left, t_right = cplan.steps[0].gemm
+    return keys[left] == keys[right] and t_left != t_right
 
 
 def _scatter_index(output: str, pattern, n: int) -> tuple:
@@ -386,13 +417,25 @@ def _normalize(tables: dict[str, np.ndarray], planes: frozenset):
             softmax_lastaxis(arr, out=arr)
 
 
+def _flush(tables: dict[str, np.ndarray], planes: frozenset):
+    """Write exactly 0 over every ``q1`` entry below ``_FLUSH`` on the
+    binary planes of arity at most 2, the ones a matrix product can read.
+    ``q1`` is never negative, so multiplying by the kept mask does it in
+    one pass with no branch."""
+    for name in planes:
+        arr = tables[name]
+        if arr.ndim <= 2:
+            np.multiply(arr, arr >= _FLUSH, out=arr)
+
+
 def _start(q: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset,
            masks: dict[str, ObservationMask]):
     """The state inference starts from, into ``q``: label softmax (a sigmoid
-    for binary planes), observed cells pinned."""
+    for binary planes), observed cells pinned, small ``q1`` flushed."""
     _refill(q, phi, planes)
     _normalize(q, planes)
     _clamp(q, masks)
+    _flush(q, planes)
 
 
 def _expand(tables: dict[str, np.ndarray], planes: frozenset) -> MarginalTable:
@@ -470,11 +513,11 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
 
     Two tables per predicate take turns: one holds the current marginals,
     the other is refilled with the unary logits, receives the messages and
-    is normalized, damped and clamped in place.  A binary predicate's pair
-    is two planes (see the module docstring), and the one the last
-    iteration writes is label 1 of its output table from the start, so the
-    result costs one ``1 - q1`` pass and no copy.  ``phi`` is validated
-    against the program's knowledge base first.
+    is normalized, damped, clamped and flushed in place.  A binary
+    predicate's pair is two planes (see the module docstring), and the one
+    the last iteration writes is label 1 of its output table from the
+    start, so the result costs one ``1 - q1`` pass and no copy.  ``phi`` is
+    validated against the program's knowledge base first.
     """
     phi.validate(program.kb)
     unknown = sorted(set(config.weights) - {ci.rule_id for ci in program.implications})
@@ -502,6 +545,7 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
                 arr *= 1.0 - lam
                 arr += lam * q[name]
         _clamp(spare, masks)
+        _flush(spare, planes)
         q, spare = spare, q
         if trace is not None:
             trace.seconds.append(time.perf_counter() - started)

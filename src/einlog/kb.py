@@ -165,7 +165,10 @@ class KnowledgeBase:
         return out
 
     def masks(self) -> dict[str, ObservationMask]:
-        return self._masks
+        """Per-predicate observation masks, as a new dict each call: the
+        masks are frozen and read-only, so a caller may drop or replace
+        entries without un-pinning cells for later calls."""
+        return dict(self._masks)
 
 
 class Queries:

@@ -3,6 +3,8 @@
 Each pairwise step multiplies two operands and sums exactly the indices that
 are shared by both and needed nowhere else; indices private to one operand
 ride along until the final step, which projects onto the requested output.
+Where two or more operands hold private indices, each of them may first be
+summed over its own in a single-operand step, when that plan costs less.
 A step costs the product of the extents of every distinct index it touches,
 and M' is the maximum such index count over the plan, i.e. the exponent of
 the dominating term.  The search is exhaustive (subset dynamic programming)
@@ -163,9 +165,50 @@ def plan(spec, extents) -> ContractionPlan:
         for ch in ls:
             appearances[ch] = appearances.get(ch, 0) + 1
     output_set = set(core_output)
-    all_ids = frozenset(range(k))
     input_union = {ch for ls in operand_letters for ch in ls}
     single_shot = _cost(sorted(input_union), extents)
+
+    merges, group_letters = _search(operand_letters, appearances, core_output, extents)
+    tree_cost = sum(cost for _, _, cost in merges)
+    # where two or more operands hold private letters, some step multiplies
+    # their extents together; summing each operand's private letters in a
+    # single-operand step first is taken when it makes the whole plan cheaper
+    reductions = []
+    for i, ls in enumerate(operand_letters):
+        kept = tuple(ch for ch in ls if appearances[ch] > 1 or ch in output_set)
+        if kept != ls:
+            reductions.append(ContractionStep((i,), (spec.inputs[i],), "".join(kept),
+                                              _cost(ls, extents)))
+    first = []
+    if len(reductions) > 1:
+        reduced = list(operand_letters)
+        for step in reductions:
+            reduced[step.operand_ids[0]] = tuple(step.result_subscript)
+        r_merges, r_group_letters = _search(reduced, appearances, core_output, extents)
+        r_cost = sum(s.est_flops for s in reductions) + sum(c for _, _, c in r_merges)
+        if r_cost < tree_cost:
+            merges, group_letters, tree_cost = r_merges, r_group_letters, r_cost
+            first = reductions
+
+    if tree_cost > single_shot:
+        # irreducible: one multi-operand step is cheapest
+        step = ContractionStep(tuple(range(k)), tuple(spec.inputs), core_output, single_shot)
+        return ContractionPlan(spec, extents, (step,), len(input_union), single_shot,
+                               naive_cost, False)
+
+    steps = _materialize(merges, spec, group_letters, core_output, first)
+    mprime = max(len({ch for sub in s.operand_subscripts for ch in sub}) for s in steps)
+    return ContractionPlan(spec, extents, tuple(steps), mprime, tree_cost, naive_cost,
+                           len(steps) > 1)
+
+
+def _search(operand_letters, appearances, core_output, extents):
+    """Pairwise merges over operands with these distinct letters, and the
+    letters each group of operands keeps.  ``appearances`` counts the
+    operands that hold each letter; summing private letters first leaves
+    the other counts as they are."""
+    output_set = set(core_output)
+    all_ids = frozenset(range(len(operand_letters)))
 
     def group_letters(ids: frozenset) -> set[str]:
         if len(ids) == 1:
@@ -174,22 +217,9 @@ def plan(spec, extents) -> ContractionPlan:
             return set(core_output)
         return _kept_letters(ids, operand_letters, appearances, output_set)
 
-    if k <= 6:
-        merges = _search_exhaustive(all_ids, group_letters, extents)
-    else:
-        merges = _search_greedy(all_ids, group_letters, extents)
-    tree_cost = sum(cost for _, _, cost in merges)
-
-    if tree_cost > single_shot:
-        # irreducible: one multi-operand step is cheapest
-        step = ContractionStep(tuple(range(k)), tuple(spec.inputs), core_output, single_shot)
-        return ContractionPlan(spec, extents, (step,), len(input_union), single_shot,
-                               naive_cost, False)
-
-    steps = _materialize(merges, spec, group_letters, core_output)
-    mprime = max(len({ch for sub in s.operand_subscripts for ch in sub}) for s in steps)
-    return ContractionPlan(spec, extents, tuple(steps), mprime, tree_cost, naive_cost,
-                           len(steps) > 1)
+    if len(all_ids) <= 6:
+        return _search_exhaustive(all_ids, group_letters, extents), group_letters
+    return _search_greedy(all_ids, group_letters, extents), group_letters
 
 
 def _search_exhaustive(all_ids, group_letters, extents):
@@ -279,14 +309,19 @@ def _gemm(operand_ids, operand_subscripts, result):
             operand_subscripts[left][0] == k, operand_subscripts[right][1] == k)
 
 
-def _materialize(merges, spec, group_letters, core_output):
-    """Turn merge pairs into concrete steps with subscripts and operand ids."""
+def _materialize(merges, spec, group_letters, core_output, reductions):
+    """Turn merge pairs into concrete steps with subscripts and operand ids,
+    after the single-operand ``reductions``, whose results stand in for
+    their operands."""
     k = len(spec.inputs)
     sub_of: dict[frozenset, tuple[int, str]] = {
         frozenset([i]): (i, spec.inputs[i]) for i in range(k)}
     all_ids = frozenset(range(k))
-    steps = []
+    steps = list(reductions)
     next_id = k
+    for step in reductions:
+        sub_of[frozenset(step.operand_ids)] = (next_id, step.result_subscript)
+        next_id += 1
     for left, right, cost in merges:
         lid, lsub = sub_of[left]
         rid, rsub = sub_of[right]

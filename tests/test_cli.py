@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from einlog import engine, io
 from einlog.cli import main
-from einlog.fol import RuleWarning
+from einlog.fol import RuleWarning, parse_rules
+from einlog.kb import load_evidence
 
 DATA = Path(__file__).parent / "data"
 
@@ -111,6 +113,35 @@ def test_infer_weight_override_changes_output(tmp_path, capsys):
     run(capsys, *argv1)
     run(capsys, *argv2)
     assert out1.read_bytes() != out2.read_bytes()
+
+
+def test_infer_damping_flag(tmp_path, capsys):
+    runs = {}
+    for value in (None, "0", "0.5"):
+        folder = tmp_path / str(value)
+        folder.mkdir()
+        out, argv = infer_args(folder, *(["--damping", value] if value else []))
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0 and stdout == ""
+        runs[value] = out.read_text()
+    assert runs["0"] == runs[None]
+    assert runs["0.5"] != runs[None]
+    # the flag is EngineConfig.damping
+    ruleset = parse_rules((DATA / "smoke.rules").read_text())
+    kb = load_evidence((DATA / "smoke.evidence").read_text(), ruleset.predicates)
+    phi = io.load_unary((DATA / "smoke.unary").read_text(), kb)
+    config = engine.EngineConfig(iterations=5, damping=0.5)
+    want = io.format_marginals_csv(engine.run_inference(ruleset, kb, phi, config), kb)
+    assert runs["0.5"] == want
+
+
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+def test_infer_damping_out_of_range_is_data_error(tmp_path, capsys, value):
+    out, argv = infer_args(tmp_path, "--damping", value)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error: damping must lie in [0, 1]" in err
+    assert not out.exists()
 
 
 def test_unknown_weight_name_is_data_error(tmp_path, capsys):
@@ -264,6 +295,32 @@ def test_plan_lists_the_ones_plan_steps(tmp_path, capsys):
            "ab->a kernel=einsum cost=100\n\n" in out
     # letters follow each clause's own variable order
     assert "complement t(a,E1,b): 10^1 - sum q1; ones plan ->a total_cost=0\n\n" in out
+
+
+def test_plan_marks_the_symmetric_main_product(tmp_path, capsys, workloads):
+    rules = tmp_path / "transitivity.rules"
+    rules.write_text(workloads.TRANSITIVITY_RULES)
+    code, out, _ = run(capsys, "plan", "--rules", str(rules), "--entities", "8")
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("complement ")]
+    assert lines == [
+        "complement coexist(a,c): 8^0 - sum q1; ones plan bc->ab total_cost=64; "
+        "main plan symmetric cost=256",
+        "complement coexist(a,c): 8^0 - sum q1; ones plan ab->bc total_cost=64; "
+        "main plan symmetric cost=256"]
+
+
+def test_plan_sums_private_letters_first(tmp_path, capsys):
+    rules = tmp_path / "private.rules"
+    rules.write_text("predicate r(e)\npredicate p(e,e)\npredicate t(e,e,e)\n"
+                     "!r(a) | !p(a,b) | t(a,E1,c)\n")
+    code, out, _ = run(capsys, "plan", "--rules", str(rules), "--entities", "10")
+    assert code == 0
+    assert out.startswith("# rule f1 clause f1 -> r (labels [0]), spec ab,ac->a\n"
+                          "ab->a kernel=einsum cost=100\n"
+                          "ac->a kernel=einsum cost=100\n"
+                          "a,a->a kernel=einsum cost=10\n"
+                          "M'=2 total_cost=210 ")
 
 
 def test_weight_ids_count_a_dropped_tautological_line(tmp_path, capsys):

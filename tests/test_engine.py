@@ -187,6 +187,12 @@ def test_validate_rejects_missing_table(smoke_kb, smoke_phi):
         UnaryTable(tables).validate(smoke_kb)
 
 
+def test_validate_rejects_table_for_unknown_predicate(smoke_kb, smoke_phi):
+    tables = {**UnaryTable.zeros(smoke_kb).tables, "ghost": np.zeros(3)}
+    with pytest.raises(EngineError, match="unary table for unknown predicate ghost"):
+        UnaryTable(tables).validate(smoke_kb)
+
+
 def test_validate_rejects_wrong_shape(smoke_kb, smoke_phi):
     bad = smoke_phi.copy()
     bad.tables["friend"] = np.zeros((2, 2, 3))
@@ -742,7 +748,52 @@ def test_only_the_summed_tri_premise_of_kbc_expands(workloads, n):
 @pytest.mark.parametrize("n", [9, 1024])
 @pytest.mark.parametrize("name", ["TRANSITIVITY_RULES", "REPORT_RULES"])
 def test_no_transitivity_or_report_implication_expands(workloads, name, n):
-    assert _expanded(E.parse_rules(getattr(workloads, name)), n) == []
+    # transitivity expands exactly its two label-0 implications, whose main
+    # plans are symmetric products; report expands none
+    want = {"TRANSITIVITY_RULES": [("bc,ac->ab", "bc->ab"), ("ab,ac->bc", "ab->bc")],
+            "REPORT_RULES": []}[name]
+    expanded = _expanded(E.parse_rules(getattr(workloads, name)), n)
+    assert [(str(ci.spec), str(ci.complement.ones.spec)) for ci in expanded] == want
+    assert all(ci.target_labels == (0,) and ci.complement.symmetric
+               and ci.complement.scale == 1.0 for ci in expanded)
+
+
+def test_only_a_symmetric_main_product_tips_the_decision():
+    # N^2 saved cells plus half the N^3 product beat the N^2 ones plan plus
+    # the N^2 core from N = 3 on.  With another predicate in the product, or
+    # with Q @ Q (neither operand transposed), the main plan is an ordinary
+    # matrix product and the size test declines
+    trans = E.parse_rules("predicate c(t,t)\n!c(a,b) | !c(b,c) | c(a,c)\n")
+    assert _expanded(trans, 2) == [] and len(_expanded(trans, 3)) == 2
+    for rule in ("!c(a,b) | !c(b,c) | d(a,c)", "!c(a,b) | c(b,c) | d(a,c)"):
+        rules = E.parse_rules(f"predicate c(t,t)\npredicate d(t,t)\n{rule}\n")
+        assert _expanded(rules, 3) == [] == _expanded(rules, 1024), rule
+
+
+def test_symmetric_message_agrees_with_the_complement_product(monkeypatch):
+    n = 64
+    program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(n))
+    rng = np.random.default_rng(64)
+    q1 = rng.random((n, n))
+    operands = []
+    original = planner.execute
+
+    def recording(cplan, arrays):
+        operands.append(list(arrays))
+        return original(cplan, arrays)
+
+    monkeypatch.setattr(planner, "execute", recording)
+    want = [(1.0 - q1) @ q1.T, q1.T @ (1.0 - q1)]
+    for ci, ref in zip(program.implications[:2], want):
+        assert ci.complement.symmetric
+        operands.clear()
+        got = message(ci, MarginalTable({"c": q1}))
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        # the main product reads one buffer twice, as numpy's symmetric
+        # matmul path needs
+        main, ones = operands
+        assert main[0] is main[1] and np.shares_memory(main[0], q1)
+        assert len(ones) == 1
 
 
 def test_message_on_public_tables_is_the_unexpanded_contraction():
@@ -791,3 +842,40 @@ def test_expanded_shapes_match_reference_and_chained_oracle(rule, damping):
         q = MarginalTable({name: (1.0 - damping) * new.tables[name] + damping * q.tables[name]
                            for name in new.tables})
     assert got.max_abs_diff(q) <= 1e-9
+
+
+# --- q1 planes flushed below sqrt(tiny) ---------------------------------------
+
+FLUSH = np.sqrt(np.finfo(np.float64).tiny)
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+def test_no_nonzero_q1_below_the_flush_threshold(damping):
+    rules = E.parse_rules(SHAPE_DECLS + "30.0: !p(a,b) | !p(b,c) | p(a,c)\n"
+                          "20.0: !r(a) | !p(a,b) | t(a,b,c)\n5.0: p(a,b) | !r(b)\n"
+                          "!flag() | r(a)\n")
+    rng = np.random.default_rng(5)
+    kb = _with_evidence(KnowledgeBase([f"E{i}" for i in range(12)], rules.predicates, {}),
+                        rng, share=0.1)
+    # logit differences up to a few hundred put many start cells below 1e-154
+    phi = UnaryTable({name: rng.normal(0.0, 250.0, kb.shape(p) + (p.num_labels,))
+                      for name, p in kb.predicates.items()})
+    program = compile_rules(rules, kb)
+    start = initial_marginals(phi, kb)
+    for t in range(6):
+        q = start if t == 0 else iterate(phi, program, EngineConfig(t, damping=damping))
+        for name, pred in kb.predicates.items():
+            if pred.num_labels == 2 and pred.arity <= 2:
+                q1 = q.tables[name][..., 1]
+                assert not np.any((q1 > 0.0) & (q1 < FLUSH)), (name, t)
+    # the threshold is reached: unflushed sigmoids of the start hold such values
+    below = 0
+    for name in ("p", "r"):
+        e = phi.tables[name][..., 0] - phi.tables[name][..., 1]
+        with np.errstate(over="ignore"):
+            raw = 1.0 / (1.0 + np.exp(e))
+        below += int(np.count_nonzero((raw > 0.0) & (raw < FLUSH) & ~kb.masks()[name].mask))
+    assert below > 0
+    # arity-3 planes are left alone
+    t1 = start.tables["t"][..., 1]
+    assert np.any((t1 > 0.0) & (t1 < FLUSH))

@@ -1,6 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
+import einlog as E
 from einlog.fol import Predicate
 from einlog.kb import EvidenceError, KnowledgeBase, load_evidence, load_queries
 
@@ -131,6 +134,21 @@ def test_observation_arrays_are_read_only():
     cells[0, 1], labels[0] = 0, 0
     assert kb.observations == {("friend", (0, 1)): 1}
     assert kb.masks()["friend"].labels[0, 1] == 1
+
+
+def test_masks_dict_is_a_copy():
+    rules = E.parse_rules("predicate p(t)\npredicate q(t)\n1.0: !p(a) | q(a)\n")
+    kb = load_evidence("!p(X)\n", rules.predicates)
+    assert kb.masks() is not kb.masks() and kb.masks() == kb.masks()
+    program = E.compile_rules(rules, kb)
+    phi = E.UnaryTable.zeros(kb)
+    before = E.iterate(phi, program, E.EngineConfig(iterations=3)).tables["p"]
+    assert before.tolist() == [[1.0, 0.0]]
+    kb.masks().pop("p")
+    kb.masks()["q"] = kb.masks()["p"]
+    after = E.iterate(phi, program, E.EngineConfig(iterations=3)).tables["p"]
+    assert np.array_equal(after, before)
+    assert pickle.loads(pickle.dumps(kb)).masks().keys() == {"p", "q"}
 
 
 def test_queries_roundtrip():

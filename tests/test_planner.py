@@ -68,7 +68,7 @@ def test_irreducible_examples_fall_back_to_single_step(spec):
 PLAN_SPECS = ["hk,kj,ji->i", "hk,kj,ji,h->i", "pi,qj,ijkl,rk,sl->pqrs",
               "a,ab->b", "abcd,bc,cd,ad->ac", "abc,bcd,cb,ad->ac",
               "ab,bc,cd->ad", "ab,bc->c", "aa,ab->b", "ab,cd->ac",
-              "ab->ba", "a,a->a", "ab,b,bc->ac"]
+              "ab->ba", "a,a->a", "ab,b,bc->ac", "ab,ac->a", "ab,c->c", "abb,acc,d->ad"]
 
 
 @pytest.mark.parametrize("spec", PLAN_SPECS)
@@ -89,6 +89,23 @@ def test_monotone_benefit(spec):
         ext = uniform_extents(spec, n)
         p = plan(spec, ext)
         assert p.total_cost <= p.naive_cost
+
+
+def test_private_letters_summed_first_where_two_operands_hold_them():
+    n = 10
+    p = plan("ab,ac->a", uniform_extents("ab,ac->a", n))
+    assert [(s.expr, s.operand_ids, s.est_flops) for s in p.steps] == [
+        ("ab->a", (0,), n**2), ("ac->a", (1,), n**2), ("a,a->a", (2, 3), n)]
+    assert p.total_cost == 2 * n**2 + n and p.max_intermediate_arity == 2
+    # at N = 2 the single step is cheaper (8 against 10)
+    assert [s.expr for s in plan("ab,ac->a", uniform_extents("ab,ac->a", 2)).steps] == \
+        ["ab,ac->a"]
+    # a private letter on one operand only rides along: the listed chain plan
+    chain = plan("hk,kj,ji->i", uniform_extents("hk,kj,ji->i", n))
+    assert chain.total_cost == 2 * n**3 and len(chain.steps) == 2
+    # a repeated letter is taken on the diagonal by its operand's reduction
+    p = plan("abb,acc,d->ad", uniform_extents("abb,acc,d->ad", n))
+    assert [s.expr for s in p.steps][:2] == ["abb->a", "acc->a"]
 
 
 def test_chain_execute_matches_direct_at_4():
