@@ -91,6 +91,8 @@ def cmd_infer(args) -> int:
     print(f"iterations={config.iterations} wall clock per iteration: {secs}; "
           f"latent cells whose argmax changed: {changed}; "
           f"residual max|q_t - q_t-1|: {residual}", file=sys.stderr)
+    print(f"converged: {'yes' if trace.converged else 'no'} (last residual "
+          f"{trace.residual[-1]:.3e}, {trace.changed[-1]} cells flipped)", file=sys.stderr)
 
     text = (io.format_marginals_json(result, kb, queries) if args.format == "json"
             else io.format_marginals_csv(result, kb, queries))

@@ -20,6 +20,13 @@ complement table is built.  Each snapshot of ``q1`` on a plane of arity at
 most 2 holds exactly 0 wherever it would hold less than ``_FLUSH``, so the
 product of two nonzero entries of a matrix-product operand is a normal
 number.
+
+Where it is exact, a message writes its logit plane (see ``_schedule``):
+a zero-unary binary plane is not refilled but written by one of its first
+two messages, through ``planner.execute(out=)`` when the plan fills it; a
+message of weight ±1 is added with no scale pass; and a predicate observed
+in every cell gets no message.  Marginals are bit-identical to refilling
+and adding every scaled message.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # sqrt of the smallest normal float64, about 1.49e-154: two q1 entries at
 # or above it multiply to a normal number
 _FLUSH = math.sqrt(np.finfo(np.float64).tiny)
+# the largest last residual of a run that counts as converged
+CONVERGENCE_TOL = 1e-6
 
 
 class EngineError(Exception):
@@ -215,6 +224,13 @@ class IterationTrace:
     residual: list[float] = field(default_factory=list)
     changed: list[int] = field(default_factory=list)
 
+    @property
+    def converged(self) -> bool:
+        """Whether the last iteration moved no cell by more than
+        ``CONVERGENCE_TOL`` and changed no argmax."""
+        return (bool(self.residual) and self.residual[-1] <= CONVERGENCE_TOL
+                and self.changed[-1] == 0)
+
 
 def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[CompiledImplication]:
     for lit in clause.literals:
@@ -335,7 +351,7 @@ def compile_rules(rules, kb: KnowledgeBase) -> Program:
 
 
 def message(ci: CompiledImplication, marginals: MarginalTable,
-            gathered: dict | None = None) -> np.ndarray:
+            gathered: dict | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Expected count of true-premise groundings per hypothesis cell.
 
     The message broadcasts to the hypothesis cells: a hypothesis variable
@@ -349,6 +365,10 @@ def message(ci: CompiledImplication, marginals: MarginalTable,
     With a ``q1`` plane under its expanded premise, ``ci.complement`` reads
     that premise as ``q1`` (gathered under its label-1 key) and the message
     is ``scale * ones - main``, written over ``main``.
+
+    With ``out`` the main plan's last step writes the message into ``out``,
+    which is returned; the plan must fill its output (see
+    ``planner.execute``).
     """
     if gathered is None:
         gathered = {}
@@ -366,22 +386,24 @@ def message(ci: CompiledImplication, marginals: MarginalTable,
         if arr is None:
             arr = gathered[p.key] = p.gather(marginals.tables[p.predicate])
         arrays.append(arr)
-    main = planner.execute(ci.plan, arrays)
+    main = planner.execute(ci.plan, arrays, out=out)
     if cx is None:
         return main
     ones = planner.execute(cx.ones, arrays[:cx.index] + arrays[cx.index + 1:])
     return np.subtract(cx.scale * ones, main, out=main)
 
 
-def _clamp(tables: dict[str, np.ndarray], masks: dict[str, ObservationMask]):
-    """Pin observed cells to the one-hot marginal of their observed label; a
-    ``q1`` plane gets the label itself."""
-    for name, m in masks.items():
-        if m.mask.any():
-            arr = tables[name]
-            observed = m.labels[m.mask]
-            arr[m.mask] = observed if arr.ndim == m.mask.ndim \
-                else np.eye(arr.shape[-1])[observed]
+def _pins(masks: dict[str, ObservationMask]) -> dict[str, tuple]:
+    """The mask and observed labels of each predicate with an observed cell."""
+    return {name: (m.mask, m.labels[m.mask]) for name, m in masks.items() if m.mask.any()}
+
+
+def _clamp(tables: dict[str, np.ndarray], pins: dict[str, tuple]):
+    """Pin observed cells (``pins``, see ``_pins``) to the one-hot marginal
+    of their observed label; a ``q1`` plane gets the label itself."""
+    for name, (mask, labels) in pins.items():
+        arr = tables[name]
+        arr[mask] = labels if arr.ndim == mask.ndim else np.eye(arr.shape[-1])[labels]
 
 
 def _storage(kb: KnowledgeBase) -> tuple[dict, dict, frozenset]:
@@ -395,12 +417,13 @@ def _storage(kb: KnowledgeBase) -> tuple[dict, dict, frozenset]:
                     for name, t in tables.items()}, planes
 
 
-def _refill(tables: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset):
-    """Unary logits into each table; a binary plane gets ``x0 - x1``, which
-    may overflow: the finite check of ``iterate`` reports it."""
+def _refill(tables: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset, names):
+    """Unary logits into the tables ``names``; a binary plane gets
+    ``x0 - x1``, which may overflow: the finite check of ``iterate``
+    reports it."""
     with np.errstate(over="ignore"):
-        for name, arr in tables.items():
-            logits = phi.tables[name]
+        for name in names:
+            arr, logits = tables[name], phi.tables[name]
             if name in planes:
                 np.subtract(logits[..., 0], logits[..., 1], out=arr)
             else:
@@ -428,13 +451,12 @@ def _flush(tables: dict[str, np.ndarray], planes: frozenset):
             np.multiply(arr, arr >= _FLUSH, out=arr)
 
 
-def _start(q: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset,
-           masks: dict[str, ObservationMask]):
+def _start(q: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset, pins: dict):
     """The state inference starts from, into ``q``: label softmax (a sigmoid
     for binary planes), observed cells pinned, small ``q1`` flushed."""
-    _refill(q, phi, planes)
+    _refill(q, phi, planes, q)
     _normalize(q, planes)
-    _clamp(q, masks)
+    _clamp(q, pins)
     _flush(q, planes)
 
 
@@ -453,39 +475,88 @@ def initial_marginals(phi: UnaryTable, kb: KnowledgeBase) -> MarginalTable:
     marginal table ``iterate`` returns, and hold what ``iterate`` starts from.
     """
     tables, q, planes = _storage(kb)
-    _start(q, phi, planes, kb.masks())
+    _start(q, phi, planes, _pins(kb.masks()))
     return _expand(tables, planes)
 
 
-def _add_messages(logits: dict[str, np.ndarray], program: Program,
-                  q: MarginalTable, weights: tuple[float, ...]):
-    """Add every message, scaled by its entry of ``weights`` (aligned with
-    ``program.implications``), all read from the snapshot ``q``.
+def _schedule(program: Program, weights: tuple[float, ...],
+              masks: dict[str, ObservationMask], phi: UnaryTable,
+              planes: frozenset) -> tuple[tuple, frozenset]:
+    """The messages of one iteration as ``(implication, weight, writes)``
+    triples, in the order ``_add_messages`` runs them, and the names of the
+    tables to refill before them.
+
+    An implication whose hypothesis is observed in every cell is dropped:
+    clamping overwrites whatever it adds.  A binary plane whose unary table
+    is all zero is not refilled when one of the first two messages to it
+    covers every cell (a full slice per axis): that message writes the
+    plane, and runs first.  One whose plan fills the plane is preferred,
+    since it writes through ``out=`` with no temporary.  Either of the two
+    may write because the refilled sum ``(0 + a) + b`` equals ``b + a`` bit
+    for bit: ``0 + a == a`` and addition commutes.
+    """
+    full = {name for name, m in masks.items() if m.mask.all()}
+    messages = [(ci, w, False) for ci, w in zip(program.implications, weights)
+                if ci.hypothesis not in full]
+    refill = set(program.kb.predicates)
+    for name in planes:
+        first = [i for i, (ci, _, _) in enumerate(messages) if ci.hypothesis == name][:2]
+        cover = [i for i in first
+                 if all(isinstance(ix, slice) for ix in messages[i][0].scatter)]
+        if not cover or phi.tables[name].any():
+            continue
+        ci, w, _ = messages.pop(min(cover, key=lambda i: not messages[i][0].plan.fills_output))
+        messages.insert(first[0], (ci, w, True))
+        refill.discard(name)
+    return tuple(messages), frozenset(refill)
+
+
+def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, messages):
+    """Add each message of ``messages``, ``(implication, weight, writes)``
+    triples (see ``_schedule``), to ``logits``, all read from the snapshot
+    ``q``.
 
     A binary plane holds ``x0 - x1``, so a message to label 1 is added with
     its weight negated; negation is exact, so this rounds as a subtraction.
-    A message that ``planner.execute`` allocated is scaled in place (it
-    rounds as ``w * msg``).  A view, such as a message without contraction
-    that aliases a shared gathered input or ``q`` itself, is scaled into a
-    new array.  The ``+=`` broadcasts a message's size-1 axes over the
-    hypothesis cells.  Each message is dropped before the next is computed.
+    A writing message covers its plane and overwrites it: a plan that fills
+    the plane writes it through ``out=`` and is scaled in place unless the
+    weight is 1, and any other message is written as ``w * msg``.  Added
+    with weight ±1, a message goes in by ``+=`` or ``-=`` with no scale
+    pass, which is exact since ``1.0 * x == x``.  With any other weight a
+    message that ``planner.execute`` allocated is scaled in place (it
+    rounds as ``w * msg``), and a view, such as a message without
+    contraction that aliases a shared gathered input or ``q`` itself, is
+    scaled into a new array.  The ``+=`` broadcasts a message's size-1 axes
+    over the hypothesis cells.  Each message is dropped before the next is
+    computed.
     """
     gathered: dict = {}
-    for ci, w in zip(program.implications, weights):
+    for ci, w, writes in messages:
         target = logits[ci.hypothesis]
         if target.ndim == len(ci.scatter):
             (label,) = ci.target_labels
             w, cells = (-w if label else w), [ci.scatter]
         else:
             cells = [ci.scatter + (label,) for label in ci.target_labels]
-        msg = message(ci, q, gathered)
-        if msg.flags.owndata:
-            msg *= w
+        if writes and ci.plan.fills_output:
+            message(ci, q, gathered, out=target)
+            if w != 1.0:
+                target *= w
+        elif writes:
+            np.multiply(message(ci, q, gathered), w, out=target)
         else:
-            msg = w * msg
-        for index in cells:
-            target[index] += msg
-        del msg
+            msg = message(ci, q, gathered)
+            if abs(w) != 1.0:
+                if msg.flags.owndata:
+                    msg *= w
+                else:
+                    msg = w * msg
+            for index in cells:
+                if w == -1.0:
+                    target[index] -= msg
+                else:
+                    target[index] += msg
+            del msg
 
 
 def _record(trace: IterationTrace, q: dict, new: dict, planes: frozenset):
@@ -513,7 +584,9 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
 
     Two tables per predicate take turns: one holds the current marginals,
     the other is refilled with the unary logits, receives the messages and
-    is normalized, damped, clamped and flushed in place.  A binary
+    is normalized, damped, clamped and flushed in place.  A zero-unary plane
+    that a message writes is not refilled, and messages into a predicate
+    observed in every cell are skipped (see ``_schedule``).  A binary
     predicate's pair is two planes (see the module docstring), and the one
     the last iteration writes is label 1 of its output table from the
     start, so the result costs one ``1 - q1`` pass and no copy.  ``phi`` is
@@ -525,17 +598,19 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
         raise EngineError(f"weight override for unknown rule id {', '.join(unknown)}")
     weights = tuple(config.weights.get(ci.rule_id, ci.weight) for ci in program.implications)
     masks = program.kb.masks()
+    pins = _pins(masks)
     tables, last, planes = _storage(program.kb)
+    messages, refill = _schedule(program, weights, masks, phi, planes)
     other = {name: np.empty(arr.shape) if name in planes else label_planes(arr.shape)
              for name, arr in last.items()}
     # iteration t writes the spare table; after T iterations that is `last`
     q, spare = (last, other) if config.iterations % 2 == 0 else (other, last)
-    _start(q, phi, planes, masks)
+    _start(q, phi, planes, pins)
     lam = config.damping
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
-        _refill(spare, phi, planes)
-        _add_messages(spare, program, MarginalTable(q), weights)
+        _refill(spare, phi, planes, refill)
+        _add_messages(spare, MarginalTable(q), messages)
         for name, arr in spare.items():
             if not np.all(np.isfinite(arr)):
                 raise EngineError(f"non-finite logits for {name} at iteration {t}")
@@ -544,7 +619,7 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
             for name, arr in spare.items():
                 arr *= 1.0 - lam
                 arr += lam * q[name]
-        _clamp(spare, masks)
+        _clamp(spare, pins)
         _flush(spare, planes)
         q, spare = spare, q
         if trace is not None:

@@ -16,6 +16,8 @@ single-shot evaluation.
 A pairwise step that is a plain 2-D matrix product runs as one BLAS
 ``np.matmul`` on (transposed) views; every other step runs as
 ``np.einsum(..., optimize=False)``.  The choice is made once, when planning.
+The last step can write into a caller's array (``execute(out=)``) when its
+result is the whole output.
 """
 
 from __future__ import annotations
@@ -73,6 +75,12 @@ class ContractionPlan:
     def __post_init__(self):
         object.__setattr__(self, "input_shapes", tuple(
             tuple(self.extents[ch] for ch in sub) for sub in self.spec.inputs))
+
+    @property
+    def fills_output(self) -> bool:
+        """Whether the last step's result is the whole output, with no
+        broadcast letter: only then can ``execute`` write into ``out``."""
+        return bool(self.steps) and len(self.steps[-1].result_subscript) == len(self.spec.output)
 
     def max_result_arity(self) -> int:
         return max((len(s.result_subscript) for s in self.steps), default=0)
@@ -337,10 +345,14 @@ def _materialize(merges, spec, group_letters, core_output, reductions):
     return steps
 
 
-def execute(cplan: ContractionPlan, inputs) -> np.ndarray:
+def execute(cplan: ContractionPlan, inputs, out: np.ndarray | None = None) -> np.ndarray:
     """Run a plan; the result broadcasts to the unplanned einsum of the same
     spec.  Each broadcast output letter gets a size-1 axis rather than a
-    replicated one, so the result is never larger than the contraction."""
+    replicated one, so the result is never larger than the contraction.
+
+    With ``out`` the last step writes its result there and ``out`` is
+    returned; the plan must fill its output (``cplan.fills_output``).
+    """
     arrays = [np.asarray(t, dtype=np.float64) for t in inputs]
     spec = cplan.spec
     if len(arrays) != len(cplan.input_shapes):
@@ -348,14 +360,20 @@ def execute(cplan: ContractionPlan, inputs) -> np.ndarray:
     for arr, shape, sub in zip(arrays, cplan.input_shapes, spec.inputs):
         if arr.shape != shape:
             raise PlanError(f"operand shape {arr.shape} does not match subscript {sub!r}")
+    if out is not None and not cplan.fills_output:
+        raise PlanError(f"plan of {spec} does not fill its output, so it cannot write out=")
     pool = arrays
     last = None
-    for step in cplan.steps:
+    final = len(cplan.steps) - 1
+    for n, step in enumerate(cplan.steps):
+        dest = out if n == final else None
         if step.gemm is None:
-            last = np.einsum(step.expr, *(pool[i] for i in step.operand_ids), optimize=False)
+            last = np.einsum(step.expr, *(pool[i] for i in step.operand_ids), out=dest,
+                             optimize=False)
         else:
             i, j, ti, tj = step.gemm
-            last = np.matmul(pool[i].T if ti else pool[i], pool[j].T if tj else pool[j])
+            last = np.matmul(pool[i].T if ti else pool[i], pool[j].T if tj else pool[j],
+                             out=dest)
         pool.append(last)
     last = np.asarray(np.float64(1.0) if last is None else last)
     return last if last.ndim == len(spec.output) else broadcast_output(last, spec)

@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from einlog import engine, io
 from einlog.cli import main
+from einlog.demo import RULES_TEXT, block_truth, noisy_logits
 from einlog.fol import RuleWarning, parse_rules
 from einlog.kb import load_evidence
 
@@ -80,6 +82,61 @@ def test_infer_json_format(tmp_path, capsys):
     records = json.loads(out.read_text())
     assert len(records) == 8
     assert {"predicate", "args", "label", "probability", "observed"} <= records[0].keys()
+
+
+# The engine's bytes from before a message could write a zero-unary plane
+# directly; without --unary every plane is zero-unary.
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("unary", [False, True], ids=["zero unary", "unary"])
+def test_infer_bytes_match_the_committed_outputs(tmp_path, capsys, fmt, unary):
+    golden = (DATA / f"smoke.infer{'-unary' if unary else ''}.{fmt}").read_bytes()
+    argv = ["infer", "--rules", str(DATA / "smoke.rules"),
+            "--evidence", str(DATA / "smoke.evidence"), "--format", fmt]
+    if unary:
+        argv += ["--unary", str(DATA / "smoke.unary")]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.encode() == golden
+    path = tmp_path / f"m.{fmt}"
+    assert run(capsys, *argv, "--output", str(path))[:2] == (0, "")
+    assert path.read_bytes() == golden
+
+
+def _verdict(err):
+    (line,) = [l for l in err.splitlines() if l.startswith("converged: ")]
+    word, rest = line[len("converged: "):].split(" ", 1)
+    residual, flipped = rest.removeprefix("(last residual ").split(", ")
+    flipped = flipped.removesuffix(" cells flipped)")
+    return word, float(residual), int(flipped)
+
+
+def test_infer_prints_the_convergence_verdict(tmp_path, capsys):
+    _, argv = infer_args(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    word, residual, flipped = _verdict(err)
+    assert (word, flipped) == ("yes", 0) and residual <= engine.CONVERGENCE_TOL
+    (line,) = [l for l in err.splitlines() if "wall clock per iteration" in l]
+    assert line.endswith(f"{residual:.3e}")
+
+
+def test_weight_one_transitivity_demo_does_not_converge(tmp_path, capsys):
+    # the demo's N=64 instance as infer files; the rule-free `tok` facts
+    # name the entities
+    n = 64
+    logits = noisy_logits(block_truth(n), 0.1, np.random.default_rng(0))
+    names = [f"t{i}" for i in range(n)]
+    (tmp_path / "rules").write_text(RULES_TEXT + "predicate tok(token)\n")
+    (tmp_path / "evidence").write_text("".join(f"tok({e})\n" for e in names))
+    (tmp_path / "unary").write_text("".join(
+        f"coexist({names[i]},{names[j]}) 0 {logits[i, j, 1]:g}\n"
+        for i, j in np.ndindex(n, n)))
+    argv = ["infer", "--iterations", "8", "--output", str(tmp_path / "out.csv")]
+    argv += [item for role in ("rules", "evidence", "unary")
+             for item in (f"--{role}", str(tmp_path / role))]
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    word, residual, flipped = _verdict(err)
+    assert word == "no" and residual > engine.CONVERGENCE_TOL
 
 
 def test_infer_oracle_crosscheck_passes(tmp_path, capsys):

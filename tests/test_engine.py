@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import einlog as E
-from einlog import planner
+from einlog import engine, planner
 from einlog.engine import (EngineConfig, EngineError, IterationTrace, MarginalTable,
                            PremiseInput, Program, UnaryTable, _add_messages, compile_rules,
                            initial_marginals, iterate, message, transitivity_violations)
@@ -578,7 +578,7 @@ def test_weighting_leaves_shared_gathered_input_unchanged(monkeypatch):
     monkeypatch.setattr(PremiseInput, "gather", recording)
     logits = UnaryTable.zeros(kb).tables
     snapshot = q.copy()
-    _add_messages(logits, program, q, tuple(ci.weight for ci in program.implications))
+    _add_messages(logits, q, [(ci, ci.weight, False) for ci in program.implications])
     assert [key for key, _, _ in gathered].count(("p", (), (1,))) == 1
     assert all(np.array_equal(out, before) for _, out, before in gathered)
     # a message without contraction may alias the live snapshot q itself
@@ -696,13 +696,13 @@ def test_one_plane_weighting_leaves_aliased_snapshot_unchanged():
     q1 = {name: rng.random((3, 3)) for name in "prs"}
     snapshot = {name: arr.copy() for name, arr in q1.items()}
     diff = {name: np.zeros((3, 3)) for name in "prs"}
-    weights = tuple(ci.weight for ci in program.implications)
-    _add_messages(diff, program, MarginalTable(q1), weights)
+    messages = [(ci, ci.weight, False) for ci in program.implications]
+    _add_messages(diff, MarginalTable(q1), messages)
     assert all(np.array_equal(q1[name], snapshot[name]) for name in q1)
     # the same messages added to two label planes give x0 - x1 exactly
     q = MarginalTable({name: np.stack([1.0 - arr, arr], axis=-1) for name, arr in q1.items()})
     logits = {name: np.zeros((3, 3, 2)) for name in "prs"}
-    _add_messages(logits, program, q, weights)
+    _add_messages(logits, q, messages)
     for name in "prs":
         assert np.array_equal(diff[name], logits[name][..., 0] - logits[name][..., 1])
     assert np.array_equal(diff["r"], -2.5 * q1["p"]) and np.array_equal(diff["s"], 0.5 * q1["p"])
@@ -778,9 +778,9 @@ def test_symmetric_message_agrees_with_the_complement_product(monkeypatch):
     operands = []
     original = planner.execute
 
-    def recording(cplan, arrays):
+    def recording(cplan, arrays, out=None):
         operands.append(list(arrays))
-        return original(cplan, arrays)
+        return original(cplan, arrays, out=out)
 
     monkeypatch.setattr(planner, "execute", recording)
     want = [(1.0 - q1) @ q1.T, q1.T @ (1.0 - q1)]
@@ -879,3 +879,130 @@ def test_no_nonzero_q1_below_the_flush_threshold(damping):
     # arity-3 planes are left alone
     t1 = start.tables["t"][..., 1]
     assert np.any((t1 > 0.0) & (t1 < FLUSH))
+
+
+# --- zero-unary planes written by a message --------------------------------
+
+WRITER_DECLS = "predicate r(e,e)\npredicate o(e,e)\npredicate t(e,e,e)\n"
+# the first message to the zero-unary plane t, and the one after it
+CANDIDATES = {
+    "broadcast": "!r(a,b) | t(a,b,c)",                   # ab->abc, size-1 axis
+    "diagonal": "!r(a,b) | t(a,a,b)",
+    "constant slice": "!r(a,b) | t(E1,a,b)",
+    "weight 2.0": "2.0: !r(a,b) | !r(b,c) | t(a,b,c)",   # fills the plane
+}
+PARTNERS = {
+    "contraction": "!t(a,b,c) | !r(b,c) | r(a,c)",       # bc,ac->abc fills the plane
+    "diagonal": "!r(a,b) | t(a,b,b)",
+}
+# a third message to t, which may not write it, and o, observed in every
+# cell, so its messages are dropped
+OTHER_RULES = ("0.5: !r(a,c) | !r(c,b) | t(a,b,c)\n"
+               "!r(a,b) | o(a,b)\n!o(a,b) | !o(b,c) | r(a,c)\n")
+
+
+def _writer_instance(candidate, partner):
+    rules = E.parse_rules(WRITER_DECLS + f"{CANDIDATES[candidate]}\n{PARTNERS[partner]}\n"
+                          + OTHER_RULES)
+    rng = np.random.default_rng(17)
+    n = 4
+    observations = {("o", cell): int(rng.integers(2)) for cell in np.ndindex(n, n)}
+    observations.update({("r", cell): int(rng.integers(2)) for cell in np.ndindex(n, n)
+                         if rng.random() < 0.25})
+    kb = KnowledgeBase([f"E{i}" for i in range(n)], rules.predicates, observations)
+    phi = UnaryTable({"r": rng.normal(0.0, 1.5, (n, n, 2)), "o": rng.normal(0.0, 1.5, (n, n, 2)),
+                      "t": np.zeros((n, n, n, 2))})
+    return compile_rules(rules, kb), phi
+
+
+def _refill_and_add(phi, program, config):
+    """``iterate`` with every table refilled and every message scaled by its
+    weight and added, messages into observed tables included."""
+    kb = program.kb
+    pins = engine._pins(kb.masks())
+    _, q, planes = engine._storage(kb)
+    engine._start(q, phi, planes, pins)
+    for _ in range(config.iterations):
+        _, new, _ = engine._storage(kb)
+        engine._refill(new, phi, planes, new)
+        for ci in program.implications:
+            w = config.weights.get(ci.rule_id, ci.weight)
+            target = new[ci.hypothesis]
+            if target.ndim == len(ci.scatter):
+                (label,) = ci.target_labels
+                w, cells = (-w if label else w), [ci.scatter]
+            else:
+                cells = [ci.scatter + (label,) for label in ci.target_labels]
+            weighted = w * message(ci, MarginalTable(q))
+            for index in cells:
+                target[index] += weighted
+        engine._normalize(new, planes)
+        if config.damping > 0.0:
+            for name, arr in new.items():
+                arr *= 1.0 - config.damping
+                arr += config.damping * q[name]
+        engine._clamp(new, pins)
+        engine._flush(new, planes)
+        q = new
+    return q
+
+
+# the message that writes t: the first one, the second one, or none (refilled)
+WRITER = {("broadcast", "contraction"): 1, ("diagonal", "contraction"): 1,
+          ("constant slice", "contraction"): 1, ("weight 2.0", "contraction"): 0,
+          ("broadcast", "diagonal"): 0, ("diagonal", "diagonal"): None,
+          ("constant slice", "diagonal"): None, ("weight 2.0", "diagonal"): 0}
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+@pytest.mark.parametrize("candidate, partner", WRITER.keys())
+def test_written_plane_is_bitwise_the_refilled_sum(candidate, partner, damping):
+    program, phi = _writer_instance(candidate, partner)
+    planes = frozenset(program.kb.predicates)
+    weights = tuple(ci.weight for ci in program.implications)
+    messages, refill = engine._schedule(program, weights, program.kb.masks(), phi, planes)
+    assert "o" not in {ci.hypothesis for ci, _, _ in messages}
+    into_t = [ci for ci in program.implications if ci.hypothesis == "t"]
+    writers = [ci for ci, _, writes in messages if writes]
+    want = WRITER[candidate, partner]
+    if want is None:
+        assert writers == [] and "t" in refill
+    else:
+        assert writers == [into_t[want]] and refill == {"r", "o"}
+        # the writer runs before every other message into t
+        order = [ci for ci, _, _ in messages if ci.hypothesis == "t"]
+        assert order[0] is into_t[want]
+    for iterations in (1, 2, 3):
+        config = EngineConfig(iterations, damping=damping)
+        got = iterate(phi, program, config)
+        ref = _refill_and_add(phi, program, config)
+        for name in program.kb.predicates:
+            assert np.array_equal(got.tables[name][..., 1], ref[name]), (name, iterations)
+
+
+def test_kbc_tri_takes_its_outer_product_directly():
+    rules, kb, _ = _kbc_instance(5)
+    program = compile_rules(rules, kb)
+    phi = UnaryTable.zeros(kb)
+    _, _, planes = engine._storage(kb)
+    weights = tuple(ci.weight for ci in program.implications)
+    messages, refill = engine._schedule(program, weights, kb.masks(), phi, planes)
+    assert refill == {"kind"}
+    (writer,) = [ci for ci, _, writes in messages if writes and ci.hypothesis == "tri"]
+    assert str(writer.spec) == "bc,ac->abc" and writer.plan.fills_output
+
+
+def test_fully_observed_hypothesis_gets_no_message(monkeypatch):
+    program, phi = _writer_instance("broadcast", "contraction")
+    hypotheses = []
+    original = engine.message
+
+    def recording(ci, *args, **kwargs):
+        hypotheses.append(ci.hypothesis)
+        return original(ci, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "message", recording)
+    iterate(phi, program, EngineConfig(iterations=2))
+    into_o = sum(ci.hypothesis == "o" for ci in program.implications)
+    assert into_o == 3
+    assert "o" not in hypotheses and len(hypotheses) == 2 * (len(program.implications) - into_o)

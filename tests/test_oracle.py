@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from einlog.engine import (EngineConfig, MarginalTable, UnaryTable, compile_rules,
-                           initial_marginals, iterate)
+from einlog.engine import (EngineConfig, MarginalTable, UnaryTable, _schedule, _storage,
+                           compile_rules, initial_marginals, iterate)
 from einlog.fol import (Clause, CnfFormula, Literal, Predicate, binary_literal, constant,
                         merge_literals, variable)
 from einlog.kb import KnowledgeBase
@@ -234,23 +234,31 @@ def rule_lists(draw):
     for _ in range(draw(st.integers(1, 3))):
         body = draw(st.lists(clauses(), min_size=1, max_size=2,
                              unique_by=lambda c: c.literals))
-        weight = draw(st.floats(-2.0, 2.0, allow_nan=False))
+        # exactly +-1 adds a message with no scale pass
+        weight = draw(st.one_of(st.sampled_from([1.0, -1.0]),
+                                st.floats(-2.0, 2.0, allow_nan=False)))
         rules.append(CnfFormula(tuple(body), weight=weight))
     return rules
 
 
+# an all-zero unary table lets a message write its plane with no refill
 @given(rules=rule_lists(), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
-       damping=st.sampled_from([0.0, 0.3]), iterations=st.integers(1, 3))
+       damping=st.sampled_from([0.0, 0.3]), iterations=st.integers(1, 3),
+       zero_unary=st.sets(st.sampled_from([p.name for p in PALETTE])))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def _matches_chained_oracle(expanding, rules, n, seed, damping, iterations):
+def _matches_chained_oracle(seen, rules, n, seed, damping, iterations, zero_unary):
     rng = np.random.default_rng(seed)
     kb = KnowledgeBase([f"E{i}" for i in range(n)], {p.name: p for p in PALETTE}, {
         (p.name, cell): int(rng.integers(p.num_labels))
         for p in PALETTE for cell in np.ndindex(*(n,) * p.arity) if rng.random() < 0.2})
-    phi = UnaryTable({p.name: rng.normal(0.0, 1.5, (n,) * p.arity + (p.num_labels,))
-                      for p in PALETTE})
+    phi = UnaryTable({p.name: np.zeros(shape) if p.name in zero_unary
+                      else rng.normal(0.0, 1.5, shape)
+                      for p in PALETTE for shape in [(n,) * p.arity + (p.num_labels,)]})
     program = compile_rules(rules, kb)
-    expanding.append(any(ci.complement is not None for ci in program.implications))
+    seen["expanding"].append(any(ci.complement is not None for ci in program.implications))
+    weights = tuple(ci.weight for ci in program.implications)
+    messages, _ = _schedule(program, weights, kb.masks(), phi, _storage(kb)[2])
+    seen["writing"].append(any(writes for _, _, writes in messages))
     got = iterate(phi, program, EngineConfig(iterations=iterations, damping=damping))
     q = chained_oracle(phi, rules, kb, iterations, damping)
     for name, mask in kb.masks().items():
@@ -259,9 +267,11 @@ def _matches_chained_oracle(expanding, rules, n, seed, damping, iterations):
 
 
 def test_iterate_matches_chained_oracle_on_every_rule_shape():
-    expanding: list[bool] = []  # per example: does a summed 1 - q1 premise expand?
-    _matches_chained_oracle(expanding)
-    assert any(expanding)
+    # per example: does a summed 1 - q1 premise expand, does a message write
+    # a zero-unary plane?
+    seen: dict[str, list[bool]] = {"expanding": [], "writing": []}
+    _matches_chained_oracle(seen)
+    assert any(seen["expanding"]) and any(seen["writing"])
 
 
 def test_brute_einsum_agrees_with_numpy():

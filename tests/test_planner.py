@@ -210,3 +210,24 @@ def test_describe_step_format():
     first = text.splitlines()[0]
     assert "->" in first and first.endswith("cost=512")
     assert [line.split()[1] for line in text.splitlines()[:2]] == ["kernel=gemm"] * 2
+
+
+@pytest.mark.parametrize("spec", ["xy,yz->xz", "zy,yx->xz", "ab,bc,cd->ad", "bc,ac->abc",
+                                  "ab,ba->", "ab->ba", "abc,bc->ac", "a,ab->b"])
+def test_execute_writes_the_last_step_into_out(spec):
+    ext = uniform_extents(spec, 6)
+    p = plan(spec, ext)
+    assert p.fills_output
+    ins = random_inputs(spec, ext, seed=11)
+    out = np.full(tuple(ext[ch] for ch in EinsumSpec.parse(spec).output), np.nan)
+    assert execute(p, ins, out=out) is out
+    assert np.array_equal(out, execute(p, ins))   # bit for bit, gemm or einsum
+
+
+@pytest.mark.parametrize("spec", ["ab->abc", "->ab", "a,b->abc"])
+def test_execute_refuses_out_for_a_broadcast_output(spec):
+    ext = uniform_extents(spec, 3)
+    p = plan(spec, ext)
+    assert not p.fills_output
+    with pytest.raises(PlanError, match="does not fill its output"):
+        execute(p, random_inputs(spec, ext), out=np.empty((3,) * len(p.spec.output)))
