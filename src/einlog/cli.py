@@ -120,33 +120,17 @@ def cmd_plan(args) -> int:
                        ruleset.predicates, {})
     for ci in engine.compile_rules(ruleset, kb).implications:
         plan = ci.plan
+        notes = "" if ci.coefficient == 1.0 else f" x {ci.coefficient:.17g}"
+        if engine._self_transposed_product(plan, [p.key for p in ci.premises]):
+            notes += " symmetric"
         print(f"# rule {ci.rule_id} clause {ci.clause_id} -> {ci.hypothesis}"
-              f" (labels {list(ci.target_labels)}), spec {ci.spec}")
+              f" (labels {list(ci.target_labels)}), spec {ci.spec}{notes}")
         print(plan.describe())
         ratio = plan.naive_cost / plan.total_cost if plan.total_cost else float("inf")
         print(f"naive={int(plan.naive_cost)} optimized={int(plan.total_cost)} "
               f"ratio={ratio:.1f}")
-        if ci.complement is not None:
-            _print_complement(ci, kb)
         print()
     return EXIT_OK
-
-
-def _print_complement(ci: engine.CompiledImplication, kb: KnowledgeBase):
-    """The expanded premise, ``N^k``, whether the main plan is a symmetric
-    product (at half its cost) and the ones-term plan's steps."""
-    cx = ci.complement
-    premise = ci.premises[cx.index]
-    args = list(premise.subscript)
-    for axis, pos in premise.const_slices:
-        args.insert(axis, kb.entities[pos])
-    own = set(premise.subscript).difference(cx.ones.spec.output, *cx.ones.spec.inputs)
-    symmetric = f"; main plan symmetric cost={int(ci.plan.total_cost / 2)}" \
-        if cx.symmetric else ""
-    print(f"complement {premise.predicate}({','.join(args)}): {kb.n}^{len(own)} - sum q1; "
-          f"ones plan {cx.ones.spec} total_cost={int(cx.ones.total_cost)}{symmetric}")
-    for step in cx.ones.steps:
-        print(step.describe())
 
 
 def cmd_demo(args) -> int:

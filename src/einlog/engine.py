@@ -9,17 +9,19 @@ holds, and it is added, scaled by the rule weight, to the logits of the
 labels in the hypothesis value set before renormalizing.  Updates are
 synchronous: all messages of one iteration read the same marginal snapshot.
 
+Where a summed premise would read ``1 - q1`` of a binary predicate, the
+literal compiles to two implications instead of one (see
+``_complement_expansion``): ``contract(..., q1, ...)`` with coefficient -1
+and ``contract(other premises)`` with coefficient ``N^k``, so no complement
+table is built.  Each implication's coefficient scales its rule weight.
+
 Inside ``iterate`` a binary predicate is held as one plane, since
 ``q0 = 1 - q1``: the logit difference ``x0 - x1`` while messages are added,
 then ``q1 = 1 / (1 + exp(x0 - x1))``.  A table whose ``ndim`` equals its
 predicate's arity is such a plane; every other table is ``N^arity x D``
-with the labels last.  Where a summed premise would read ``1 - q1``, the
-message is expanded as ``N^k * contract(other premises) -
-contract(..., q1, ...)`` instead (see ``ComplementExpansion``), so no
-complement table is built.  Each snapshot of ``q1`` on a plane of arity at
-most 2 holds exactly 0 wherever it would hold less than ``_FLUSH``, so the
-product of two nonzero entries of a matrix-product operand is a normal
-number.
+with the labels last.  Each snapshot of ``q1`` on a plane of arity at most 2
+holds exactly 0 wherever it would hold less than ``_FLUSH``, so the product
+of two nonzero entries of a matrix-product operand is a normal number.
 
 Where it is exact, a message writes its logit plane (see ``_schedule``):
 a zero-unary binary plane is not refilled but written by one of its first
@@ -152,24 +154,12 @@ class PremiseInput:
 
 
 @dataclass(frozen=True)
-class ComplementExpansion:
-    """The premise ``index``, falsified by label 0 of a binary predicate, read
-    as ``q1``: ``contract(..., 1 - q1, ...)`` equals
-    ``scale * contract(others) - contract(..., q1, ...)``, where ``scale`` is
-    ``N^k`` for the k letters only that premise holds and ``ones`` plans the
-    other premises onto the message's output.  ``symmetric`` marks a main
-    plan that is one matrix product of the relabelled premise's ``q1`` with
-    its own transpose, which numpy runs as a symmetric product."""
-
-    index: int
-    scale: float
-    ones: planner.ContractionPlan
-    symmetric: bool
-
-
-@dataclass(frozen=True)
 class CompiledImplication:
-    """A clause literal as hypothesis plus the planned premise contraction."""
+    """A clause literal as hypothesis plus the planned premise contraction,
+    or one of the two terms an expanded literal compiles to.  Its message is
+    scaled by the rule weight times ``coefficient``: -1 for the term that
+    reads the expanded premise as ``q1``, ``N^k`` for the term over the
+    other premises, and 1 for every unexpanded literal."""
 
     rule_id: str
     clause_id: str
@@ -179,12 +169,13 @@ class CompiledImplication:
     premises: tuple[PremiseInput, ...]
     spec: EinsumSpec
     plan: planner.ContractionPlan
-    complement: ComplementExpansion | None  # used on q1 planes only
+    coefficient: float
     # index of the hypothesis cells, in message axis order; see _scatter_index
     scatter: tuple = field(compare=False, repr=False)
 
     def describe(self) -> str:
-        return (f"rule {self.rule_id} -> {self.hypothesis}: spec {self.spec} "
+        times = "" if self.coefficient == 1.0 else f" x {self.coefficient:.17g}"
+        return (f"rule {self.rule_id} -> {self.hypothesis}: spec {self.spec}{times} "
                 f"M'={self.plan.max_intermediate_arity}")
 
 
@@ -259,54 +250,52 @@ def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[Com
                            for axis, t in enumerate(plit.args) if t.is_constant)
             premises.append(PremiseInput(plit.predicate.name, sub, consts,
                                          plit.complement_labels()))
+        premises = tuple(premises)
         in_subs = tuple(p.subscript for p in premises)
         spec = EinsumSpec(in_subs, out_sub)
         extents = {ch: kb.n for sub in (*in_subs, out_sub) for ch in sub}
         cplan = planner.plan(spec, extents)
-        out.append(CompiledImplication(
+        out += _complement_expansion(CompiledImplication(
             rule_id=rule_id, clause_id=clause.id or rule_id,
             weight=clause.weight, hypothesis=hyp.predicate.name,
             target_labels=tuple(sorted(hyp.value_set)),
-            premises=tuple(premises), spec=spec, plan=cplan,
-            complement=_complement_expansion(premises, cplan, kb),
-            scatter=_scatter_index(out_sub, pattern, kb.n)))
+            premises=premises, spec=spec, plan=cplan, coefficient=1.0,
+            scatter=_scatter_index(out_sub, pattern, kb.n)), kb)
     return out
 
 
-def _complement_expansion(premises, main: planner.ContractionPlan,
-                          kb: KnowledgeBase) -> ComplementExpansion | None:
-    """The expansion of the one premise a binary label 0 falsifies, when it
-    costs less than the unexpanded message; None otherwise.
-
-    Unexpanded, the message builds the ``1 - q1`` table and runs ``main``.
-    Expanded, it runs the ones-term's plan, writes the message core and runs
-    ``main`` on ``q1``, which counts half when that is a symmetric product.
-    ``main`` cancels otherwise, so the test compares the table's cells with
-    the ones plan's cost plus the core's cells.  A premise worth expanding
-    sums a letter, so the main plan's result is a fresh array that the
-    expansion may overwrite.
+def _complement_expansion(ci: CompiledImplication,
+                          kb: KnowledgeBase) -> list[CompiledImplication]:
+    """``ci`` as the two implications ``contract(..., q1, ...)`` (coefficient
+    -1) and ``contract(others)`` (coefficient ``N^k``, k the letters only the
+    premise holds) when the one premise a binary label 0 falsifies costs
+    less that way; ``[ci]`` otherwise.  Unexpanded, the message builds the
+    ``1 - q1`` table and runs ``ci.plan``; expanded, it runs the ones plan,
+    adds the message core and runs ``ci.plan`` on ``q1``, which counts half
+    when that is a symmetric product, and cancels otherwise.
     """
+    premises, spec, main = ci.premises, ci.spec, ci.plan
     found = [i for i, p in enumerate(premises) if p.complement_labels == (0,)
              and kb.predicates[p.predicate].num_labels == 2]
     if len(found) != 1:
-        return None
+        return [ci]
     (i,) = found
-    spec, extents = main.spec, main.extents
-    others = spec.inputs[:i] + spec.inputs[i + 1:]
-    ones = planner.plan(EinsumSpec(others, spec.output), extents)
+    others = premises[:i] + premises[i + 1:]
+    ones = planner.plan(EinsumSpec(tuple(p.subscript for p in others), spec.output),
+                        main.extents)
+    as_q1 = (*premises[:i], replace(premises[i], complement_labels=(1,)), *premises[i + 1:])
 
     def cells(letters) -> int:
-        return math.prod(extents[ch] for ch in letters)
+        return math.prod(main.extents[ch] for ch in letters)
 
-    keys = [p.key for p in premises]
-    keys[i] = replace(premises[i], complement_labels=(1,)).key
-    symmetric = _self_transposed_product(main, keys)
-    saved = main.total_cost / 2 if symmetric else 0
+    saved = main.total_cost / 2 if _self_transposed_product(main, [p.key for p in as_q1]) else 0
     core = spec.input_letters().intersection(spec.output)
     if cells(set(spec.inputs[i])) + saved <= ones.total_cost + cells(core):
-        return None
-    own = set(spec.inputs[i]).difference(spec.output, *others)
-    return ComplementExpansion(i, float(cells(own)), ones, symmetric)
+        return [ci]
+    own = set(spec.inputs[i]).difference(spec.output, *ones.spec.inputs)
+    return [replace(ci, premises=as_q1, coefficient=-1.0),
+            replace(ci, premises=others, spec=ones.spec, plan=ones,
+                    coefficient=float(cells(own)))]
 
 
 def _self_transposed_product(cplan: planner.ContractionPlan, keys) -> bool:
@@ -360,37 +349,22 @@ def message(ci: CompiledImplication, marginals: MarginalTable,
     keyed by ``PremiseInput.key``; ``planner.execute`` does not write to its
     inputs, so one array can feed several messages.  A message without
     contraction (``ab->ab``) is a view of its gathered input, so callers
-    must not write to it in place.
+    must not write to it in place.  The message is not scaled: callers
+    apply the rule weight times ``ci.coefficient``.
 
-    With a ``q1`` plane under its expanded premise, ``ci.complement`` reads
-    that premise as ``q1`` (gathered under its label-1 key) and the message
-    is ``scale * ones - main``, written over ``main``.
-
-    With ``out`` the main plan's last step writes the message into ``out``,
+    With ``out`` the plan's last step writes the message into ``out``,
     which is returned; the plan must fill its output (see
     ``planner.execute``).
     """
     if gathered is None:
         gathered = {}
-    premises, cx = ci.premises, ci.complement
-    if cx is not None:
-        p = premises[cx.index]
-        if marginals.tables[p.predicate].ndim == p.arity:
-            premises = (*premises[:cx.index], replace(p, complement_labels=(1,)),
-                        *premises[cx.index + 1:])
-        else:
-            cx = None
     arrays = []
-    for p in premises:
+    for p in ci.premises:
         arr = gathered.get(p.key)
         if arr is None:
             arr = gathered[p.key] = p.gather(marginals.tables[p.predicate])
         arrays.append(arr)
-    main = planner.execute(ci.plan, arrays, out=out)
-    if cx is None:
-        return main
-    ones = planner.execute(cx.ones, arrays[:cx.index] + arrays[cx.index + 1:])
-    return np.subtract(cx.scale * ones, main, out=main)
+    return planner.execute(ci.plan, arrays, out=out)
 
 
 def _pins(masks: dict[str, ObservationMask]) -> dict[str, tuple]:
@@ -559,20 +533,25 @@ def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, messages):
             del msg
 
 
-def _record(trace: IterationTrace, q: dict, new: dict, planes: frozenset):
+def _record(trace: IterationTrace, q: dict, new: dict, planes: frozenset, scratch):
     """Residual and argmax changes between two states, as the expanded
-    ``N^arity x D`` tables would give them.  Observed cells stay pinned, so
-    every cell whose argmax changes is latent."""
+    ``N^arity x D`` tables would give them, worked out for binary planes in
+    the two rows of ``scratch``.  Observed cells stay pinned, so every cell
+    whose argmax changes is latent.  ``q1 > 0.5`` is exactly ``q1 > 1 - q1``:
+    above 0.5 the difference is exact, at or below it rounds to at least 0.5.
+    """
     residual, changed = 0.0, 0
     for name, arr in new.items():
         old = q[name]
         if name in planes:
-            pairs = ((arr, old), (1.0 - arr, 1.0 - old))
-            moved = (arr > 1.0 - arr) != (old > 1.0 - old)
+            a, b = (buf[:arr.size].reshape(arr.shape) for buf in scratch)
+            residual = max(residual, float(np.abs(np.subtract(arr, old, out=a), out=a).max()))
+            diff = np.subtract(np.subtract(1.0, arr, out=a), np.subtract(1.0, old, out=b), out=a)
+            moved = (arr > 0.5) != (old > 0.5)
         else:
-            pairs = ((arr, old),)
+            diff = arr - old
             moved = arr.argmax(axis=-1) != old.argmax(axis=-1)
-        residual = max(residual, *(float(np.max(np.abs(a - b))) for a, b in pairs))
+        residual = max(residual, float(np.abs(diff, out=diff).max()))
         changed += int(np.count_nonzero(moved))
     trace.residual.append(residual)
     trace.changed.append(changed)
@@ -596,7 +575,8 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     unknown = sorted(set(config.weights) - {ci.rule_id for ci in program.implications})
     if unknown:
         raise EngineError(f"weight override for unknown rule id {', '.join(unknown)}")
-    weights = tuple(config.weights.get(ci.rule_id, ci.weight) for ci in program.implications)
+    weights = tuple(config.weights.get(ci.rule_id, ci.weight) * ci.coefficient
+                    for ci in program.implications)
     masks = program.kb.masks()
     pins = _pins(masks)
     tables, last, planes = _storage(program.kb)
@@ -606,6 +586,8 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     # iteration t writes the spare table; after T iterations that is `last`
     q, spare = (last, other) if config.iterations % 2 == 0 else (other, last)
     _start(q, phi, planes, pins)
+    if trace is not None:
+        scratch = np.empty((2, max((last[name].size for name in planes), default=0)))
     lam = config.damping
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
@@ -624,7 +606,7 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
         q, spare = spare, q
         if trace is not None:
             trace.seconds.append(time.perf_counter() - started)
-            _record(trace, spare, q, planes)
+            _record(trace, spare, q, planes, scratch)
     del q, spare, other  # free the spare planes before label 0 is written
     return _expand(tables, planes)
 

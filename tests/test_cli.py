@@ -146,6 +146,20 @@ def test_infer_oracle_crosscheck_passes(tmp_path, capsys):
     assert "oracle cross-check" in err
 
 
+def test_infer_names_the_coefficient_of_an_expanded_pair(tmp_path, capsys):
+    rules = tmp_path / "t.rules"
+    rules.write_text("predicate c(t,t)\n!c(a,b) | !c(b,c) | c(a,c)\n")
+    evidence = tmp_path / "t.evidence"
+    evidence.write_text("c(A,B)\nc(B,C)\n!c(C,A)\n")
+    code, _, err = run(capsys, "infer", "--rules", str(rules), "--evidence", str(evidence),
+                       "--weight", "f1=0.5", "--oracle")
+    assert code == 0
+    assert [line for line in err.splitlines() if line.startswith("rule ")] == [
+        "rule f1 -> c: spec bc,ac->ab x -1 M'=3", "rule f1 -> c: spec bc->ab M'=2",
+        "rule f1 -> c: spec ab,ac->bc x -1 M'=3", "rule f1 -> c: spec ab->bc M'=2",
+        "rule f1 -> c: spec ab,bc->ac M'=3"]
+
+
 def test_infer_rejects_zero_iterations(tmp_path, capsys):
     _, argv = infer_args(tmp_path)
     argv[argv.index("--iterations") + 1] = "0"
@@ -329,17 +343,16 @@ def test_plan_unit_clause_zero_cost(tmp_path, capsys):
     assert "total_cost=0" in out
 
 
-def test_plan_names_the_complement_expansion(tmp_path, capsys, workloads):
-    rules = tmp_path / "kbc.rules"
-    rules.write_text(workloads.KBC_RULES)
-    code, out, _ = run(capsys, "plan", "--rules", str(rules), "--entities", "128")
+@pytest.mark.parametrize("name", ["transitivity", "kbc"])
+def test_plan_output_matches_golden_bytes(tmp_path, capsys, workloads, name):
+    # an expanded literal prints as its two implications, each header marked
+    # with its coefficient and, for a product of q1 with its own transpose,
+    # "symmetric"
+    rules = tmp_path / f"{name}.rules"
+    rules.write_text(getattr(workloads, f"{name.upper()}_RULES"))
+    code, out, _ = run(capsys, "plan", "--rules", str(rules), "--entities", "8")
     assert code == 0
-    chunks = {chunk.split("\n", 1)[0]: chunk for chunk in out.split("# rule")[1:]}
-    expanded = [head for head, chunk in chunks.items() if "\ncomplement " in chunk]
-    assert expanded == [" f2 clause f2 -> rel (labels [0]), spec abc->ab"]
-    assert chunks[expanded[0]].endswith(
-        "naive=2097152 optimized=2097152 ratio=1.0\n"
-        "complement tri(a,b,c): 128^1 - sum q1; ones plan ->ab total_cost=0\n\n")
+    assert out == (DATA / f"plan-{name}.txt").read_text()
 
 
 def test_plan_lists_the_ones_plan_steps(tmp_path, capsys):
@@ -348,23 +361,14 @@ def test_plan_lists_the_ones_plan_steps(tmp_path, capsys):
                      "!r(a) | !p(a,b) | t(a,b,c)\n!r(a) | t(a,E1,c)\n")
     code, out, _ = run(capsys, "plan", "--rules", str(rules), "--entities", "10")
     assert code == 0
-    assert "complement t(a,b,c): 10^1 - sum q1; ones plan ab->a total_cost=100\n" \
-           "ab->a kernel=einsum cost=100\n\n" in out
-    # letters follow each clause's own variable order
-    assert "complement t(a,E1,b): 10^1 - sum q1; ones plan ->a total_cost=0\n\n" in out
-
-
-def test_plan_marks_the_symmetric_main_product(tmp_path, capsys, workloads):
-    rules = tmp_path / "transitivity.rules"
-    rules.write_text(workloads.TRANSITIVITY_RULES)
-    code, out, _ = run(capsys, "plan", "--rules", str(rules), "--entities", "8")
-    assert code == 0
-    lines = [line for line in out.splitlines() if line.startswith("complement ")]
-    assert lines == [
-        "complement coexist(a,c): 8^0 - sum q1; ones plan bc->ab total_cost=64; "
-        "main plan symmetric cost=256",
-        "complement coexist(a,c): 8^0 - sum q1; ones plan ab->bc total_cost=64; "
-        "main plan symmetric cost=256"]
+    # the t premise, read as q1, then the ones term over the other premise
+    assert "# rule f1 clause f1 -> r (labels [0]), spec ab,abc->a x -1\n" \
+           "ab,abc->a kernel=einsum cost=1000\n" in out
+    assert "# rule f1 clause f1 -> r (labels [0]), spec ab->a x 10\n" \
+           "ab->a kernel=einsum cost=100\n" in out
+    # a constant argument is sliced away; no premise is left for the ones term
+    assert "# rule f2 clause f2 -> r (labels [0]), spec ab->a x -1\n" in out
+    assert "# rule f2 clause f2 -> r (labels [0]), spec ->a x 10\nM'=0 total_cost=0 " in out
 
 
 def test_plan_sums_private_letters_first(tmp_path, capsys):

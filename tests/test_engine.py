@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,13 +28,21 @@ def trans_kb(n):
 
 
 def test_compile_transitivity_specs():
-    compiled = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(3)).implications
+    compiled = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(2)).implications
     specs = [str(ci.spec) for ci in compiled]
     assert specs == ["bc,ac->ab", "ab,ac->bc", "ab,bc->ac"]
     assert [ci.target_labels for ci in compiled] == [(0,), (0,), (1,)]
+    assert [ci.coefficient for ci in compiled] == [1.0, 1.0, 1.0]
     # premises feed the false-probability slices
     assert [p.complement_labels for p in compiled[2].premises] == [(1,), (1,)]
     assert [p.complement_labels for p in compiled[0].premises] == [(1,), (0,)]
+    # from N = 3 on, each label-0 literal compiles to a pair: the product
+    # reading q1 with coefficient -1, then the ones term with N^0
+    compiled = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(3)).implications
+    assert [(str(ci.spec), ci.coefficient) for ci in compiled] == [
+        ("bc,ac->ab", -1.0), ("bc->ab", 1.0), ("ab,ac->bc", -1.0), ("ab->bc", 1.0),
+        ("ab,bc->ac", 1.0)]
+    assert [p.complement_labels for p in compiled[0].premises] == [(1,), (1,)]
 
 
 def test_compile_smoke_matches_worked_messages(smoke_rules, smoke_kb):
@@ -76,7 +85,7 @@ def test_message_counts_true_premises():
     q1[1, 2] = 1.0
     q = MarginalTable({"c": np.stack([1 - q1, q1], axis=-1)})
     compiled = compile_rules([TRANSITIVITY], trans_kb(3)).implications
-    msg = message(compiled[2], q)
+    msg = message(compiled[-1], q)
     want = np.zeros((3, 3))
     for a in range(3):
         for d in range(3):
@@ -421,7 +430,7 @@ def _reference_iterate(phi, program, config):
         logits = {name: np.array(arr, order="C") for name, arr in phi.tables.items()}
         for ci in program.implications:
             arrays = [p.gather(q[p.predicate]) for p in ci.premises]
-            w = config.weights.get(ci.rule_id, ci.weight)
+            w = config.weights.get(ci.rule_id, ci.weight) * ci.coefficient
             weighted = w * planner.execute(ci.plan, arrays)
             for label in ci.target_labels:
                 logits[ci.hypothesis][ci.scatter + (label,)] += weighted
@@ -506,7 +515,10 @@ def test_one_gather_per_distinct_premise_key(monkeypatch):
     program = compile_rules(rules, kb)
     premises = [p for ci in program.implications for p in ci.premises]
     keys = {p.key for p in premises}
-    assert (len(premises), len(keys)) == (38, 11)
+    # the expanded tri premise reads q1 under its label-1 key, and its ones
+    # term reads no premise, so ('tri', (), (0,)) is never gathered
+    assert (len(premises), len(keys)) == (38, 10)
+    assert ("tri", (), (0,)) not in keys and ("tri", (), (1,)) in keys
 
     q = iterate(phi, program, EngineConfig(iterations=2))
     shared: dict = {}
@@ -521,17 +533,12 @@ def test_one_gather_per_distinct_premise_key(monkeypatch):
         calls.append(self.key)
         return original(self, table)
 
-    # an expanded premise reads q1 under its label-1 key inside iterate, so
-    # ('tri', (), (0,)) is never gathered there
-    expanded = {ci.premises[ci.complement.index].key
-                for ci in program.implications if ci.complement is not None}
-    assert expanded == {("tri", (), (0,))}
     monkeypatch.setattr(PremiseInput, "gather", counting)
     for iterations in (1, 3):
         calls.clear()
         iterate(phi, program, EngineConfig(iterations=iterations))
-        assert len(calls) == iterations * len(keys - expanded)
-        assert set(calls) == keys - expanded
+        assert len(calls) == iterations * len(keys)
+        assert set(calls) == keys
 
 
 def test_chain_steps_of_workload_rules_run_as_gemm():
@@ -542,7 +549,9 @@ def test_chain_steps_of_workload_rules_run_as_gemm():
     assert sum(s.kernel == "gemm" for _, s in steps) == 8
     assert all(s.kernel == "gemm" for rid, s in steps if rid == "f7")
     trans = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(5)).implications
-    assert [s.kernel for ci in trans for s in ci.plan.steps] == ["gemm"] * 3
+    # each label-0 literal also has its ones term, a single-operand row sum
+    assert [s.kernel for ci in trans for s in ci.plan.steps] == [
+        "gemm", "einsum", "gemm", "einsum", "gemm"]
 
 
 def test_broadcast_message_keeps_its_contracted_size():
@@ -578,14 +587,15 @@ def test_weighting_leaves_shared_gathered_input_unchanged(monkeypatch):
     monkeypatch.setattr(PremiseInput, "gather", recording)
     logits = UnaryTable.zeros(kb).tables
     snapshot = q.copy()
-    _add_messages(logits, q, [(ci, ci.weight, False) for ci in program.implications])
+    _add_messages(logits, q, [(ci, ci.weight * ci.coefficient, False)
+                              for ci in program.implications])
     assert [key for key, _, _ in gathered].count(("p", (), (1,))) == 1
     assert all(np.array_equal(out, before) for _, out, before in gathered)
     # a message without contraction may alias the live snapshot q itself
     assert all(np.array_equal(q.tables[name], snapshot.tables[name]) for name in q.tables)
     want = UnaryTable.zeros(kb).tables
     for ci in program.implications:
-        weighted = ci.weight * planner.execute(
+        weighted = ci.weight * ci.coefficient * planner.execute(
             ci.plan, [original(p, q.tables[p.predicate]) for p in ci.premises])
         for label in ci.target_labels:
             want[ci.hypothesis][ci.scatter + (label,)] += weighted
@@ -696,7 +706,7 @@ def test_one_plane_weighting_leaves_aliased_snapshot_unchanged():
     q1 = {name: rng.random((3, 3)) for name in "prs"}
     snapshot = {name: arr.copy() for name, arr in q1.items()}
     diff = {name: np.zeros((3, 3)) for name in "prs"}
-    messages = [(ci, ci.weight, False) for ci in program.implications]
+    messages = [(ci, ci.weight * ci.coefficient, False) for ci in program.implications]
     _add_messages(diff, MarginalTable(q1), messages)
     assert all(np.array_equal(q1[name], snapshot[name]) for name in q1)
     # the same messages added to two label planes give x0 - x1 exactly
@@ -729,33 +739,112 @@ def test_trace_counts_latent_cells_whose_argmax_changed(smoke_rules, smoke_kb, s
     assert trace.changed[0] > 0     # the kbc rules move some argmax at once
 
 
-# --- summed 1 - q1 premises expanded into N^k - sum q1 -----------------------
+def _two_label_record(q, new, planes):
+    """Residual and argmax changes from both labels of each binary plane,
+    ``q1`` and ``1 - q1``, as the expanded tables hold them."""
+    residual, changed = 0.0, 0
+    for name, arr in new.items():
+        old = q[name]
+        if name in planes:
+            pairs = ((arr, old), (1.0 - arr, 1.0 - old))
+            moved = (arr > 1.0 - arr) != (old > 1.0 - old)
+        else:
+            pairs = ((arr, old),)
+            moved = arr.argmax(axis=-1) != old.argmax(axis=-1)
+        residual = max(residual, *(float(np.max(np.abs(a - b))) for a, b in pairs))
+        changed += int(np.count_nonzero(moved))
+    return residual, changed
+
+
+def _record_state(rng, edges, near_half):
+    """Binary planes whose cells are half drawn from ``edges``, half random
+    (or within a few ulps of 0.5), and a 3-label table."""
+    def plane(shape):
+        other = 0.5 + rng.normal(0.0, 1e-16, shape) if near_half else rng.random(shape)
+        return np.where(rng.random(shape) < 0.5, rng.choice(edges, shape), other)
+    return {"p": plane((5, 5)), "t": plane((5, 5, 5)), "flag": plane(()),
+            "k": softmax_lastaxis(rng.normal(size=(5, 3)))}
+
+
+def test_record_matches_the_two_label_formula():
+    # 0, 1, 0.5 and their neighbours up to 3 ulps away, where 1 - q1 rounds
+    edges = [0.0, 1.0, 0.5, 0.25, 0.75, 2.0 ** -60, FLUSH]
+    for x in (0.0, 0.5, 1.0):
+        below = above = x
+        for _ in range(3):
+            below, above = np.nextafter(below, -1.0), np.nextafter(above, 2.0)
+            edges += [v for v in (below, above) if 0.0 <= v <= 1.0]
+    rng = np.random.default_rng(14)
+    planes = frozenset({"p", "t", "flag"})
+    for trial in range(40):
+        q = _record_state(rng, edges, trial % 2)
+        new = _record_state(rng, edges, trial % 2)
+        if trial % 4 == 0:   # the same state but for a few cells
+            q["t"][0, :, 1] = rng.uniform(0.25, 0.5, 5)
+            new = {name: arr.copy() for name, arr in q.items()}
+            # one ulp up below 0.5: 1 - q1 moves by twice as much, or not at all
+            new["t"][0, :, 1] = (np.nextafter(q["t"][0, :, 1], 2.0) if trial % 8
+                                 else rng.choice(edges, 5))
+        trace = IterationTrace()
+        engine._record(trace, q, new, planes, np.empty((2, 125)))
+        assert (trace.residual[0], trace.changed[0]) == _two_label_record(q, new, planes)
+        assert type(trace.residual[0]) is float and type(trace.changed[0]) is int
+
+
+# --- summed 1 - q1 premises compiled into N^k - sum q1 pairs ----------------
+
+def _pairs(implications):
+    """Each expanded literal's two implications: the one reading ``q1`` with
+    coefficient -1, and its ones term, compiled right after it."""
+    implications = list(implications)
+    return [(ci, implications[k + 1]) for k, ci in enumerate(implications)
+            if ci.coefficient == -1.0]
+
 
 def _expanded(rules, n):
     kb = KnowledgeBase([f"E{i}" for i in range(n)], rules.predicates, {})
-    return [ci for ci in compile_rules(rules, kb).implications if ci.complement is not None]
+    return _pairs(compile_rules(rules, kb).implications)
+
+
+def _unexpanded_premises(main, ones):
+    """The premises of the literal a pair came from: the one ``ones`` lacks,
+    which ``main`` reads as ``q1``, read as ``1 - q1`` again."""
+    (i,) = [i for i, p in enumerate(main.premises) if p.complement_labels == (1,)
+            and main.premises[:i] + main.premises[i + 1:] == ones.premises]
+    return (*main.premises[:i], replace(main.premises[i], complement_labels=(0,)),
+            *main.premises[i + 1:])
+
+
+def _symmetric(ci):
+    return engine._self_transposed_product(ci.plan, [p.key for p in ci.premises])
 
 
 @pytest.mark.parametrize("n", [2, 128])
 def test_only_the_summed_tri_premise_of_kbc_expands(workloads, n):
-    (ci,) = _expanded(E.parse_rules(workloads.KBC_RULES), n)
-    assert (ci.hypothesis, str(ci.spec)) == ("rel", "abc->ab")
-    assert ci.premises[ci.complement.index].key == ("tri", (), (0,))
-    assert ci.complement.scale == float(n)
-    assert str(ci.complement.ones.spec) == "->ab" and ci.complement.ones.total_cost == 0
+    rules = E.parse_rules(workloads.KBC_RULES)
+    ((main, ones),) = _expanded(rules, n)
+    assert (main.hypothesis, str(main.spec), main.coefficient) == ("rel", "abc->ab", -1.0)
+    assert [p.key for p in main.premises] == [("tri", (), (1,))]
+    assert (ones.hypothesis, str(ones.spec), ones.coefficient) == ("rel", "->ab", float(n))
+    assert ones.premises == () and ones.plan.total_cost == 0
+    assert main.target_labels == ones.target_labels == (0,)
+    kb = KnowledgeBase([f"E{i}" for i in range(n)], rules.predicates, {})
+    assert sum(ci.coefficient != 1.0 for ci in compile_rules(rules, kb).implications) == 2
 
 
 @pytest.mark.parametrize("n", [9, 1024])
 @pytest.mark.parametrize("name", ["TRANSITIVITY_RULES", "REPORT_RULES"])
 def test_no_transitivity_or_report_implication_expands(workloads, name, n):
     # transitivity expands exactly its two label-0 implications, whose main
-    # plans are symmetric products; report expands none
+    # plans are symmetric products and whose ones terms have N^0 = 1; report
+    # expands none
     want = {"TRANSITIVITY_RULES": [("bc,ac->ab", "bc->ab"), ("ab,ac->bc", "ab->bc")],
             "REPORT_RULES": []}[name]
     expanded = _expanded(E.parse_rules(getattr(workloads, name)), n)
-    assert [(str(ci.spec), str(ci.complement.ones.spec)) for ci in expanded] == want
-    assert all(ci.target_labels == (0,) and ci.complement.symmetric
-               and ci.complement.scale == 1.0 for ci in expanded)
+    assert [(str(main.spec), str(ones.spec)) for main, ones in expanded] == want
+    assert all(main.target_labels == ones.target_labels == (0,) and _symmetric(main)
+               and ones.coefficient == 1.0 and not _symmetric(ones)
+               for main, ones in expanded)
 
 
 def test_only_a_symmetric_main_product_tips_the_decision():
@@ -784,33 +873,59 @@ def test_symmetric_message_agrees_with_the_complement_product(monkeypatch):
 
     monkeypatch.setattr(planner, "execute", recording)
     want = [(1.0 - q1) @ q1.T, q1.T @ (1.0 - q1)]
-    for ci, ref in zip(program.implications[:2], want):
-        assert ci.complement.symmetric
+    pairs = _pairs(program.implications)
+    assert len(pairs) == 2
+    for (main, ones), ref in zip(pairs, want):
+        assert _symmetric(main)
         operands.clear()
-        got = message(ci, MarginalTable({"c": q1}))
+        gathered: dict = {}
+        planes = MarginalTable({"c": q1})
+        got = (main.coefficient * message(main, planes, gathered)
+               + ones.coefficient * message(ones, planes, gathered))
         assert np.max(np.abs(got - ref)) <= 1e-12
         # the main product reads one buffer twice, as numpy's symmetric
-        # matmul path needs
-        main, ones = operands
-        assert main[0] is main[1] and np.shares_memory(main[0], q1)
-        assert len(ones) == 1
+        # matmul path needs, and the ones term reads that buffer too
+        main_ops, ones_ops = operands
+        assert main_ops[0] is main_ops[1] and np.shares_memory(main_ops[0], q1)
+        assert len(ones_ops) == 1 and ones_ops[0] is main_ops[0]
 
 
-def test_message_on_public_tables_is_the_unexpanded_contraction():
-    rules, kb, phi = _kbc_instance(5)
-    program = compile_rules(rules, kb)
-    q = iterate(phi, program, EngineConfig(iterations=2))
-    planes = MarginalTable({name: t[..., 1] if kb.predicates[name].num_labels == 2 else t
-                            for name, t in q.tables.items()})
-    (expanded,) = [ci for ci in program.implications if ci.complement is not None]
-    for ci in program.implications:
-        want = planner.execute(ci.plan, [p.gather(q.tables[p.predicate]) for p in ci.premises])
-        assert np.array_equal(message(ci, q), want)
-        got = message(ci, planes)
-        if ci is expanded:
-            assert np.max(np.abs(got - want)) <= 1e-12
-        else:
-            assert np.array_equal(got, want)
+def test_message_on_public_tables_is_the_unexpanded_contraction(workloads):
+    # every implication is an ordinary contraction on either storage; an
+    # expanded pair's coefficient-weighted sum is the contraction over 1 - q1
+    # it came from
+    rng = np.random.default_rng(6)
+    instances = [_kbc_instance(5)]
+    for text in (workloads.TRANSITIVITY_RULES,
+                 SHAPE_DECLS + "\n".join(EXPANDING_SHAPES.values())):
+        rules = E.parse_rules(text)
+        kb = KnowledgeBase([f"E{i}" for i in range(4)], rules.predicates, {})
+        instances.append((rules, kb, UnaryTable({
+            name: rng.normal(0.0, 1.5, kb.shape(p) + (p.num_labels,))
+            for name, p in kb.predicates.items()})))
+    checked = 0
+    for rules, kb, phi in instances:
+        program = compile_rules(rules, kb)
+        q = iterate(phi, program, EngineConfig(iterations=2))
+        planes = MarginalTable({name: t[..., 1] if kb.predicates[name].num_labels == 2
+                                else t for name, t in q.tables.items()})
+        for ci in program.implications:
+            want = planner.execute(ci.plan, [p.gather(q.tables[p.predicate])
+                                             for p in ci.premises])
+            assert np.array_equal(message(ci, q), want)
+            assert np.max(np.abs(message(ci, planes) - want)) <= 1e-12
+        for main, ones in _pairs(program.implications):
+            unexpanded = _unexpanded_premises(main, ones)
+            for tables in (q, planes):
+                want = planner.execute(main.plan, [p.gather(tables.tables[p.predicate])
+                                                   for p in unexpanded])
+                got = (main.coefficient * message(main, tables)
+                       + ones.coefficient * message(ones, tables))
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12
+                checked += 1
+    # kbc 1 pair, transitivity 2, the expanding shapes at least one each
+    assert checked >= 2 * (1 + 2 + len(EXPANDING_SHAPES))
 
 
 EXPANDING_SHAPES = {
@@ -830,7 +945,7 @@ def test_expanded_shapes_match_reference_and_chained_oracle(rule, damping):
     rng = np.random.default_rng(27)
     kb = _with_evidence(KnowledgeBase([f"E{i}" for i in range(4)], rules.predicates, {}), rng)
     program = compile_rules(rules, kb)
-    assert any(ci.complement is not None for ci in program.implications)
+    assert _pairs(program.implications)
     phi = UnaryTable({name: rng.normal(0.0, 1.5, kb.shape(p) + (p.num_labels,))
                       for name, p in kb.predicates.items()})
     config = EngineConfig(3, damping=damping)
@@ -926,7 +1041,7 @@ def _refill_and_add(phi, program, config):
         _, new, _ = engine._storage(kb)
         engine._refill(new, phi, planes, new)
         for ci in program.implications:
-            w = config.weights.get(ci.rule_id, ci.weight)
+            w = config.weights.get(ci.rule_id, ci.weight) * ci.coefficient
             target = new[ci.hypothesis]
             if target.ndim == len(ci.scatter):
                 (label,) = ci.target_labels
@@ -959,7 +1074,7 @@ WRITER = {("broadcast", "contraction"): 1, ("diagonal", "contraction"): 1,
 def test_written_plane_is_bitwise_the_refilled_sum(candidate, partner, damping):
     program, phi = _writer_instance(candidate, partner)
     planes = frozenset(program.kb.predicates)
-    weights = tuple(ci.weight for ci in program.implications)
+    weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
     messages, refill = engine._schedule(program, weights, program.kb.masks(), phi, planes)
     assert "o" not in {ci.hypothesis for ci, _, _ in messages}
     into_t = [ci for ci in program.implications if ci.hypothesis == "t"]
@@ -985,7 +1100,7 @@ def test_kbc_tri_takes_its_outer_product_directly():
     program = compile_rules(rules, kb)
     phi = UnaryTable.zeros(kb)
     _, _, planes = engine._storage(kb)
-    weights = tuple(ci.weight for ci in program.implications)
+    weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
     messages, refill = engine._schedule(program, weights, kb.masks(), phi, planes)
     assert refill == {"kind"}
     (writer,) = [ci for ci, _, writes in messages if writes and ci.hypothesis == "tri"]

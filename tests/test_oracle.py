@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from einlog.engine import (EngineConfig, MarginalTable, UnaryTable, _schedule, _storage,
                            compile_rules, initial_marginals, iterate)
 from einlog.fol import (Clause, CnfFormula, Literal, Predicate, binary_literal, constant,
-                        merge_literals, variable)
+                        merge_literals, parse_rules, variable)
 from einlog.kb import KnowledgeBase
 from einlog.oracle import (OracleError, brute_einsum, enumerate_groundings,
                            exact_marginals, naive_mf_step)
@@ -191,6 +192,32 @@ def chained_oracle(phi, rules, kb, iterations, damping) -> MarginalTable:
     return q
 
 
+@pytest.mark.parametrize("text, rule_id", [("KBC_RULES", "f2"), ("TRANSITIVITY_RULES", "f1")])
+def test_weight_override_on_an_expanded_rule_matches_chained_oracle(workloads, text, rule_id):
+    # kbc's f2 and transitivity's one rule compile to expanded pairs, whose
+    # coefficients scale the override as they scale the rule weight
+    rules = parse_rules(getattr(workloads, text))
+    n = 4
+    rng = np.random.default_rng(12)
+    kb = KnowledgeBase([f"E{i}" for i in range(n)], rules.predicates, {
+        (p.name, cell): int(rng.integers(p.num_labels))
+        for p in rules.predicates.values() for cell in np.ndindex(*(n,) * p.arity)
+        if rng.random() < 0.2})
+    phi = UnaryTable({name: rng.normal(0.0, 1.5, kb.shape(p) + (p.num_labels,))
+                      for name, p in kb.predicates.items()})
+    program = compile_rules(rules, kb)
+    assert any(ci.rule_id == rule_id and ci.coefficient == -1.0
+               for ci in program.implications)
+    overridden = [replace(f, weight=0.37) if f.id == rule_id else f for f in rules]
+    for damping in (0.0, 0.3):
+        got = iterate(phi, program, EngineConfig(iterations=3, weights={rule_id: 0.37},
+                                                 damping=damping))
+        assert got.max_abs_diff(chained_oracle(phi, overridden, kb, 3, damping)) <= 1e-9
+        # the override moves the marginals
+        plain = iterate(phi, program, EngineConfig(iterations=3, damping=damping))
+        assert got.max_abs_diff(plain) > 1e-3
+
+
 # 0.3 also tells the two operands of the damping mix apart
 @pytest.mark.parametrize("damping", [0.0, 0.3, 0.5])
 def test_three_iterations_match_chained_oracle_steps(damping):
@@ -255,8 +282,8 @@ def _matches_chained_oracle(seen, rules, n, seed, damping, iterations, zero_unar
                       else rng.normal(0.0, 1.5, shape)
                       for p in PALETTE for shape in [(n,) * p.arity + (p.num_labels,)]})
     program = compile_rules(rules, kb)
-    seen["expanding"].append(any(ci.complement is not None for ci in program.implications))
-    weights = tuple(ci.weight for ci in program.implications)
+    seen["expanding"].append(any(ci.coefficient != 1.0 for ci in program.implications))
+    weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
     messages, _ = _schedule(program, weights, kb.masks(), phi, _storage(kb)[2])
     seen["writing"].append(any(writes for _, _, writes in messages))
     got = iterate(phi, program, EngineConfig(iterations=iterations, damping=damping))
