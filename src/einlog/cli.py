@@ -15,6 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import engine, io, oracle, testing
 from .demo import run_demo
 from .engine import EngineConfig, EngineError, IterationTrace, UnaryTable
@@ -77,7 +79,7 @@ def cmd_infer(args) -> int:
     if args.oracle:
         gap = testing.engine_oracle_gap(kb, ruleset, phi, config.weights)
         print(f"oracle cross-check: max deviation {gap:.3e}", file=sys.stderr)
-        if gap > 1e-9:
+        if gap > testing.ORACLE_TOL:
             print("oracle cross-check FAILED", file=sys.stderr)
             return EXIT_CHECK
 
@@ -121,10 +123,10 @@ def cmd_plan(args) -> int:
     for ci in engine.compile_rules(ruleset, kb).implications:
         plan = ci.plan
         notes = "" if ci.coefficient == 1.0 else f" x {ci.coefficient:.17g}"
-        if engine._self_transposed_product(plan, [p.key for p in ci.premises]):
+        if ci.symmetric:
             notes += " symmetric"
         print(f"# rule {ci.rule_id} clause {ci.clause_id} -> {ci.hypothesis}"
-              f" (labels {list(ci.target_labels)}), spec {ci.spec}{notes}")
+              f" (labels {list(ci.target_labels)}), spec {plan.spec}{notes}")
         print(plan.describe())
         ratio = plan.naive_cost / plan.total_cost if plan.total_cost else float("inf")
         print(f"naive={int(plan.naive_cost)} optimized={int(plan.total_cost)} "
@@ -165,7 +167,8 @@ def cmd_check(args) -> int:
     elapsed = time.perf_counter() - started
     print(f"{args.trials} trials in {elapsed:.1f}s; worst gap {worst:.3e}")
     if failures:
-        print(f"{failures} trials exceeded 1e-9")
+        tol = np.format_float_scientific(testing.ORACLE_TOL, trim="-", exp_digits=1)
+        print(f"{failures} trials exceeded {tol}")
         return EXIT_CHECK
     return EXIT_OK
 

@@ -82,8 +82,15 @@ class UnaryTable:
             want = kb.shape(pred) + (pred.num_labels,)
             if arr.shape != want:
                 raise EngineError(f"unary table {name}: shape {arr.shape}, expected {want}")
-            if not np.all(np.isfinite(arr)):
+            lo, hi = arr.min(), arr.max()  # NaN propagates into both
+            if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise EngineError(f"unary table {name} contains non-finite values")
+            # per-cell label spreads only when the whole-table spread overflows
+            with np.errstate(over="ignore"):
+                if not (np.isfinite(hi - lo)
+                        or np.isfinite(arr.max(axis=-1) - arr.min(axis=-1)).all()):
+                    raise EngineError(f"unary table {name}: the label logits of a cell "
+                                      "differ by more than a float64 holds")
         return self
 
 
@@ -125,7 +132,8 @@ class PremiseInput:
 
     @property
     def key(self) -> tuple:
-        """What ``gather`` reads: premises with equal keys get equal arrays."""
+        """What ``gather`` reads: premises with equal keys get equal arrays,
+        so ``message`` gathers each key of one implication once."""
         return (self.predicate, self.const_slices, self.complement_labels)
 
     def gather(self, q: np.ndarray) -> np.ndarray:
@@ -167,15 +175,25 @@ class CompiledImplication:
     hypothesis: str
     target_labels: tuple[int, ...]
     premises: tuple[PremiseInput, ...]
-    spec: EinsumSpec
     plan: planner.ContractionPlan
     coefficient: float
     # index of the hypothesis cells, in message axis order; see _scatter_index
     scatter: tuple = field(compare=False, repr=False)
 
+    @property
+    def symmetric(self) -> bool:
+        """Whether the plan is one matrix product of an operand with its own
+        transpose: both operands gather under one premise key, so ``message``
+        hands them one array, and exactly one of them is transposed."""
+        steps = self.plan.steps
+        if len(steps) != 1 or steps[0].gemm is None:
+            return False
+        left, right, t_left, t_right = steps[0].gemm
+        return self.premises[left].key == self.premises[right].key and t_left != t_right
+
     def describe(self) -> str:
         times = "" if self.coefficient == 1.0 else f" x {self.coefficient:.17g}"
-        return (f"rule {self.rule_id} -> {self.hypothesis}: spec {self.spec}{times} "
+        return (f"rule {self.rule_id} -> {self.hypothesis}: spec {self.plan.spec}{times} "
                 f"M'={self.plan.max_intermediate_arity}")
 
 
@@ -252,14 +270,13 @@ def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[Com
                                          plit.complement_labels()))
         premises = tuple(premises)
         in_subs = tuple(p.subscript for p in premises)
-        spec = EinsumSpec(in_subs, out_sub)
         extents = {ch: kb.n for sub in (*in_subs, out_sub) for ch in sub}
-        cplan = planner.plan(spec, extents)
+        cplan = planner.plan(EinsumSpec(in_subs, out_sub), extents)
         out += _complement_expansion(CompiledImplication(
             rule_id=rule_id, clause_id=clause.id or rule_id,
             weight=clause.weight, hypothesis=hyp.predicate.name,
             target_labels=tuple(sorted(hyp.value_set)),
-            premises=premises, spec=spec, plan=cplan, coefficient=1.0,
+            premises=premises, plan=cplan, coefficient=1.0,
             scatter=_scatter_index(out_sub, pattern, kb.n)), kb)
     return out
 
@@ -274,38 +291,28 @@ def _complement_expansion(ci: CompiledImplication,
     adds the message core and runs ``ci.plan`` on ``q1``, which counts half
     when that is a symmetric product, and cancels otherwise.
     """
-    premises, spec, main = ci.premises, ci.spec, ci.plan
+    premises, main = ci.premises, ci.plan
     found = [i for i, p in enumerate(premises) if p.complement_labels == (0,)
              and kb.predicates[p.predicate].num_labels == 2]
     if len(found) != 1:
         return [ci]
     (i,) = found
+    spec = main.spec
     others = premises[:i] + premises[i + 1:]
-    ones = planner.plan(EinsumSpec(tuple(p.subscript for p in others), spec.output),
+    ones = planner.plan(EinsumSpec(spec.inputs[:i] + spec.inputs[i + 1:], spec.output),
                         main.extents)
-    as_q1 = (*premises[:i], replace(premises[i], complement_labels=(1,)), *premises[i + 1:])
+    as_q1 = replace(ci, premises=(*premises[:i], replace(premises[i], complement_labels=(1,)),
+                                  *premises[i + 1:]), coefficient=-1.0)
 
     def cells(letters) -> int:
         return math.prod(main.extents[ch] for ch in letters)
 
-    saved = main.total_cost / 2 if _self_transposed_product(main, [p.key for p in as_q1]) else 0
+    saved = main.total_cost / 2 if as_q1.symmetric else 0
     core = spec.input_letters().intersection(spec.output)
     if cells(set(spec.inputs[i])) + saved <= ones.total_cost + cells(core):
         return [ci]
     own = set(spec.inputs[i]).difference(spec.output, *ones.spec.inputs)
-    return [replace(ci, premises=as_q1, coefficient=-1.0),
-            replace(ci, premises=others, spec=ones.spec, plan=ones,
-                    coefficient=float(cells(own)))]
-
-
-def _self_transposed_product(cplan: planner.ContractionPlan, keys) -> bool:
-    """Whether the plan is one matrix product of an operand with its own
-    transpose: both operands gather under one premise key, so ``message``
-    hands them one array, and exactly one of them is transposed."""
-    if len(cplan.steps) != 1 or cplan.steps[0].gemm is None:
-        return False
-    left, right, t_left, t_right = cplan.steps[0].gemm
-    return keys[left] == keys[right] and t_left != t_right
+    return [as_q1, replace(ci, premises=others, plan=ones, coefficient=float(cells(own)))]
 
 
 def _scatter_index(output: str, pattern, n: int) -> tuple:
@@ -340,31 +347,25 @@ def compile_rules(rules, kb: KnowledgeBase) -> Program:
 
 
 def message(ci: CompiledImplication, marginals: MarginalTable,
-            gathered: dict | None = None, out: np.ndarray | None = None) -> np.ndarray:
+            out: np.ndarray | None = None) -> np.ndarray:
     """Expected count of true-premise groundings per hypothesis cell.
 
     The message broadcasts to the hypothesis cells: a hypothesis variable
-    absent from every premise gets a size-1 axis.  ``gathered`` shares
-    premise inputs between the messages that read one marginal snapshot,
-    keyed by ``PremiseInput.key``; ``planner.execute`` does not write to its
-    inputs, so one array can feed several messages.  A message without
-    contraction (``ab->ab``) is a view of its gathered input, so callers
-    must not write to it in place.  The message is not scaled: callers
-    apply the rule weight times ``ci.coefficient``.
+    absent from every premise gets a size-1 axis.  Each distinct
+    ``PremiseInput.key`` of ``ci`` is gathered once, so premises with one key
+    get one array, as the symmetric product (``ci.symmetric``) needs, even
+    where gather copies; nothing is kept for other messages.  A message
+    without contraction (``ab->ab``) is a view of its gathered input, so
+    callers must not write to it in place.  The message is not scaled:
+    callers apply the rule weight times ``ci.coefficient``.
 
     With ``out`` the plan's last step writes the message into ``out``,
     which is returned; the plan must fill its output (see
     ``planner.execute``).
     """
-    if gathered is None:
-        gathered = {}
-    arrays = []
-    for p in ci.premises:
-        arr = gathered.get(p.key)
-        if arr is None:
-            arr = gathered[p.key] = p.gather(marginals.tables[p.predicate])
-        arrays.append(arr)
-    return planner.execute(ci.plan, arrays, out=out)
+    first = {p.key: p for p in ci.premises}
+    gathered = {key: p.gather(marginals.tables[p.predicate]) for key, p in first.items()}
+    return planner.execute(ci.plan, [gathered[p.key] for p in ci.premises], out=out)
 
 
 def _pins(masks: dict[str, ObservationMask]) -> dict[str, tuple]:
@@ -393,15 +394,13 @@ def _storage(kb: KnowledgeBase) -> tuple[dict, dict, frozenset]:
 
 def _refill(tables: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset, names):
     """Unary logits into the tables ``names``; a binary plane gets
-    ``x0 - x1``, which may overflow: the finite check of ``iterate``
-    reports it."""
-    with np.errstate(over="ignore"):
-        for name in names:
-            arr, logits = tables[name], phi.tables[name]
-            if name in planes:
-                np.subtract(logits[..., 0], logits[..., 1], out=arr)
-            else:
-                np.copyto(arr, logits)
+    ``x0 - x1``, which is finite when ``phi`` passed ``validate``."""
+    for name in names:
+        arr, logits = tables[name], phi.tables[name]
+        if name in planes:
+            np.subtract(logits[..., 0], logits[..., 1], out=arr)
+        else:
+            np.copyto(arr, logits)
 
 
 def _normalize(tables: dict[str, np.ndarray], planes: frozenset):
@@ -447,7 +446,9 @@ def initial_marginals(phi: UnaryTable, kb: KnowledgeBase) -> MarginalTable:
 
     The tables are label-plane (see ``tensor.label_planes``), as every
     marginal table ``iterate`` returns, and hold what ``iterate`` starts from.
+    ``phi`` is validated against ``kb`` first.
     """
+    phi.validate(kb)
     tables, q, planes = _storage(kb)
     _start(q, phi, planes, _pins(kb.masks()))
     return _expand(tables, planes)
@@ -499,12 +500,11 @@ def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, messages):
     pass, which is exact since ``1.0 * x == x``.  With any other weight a
     message that ``planner.execute`` allocated is scaled in place (it
     rounds as ``w * msg``), and a view, such as a message without
-    contraction that aliases a shared gathered input or ``q`` itself, is
-    scaled into a new array.  The ``+=`` broadcasts a message's size-1 axes
-    over the hypothesis cells.  Each message is dropped before the next is
-    computed.
+    contraction that aliases its gathered input or ``q`` itself, is scaled
+    into a new array.  The ``+=`` broadcasts a message's size-1 axes over
+    the hypothesis cells.  Each message, and what it gathered, is dropped
+    before the next is computed.
     """
-    gathered: dict = {}
     for ci, w, writes in messages:
         target = logits[ci.hypothesis]
         if target.ndim == len(ci.scatter):
@@ -513,13 +513,13 @@ def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, messages):
         else:
             cells = [ci.scatter + (label,) for label in ci.target_labels]
         if writes and ci.plan.fills_output:
-            message(ci, q, gathered, out=target)
+            message(ci, q, out=target)
             if w != 1.0:
                 target *= w
         elif writes:
-            np.multiply(message(ci, q, gathered), w, out=target)
+            np.multiply(message(ci, q), w, out=target)
         else:
-            msg = message(ci, q, gathered)
+            msg = message(ci, q)
             if abs(w) != 1.0:
                 if msg.flags.owndata:
                     msg *= w
@@ -593,8 +593,8 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
         started = time.perf_counter()
         _refill(spare, phi, planes, refill)
         _add_messages(spare, MarginalTable(q), messages)
-        for name, arr in spare.items():
-            if not np.all(np.isfinite(arr)):
+        for name, arr in spare.items():  # NaN propagates into min and max
+            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise EngineError(f"non-finite logits for {name} at iteration {t}")
         _normalize(spare, planes)
         if lam > 0.0:

@@ -234,6 +234,23 @@ def test_nonfinite_unary_logit_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("decl, premise, logits", [
+    ("", "!p(a)", "1e308 -1e308"),
+    (" labels {L0,L1,L2}", "!p(a) in {L1}", "1e308 -1e308 0")], ids=["binary", "3 labels"])
+def test_overflowing_unary_label_spread_is_data_error(tmp_path, capsys, recwarn,
+                                                      decl, premise, logits):
+    rules, evidence, unary = (tmp_path / name for name in ("r.rules", "e.txt", "u.txt"))
+    rules.write_text(f"predicate p(t){decl}\npredicate q(t)\n{premise} | q(a)\n")
+    evidence.write_text("q(A)\n")
+    unary.write_text(f"p(A) {logits}\n")
+    code, out, err = run(capsys, "infer", "--rules", str(rules), "--evidence", str(evidence),
+                         "--unary", str(unary))
+    assert code == 2 and out == ""
+    assert err == "error: unary table p: the label logits of a cell differ by more than " \
+                  "a float64 holds\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("score", ["nan", "inf", "-1e400"])
 def test_nonfinite_prediction_score_is_data_error(tmp_path, capsys, score):
     rules, preds, truth = (tmp_path / name for name in ("r.rules", "p.txt", "t.txt"))
