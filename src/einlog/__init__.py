@@ -5,8 +5,7 @@ from .engine import (CompiledImplication, EngineConfig, EngineError,
                      compile_rules, initial_marginals, iterate, message,
                      run_inference, transitivity_violations)
 from .fol import (Clause, CnfFormula, Literal, Predicate, RuleError, RuleSet, Term,
-                  binary_literal, constant, format_rules, parse_rules, split_cnf,
-                  variable)
+                  binary_literal, constant, parse_rules, split_cnf, variable)
 from .kb import (EvidenceError, GroundAtom, KnowledgeBase, ObservationMask, Queries,
                  load_evidence, load_queries)
 from .metrics import MetricError, auc_pr

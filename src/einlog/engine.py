@@ -68,9 +68,6 @@ class UnaryTable:
         return cls({name: label_planes(kb.shape(p) + (p.num_labels,), np.zeros)
                     for name, p in kb.predicates.items()})
 
-    def copy(self) -> "UnaryTable":
-        return UnaryTable({k: v.copy() for k, v in self.tables.items()})
-
     def validate(self, kb: KnowledgeBase) -> "UnaryTable":
         unknown = sorted(set(self.tables).difference(kb.predicates))
         if unknown:
@@ -102,10 +99,6 @@ class MarginalTable:
 
     def copy(self) -> "MarginalTable":
         return MarginalTable({k: v.copy() for k, v in self.tables.items()})
-
-    def max_abs_diff(self, other: "MarginalTable") -> float:
-        return max(float(np.max(np.abs(self.tables[k] - other.tables[k])))
-                   for k in self.tables)
 
     def validate(self, kb: KnowledgeBase, atol: float = 1e-9) -> "MarginalTable":
         for name, pred in kb.predicates.items():

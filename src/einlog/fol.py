@@ -577,16 +577,3 @@ def parse_rules(text: str) -> RuleSet:
         ruleset.formulas.append(CnfFormula(tuple(distinct), weight=weight, id=fid))
     return ruleset
 
-
-def format_rules(ruleset: RuleSet) -> str:
-    """Rule file text that reparses to an equal RuleSet, up to formula ids
-    where the parsed file had a tautological line (reparsing closes the gap)."""
-    lines = []
-    for pred in ruleset.predicates.values():
-        types = pred.arg_types or tuple(f"t{i}" for i in range(pred.arity))
-        decl = f"predicate {pred.name}({','.join(types)})"
-        if pred.label_names is not None:
-            decl += f" labels {{{','.join(pred.label_names)}}}"
-        lines.append(decl)
-    lines.extend(str(formula) for formula in ruleset.formulas)
-    return "\n".join(lines) + "\n"

@@ -30,12 +30,10 @@ def _bulk_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
     found = {name: ([np.empty((0, p.arity), np.int64)], [np.empty((0, p.num_labels))])
              for name, p in kb.predicates.items()}
     for block in atom_blocks(text, kb.predicates, kb.index):
-        if any(block.negs) or any(block.labels):
+        if block.negated.any() or block.named.any():
             raise Declined
-        fields = list(map(str.split, block.fields))
-        counts = np.fromiter(map(len, fields), np.intp, len(fields))
-        values = np.fromiter(map(float, chain.from_iterable(fields)), np.float64,
-                             int(counts.sum()))
+        counts = block.counts
+        values = np.fromiter(map(float, block.fields), np.float64, len(block.fields))
         if not np.all(np.isfinite(values)):
             raise Declined
         first = np.cumsum(counts) - counts

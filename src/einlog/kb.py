@@ -11,10 +11,13 @@ inside atoms, ``#`` comments)::
 Entity constants are collected in first-occurrence order; an optional seed
 list pins the leading indices.
 
-Data files (evidence, queries, unary potentials) are read in bulk:
-``atom_blocks`` matches a block of lines with one regex pass and turns the
-atoms into per-predicate entity index arrays.  When a bulk reader declines a
-text, ``read_bulk`` runs the reader's per-line walk, which goes through
+Data files (evidence, queries, unary potentials) are read in bulk, in blocks
+of ``BLOCK_LINES`` lines: ``atom_blocks`` checks the atom grammar of a block
+in array passes over its characters' classes (the sequence of delimiters
+``!``, ``(``, ``,``, ``)``, ``=`` and the gaps between them), cuts it into
+tokens with one ``str.translate`` and ``split``, and turns the atoms into
+per-predicate entity index arrays.  When a bulk reader declines a text,
+``read_bulk`` runs the reader's per-line walk, which goes through
 ``fol.content_lines`` and ``parse_atom`` and raises the first error in line
 order, so each reader error starts with ``line N:``.
 """
@@ -24,7 +27,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -32,15 +34,11 @@ import numpy as np
 from .fol import Predicate, RuleError, content_lines
 
 _SYMBOL = r"[A-Za-z0-9_.-]+"
-_ATOM = (rf"(?P<neg>!?)(?P<name>{_SYMBOL})\((?P<args>(?:{_SYMBOL}(?:,{_SYMBOL})*)?)\)"
-         rf"(?:=(?P<label>{_SYMBOL}))?")
-ATOM_RE = re.compile(rf"^{_ATOM}$")
-# An atom and the whitespace-separated fields after it, one match per line of
-# a block joined by "\n"; [^\S\n] is whitespace inside a line.
-_LINE_RE = re.compile(rf"^{_ATOM}(?P<fields>(?:[^\S\n]+\S+)*)$", re.MULTILINE)
+ATOM_RE = re.compile(rf"^(?P<neg>!?)(?P<name>{_SYMBOL})"
+                     rf"\((?P<args>(?:{_SYMBOL}(?:,{_SYMBOL})*)?)\)(?:=(?P<label>{_SYMBOL}))?$")
 
-# Lines per bulk-read block.  Reading a whole file at once is no faster and
-# keeps every line's match tuple and symbol list alive together.
+# Lines per bulk-read block.  Reading a whole file at once would keep every
+# character's class and position arrays alive together.
 BLOCK_LINES = 2048
 
 
@@ -250,54 +248,135 @@ def read_bulk(bulk, walk, *args):
                        f"{walk.__name__} accepts")
 
 
+# Character classes of the bulk readers; a class up to _HASH ends a token.
+_SPACE, _NEWLINE, _OPEN, _COMMA, _EQUALS, _HASH, _SYM, _BANG, _CLOSE, _OTHER = range(10)
+# No code point above U+3000 is whitespace, so the last entry stands for them all.
+_CLASS = np.full(0x3002, _OTHER, np.uint8)
+_CLASS[[i for i in range(0x3001) if chr(i).isspace()]] = _SPACE
+_CLASS[[i for i in range(128) if re.fullmatch(_SYMBOL, chr(i))]] = _SYM
+_CLASS[list(b"\n(,=#!)")] = [_NEWLINE, _OPEN, _COMMA, _EQUALS, _HASH, _BANG, _CLOSE]
+_ASCII_CLASS = _CLASS[:256].tobytes()
+# str.split(",") after this table cuts a block into its tokens: each
+# token-ending character becomes ',', and '!' and ')' are dropped.
+_TOKENS = (dict.fromkeys(np.flatnonzero(_CLASS[:-1] <= _HASH).tolist(), ",")
+           | {ord("!"): None, ord(")"): None})
+
+
+def _classes(block: str) -> np.ndarray:
+    """The class of each character of ``block``."""
+    if block.isascii():
+        return np.frombuffer(block.encode("ascii").translate(_ASCII_CLASS), np.uint8)
+    codes = np.frombuffer(block.encode("utf-32-le"), "<u4")
+    return _CLASS[np.minimum(codes, len(_CLASS) - 1)]
+
+
+def _scan(block: str):
+    """The atom lines of ``block``, a text of lines joined and ended by "\\n",
+    or None when no line has content.
+
+    Lines, comments and whitespace are read as ``fol.content_lines`` and
+    ``str.split`` read them: a line's first word is its atom, the words after
+    it are its fields.  Returns ``(names, nargs, args, negated, named, labels,
+    counts, fields)``: per line the predicate name and argument count, all
+    lines' arguments in order, per line the '!' and '=LABEL' flags, the label
+    text (or None) and the field count, and all lines' fields in order.
+    Declines a block with an atom outside the grammar or a field that holds a
+    delimiter, which no reader takes.
+    """
+    cls = _classes(block)
+    seps = np.flatnonzero(cls <= _HASH)         # token ends, as str.translate sees them
+    newlines = np.flatnonzero(cls == _NEWLINE)
+    hashes = np.flatnonzero(cls == _HASH)
+    if hashes.size:                     # a comment runs from a line's first '#' on
+        ends = newlines[np.searchsorted(newlines, hashes)]
+        first = np.diff(ends, prepend=-1) != 0
+        toggles = np.zeros(len(cls), bool)
+        toggles[hashes[first]] = toggles[ends[first]] = True
+        cls = np.where(np.logical_xor.accumulate(toggles), _SPACE, cls)
+    # word starts and stops alternate, as the block ends in a line break
+    bounds = np.flatnonzero(np.diff(cls <= _NEWLINE, prepend=True))
+    starts, stops = bounds[0::2], bounds[1::2]
+    if not starts.size:
+        return None
+    head = np.flatnonzero(np.diff(np.searchsorted(newlines, starts), prepend=-1))
+    a0, a1 = starts[head], stops[head]         # each line's first word: its atom
+    opens, commas, equals, bangs, closes, others = (
+        np.flatnonzero(cls == k) for k in (_OPEN, _COMMA, _EQUALS, _BANG, _CLOSE, _OTHER))
+    m = len(head)
+    if not len(opens) == len(closes) == m:
+        raise Declined
+    # In each atom: a symbol, then one '(', then symbols joined by single
+    # commas, then one ')', then the atom's end or '=' and a symbol; a '!'
+    # only first, and no other character.  A delimiter in a field breaks one
+    # of these.
+    comma_of = np.searchsorted(opens, commas) - 1
+    other_of = np.searchsorted(a0, others, "right") - 1
+    if not (np.all((a0 < opens) & (opens < closes) & (closes < a1)
+                   & (cls[opens - 1] == _SYM)
+                   & ((closes + 1 == a1) | (cls[closes + 1] == _EQUALS)))
+            and np.all((comma_of >= 0) & (commas < closes[comma_of])
+                       & (cls[commas - 1] == _SYM) & (cls[commas + 1] == _SYM))
+            and np.all((cls[equals - 1] == _CLOSE) & (cls[equals + 1] == _SYM))
+            and np.isin(bangs, a0, assume_unique=True).all()
+            and not np.any((other_of >= 0) & (others < a1[other_of]))):
+        raise Declined
+    nargs = np.bincount(comma_of, minlength=m) + (closes > opens + 1)
+    negated = np.zeros(m, bool)
+    negated[np.searchsorted(a0, bangs)] = True
+    named = np.zeros(m, bool)
+    named[np.searchsorted(closes, equals - 1)] = True
+    # the token at a position is the count of token ends before it
+    tokens = np.array(block.translate(_TOKENS).split(","), object)
+    name_at = np.searchsorted(seps, a0)
+    arg_first = np.cumsum(nargs) - nargs
+    arg_at = np.arange(arg_first[-1] + nargs[-1]) + np.repeat(name_at + 1 - arg_first, nargs)
+    labels = np.full(m, None, object)
+    labels[named] = tokens[np.searchsorted(seps, equals + 1)]
+    return (tokens[name_at], nargs, tokens[arg_at], negated, named, labels,
+            np.diff(head, append=len(starts)) - 1,
+            tokens[np.searchsorted(seps, np.delete(starts, head))])
+
+
 @dataclass
 class AtomBlock:
-    """The content lines of one block: per-line match columns, and for each
+    """The content lines of one block: per-line columns, and for each
     predicate present its line positions and (m, arity) entity indices."""
 
     codes: np.ndarray                 # position in the predicate dict, per line
-    negs: tuple[str, ...]
-    labels: tuple[str, ...]
-    fields: tuple[str, ...]           # whitespace-led text after the atom
+    negated: np.ndarray               # per line: a leading '!'
+    named: np.ndarray                 # per line: an '=LABEL' suffix
+    labels: np.ndarray                # per line: the label text, or None
+    counts: np.ndarray                # per line: whitespace-separated fields after the atom
+    fields: np.ndarray                # those fields, in line order (object)
     groups: list[tuple[Predicate, np.ndarray, np.ndarray]]
 
 
 def atom_blocks(text: str, predicates: dict[str, Predicate], entities):
     """Yield an ``AtomBlock`` for each ``BLOCK_LINES`` lines with content.
 
-    Comments and surrounding whitespace are stripped as in
-    ``fol.content_lines``.  Declines a block with a line that is not an atom,
-    an undeclared predicate, a wrong argument count or an entity that
-    ``entities`` cannot map.
+    Each block is read by ``_scan``.  Declines a block that ``_scan``
+    declines, or with an undeclared predicate, a wrong argument count or an
+    entity that ``entities`` cannot map.
     """
     preds = list(predicates.values())
     position = {p.name: i for i, p in enumerate(preds)}
     arity = np.array([p.arity for p in preds], dtype=np.intp)
     lines = text.splitlines()
     for start in range(0, len(lines), BLOCK_LINES):
-        content = [ln.split("#", 1)[0].strip() for ln in lines[start:start + BLOCK_LINES]]
-        content = list(filter(None, content))
-        matches = _LINE_RE.findall("\n".join(content))
-        if len(matches) != len(content):
-            raise Declined
-        if not matches:
+        scanned = _scan("\n".join(lines[start:start + BLOCK_LINES]) + "\n")
+        if scanned is None:
             continue
-        negs, names, args, labels, fields = zip(*matches)
-        m = len(names)
-        codes = np.fromiter(map(position.__getitem__, names), np.intp, m)
-        nsym = (np.fromiter(map(str.count, args, repeat(",")), np.intp, m)
-                + np.fromiter(map(bool, args), np.intp, m))
-        if not np.array_equal(nsym, arity[codes]):
+        names, nargs, args, negated, named, labels, counts, fields = scanned
+        codes = np.fromiter(map(position.__getitem__, names), np.intp, len(names))
+        if not np.array_equal(nargs, arity[codes]):
             raise Declined
-        symbols = ",".join(filter(None, args))
-        ids = np.fromiter(map(entities.__getitem__, symbols.split(",") if symbols else ()),
-                          np.int64, int(nsym.sum()))
-        first = np.cumsum(nsym) - nsym
+        ids = np.fromiter(map(entities.__getitem__, args), np.int64, len(args))
+        first = np.cumsum(nargs) - nargs
         groups = []
         for code in np.flatnonzero(np.bincount(codes)).tolist():
             at = np.flatnonzero(codes == code)
             groups.append((preds[code], at, ids[first[at, None] + np.arange(arity[code])]))
-        yield AtomBlock(codes, negs, labels, fields, groups)
+        yield AtomBlock(codes, negated, named, labels, counts, fields, groups)
 
 
 def load_evidence(text: str, predicates, entities=None) -> KnowledgeBase:
@@ -315,17 +394,14 @@ def _bulk_evidence(text: str, preds: dict[str, Predicate], seed: list) -> Knowle
     index = _Numbering(zip(seed, range(len(seed))))
     found: dict[str, list] = {}
     for block in atom_blocks(text, preds, index):
-        m = len(block.codes)
-        negated = np.fromiter(map(bool, block.negs), bool, m)
-        named = np.fromiter(map(bool, block.labels), bool, m)
-        if any(block.fields) or np.any(negated & named):
+        if block.counts.any() or np.any(block.negated & block.named):
             raise Declined
         for pred, at, cells in block.groups:
-            labels = np.where(negated[at], 0, 1)
-            has = named[at]
+            labels = np.where(block.negated[at], 0, 1)
+            has = block.named[at]
             if pred.num_labels != 2 and not has.all():
                 raise Declined
-            labels[has] = [pred.label_index(block.labels[i]) for i in at[has].tolist()]
+            labels[has] = [pred.label_index(label) for label in block.labels[at[has]]]
             found.setdefault(pred.name, []).append((cells, labels))
     observed = {}
     for name, parts in found.items():
@@ -378,7 +454,7 @@ def _bulk_queries(text: str, kb: KnowledgeBase) -> Queries:
     lines = [np.empty(0, np.intp)]
     found = {name: [np.empty((0, p.arity), np.int64)] for name, p in kb.predicates.items()}
     for block in atom_blocks(text, kb.predicates, kb.index):
-        if any(block.negs) or any(block.labels) or any(block.fields):
+        if block.negated.any() or block.named.any() or block.counts.any():
             raise Declined
         lines.append(block.codes)
         for pred, _, cells in block.groups:

@@ -1,0 +1,28 @@
+"""Helpers that only the tests use: rule-file printing and table comparison."""
+
+import numpy as np
+
+from einlog.engine import MarginalTable, UnaryTable
+from einlog.fol import RuleSet
+
+
+def format_rules(ruleset: RuleSet) -> str:
+    """Rule file text that reparses to an equal RuleSet, up to formula ids
+    where the parsed file had a tautological line (reparsing closes the gap)."""
+    lines = []
+    for pred in ruleset.predicates.values():
+        types = pred.arg_types or tuple(f"t{i}" for i in range(pred.arity))
+        decl = f"predicate {pred.name}({','.join(types)})"
+        if pred.label_names is not None:
+            decl += f" labels {{{','.join(pred.label_names)}}}"
+        lines.append(decl)
+    lines.extend(str(formula) for formula in ruleset.formulas)
+    return "\n".join(lines) + "\n"
+
+
+def copy_unary(phi: UnaryTable) -> UnaryTable:
+    return UnaryTable({k: v.copy() for k, v in phi.tables.items()})
+
+
+def max_abs_diff(a: MarginalTable, b: MarginalTable) -> float:
+    return max(float(np.max(np.abs(a.tables[k] - b.tables[k]))) for k in a.tables)

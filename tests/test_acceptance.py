@@ -23,6 +23,7 @@ from einlog.oracle import brute_einsum, naive_mf_step
 from einlog.tensor import EinsumSpec, einsum, softmax_lastaxis
 from einlog.testing import engine_oracle_gap, random_instance
 
+from helpers import max_abs_diff
 from test_demo import reference_three_message_update
 
 
@@ -401,6 +402,6 @@ def test_smoke_fixture_directions(smoke_rules, smoke_kb, smoke_phi):
 def test_smoke_fixture_convergence_stability(smoke_rules, smoke_kb, smoke_phi):
     m5, m10 = (E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=k))
                for k in (5, 10))
-    delta = m10.max_abs_diff(m5)
+    delta = max_abs_diff(m10, m5)
     report("fixture marginal change between iterations 5 and 10", delta <= 1e-3,
            f"max change {delta:.3e} (tol 1e-3)")

@@ -7,6 +7,7 @@ must still carry its own line number.
 """
 
 import itertools
+import sys
 from unittest import mock
 
 import numpy as np
@@ -211,3 +212,144 @@ def test_bulk_unary_tables_are_label_plane():
     assert np.count_nonzero(phi.tables["friend"]) == 2
     for table in phi.tables.values():
         assert table[..., 0].flags.c_contiguous
+
+
+SHAPE_PREDS = {p.name: p for p in [Predicate("rel", 2), Predicate("kind", 1, 2, ("K0", "K1"))]}
+SHAPE_KB = KnowledgeBase(["A", "B"], SHAPE_PREDS, {})
+SHAPE_READERS = {
+    "evidence": (lambda t: load_evidence(t, SHAPE_PREDS),
+                 lambda t: kb._walk_evidence(t, SHAPE_PREDS, [])),
+    "queries": (lambda t: load_queries(t, SHAPE_KB), lambda t: kb._walk_queries(t, SHAPE_KB)),
+    "unary": (lambda t: io.load_unary(t, SHAPE_KB), lambda t: io._walk_unary(t, SHAPE_KB)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(SHAPE_READERS))
+@pytest.mark.parametrize("shape", ["rel(A,B)=", "!!rel(A,B)", "rel((A,B))", "rel(A,B))", "(A,B)",
+                                   "kind(A)=K0=K1", "rél(A)", "rel(A)B", "rel(A,B)=K0("])
+def test_each_bad_delimiter_shape_gets_the_walk_error(reader, shape):
+    logits = " 0 0" if reader == "unary" else ""
+    text = "\n".join(["rel(B,A)" + logits, shape + logits, "kind(B)" + logits])
+    bulk, walk = SHAPE_READERS[reader]
+    assert _outcome(walk, text) == ("error", f"line 2: malformed atom {shape!r}")
+    for block in (1, kb.BLOCK_LINES):
+        _assert_same(block, bulk, walk, text)
+
+
+def _multi_block_lines(reader, entities):
+    """Over 6,000 lines of every arity, read form and separator, in an order
+    that mixes predicates within each block."""
+    cells = [(p, args) for p in PREDS.values() if p.arity < 3
+             for args in itertools.product(entities, repeat=p.arity)]
+    cells += list(itertools.product([PREDS["tri"]], itertools.product(entities, repeat=3)))[::16]
+    cells = [cells[i * 7919 % len(cells)] for i in range(len(cells))]   # 7919 is prime
+    lines = []
+    for i, (pred, args) in enumerate(cells):
+        atom = _atom(pred, args)
+        if reader == "evidence":
+            if pred.label_names is not None:
+                atom += "=" + pred.label_names[i % 3]
+            elif pred.num_labels > 2:
+                atom += f"={i % pred.num_labels}"
+            else:
+                atom = ["!" + atom, atom, atom + "=0", atom + "=1"][i % 4]
+        elif reader == "unary":
+            seps = [" ", "\t", "\xa0", " \t"]
+            atom += "".join(f"{seps[(i + k) % 4]}{(i * 3 + k) % 11 - 5}.{k}5"
+                            for k in range(pred.num_labels))
+        lines.append(["", " ", "\t", "\xa0"][i % 4 if i % 3 == 0 else 0] + atom
+                     + ("  # note" if i % 5 == 0 else ""))
+        if i % 13 == 0:
+            lines.append("" if i % 2 else "# a comment line")
+        if reader != "unary" and i % 50 == 49:
+            lines.append(lines[-40])          # a repeated line
+    return lines
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_multi_block_text_at_default_block_size_matches_the_walk(reader):
+    entities = [f"E{i}" for i in range(40)]
+    lines = _multi_block_lines(reader, entities)
+    assert len(lines) > 3 * kb.BLOCK_LINES
+    text = "\r\n".join(lines) + "\r\n"
+    wide = KnowledgeBase(entities, PREDS, {})
+    bulk, walk = {
+        "evidence": (lambda t: load_evidence(t, PREDS),
+                     lambda t: kb._walk_evidence(t, PREDS, [])),
+        "queries": (lambda t: load_queries(t, wide), lambda t: kb._walk_queries(t, wide)),
+        "unary": (lambda t: io.load_unary(t, wide), lambda t: io._walk_unary(t, wide)),
+    }[reader]
+    got = _outcome(bulk, text)
+    assert got[0] == "ok"
+    assert got == _outcome(walk, text)
+
+
+SCAN_PIECES = ["p", "A", "!", "(", ")", ",", "=", " ", "\xa0", "#", "é", "+1", "p(A)", "()"]
+
+
+@st.composite
+def scan_lines(draw):
+    """An atom line with fields and a comment, with up to three pieces
+    inserted or characters deleted."""
+    sym = st.sampled_from(["p", "A", "p.A", "_1"])
+    atom = (draw(st.sampled_from(["", "!"])) + draw(sym) + "("
+            + ",".join(draw(st.lists(sym, max_size=3))) + ")" + draw(st.sampled_from(["", "=A"])))
+    fields = draw(st.lists(st.sampled_from(["1", "+2", "é", "x"]), max_size=2))
+    line = (draw(st.sampled_from(["", " "])) + draw(st.sampled_from([" ", "\t", "\xa0"])).join(
+        [atom] + fields) + draw(st.sampled_from(["", " ", " #c", "#)"])))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        at = draw(st.integers(0, len(line)))
+        piece = draw(st.sampled_from(SCAN_PIECES + [""]))
+        line = line[:at] + piece + line[at + (not piece):]
+    return line
+
+
+def _assert_scan_is_the_regex(lines):
+    """``_scan`` declines a block unless each line's first word is an atom
+    and no later word holds a delimiter, and then cuts it as the regex does."""
+    words = [w for w in (line.split("#", 1)[0].split() for line in lines) if w]
+    atoms = [kb.ATOM_RE.fullmatch(w[0]) for w in words]
+    block = "\n".join(lines) + "\n"
+    if not all(atoms) or any(set(field) & set("!(),=") for w in words for field in w[1:]):
+        with pytest.raises(kb.Declined):
+            kb._scan(block)
+        return
+    if not words:
+        assert kb._scan(block) is None
+        return
+    names, nargs, args, negated, named, labels, counts, fields = kb._scan(block)
+    want_args = [a["args"].split(",") if a["args"] else [] for a in atoms]
+    assert list(names) == [a["name"] for a in atoms]
+    assert nargs.tolist() == list(map(len, want_args))
+    assert list(args) == list(itertools.chain.from_iterable(want_args))
+    assert negated.tolist() == [bool(a["neg"]) for a in atoms]
+    assert named.tolist() == [a["label"] is not None for a in atoms]
+    assert labels.tolist() == [a["label"] for a in atoms]
+    assert counts.tolist() == [len(w) - 1 for w in words]
+    assert list(fields) == [field for w in words for field in w[1:]]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(scan_lines(), min_size=1, max_size=5))
+def test_scan_takes_exactly_the_atom_grammar(lines):
+    _assert_scan_is_the_regex(lines)
+
+
+# Lines that break one rule of the delimiter grammar and keep every other,
+# with names and arguments a reader could look up, then good lines with
+# fields and comments.
+@pytest.mark.parametrize("text", [
+    "p(A(B)\nq,C)",             # a '(' before its atom, in an earlier one
+    "p(A\nq(B)=C)",             # a ')' after its atom, in a later one
+    "!(A)", "p)=A(B", "p(A)B", "p,A(B)", "p(A)=B,C", "p(,A)", "p(A,)", "p=A(B)", "p(A)=",
+    "!!p(A)", "pé(A)", "p(A)) 1", "p(A) 1,2", "p(A) =1", "p(A) !1", "p(A)\t()", "p()",
+    "!p(A,B)=C 1 +2 é", "\xa0p(A)  # (,)=!",
+])
+def test_scan_near_misses(text):
+    _assert_scan_is_the_regex(text.split("\n"))
+
+
+def test_the_class_table_holds_every_whitespace_character():
+    spaces = [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert max(spaces) < len(kb._CLASS) - 1
+    assert all(kb._CLASS[c] in (kb._SPACE, kb._NEWLINE) for c in spaces)

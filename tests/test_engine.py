@@ -16,6 +16,8 @@ from einlog.oracle import naive_mf_step
 from einlog.tensor import softmax_lastaxis
 from einlog.testing import engine_oracle_gap, random_instance
 
+from helpers import copy_unary, max_abs_diff
+
 C = Predicate("c", 2)
 A, B, D = variable("a"), variable("b"), variable("d")
 TRANSITIVITY = Clause((binary_literal(C, (A, B), True),
@@ -129,14 +131,14 @@ def test_normalization_and_clamping_every_iteration(smoke_rules, smoke_kb, smoke
 def test_fixed_point_stability(smoke_rules, smoke_kb, smoke_phi):
     m41, m42 = (E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=k))
                 for k in (41, 42))
-    assert m42.max_abs_diff(m41) <= 1e-9
+    assert max_abs_diff(m42, m41) <= 1e-9
 
 
 def test_full_damping_freezes_marginals(smoke_rules, smoke_kb, smoke_phi):
     cfg = EngineConfig(iterations=3, damping=1.0)
     out = E.run_inference(smoke_rules, smoke_kb, smoke_phi, cfg)
     start = initial_marginals(smoke_phi, smoke_kb)
-    assert out.max_abs_diff(start) == 0.0
+    assert max_abs_diff(out, start) == 0.0
 
 
 def test_nonfinite_logits_reported_with_iteration():
@@ -216,7 +218,7 @@ def test_validate_rejects_table_for_unknown_predicate(smoke_kb, smoke_phi):
 
 
 def test_validate_rejects_wrong_shape(smoke_kb, smoke_phi):
-    bad = smoke_phi.copy()
+    bad = copy_unary(smoke_phi)
     bad.tables["friend"] = np.zeros((2, 2, 3))
     with pytest.raises(EngineError, match="unary table friend: shape"):
         bad.validate(smoke_kb)
@@ -224,7 +226,7 @@ def test_validate_rejects_wrong_shape(smoke_kb, smoke_phi):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_validate_rejects_nonfinite_logit(smoke_kb, smoke_phi, value):
-    bad = smoke_phi.copy()
+    bad = copy_unary(smoke_phi)
     bad.tables["smoke"][0, 1] = value
     with pytest.raises(EngineError, match="smoke contains non-finite"):
         bad.validate(smoke_kb)
@@ -492,7 +494,7 @@ def test_trace_residual_is_the_change_between_iterations(smoke_rules, smoke_kb, 
     prev = initial_marginals(smoke_phi, smoke_kb)
     for k in range(1, 7):
         cur = E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=k))
-        assert trace.residual[k - 1] == cur.max_abs_diff(prev)
+        assert trace.residual[k - 1] == max_abs_diff(cur, prev)
         prev = cur
     assert 0.0 < trace.residual[-1] < trace.residual[0]
 
@@ -988,7 +990,7 @@ def test_expanded_shapes_match_reference_and_chained_oracle(rule, damping):
         new = naive_mf_step(q, rules, kb, phi)
         q = MarginalTable({name: (1.0 - damping) * new.tables[name] + damping * q.tables[name]
                            for name in new.tables})
-    assert got.max_abs_diff(q) <= 1e-9
+    assert max_abs_diff(got, q) <= 1e-9
 
 
 # --- q1 planes flushed below sqrt(tiny) ---------------------------------------

@@ -4,9 +4,11 @@ import pytest
 
 from einlog.engine import compile_rules
 from einlog.fol import (Clause, CnfFormula, Literal, Predicate, RuleError,
-                        RuleWarning, binary_literal, constant, format_rules,
+                        RuleWarning, binary_literal, constant,
                         parse_rules, split_cnf, variable)
 from einlog.kb import KnowledgeBase
+
+from helpers import format_rules
 
 HEADER = """\
 predicate smoke(person)
