@@ -13,22 +13,74 @@ beats evaluating the whole expression at once, the plan falls back to a
 single multi-operand step so a plan never costs more than the naive
 single-shot evaluation.
 
-A pairwise step that is a plain 2-D matrix product runs as one BLAS
+A pairwise step that is a plain 2-D matrix product runs as BLAS
 ``np.matmul`` on (transposed) views; every other step runs as
 ``np.einsum(..., optimize=False)``.  The choice is made once, when planning.
-The last step can write into a caller's array (``execute(out=)``) when its
-result is the whole output.
+A large matrix product is split into blocks that pool threads compute at
+once, when BLAS is pinned to fewer threads than the process has CPUs (see
+``_matmul``).  The last step can write into a caller's array
+(``execute(out=)``) when its result is the whole output.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
 
 from .tensor import EinsumSpec, broadcast_output
+
+
+def _split_workers(environ) -> int:
+    """How many threads ``_matmul`` splits a large product over: the CPUs
+    this process may run on divided by the BLAS thread count, the first
+    positive integer among ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+    ``MKL_NUM_THREADS``.  With none set, BLAS already runs on every CPU, so
+    the answer is 1 and nothing splits."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        try:
+            threads = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            return max(1, cpus // threads)
+    return 1
+
+
+# a matrix product of at least _SPLIT_FLOOR**3 multiply-adds is split over
+# _WORKERS threads
+_SPLIT_FLOOR = 256
+_WORKERS = _split_workers(os.environ)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _threads():
+    """The split's thread pool, made on the first split, which is also when
+    ``concurrent.futures`` is first imported."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="einlog-matmul")
+        return _pool
+
+
+def _forget_pool():
+    """Run in a forked child, which has none of the pool's threads and may
+    hold a copy of the lock taken."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 class PlanError(Exception):
@@ -345,6 +397,47 @@ def _materialize(merges, spec, group_letters, core_output, reductions):
     return steps
 
 
+def _matmul(left: np.ndarray, right: np.ndarray, out: np.ndarray | None,
+            symmetric: bool) -> np.ndarray:
+    """``np.matmul(left, right, out=out)``, split over ``_WORKERS`` threads
+    when the product has at least ``_SPLIT_FLOOR**3`` multiply-adds.
+
+    numpy's matmul releases the GIL, so the blocks run at once.  The calling
+    thread allocates the result (or takes ``out``) and each worker writes
+    its blocks into it through views, allocating no array.  A plain product
+    splits into row blocks.  A ``symmetric`` one, ``right`` being ``left``
+    transposed, splits into the upper-triangle blocks of a ``_WORKERS`` x
+    ``_WORKERS`` grid: each diagonal block is numpy's half-cost product of a
+    row block with its own transpose, and each off-diagonal block, twice
+    that work and run first, is copied transposed into the lower triangle,
+    as numpy's own symmetric product does.  Blocks are fixed by the shapes
+    and each is one matmul, so the result does not depend on which thread
+    runs what; it may differ from the unsplit product in the last bits.
+    """
+    (m, k), n = left.shape, right.shape[1]
+    parts = min(_WORKERS, m)
+    if parts < 2 or m * k * n < _SPLIT_FLOOR ** 3:
+        return np.matmul(left, right, out=out)
+    if out is None:
+        out = np.empty((m, n))
+    spans = [slice(m * w // parts, m * (w + 1) // parts) for w in range(parts)]
+    if symmetric:
+        blocks = ([(r, c, True) for r, c in itertools.combinations(spans, 2)]
+                  + [(s, s, False) for s in spans])
+    else:
+        blocks = [(s, slice(None), False) for s in spans]
+
+    def product(block):
+        rows, cols, mirror = block
+        np.matmul(left[rows], right[:, cols], out=out[rows, cols])
+        if mirror:
+            np.copyto(out[cols, rows], out[rows, cols].T)
+
+    for _ in _threads().map(product, blocks):  # re-raises a worker's exception
+        pass
+    return out
+
+
 def execute(cplan: ContractionPlan, inputs, out: np.ndarray | None = None) -> np.ndarray:
     """Run a plan; the result broadcasts to the unplanned einsum of the same
     spec.  Each broadcast output letter gets a size-1 axis rather than a
@@ -372,8 +465,8 @@ def execute(cplan: ContractionPlan, inputs, out: np.ndarray | None = None) -> np
                              optimize=False)
         else:
             i, j, ti, tj = step.gemm
-            last = np.matmul(pool[i].T if ti else pool[i], pool[j].T if tj else pool[j],
-                             out=dest)
+            last = _matmul(pool[i].T if ti else pool[i], pool[j].T if tj else pool[j],
+                           dest, pool[i] is pool[j] and ti != tj)
         pool.append(last)
     last = np.asarray(np.float64(1.0) if last is None else last)
     return last if last.ndim == len(spec.output) else broadcast_output(last, spec)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import einlog as E
+from einlog import planner
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,3 +35,15 @@ def workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(DATA.parents[1] / "perfbench"))
     import workloads
     return workloads
+
+
+@pytest.fixture
+def split_products(monkeypatch):
+    """Every matrix product split over two threads (floor 0), from a state
+    with no pool; the pool the test makes is shut down after it."""
+    monkeypatch.setattr(planner, "_WORKERS", 2)
+    monkeypatch.setattr(planner, "_SPLIT_FLOOR", 0)
+    monkeypatch.setattr(planner, "_pool", None)
+    yield
+    if planner._pool is not None:
+        planner._pool.shutdown()

@@ -14,7 +14,7 @@ from einlog.fol import Clause, CnfFormula, Literal, Predicate, binary_literal, v
 from einlog.kb import KnowledgeBase
 from einlog.oracle import naive_mf_step
 from einlog.tensor import softmax_lastaxis
-from einlog.testing import engine_oracle_gap, random_instance
+from einlog.testing import ORACLE_TOL, engine_oracle_gap, random_instance
 
 from helpers import copy_unary, max_abs_diff
 
@@ -825,9 +825,24 @@ def test_record_matches_the_two_label_formula():
             new["t"][0, :, 1] = (np.nextafter(q["t"][0, :, 1], 2.0) if trial % 8
                                  else rng.choice(edges, 5))
         trace = IterationTrace()
-        engine._record(trace, q, new, planes, np.empty((2, 125)))
+        engine._record(trace, q, new, planes, engine._carry(q, planes))
         assert (trace.residual[0], trace.changed[0]) == _two_label_record(q, new, planes)
         assert type(trace.residual[0]) is float and type(trace.changed[0]) is int
+
+
+def test_record_carries_each_state_into_the_next_call():
+    edges = [0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), FLUSH]
+    rng = np.random.default_rng(15)
+    planes = frozenset({"p", "t", "flag"})
+    states = [_record_state(rng, edges, k % 2) for k in range(7)]
+    trace, carried = IterationTrace(), engine._carry(states[0], planes)
+    for old, new in zip(states, states[1:]):
+        engine._record(trace, old, new, planes, carried)
+        assert (trace.residual[-1], trace.changed[-1]) == _two_label_record(old, new, planes)
+        for name in planes:
+            complement, _, above = carried[name]
+            assert np.array_equal(complement, 1.0 - new[name])
+            assert np.array_equal(above, new[name] > 0.5)
 
 
 # --- summed 1 - q1 premises compiled into N^k - sum q1 pairs ----------------
@@ -1155,3 +1170,57 @@ def test_fully_observed_hypothesis_gets_no_message(monkeypatch):
     into_o = sum(ci.hypothesis == "o" for ci in program.implications)
     assert into_o == 3
     assert "o" not in hypotheses and len(hypotheses) == 2 * (len(program.implications) - into_o)
+
+
+# matrix products split over two threads (see planner._matmul)
+
+def test_split_products_keep_the_oracle_gap(split_products):
+    rng = np.random.default_rng(18)
+    with_gemm = 0
+    for _ in range(100):
+        # one predicate, so that two binary premises often chain into a product
+        kb, rules, phi = random_instance(rng, max_predicates=1)
+        program = compile_rules(rules, kb)
+        with_gemm += any(s.gemm for ci in program.implications for s in ci.plan.steps)
+        assert engine_oracle_gap(kb, rules, phi) <= ORACLE_TOL
+    assert with_gemm >= 5 and planner._pool is not None
+
+
+def test_split_transitivity_stays_within_1e_12_of_the_unsplit_run(split_products, monkeypatch):
+    kb = trans_kb(64)
+    phi = UnaryTable({"c": np.random.default_rng(5).normal(0.0, 2.0, (64, 64, 2))})
+    program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], kb)
+    assert sum(ci.symmetric for ci in program.implications) == 2
+    config = EngineConfig(iterations=3)
+    split = iterate(phi, program, config)
+    assert planner._pool is not None
+    with monkeypatch.context() as m:
+        m.setattr(planner, "_WORKERS", 1)
+        whole = iterate(phi, program, config)
+    assert max_abs_diff(split, whole) <= 1e-12
+    assert np.array_equal(split.tables["c"].argmax(-1), whole.tables["c"].argmax(-1))
+
+
+def test_split_product_writes_a_zero_unary_plane_through_out(split_products, monkeypatch):
+    r = Predicate("r", 2)
+    kb = KnowledgeBase([f"t{i}" for i in range(24)], {"c": C, "r": r}, {})
+    clause = Clause((binary_literal(C, (A, B), True), binary_literal(C, (B, D), True),
+                     binary_literal(r, (A, D))), weight=1.5, id="w")
+    program = compile_rules([CnfFormula((clause,), id="w")], kb)
+    rng = np.random.default_rng(2)
+    phi = UnaryTable({"c": rng.normal(0.0, 2.0, (24, 24, 2)), "r": np.zeros((24, 24, 2))})
+    writes = []
+    original = planner._matmul
+
+    def recording(left, right, out, symmetric):
+        writes.append(out is not None)
+        return original(left, right, out, symmetric)
+
+    monkeypatch.setattr(planner, "_matmul", recording)
+    config = EngineConfig(iterations=2)
+    split = iterate(phi, program, config)
+    assert any(writes) and planner._pool is not None
+    with monkeypatch.context() as m:
+        m.setattr(planner, "_WORKERS", 1)
+        whole = iterate(phi, program, config)
+    assert max_abs_diff(split, whole) <= 1e-12

@@ -1,8 +1,16 @@
 import itertools
+import os
+import signal
+import sys
+import threading
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from einlog import planner
 from einlog.oracle import brute_einsum
 from einlog.planner import PlanError, execute, plan
 from einlog.tensor import EinsumSpec, einsum
@@ -231,3 +239,171 @@ def test_execute_refuses_out_for_a_broadcast_output(spec):
     assert not p.fills_output
     with pytest.raises(PlanError, match="does not fill its output"):
         execute(p, random_inputs(spec, ext), out=np.empty((3,) * len(p.spec.output)))
+
+
+# each lowered orientation of a matrix product: spec, whether both operands
+# are one array, and the step's (left, right, transpose left, transpose right)
+ORIENTATIONS = {"plain": ("ab,bc->ac", False, (0, 1, False, False)),
+                "left transposed": ("ba,bc->ac", False, (0, 1, True, False)),
+                "right transposed": ("ab,cb->ac", False, (0, 1, False, True)),
+                "A At": ("ab,cb->ac", True, (0, 1, False, True)),
+                "At A": ("ba,bc->ac", True, (0, 1, True, False))}
+FLOOR = 16
+
+
+@pytest.mark.parametrize("into_out", [False, True])
+@pytest.mark.parametrize("n", [FLOOR - 1, FLOOR, 33, 40])
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_split_product_matches_matmul(split_products, monkeypatch, orientation, n, into_out):
+    monkeypatch.setattr(planner, "_SPLIT_FLOOR", FLOOR)
+    spec, same, gemm = ORIENTATIONS[orientation]
+    p = plan(spec, uniform_extents(spec, n))
+    (step,) = p.steps
+    assert step.gemm == gemm
+    rng = np.random.default_rng(n)
+    a = rng.random((n, n))
+    b = a if same else rng.random((n, n))
+    want = np.matmul(a.T if gemm[2] else a, b.T if gemm[3] else b)
+    matmul, columns = np.matmul, []   # columns of each product's right operand
+
+    def recording(x, y, **kwargs):
+        columns.append(y.shape[1])
+        return matmul(x, y, **kwargs)
+
+    def run():
+        out = np.full((n, n), np.nan) if into_out else None
+        got = execute(p, [a, b], out=out)
+        assert out is None or got is out
+        return got
+
+    monkeypatch.setattr(np, "matmul", recording)
+    got = run()
+    if n < FLOOR:
+        assert planner._pool is None and np.array_equal(got, want)
+    else:
+        assert planner._pool is not None
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+        # a symmetric product is upper-triangle blocks, never whole row blocks
+        assert (max(columns) < n) if same else (columns == [n, n])
+    assert np.array_equal(got, run())   # the split is deterministic
+    if same:
+        assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("shape", [(40, 9, 33), (33, 40, 2), (64, 64, 1), (1, 64, 64)])
+def test_split_rectangular_product_matches_matmul(split_products, shape):
+    m, k, n = shape
+    rng = np.random.default_rng(m)
+    a, b = rng.random((m, k)), rng.random((k, n))
+    got = execute(plan("ab,bc->ac", {"a": m, "b": k, "c": n}), [a, b])
+    assert (planner._pool is None) == (m == 1)   # a single row has nothing to split
+    np.testing.assert_allclose(got, a @ b, rtol=1e-13)
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_one_split_worker_makes_no_pool(split_products, monkeypatch, orientation):
+    monkeypatch.setattr(planner, "_WORKERS", 1)
+    spec, same, gemm = ORIENTATIONS[orientation]
+    rng = np.random.default_rng(3)
+    a = rng.random((40, 40))
+    b = a if same else rng.random((40, 40))
+    got = execute(plan(spec, uniform_extents(spec, 40)), [a, b])
+    assert planner._pool is None
+    assert np.array_equal(got, np.matmul(a.T if gemm[2] else a, b.T if gemm[3] else b))
+
+
+@pytest.mark.parametrize("orientation", ["plain", "A At"])
+def test_split_workers_allocate_no_array(split_products, orientation):
+    spec, same, _ = ORIENTATIONS[orientation]
+    rng = np.random.default_rng(9)
+    a = rng.random((256, 256))
+    b = a if same else rng.random((256, 256))
+    p, out = plan(spec, uniform_extents(spec, 256)), np.empty((256, 256))
+    execute(p, [a, b], out=out)   # makes the pool and its threads
+    tracemalloc.start()
+    try:
+        execute(p, [a, b], out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes // 16   # a few KB of futures, far below one 128 x 256 block
+
+
+def test_split_product_runs_in_a_forked_child(split_products):
+    a = np.random.default_rng(1).random((32, 32))
+    p = plan("ab,bc->ac", uniform_extents("ab,bc->ac", 32))
+    execute(p, [a, a])   # makes the pool, whose threads a child does not inherit
+    assert planner._pool is not None
+    with warnings.catch_warnings():   # newer Pythons warn on forking with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        ok = np.allclose(execute(p, [a, a]), a @ a, rtol=1e-13)
+        os._exit(0 if ok else 1)
+    for _ in range(300):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the split product hung in a forked child")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+# (environment, split workers) on 8 CPUs
+SPLIT_WORKERS = [({"OPENBLAS_NUM_THREADS": "1"}, 8), ({"OMP_NUM_THREADS": "2"}, 4),
+                 ({"MKL_NUM_THREADS": "3"}, 2), ({"OPENBLAS_NUM_THREADS": " 4 "}, 2),
+                 ({"OPENBLAS_NUM_THREADS": "16"}, 1),
+                 ({}, 1), ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+                 ({"OPENBLAS_NUM_THREADS": "abc"}, 1), ({"OPENBLAS_NUM_THREADS": "-1"}, 1),
+                 ({"OPENBLAS_NUM_THREADS": ""}, 1),
+                 ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4),
+                 ({"OPENBLAS_NUM_THREADS": "abc", "MKL_NUM_THREADS": "1"}, 8),
+                 ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4)]
+
+
+@pytest.mark.parametrize("environ, workers", SPLIT_WORKERS)
+def test_split_workers_are_the_cpus_over_the_blas_threads(monkeypatch, environ, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert planner._split_workers(environ) == workers
+
+
+def test_split_workers_read_this_process():
+    assert planner._split_workers({"OPENBLAS_NUM_THREADS": "1"}) == len(os.sched_getaffinity(0))
+    assert planner._WORKERS == planner._split_workers(os.environ)
+
+
+def test_concurrent_callers_share_one_split_pool(split_products, monkeypatch):
+    import concurrent.futures
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    p = plan("ab,bc->ac", uniform_extents("ab,bc->ac", 48))
+    rng = np.random.default_rng(4)
+    operands = [(rng.random((48, 48)), rng.random((48, 48))) for _ in range(6)]
+    wrong = []
+
+    def caller(a, b):
+        for _ in range(20):
+            if not np.allclose(execute(p, [a, b]), a @ b, rtol=1e-13):
+                wrong.append((a, b))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=ab) for ab in operands]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert wrong == [] and made == [planner._pool]
