@@ -531,33 +531,21 @@ def _max_abs(d: np.ndarray) -> float:
     return max(float(d.max()), -float(d.min()))
 
 
-def _carry(q: dict, planes: frozenset) -> dict:
-    """What ``_record`` carries from state ``q`` into its next call, per
-    binary plane: ``1 - q1``, a spare plane and the mask ``q1 > 0.5``."""
-    return {name: [np.subtract(1.0, q[name], out=np.empty(q[name].shape)),
-                   np.empty(q[name].shape), q[name] > 0.5] for name in planes}
-
-
-def _record(trace: IterationTrace, q: dict, new: dict, planes: frozenset, carried: dict):
+def _record(trace: IterationTrace, q: dict, new: dict, planes: frozenset, scratch):
     """Residual and argmax changes between two states, as the expanded
-    ``N^arity x D`` tables would give them.  A binary plane's label-0
-    residual compares ``1 - q1`` of the new state with that of ``q``, taken
-    from ``carried`` (see ``_carry``), which then moves on to ``new``.
-    Observed cells stay pinned, so every cell whose argmax changes is
-    latent.  ``q1 > 0.5`` is exactly ``q1 > 1 - q1``: above 0.5 the
-    difference is exact, at or below it rounds to at least 0.5.
+    ``N^arity x D`` tables would give them, worked out for binary planes in
+    the two rows of ``scratch``.  Observed cells stay pinned, so every cell
+    whose argmax changes is latent.  ``q1 > 0.5`` is exactly ``q1 > 1 - q1``:
+    above 0.5 the difference is exact, at or below it rounds to at least 0.5.
     """
     residual, changed = 0.0, 0
     for name, arr in new.items():
         old = q[name]
         if name in planes:
-            complement, spare, above = carried[name]
-            residual = max(residual, _max_abs(np.subtract(arr, old, out=spare)))
-            np.subtract(1.0, arr, out=spare)
-            diff = np.subtract(spare, complement, out=complement)
-            now = arr > 0.5
-            moved = now != above
-            carried[name] = [spare, complement, now]
+            a, b = (buf[:arr.size].reshape(arr.shape) for buf in scratch)
+            residual = max(residual, _max_abs(np.subtract(arr, old, out=a)))
+            diff = np.subtract(np.subtract(1.0, arr, out=a), np.subtract(1.0, old, out=b), out=a)
+            moved = (arr > 0.5) != (old > 0.5)
         else:
             diff = arr - old
             moved = arr.argmax(axis=-1) != old.argmax(axis=-1)
@@ -597,7 +585,7 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     q, spare = (last, other) if config.iterations % 2 == 0 else (other, last)
     _start(q, phi, planes, pins)
     if trace is not None:
-        carried = _carry(q, planes)
+        scratch = np.empty((2, max((last[name].size for name in planes), default=0)))
     lam = config.damping
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
@@ -616,7 +604,7 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
         q, spare = spare, q
         if trace is not None:
             trace.seconds.append(time.perf_counter() - started)
-            _record(trace, spare, q, planes, carried)
+            _record(trace, spare, q, planes, scratch)
     del q, spare, other  # free the spare planes before label 0 is written
     return _expand(tables, planes)
 

@@ -18,7 +18,7 @@ A pairwise step that is a plain 2-D matrix product runs as BLAS
 ``np.einsum(..., optimize=False)``.  The choice is made once, when planning.
 A large matrix product is split into blocks that pool threads compute at
 once, when BLAS is pinned to fewer threads than the process has CPUs (see
-``_matmul``).  The last step can write into a caller's array
+``_split_matmul``).  The last step can write into a caller's array
 (``execute(out=)``) when its result is the whole output.
 """
 
@@ -36,11 +36,11 @@ from .tensor import EinsumSpec, broadcast_output
 
 
 def _split_workers(environ) -> int:
-    """How many threads ``_matmul`` splits a large product over: the CPUs
-    this process may run on divided by the BLAS thread count, the first
+    """How many threads ``_split_matmul`` splits a large product over: the
+    CPUs this process may run on divided by the BLAS thread count, the first
     positive integer among ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-    ``MKL_NUM_THREADS``.  With none set, BLAS already runs on every CPU, so
-    the answer is 1 and nothing splits."""
+    ``MKL_NUM_THREADS``, and at most ``_MAX_WORKERS``.  With none set, BLAS
+    already runs on every CPU, so the answer is 1 and nothing splits."""
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         try:
             threads = int(environ.get(name, ""))
@@ -49,13 +49,15 @@ def _split_workers(environ) -> int:
         if threads > 0:
             cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
-            return max(1, cpus // threads)
+            return max(1, min(_MAX_WORKERS, cpus // threads))
     return 1
 
 
-# a matrix product of at least _SPLIT_FLOOR**3 multiply-adds is split over
-# _WORKERS threads
-_SPLIT_FLOOR = 256
+# a matrix product of at least _SPLIT_FLOPS multiply-adds is split over
+# _WORKERS threads, at most _MAX_WORKERS: the split has been measured on a
+# 2-CPU host only, and a wider split waits for a measurement on a wider host
+_SPLIT_FLOPS = 256 ** 3
+_MAX_WORKERS = 2
 _WORKERS = _split_workers(os.environ)
 _pool = None
 _pool_lock = threading.Lock()
@@ -397,10 +399,10 @@ def _materialize(merges, spec, group_letters, core_output, reductions):
     return steps
 
 
-def _matmul(left: np.ndarray, right: np.ndarray, out: np.ndarray | None,
-            symmetric: bool) -> np.ndarray:
-    """``np.matmul(left, right, out=out)``, split over ``_WORKERS`` threads
-    when the product has at least ``_SPLIT_FLOOR**3`` multiply-adds.
+def _split_matmul(left: np.ndarray, right: np.ndarray, out: np.ndarray | None,
+                  symmetric: bool) -> np.ndarray:
+    """``np.matmul(left, right, out=out)`` split over ``_WORKERS`` threads,
+    or not split when there is one worker or one row.
 
     numpy's matmul releases the GIL, so the blocks run at once.  The calling
     thread allocates the result (or takes ``out``) and each worker writes
@@ -414,9 +416,9 @@ def _matmul(left: np.ndarray, right: np.ndarray, out: np.ndarray | None,
     and each is one matmul, so the result does not depend on which thread
     runs what; it may differ from the unsplit product in the last bits.
     """
-    (m, k), n = left.shape, right.shape[1]
+    m, n = left.shape[0], right.shape[1]
     parts = min(_WORKERS, m)
-    if parts < 2 or m * k * n < _SPLIT_FLOOR ** 3:
+    if parts < 2:
         return np.matmul(left, right, out=out)
     if out is None:
         out = np.empty((m, n))
@@ -465,8 +467,12 @@ def execute(cplan: ContractionPlan, inputs, out: np.ndarray | None = None) -> np
                              optimize=False)
         else:
             i, j, ti, tj = step.gemm
-            last = _matmul(pool[i].T if ti else pool[i], pool[j].T if tj else pool[j],
-                           dest, pool[i] is pool[j] and ti != tj)
+            left, right = pool[i].T if ti else pool[i], pool[j].T if tj else pool[j]
+            # est_flops is the product's m * k * n multiply-adds
+            if step.est_flops >= _SPLIT_FLOPS:
+                last = _split_matmul(left, right, dest, pool[i] is pool[j] and ti != tj)
+            else:
+                last = np.matmul(left, right, out=dest)
         pool.append(last)
     last = np.asarray(np.float64(1.0) if last is None else last)
     return last if last.ndim == len(spec.output) else broadcast_output(last, spec)

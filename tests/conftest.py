@@ -42,7 +42,7 @@ def split_products(monkeypatch):
     """Every matrix product split over two threads (floor 0), from a state
     with no pool; the pool the test makes is shut down after it."""
     monkeypatch.setattr(planner, "_WORKERS", 2)
-    monkeypatch.setattr(planner, "_SPLIT_FLOOR", 0)
+    monkeypatch.setattr(planner, "_SPLIT_FLOPS", 0)
     monkeypatch.setattr(planner, "_pool", None)
     yield
     if planner._pool is not None:

@@ -825,24 +825,9 @@ def test_record_matches_the_two_label_formula():
             new["t"][0, :, 1] = (np.nextafter(q["t"][0, :, 1], 2.0) if trial % 8
                                  else rng.choice(edges, 5))
         trace = IterationTrace()
-        engine._record(trace, q, new, planes, engine._carry(q, planes))
+        engine._record(trace, q, new, planes, np.empty((2, 125)))
         assert (trace.residual[0], trace.changed[0]) == _two_label_record(q, new, planes)
         assert type(trace.residual[0]) is float and type(trace.changed[0]) is int
-
-
-def test_record_carries_each_state_into_the_next_call():
-    edges = [0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), FLUSH]
-    rng = np.random.default_rng(15)
-    planes = frozenset({"p", "t", "flag"})
-    states = [_record_state(rng, edges, k % 2) for k in range(7)]
-    trace, carried = IterationTrace(), engine._carry(states[0], planes)
-    for old, new in zip(states, states[1:]):
-        engine._record(trace, old, new, planes, carried)
-        assert (trace.residual[-1], trace.changed[-1]) == _two_label_record(old, new, planes)
-        for name in planes:
-            complement, _, above = carried[name]
-            assert np.array_equal(complement, 1.0 - new[name])
-            assert np.array_equal(above, new[name] > 0.5)
 
 
 # --- summed 1 - q1 premises compiled into N^k - sum q1 pairs ----------------
@@ -1172,7 +1157,7 @@ def test_fully_observed_hypothesis_gets_no_message(monkeypatch):
     assert "o" not in hypotheses and len(hypotheses) == 2 * (len(program.implications) - into_o)
 
 
-# matrix products split over two threads (see planner._matmul)
+# matrix products split over two threads (see planner._split_matmul)
 
 def test_split_products_keep_the_oracle_gap(split_products):
     rng = np.random.default_rng(18)
@@ -1210,13 +1195,13 @@ def test_split_product_writes_a_zero_unary_plane_through_out(split_products, mon
     rng = np.random.default_rng(2)
     phi = UnaryTable({"c": rng.normal(0.0, 2.0, (24, 24, 2)), "r": np.zeros((24, 24, 2))})
     writes = []
-    original = planner._matmul
+    original = planner._split_matmul
 
     def recording(left, right, out, symmetric):
         writes.append(out is not None)
         return original(left, right, out, symmetric)
 
-    monkeypatch.setattr(planner, "_matmul", recording)
+    monkeypatch.setattr(planner, "_split_matmul", recording)
     config = EngineConfig(iterations=2)
     split = iterate(phi, program, config)
     assert any(writes) and planner._pool is not None

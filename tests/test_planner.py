@@ -255,7 +255,7 @@ FLOOR = 16
 @pytest.mark.parametrize("n", [FLOOR - 1, FLOOR, 33, 40])
 @pytest.mark.parametrize("orientation", ORIENTATIONS)
 def test_split_product_matches_matmul(split_products, monkeypatch, orientation, n, into_out):
-    monkeypatch.setattr(planner, "_SPLIT_FLOOR", FLOOR)
+    monkeypatch.setattr(planner, "_SPLIT_FLOPS", FLOOR ** 3)
     spec, same, gemm = ORIENTATIONS[orientation]
     p = plan(spec, uniform_extents(spec, n))
     (step,) = p.steps
@@ -279,7 +279,7 @@ def test_split_product_matches_matmul(split_products, monkeypatch, orientation, 
     monkeypatch.setattr(np, "matmul", recording)
     got = run()
     if n < FLOOR:
-        assert planner._pool is None and np.array_equal(got, want)
+        assert planner._pool is None and columns == [n] and np.array_equal(got, want)
     else:
         assert planner._pool is not None
         np.testing.assert_allclose(got, want, rtol=1e-13)
@@ -352,26 +352,29 @@ def test_split_product_runs_in_a_forked_child(split_products):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-# (environment, split workers) on 8 CPUs
-SPLIT_WORKERS = [({"OPENBLAS_NUM_THREADS": "1"}, 8), ({"OMP_NUM_THREADS": "2"}, 4),
-                 ({"MKL_NUM_THREADS": "3"}, 2), ({"OPENBLAS_NUM_THREADS": " 4 "}, 2),
-                 ({"OPENBLAS_NUM_THREADS": "16"}, 1),
-                 ({}, 1), ({"OPENBLAS_NUM_THREADS": "0"}, 1),
-                 ({"OPENBLAS_NUM_THREADS": "abc"}, 1), ({"OPENBLAS_NUM_THREADS": "-1"}, 1),
-                 ({"OPENBLAS_NUM_THREADS": ""}, 1),
-                 ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4),
-                 ({"OPENBLAS_NUM_THREADS": "abc", "MKL_NUM_THREADS": "1"}, 8),
-                 ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4)]
+# (environment, CPUs, split workers): the CPUs over the BLAS threads, at most 2
+SPLIT_WORKERS = [({"OPENBLAS_NUM_THREADS": "1"}, 8, 2), ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+                 ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1), ({"OMP_NUM_THREADS": "4"}, 8, 2),
+                 ({"OMP_NUM_THREADS": "2"}, 2, 1), ({"MKL_NUM_THREADS": "3"}, 8, 2),
+                 ({"MKL_NUM_THREADS": "5"}, 8, 1), ({"OPENBLAS_NUM_THREADS": " 4 "}, 8, 2),
+                 ({"OPENBLAS_NUM_THREADS": "16"}, 8, 1),
+                 ({}, 8, 1), ({"OPENBLAS_NUM_THREADS": "0"}, 8, 1),
+                 ({"OPENBLAS_NUM_THREADS": "abc"}, 8, 1), ({"OPENBLAS_NUM_THREADS": "-1"}, 8, 1),
+                 ({"OPENBLAS_NUM_THREADS": ""}, 8, 1),
+                 ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "8"}, 8, 1),
+                 ({"OPENBLAS_NUM_THREADS": "abc", "MKL_NUM_THREADS": "1"}, 8, 2),
+                 ({"OPENBLAS_NUM_THREADS": "8", "OMP_NUM_THREADS": "1"}, 8, 1)]
 
 
-@pytest.mark.parametrize("environ, workers", SPLIT_WORKERS)
-def test_split_workers_are_the_cpus_over_the_blas_threads(monkeypatch, environ, workers):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+@pytest.mark.parametrize("environ, cpus, workers", SPLIT_WORKERS)
+def test_split_workers_are_the_cpus_over_the_blas_threads(monkeypatch, environ, cpus, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     assert planner._split_workers(environ) == workers
 
 
 def test_split_workers_read_this_process():
-    assert planner._split_workers({"OPENBLAS_NUM_THREADS": "1"}) == len(os.sched_getaffinity(0))
+    cpus = len(os.sched_getaffinity(0))
+    assert planner._split_workers({"OPENBLAS_NUM_THREADS": "1"}) == min(2, cpus)
     assert planner._WORKERS == planner._split_workers(os.environ)
 
 
