@@ -29,6 +29,15 @@ two messages, through ``planner.execute(out=)`` when the plan fills it; a
 message of weight ±1 is added with no scale pass; and a predicate observed
 in every cell gets no message.  Marginals are bit-identical to refilling
 and adding every scaled message.
+
+Each large pass of an iteration over a table, a plane or a label slice
+(refill, a message's scale and its add through a basic index, the finite
+check, normalize, damping, flush, the result's ``1 - q1`` and the trace's
+passes) runs in row blocks through ``parallel.rows``, and each large
+contraction step through ``planner.execute``'s split.  Every block does
+the whole pass's arithmetic on its own rows, so the bytes are those of the
+whole pass.  Clamping and an add into a diagonal, which index by array,
+stay whole.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import numpy as np
 from . import planner
 from .fol import Clause, normalize_rules, split_cnf
 from .kb import KnowledgeBase, ObservationMask
+from .parallel import rows
 from .tensor import EinsumSpec, label_planes, sigmoid, softmax_lastaxis
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -103,7 +113,10 @@ class MarginalTable:
     def validate(self, kb: KnowledgeBase, atol: float = 1e-9) -> "MarginalTable":
         for name, pred in kb.predicates.items():
             arr = self.tables[name]
-            if arr.min() < -atol:
+            lo, hi = arr.min(), arr.max()  # NaN propagates into both
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise EngineError(f"marginals of {name} contain non-finite values")
+            if lo < -atol:
                 raise EngineError(f"negative marginal in {name}")
             if np.max(np.abs(arr.sum(axis=-1) - 1.0)) > atol:
                 raise EngineError(f"marginals of {name} do not sum to 1")
@@ -391,9 +404,13 @@ def _refill(tables: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset, n
     for name in names:
         arr, logits = tables[name], phi.tables[name]
         if name in planes:
-            np.subtract(logits[..., 0], logits[..., 1], out=arr)
+            rows(_difference, arr, logits[..., 0], logits[..., 1])
         else:
-            np.copyto(arr, logits)
+            rows(np.copyto, arr, logits)
+
+
+def _difference(out: np.ndarray, a, b):
+    np.subtract(a, b, out=out)
 
 
 def _normalize(tables: dict[str, np.ndarray], planes: frozenset):
@@ -414,7 +431,11 @@ def _flush(tables: dict[str, np.ndarray], planes: frozenset):
     for name in planes:
         arr = tables[name]
         if arr.ndim <= 2:
-            np.multiply(arr, arr >= _FLUSH, out=arr)
+            rows(_flush_block, arr)
+
+
+def _flush_block(arr: np.ndarray):
+    np.multiply(arr, arr >= _FLUSH, out=arr)
 
 
 def _start(q: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset, pins: dict):
@@ -429,7 +450,7 @@ def _start(q: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset, pins: d
 def _expand(tables: dict[str, np.ndarray], planes: frozenset) -> MarginalTable:
     """Fill label 0 of each binary table with ``1 - q1``."""
     for name in planes:
-        np.subtract(1.0, tables[name][..., 1], out=tables[name][..., 0])
+        rows(_difference, tables[name][..., 0], 1.0, tables[name][..., 1])
     return MarginalTable(tables)
 
 
@@ -508,22 +529,31 @@ def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, messages):
         if writes and ci.plan.fills_output:
             message(ci, q, out=target)
             if w != 1.0:
-                target *= w
+                rows(_scale, target, target, w)
         elif writes:
-            np.multiply(message(ci, q), w, out=target)
+            rows(_scale, target, message(ci, q), w)
         else:
             msg = message(ci, q)
             if abs(w) != 1.0:
-                if msg.flags.owndata:
-                    msg *= w
-                else:
-                    msg = w * msg
+                scaled = msg if msg.flags.owndata else np.empty_like(msg)
+                rows(_scale, scaled, msg, w)
+                msg = scaled
+            add = np.subtract if w == -1.0 else np.add
             for index in cells:
-                if w == -1.0:
-                    target[index] -= msg
-                else:
-                    target[index] += msg
+                view = target[index]
+                if view.ndim and not any(isinstance(ix, np.ndarray) for ix in index):
+                    rows(_accumulate, view, msg, add)
+                else:   # one cell or a diagonal, which indexing copies
+                    target[index] = add(view, msg)
             del msg
+
+
+def _scale(out: np.ndarray, msg: np.ndarray, w: float):
+    np.multiply(msg, w, out=out)
+
+
+def _accumulate(out: np.ndarray, msg: np.ndarray, add):
+    add(out, msg, out=out)
 
 
 def _max_abs(d: np.ndarray) -> float:
@@ -534,25 +564,45 @@ def _max_abs(d: np.ndarray) -> float:
 def _record(trace: IterationTrace, q: dict, new: dict, planes: frozenset, scratch):
     """Residual and argmax changes between two states, as the expanded
     ``N^arity x D`` tables would give them, worked out for binary planes in
-    the two rows of ``scratch``.  Observed cells stay pinned, so every cell
-    whose argmax changes is latent.  ``q1 > 0.5`` is exactly ``q1 > 1 - q1``:
-    above 0.5 the difference is exact, at or below it rounds to at least 0.5.
-    """
+    the two rows of ``scratch``, in row blocks of large tables (see
+    ``parallel.rows``).  Observed cells stay pinned, so every cell whose
+    argmax changes is latent."""
     residual, changed = 0.0, 0
     for name, arr in new.items():
-        old = q[name]
         if name in planes:
             a, b = (buf[:arr.size].reshape(arr.shape) for buf in scratch)
-            residual = max(residual, _max_abs(np.subtract(arr, old, out=a)))
-            diff = np.subtract(np.subtract(1.0, arr, out=a), np.subtract(1.0, old, out=b), out=a)
-            moved = (arr > 0.5) != (old > 0.5)
+            blocks = rows(_plane_change, a, b, arr, q[name])
         else:
-            diff = arr - old
-            moved = arr.argmax(axis=-1) != old.argmax(axis=-1)
-        residual = max(residual, _max_abs(diff))
-        changed += int(np.count_nonzero(moved))
+            blocks = rows(_table_change, arr, q[name])
+        residual = max(residual, *(r for r, _ in blocks))
+        changed += sum(c for _, c in blocks)
     trace.residual.append(residual)
     trace.changed.append(changed)
+
+
+def _plane_change(a: np.ndarray, b: np.ndarray, arr: np.ndarray, old: np.ndarray):
+    """The residual of both labels and the argmax changes between two
+    ``q1`` planes, using ``a`` and ``b`` as scratch.  ``q1 > 0.5`` is
+    exactly ``q1 > 1 - q1``: above 0.5 the difference is exact, at or below
+    it rounds to at least 0.5."""
+    residual = _max_abs(np.subtract(arr, old, out=a))
+    diff = np.subtract(np.subtract(1.0, arr, out=a), np.subtract(1.0, old, out=b), out=a)
+    return (max(residual, _max_abs(diff)),
+            int(np.count_nonzero((arr > 0.5) != (old > 0.5))))
+
+
+def _table_change(arr: np.ndarray, old: np.ndarray):
+    return (_max_abs(arr - old),
+            int(np.count_nonzero(arr.argmax(axis=-1) != old.argmax(axis=-1))))
+
+
+def _finite(arr: np.ndarray) -> bool:
+    return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))  # NaN propagates
+
+
+def _damp(arr: np.ndarray, old: np.ndarray, lam: float):
+    arr *= 1.0 - lam
+    arr += lam * old
 
 
 def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
@@ -591,14 +641,13 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
         started = time.perf_counter()
         _refill(spare, phi, planes, refill)
         _add_messages(spare, MarginalTable(q), messages)
-        for name, arr in spare.items():  # NaN propagates into min and max
-            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        for name, arr in spare.items():
+            if not all(rows(_finite, arr)):
                 raise EngineError(f"non-finite logits for {name} at iteration {t}")
         _normalize(spare, planes)
         if lam > 0.0:
             for name, arr in spare.items():
-                arr *= 1.0 - lam
-                arr += lam * q[name]
+                rows(_damp, arr, q[name], lam)
         _clamp(spare, pins)
         _flush(spare, planes)
         q, spare = spare, q

@@ -16,73 +16,30 @@ single-shot evaluation.
 A pairwise step that is a plain 2-D matrix product runs as BLAS
 ``np.matmul`` on (transposed) views; every other step runs as
 ``np.einsum(..., optimize=False)``.  The choice is made once, when planning.
-A large matrix product is split into blocks that pool threads compute at
-once, when BLAS is pinned to fewer threads than the process has CPUs (see
-``_split_matmul``).  The last step can write into a caller's array
-(``execute(out=)``) when its result is the whole output.
+When BLAS is pinned to fewer threads than the process has CPUs, a large
+step runs in two blocks that the calling thread and ``parallel``'s helper
+thread compute at once: a matrix product of at least ``_SPLIT_FLOPS``
+multiply-adds (``_split_matmul``) and an ``einsum`` step over at least
+``parallel.FLOOR`` index cells (``_split_einsum``).  The last step can
+write into a caller's array (``execute(out=)``) when its result is the
+whole output.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import threading
 from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
 
+from . import parallel
 from .tensor import EinsumSpec, broadcast_output
 
 
-def _split_workers(environ) -> int:
-    """How many threads ``_split_matmul`` splits a large product over: the
-    CPUs this process may run on divided by the BLAS thread count, the first
-    positive integer among ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-    ``MKL_NUM_THREADS``, and at most ``_MAX_WORKERS``.  With none set, BLAS
-    already runs on every CPU, so the answer is 1 and nothing splits."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        try:
-            threads = int(environ.get(name, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            return max(1, min(_MAX_WORKERS, cpus // threads))
-    return 1
-
-
-# a matrix product of at least _SPLIT_FLOPS multiply-adds is split over
-# _WORKERS threads, at most _MAX_WORKERS: the split has been measured on a
-# 2-CPU host only, and a wider split waits for a measurement on a wider host
+# a matrix product of at least _SPLIT_FLOPS multiply-adds is split (see
+# _split_matmul); an einsum step runs in row blocks from parallel.FLOOR
 _SPLIT_FLOPS = 256 ** 3
-_MAX_WORKERS = 2
-_WORKERS = _split_workers(os.environ)
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _threads():
-    """The split's thread pool, made on the first split, which is also when
-    ``concurrent.futures`` is first imported."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="einlog-matmul")
-        return _pool
-
-
-def _forget_pool():
-    """Run in a forked child, which has none of the pool's threads and may
-    hold a copy of the lock taken."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 class PlanError(Exception):
@@ -401,43 +358,89 @@ def _materialize(merges, spec, group_letters, core_output, reductions):
 
 def _split_matmul(left: np.ndarray, right: np.ndarray, out: np.ndarray | None,
                   symmetric: bool) -> np.ndarray:
-    """``np.matmul(left, right, out=out)`` split over ``_WORKERS`` threads,
-    or not split when there is one worker or one row.
+    """``np.matmul(left, right, out=out)`` in two blocks that the calling
+    thread and the helper compute at once (see ``parallel.run``), or whole
+    when there is one worker or one row.
 
-    numpy's matmul releases the GIL, so the blocks run at once.  The calling
-    thread allocates the result (or takes ``out``) and each worker writes
-    its blocks into it through views, allocating no array.  A plain product
-    splits into row blocks.  A ``symmetric`` one, ``right`` being ``left``
-    transposed, splits into the upper-triangle blocks of a ``_WORKERS`` x
-    ``_WORKERS`` grid: each diagonal block is numpy's half-cost product of a
-    row block with its own transpose, and each off-diagonal block, twice
-    that work and run first, is copied transposed into the lower triangle,
-    as numpy's own symmetric product does.  Blocks are fixed by the shapes
-    and each is one matmul, so the result does not depend on which thread
-    runs what; it may differ from the unsplit product in the last bits.
+    The calling thread allocates the result (or takes ``out``) and each
+    block is one matmul written into it through views.  A plain product
+    splits into two row blocks.  A ``symmetric`` one, ``right`` being
+    ``left`` transposed, splits into the upper-triangle blocks of a 2 x 2
+    grid: the helper computes the off-diagonal block, twice the work of a
+    diagonal one, and copies it transposed into the lower triangle, as
+    numpy's own symmetric product does; the calling thread computes the two
+    diagonal blocks, each numpy's half-cost product of a row block with its
+    own transpose.  Blocks are fixed by the shapes, so the result does not
+    depend on which thread runs what; it may differ from the unsplit
+    product in the last bits.
     """
     m, n = left.shape[0], right.shape[1]
-    parts = min(_WORKERS, m)
-    if parts < 2:
+    if parallel.WORKERS < 2 or m < 2:
         return np.matmul(left, right, out=out)
     if out is None:
         out = np.empty((m, n))
-    spans = [slice(m * w // parts, m * (w + 1) // parts) for w in range(parts)]
-    if symmetric:
-        blocks = ([(r, c, True) for r, c in itertools.combinations(spans, 2)]
-                  + [(s, s, False) for s in spans])
-    else:
-        blocks = [(s, slice(None), False) for s in spans]
+    top, bottom = slice(0, m // 2), slice(m // 2, m)
 
-    def product(block):
-        rows, cols, mirror = block
+    def product(rows, cols):
         np.matmul(left[rows], right[:, cols], out=out[rows, cols])
-        if mirror:
-            np.copyto(out[cols, rows], out[rows, cols].T)
 
-    for _ in _threads().map(product, blocks):  # re-raises a worker's exception
-        pass
+    if symmetric:
+        def corner():
+            product(top, bottom)
+            np.copyto(out[bottom, top], out[top, bottom].T)
+
+        parallel.run(lambda: (product(top, top), product(bottom, bottom)), corner)
+    else:
+        parallel.run(lambda: product(top, slice(None)), lambda: product(bottom, slice(None)))
     return out
+
+
+def _split_einsum(step: ContractionStep, operands, out: np.ndarray | None,
+                  extents: dict[str, int]) -> np.ndarray:
+    """``np.einsum`` of ``step`` in two row blocks of its result's first
+    letter, which the calling thread and the helper compute at once (see
+    ``parallel.run``), or whole.  Each block slices that letter's axes of
+    every operand that holds it and writes its rows of the result, or of
+    ``out``.
+
+    The split gives the unsplit bytes only while numpy runs each block with
+    the loops of the whole step, so the step stays whole where they could
+    differ: with one worker; with fewer than two rows per block, as numpy
+    drops a length-1 axis; when the letter is an operand's last axis, the
+    one numpy's inner loop runs along; with three or more operands, where a
+    split block was seen to sum in another order; and, without ``out``,
+    unless one operand is C-contiguous and holds every result letter in
+    result order, as numpy lays a new result out in the order of its
+    operands' strides and a later step's sums follow that layout.  A step
+    of one operand and nothing summed stays whole too, as numpy returns it
+    as a view.
+    """
+    result = step.result_subscript
+    n = extents[result[0]] if result else 0
+    subs = step.operand_subscripts
+    if (parallel.WORKERS < 2 or n < 4 or len(subs) > 2
+            or any(sub.endswith(result[0]) for sub in subs)
+            or (len(operands) == 1 and set(subs[0]) == set(result))
+            or (out is None and not any(x.flags.c_contiguous and _in_order(sub, result)
+                                        for x, sub in zip(operands, subs)))):
+        return np.einsum(step.expr, *operands, out=out, optimize=False)
+    if out is None:
+        out = np.empty(tuple(extents[ch] for ch in result))
+    letter = result[0]
+
+    def block(rows):
+        cut = (x[tuple(rows if ch == letter else slice(None) for ch in sub)]
+               for x, sub in zip(operands, subs))
+        np.einsum(step.expr, *cut, out=out[rows], optimize=False)
+
+    parallel.run(lambda: block(slice(0, n // 2)), lambda: block(slice(n // 2, n)))
+    return out
+
+
+def _in_order(sub: str, result: str) -> bool:
+    """Whether ``sub`` holds every letter of ``result``, first met in
+    ``result``'s order."""
+    return "".join(ch for ch in dict.fromkeys(sub) if ch in result) == result
 
 
 def execute(cplan: ContractionPlan, inputs, out: np.ndarray | None = None) -> np.ndarray:
@@ -463,8 +466,11 @@ def execute(cplan: ContractionPlan, inputs, out: np.ndarray | None = None) -> np
     for n, step in enumerate(cplan.steps):
         dest = out if n == final else None
         if step.gemm is None:
-            last = np.einsum(step.expr, *(pool[i] for i in step.operand_ids), out=dest,
-                             optimize=False)
+            operands = [pool[i] for i in step.operand_ids]
+            if step.est_flops >= parallel.FLOOR:
+                last = _split_einsum(step, operands, dest, cplan.extents)
+            else:
+                last = np.einsum(step.expr, *operands, out=dest, optimize=False)
         else:
             i, j, ti, tj = step.gemm
             left, right = pool[i].T if ti else pool[i], pool[j].T if tj else pool[j]

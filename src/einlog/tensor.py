@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .parallel import rows
+
 
 class TensorError(Exception):
     """Inconsistent subscripts, extents, or shapes."""
@@ -110,21 +112,28 @@ def label_planes(shape: tuple[int, ...], alloc=np.empty) -> np.ndarray:
 
 def softmax_lastaxis(t, out: np.ndarray | None = None) -> np.ndarray:
     """Normalize over the label axis: shift by the label maximum, ``exp``
-    and divide by the label sum, each a whole-array pass.
+    and divide by the label sum, each a whole-array pass, in row blocks of
+    a large table (see ``parallel.rows``).
 
     ``out`` may be the input itself; without it the result is a new table in
     the input's layout.
     """
     arr = np.asarray(t, dtype=np.float64)
-    out = np.subtract(arr, arr.max(axis=-1, keepdims=True), out=out)
+    out = np.empty_like(arr) if out is None else out
+    rows(_softmax, out, arr)
+    return out
+
+
+def _softmax(out: np.ndarray, arr: np.ndarray):
+    np.subtract(arr, arr.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
-    return out
 
 
 def sigmoid(e, out: np.ndarray | None = None) -> np.ndarray:
     """``1 / (1 + exp(e))`` elementwise: label 1's probability of a binary
-    predicate whose logit difference ``x0 - x1`` is ``e``.
+    predicate whose logit difference ``x0 - x1`` is ``e``, in row blocks of
+    a large array (see ``parallel.rows``).
 
     ``exp`` over- and underflows silently, so a saturated ``e`` (``|e| > 745``
     certainly) gives exactly 0 or 1.  ``out`` may be the input itself;
@@ -132,8 +141,12 @@ def sigmoid(e, out: np.ndarray | None = None) -> np.ndarray:
     """
     arr = np.asarray(e, dtype=np.float64)
     out = np.empty_like(arr) if out is None else out
+    rows(_sigmoid, out, arr)
+    return out
+
+
+def _sigmoid(out: np.ndarray, arr: np.ndarray):
     with np.errstate(over="ignore", under="ignore"):
         np.exp(arr, out=out)
         out += 1.0
         np.divide(1.0, out, out=out)
-    return out

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import einlog as E
-from einlog import planner
+from einlog import parallel, planner
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,11 +39,22 @@ def workloads(monkeypatch):
 
 @pytest.fixture
 def split_products(monkeypatch):
-    """Every matrix product split over two threads (floor 0), from a state
-    with no pool; the pool the test makes is shut down after it."""
-    monkeypatch.setattr(planner, "_WORKERS", 2)
+    """Every matrix product split over the calling thread and the helper
+    (two workers, floor 0)."""
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     monkeypatch.setattr(planner, "_SPLIT_FLOPS", 0)
-    monkeypatch.setattr(planner, "_pool", None)
-    yield
-    if planner._pool is not None:
-        planner._pool.shutdown()
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """A list that gets one entry per ``parallel.run`` call, the block pair
+    of one split."""
+    calls = []
+    run = parallel.run
+
+    def recording(first, second):
+        calls.append((first, second))
+        return run(first, second)
+
+    monkeypatch.setattr(parallel, "run", recording)
+    return calls

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import einlog as E
-from einlog import engine, planner
+from einlog import engine, parallel, planner
 from einlog.engine import (EngineConfig, EngineError, IterationTrace, MarginalTable,
                            PremiseInput, Program, UnaryTable, _add_messages, compile_rules,
                            initial_marginals, iterate, message, transitivity_violations)
@@ -230,6 +230,18 @@ def test_validate_rejects_nonfinite_logit(smoke_kb, smoke_phi, value):
     bad.tables["smoke"][0, 1] = value
     with pytest.raises(EngineError, match="smoke contains non-finite"):
         bad.validate(smoke_kb)
+
+
+@pytest.mark.parametrize("fill", ["all", "one"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_marginal_validate_rejects_nonfinite_values(smoke_kb, smoke_phi, value, fill):
+    q = initial_marginals(smoke_phi, smoke_kb).validate(smoke_kb)
+    if fill == "all":   # every comparison with NaN is False, so only min/max catch it
+        q.tables["smoke"][...] = value
+    else:
+        q.tables["smoke"][0, 1] = value
+    with pytest.raises(EngineError, match="marginals of smoke contain non-finite values"):
+        q.validate(smoke_kb)
 
 
 def test_compile_rejects_unknown_predicate():
@@ -1157,9 +1169,9 @@ def test_fully_observed_hypothesis_gets_no_message(monkeypatch):
     assert "o" not in hypotheses and len(hypotheses) == 2 * (len(program.implications) - into_o)
 
 
-# matrix products split over two threads (see planner._split_matmul)
+# matrix products split over the calling thread and the helper (see planner._split_matmul)
 
-def test_split_products_keep_the_oracle_gap(split_products):
+def test_split_products_keep_the_oracle_gap(split_products, splits):
     rng = np.random.default_rng(18)
     with_gemm = 0
     for _ in range(100):
@@ -1168,25 +1180,27 @@ def test_split_products_keep_the_oracle_gap(split_products):
         program = compile_rules(rules, kb)
         with_gemm += any(s.gemm for ci in program.implications for s in ci.plan.steps)
         assert engine_oracle_gap(kb, rules, phi) <= ORACLE_TOL
-    assert with_gemm >= 5 and planner._pool is not None
+    assert with_gemm >= 5 and splits
 
 
-def test_split_transitivity_stays_within_1e_12_of_the_unsplit_run(split_products, monkeypatch):
+def test_split_transitivity_stays_within_1e_12_of_the_unsplit_run(split_products, splits,
+                                                                  monkeypatch):
     kb = trans_kb(64)
     phi = UnaryTable({"c": np.random.default_rng(5).normal(0.0, 2.0, (64, 64, 2))})
     program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], kb)
     assert sum(ci.symmetric for ci in program.implications) == 2
     config = EngineConfig(iterations=3)
     split = iterate(phi, program, config)
-    assert planner._pool is not None
+    assert splits
     with monkeypatch.context() as m:
-        m.setattr(planner, "_WORKERS", 1)
+        m.setattr(parallel, "WORKERS", 1)
         whole = iterate(phi, program, config)
     assert max_abs_diff(split, whole) <= 1e-12
     assert np.array_equal(split.tables["c"].argmax(-1), whole.tables["c"].argmax(-1))
 
 
-def test_split_product_writes_a_zero_unary_plane_through_out(split_products, monkeypatch):
+def test_split_product_writes_a_zero_unary_plane_through_out(split_products, splits,
+                                                             monkeypatch):
     r = Predicate("r", 2)
     kb = KnowledgeBase([f"t{i}" for i in range(24)], {"c": C, "r": r}, {})
     clause = Clause((binary_literal(C, (A, B), True), binary_literal(C, (B, D), True),
@@ -1204,8 +1218,8 @@ def test_split_product_writes_a_zero_unary_plane_through_out(split_products, mon
     monkeypatch.setattr(planner, "_split_matmul", recording)
     config = EngineConfig(iterations=2)
     split = iterate(phi, program, config)
-    assert any(writes) and planner._pool is not None
+    assert any(writes) and splits
     with monkeypatch.context() as m:
-        m.setattr(planner, "_WORKERS", 1)
+        m.setattr(parallel, "WORKERS", 1)
         whole = iterate(phi, program, config)
     assert max_abs_diff(split, whole) <= 1e-12

@@ -1,8 +1,6 @@
 import itertools
 import os
 import signal
-import sys
-import threading
 import time
 import tracemalloc
 import warnings
@@ -10,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from einlog import planner
+from einlog import parallel, planner
 from einlog.oracle import brute_einsum
 from einlog.planner import PlanError, execute, plan
 from einlog.tensor import EinsumSpec, einsum
@@ -254,7 +252,8 @@ FLOOR = 16
 @pytest.mark.parametrize("into_out", [False, True])
 @pytest.mark.parametrize("n", [FLOOR - 1, FLOOR, 33, 40])
 @pytest.mark.parametrize("orientation", ORIENTATIONS)
-def test_split_product_matches_matmul(split_products, monkeypatch, orientation, n, into_out):
+def test_split_product_matches_matmul(split_products, splits, monkeypatch, orientation, n,
+                                      into_out):
     monkeypatch.setattr(planner, "_SPLIT_FLOPS", FLOOR ** 3)
     spec, same, gemm = ORIENTATIONS[orientation]
     p = plan(spec, uniform_extents(spec, n))
@@ -279,9 +278,9 @@ def test_split_product_matches_matmul(split_products, monkeypatch, orientation, 
     monkeypatch.setattr(np, "matmul", recording)
     got = run()
     if n < FLOOR:
-        assert planner._pool is None and columns == [n] and np.array_equal(got, want)
+        assert splits == [] and columns == [n] and np.array_equal(got, want)
     else:
-        assert planner._pool is not None
+        assert splits
         np.testing.assert_allclose(got, want, rtol=1e-13)
         # a symmetric product is upper-triangle blocks, never whole row blocks
         assert (max(columns) < n) if same else (columns == [n, n])
@@ -291,24 +290,24 @@ def test_split_product_matches_matmul(split_products, monkeypatch, orientation, 
 
 
 @pytest.mark.parametrize("shape", [(40, 9, 33), (33, 40, 2), (64, 64, 1), (1, 64, 64)])
-def test_split_rectangular_product_matches_matmul(split_products, shape):
+def test_split_rectangular_product_matches_matmul(split_products, splits, shape):
     m, k, n = shape
     rng = np.random.default_rng(m)
     a, b = rng.random((m, k)), rng.random((k, n))
     got = execute(plan("ab,bc->ac", {"a": m, "b": k, "c": n}), [a, b])
-    assert (planner._pool is None) == (m == 1)   # a single row has nothing to split
+    assert (splits == []) == (m == 1)   # a single row has nothing to split
     np.testing.assert_allclose(got, a @ b, rtol=1e-13)
 
 
 @pytest.mark.parametrize("orientation", ORIENTATIONS)
-def test_one_split_worker_makes_no_pool(split_products, monkeypatch, orientation):
-    monkeypatch.setattr(planner, "_WORKERS", 1)
+def test_one_split_worker_makes_no_pool(split_products, splits, monkeypatch, orientation):
+    monkeypatch.setattr(parallel, "WORKERS", 1)
     spec, same, gemm = ORIENTATIONS[orientation]
     rng = np.random.default_rng(3)
     a = rng.random((40, 40))
     b = a if same else rng.random((40, 40))
     got = execute(plan(spec, uniform_extents(spec, 40)), [a, b])
-    assert planner._pool is None
+    assert splits == []
     assert np.array_equal(got, np.matmul(a.T if gemm[2] else a, b.T if gemm[3] else b))
 
 
@@ -319,27 +318,30 @@ def test_split_workers_allocate_no_array(split_products, orientation):
     a = rng.random((256, 256))
     b = a if same else rng.random((256, 256))
     p, out = plan(spec, uniform_extents(spec, 256)), np.empty((256, 256))
-    execute(p, [a, b], out=out)   # makes the pool and its threads
+    execute(p, [a, b], out=out)   # starts the helper thread
     tracemalloc.start()
     try:
         execute(p, [a, b], out=out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < out.nbytes // 16   # a few KB of futures, far below one 128 x 256 block
+    assert peak < out.nbytes // 16   # a few closures, far below one 128 x 256 block
 
 
 def test_split_product_runs_in_a_forked_child(split_products):
     a = np.random.default_rng(1).random((32, 32))
     p = plan("ab,bc->ac", uniform_extents("ab,bc->ac", 32))
-    execute(p, [a, a])   # makes the pool, whose threads a child does not inherit
-    assert planner._pool is not None
+    execute(p, [a, a])   # starts the helper, whose thread a child does not inherit
+    parent = parallel._helper.thread
+    assert parent is not None and parent.is_alive()
     with warnings.catch_warnings():   # newer Pythons warn on forking with threads
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
     if pid == 0:
         ok = np.allclose(execute(p, [a, a]), a @ a, rtol=1e-13)
-        os._exit(0 if ok else 1)
+        child = parallel._helper.thread   # the child's split started its own helper
+        os._exit(0 if ok and child is not None and child is not parent
+                 and child.is_alive() else 1)
     for _ in range(300):
         done, status = os.waitpid(pid, os.WNOHANG)
         if done:
@@ -369,44 +371,10 @@ SPLIT_WORKERS = [({"OPENBLAS_NUM_THREADS": "1"}, 8, 2), ({"OPENBLAS_NUM_THREADS"
 @pytest.mark.parametrize("environ, cpus, workers", SPLIT_WORKERS)
 def test_split_workers_are_the_cpus_over_the_blas_threads(monkeypatch, environ, cpus, workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert planner._split_workers(environ) == workers
+    assert parallel._split_workers(environ) == workers
 
 
 def test_split_workers_read_this_process():
     cpus = len(os.sched_getaffinity(0))
-    assert planner._split_workers({"OPENBLAS_NUM_THREADS": "1"}) == min(2, cpus)
-    assert planner._WORKERS == planner._split_workers(os.environ)
-
-
-def test_concurrent_callers_share_one_split_pool(split_products, monkeypatch):
-    import concurrent.futures
-    made = []
-
-    class Counted(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-    p = plan("ab,bc->ac", uniform_extents("ab,bc->ac", 48))
-    rng = np.random.default_rng(4)
-    operands = [(rng.random((48, 48)), rng.random((48, 48))) for _ in range(6)]
-    wrong = []
-
-    def caller(a, b):
-        for _ in range(20):
-            if not np.allclose(execute(p, [a, b]), a @ b, rtol=1e-13):
-                wrong.append((a, b))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        callers = [threading.Thread(target=caller, args=ab) for ab in operands]
-        for t in callers:
-            t.start()
-        for t in callers:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in callers)
-    assert wrong == [] and made == [planner._pool]
+    assert parallel._split_workers({"OPENBLAS_NUM_THREADS": "1"}) == min(2, cpus)
+    assert parallel.WORKERS == parallel._split_workers(os.environ)
