@@ -27,17 +27,23 @@ Where it is exact, a message writes its logit plane (see ``_schedule``):
 a zero-unary binary plane is not refilled but written by one of its first
 two messages, through ``planner.execute(out=)`` when the plan fills it; a
 message of weight ±1 is added with no scale pass; and a predicate observed
-in every cell gets no message.  Marginals are bit-identical to refilling
-and adding every scaled message.
+in every cell gets no message.  Such a written plane starts at ½ with no
+refill and no sigmoid.  Marginals are bit-identical to refilling and adding
+every scaled message.
+
+An iteration reads only the snapshot it is given, the unary tables and the
+program, so one that reproduces its snapshot bit for bit would be
+reproduced by every later one: ``iterate`` stops there, with the bytes the
+remaining iterations would give.
 
 Each large pass of an iteration over a table, a plane or a label slice
 (refill, a message's scale and its add through a basic index, the finite
-check, normalize, damping, flush, the result's ``1 - q1`` and the trace's
-passes) runs in row blocks through ``parallel.rows``, and each large
-contraction step through ``planner.execute``'s split.  Every block does
-the whole pass's arithmetic on its own rows, so the bytes are those of the
-whole pass.  Clamping and an add into a diagonal, which index by array,
-stay whole.
+check, normalize, damping, flush, the fixed-point compare, the ½ start,
+the result's ``1 - q1`` and the trace's passes) runs in row blocks through
+``parallel.rows``, and each large contraction step through
+``planner.execute``'s split.  Every block does the whole pass's arithmetic
+on its own rows, so the bytes are those of the whole pass.  Clamping and
+an add into a diagonal, which index by array, stay whole.
 """
 
 from __future__ import annotations
@@ -59,6 +65,9 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # sqrt of the smallest normal float64, about 1.49e-154: two q1 entries at
 # or above it multiply to a normal number
 _FLUSH = math.sqrt(np.finfo(np.float64).tiny)
+# elements per chunk of the fixed-point compare, whose boolean temporary
+# then stays well below a large table
+_COMPARE_CHUNK = 1 << 16
 # the largest last residual of a run that counts as converged
 CONVERGENCE_TOL = 1e-6
 
@@ -233,7 +242,9 @@ class EngineConfig:
 class IterationTrace:
     """Optional per-iteration record: wall seconds, the residual
     ``max|q_t - q_{t-1}|`` over every cell of every predicate, and the number
-    of latent cells whose argmax label changed."""
+    of latent cells whose argmax label changed.  It holds one entry per
+    iteration that ran: fewer than configured when ``iterate`` stopped at an
+    exact fixed point, whose last entry then has residual 0."""
 
     seconds: list[float] = field(default_factory=list)
     residual: list[float] = field(default_factory=list)
@@ -438,11 +449,20 @@ def _flush_block(arr: np.ndarray):
     np.multiply(arr, arr >= _FLUSH, out=arr)
 
 
-def _start(q: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset, pins: dict):
+def _start(q: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset, pins: dict,
+           halves: frozenset = frozenset()):
     """The state inference starts from, into ``q``: label softmax (a sigmoid
-    for binary planes), observed cells pinned, small ``q1`` flushed."""
-    _refill(q, phi, planes, q)
-    _normalize(q, planes)
+    for binary planes), observed cells pinned, small ``q1`` flushed.
+
+    The binary planes ``halves`` must have all-zero unary tables.  They are
+    filled with ½, which is ``sigmoid(x0 - x1)`` bit for bit: the difference
+    of two zeros is ±0, and ``1 / (1 + exp(±0))`` is exactly 0.5.  That
+    takes one write pass, where a refill and the sigmoid take four."""
+    computed = {name: arr for name, arr in q.items() if name not in halves}
+    _refill(q, phi, planes, computed)
+    _normalize(computed, planes)
+    for name in halves:
+        rows(np.copyto, q[name], 0.5)
     _clamp(q, pins)
     _flush(q, planes)
 
@@ -600,6 +620,24 @@ def _finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))  # NaN propagates
 
 
+def _same(new: dict[str, np.ndarray], old: dict[str, np.ndarray]) -> bool:
+    """Whether every table of ``new`` holds the bytes of its table in
+    ``old``.  The tables are compared as ``uint64``, so ``-0.0`` differs
+    from ``0.0`` and a NaN is equal only to its own bit pattern."""
+    return all(all(rows(_same_block, new[name], old[name])) for name in new)
+
+
+def _same_block(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same bit patterns, compared in chunks of
+    rows of about ``_COMPARE_CHUNK`` elements up to the first that differs,
+    so that no boolean temporary is larger than a chunk."""
+    a, b = a.view(np.uint64), b.view(np.uint64)
+    if a.ndim < 2:
+        return bool(np.array_equal(a, b))
+    step = max(1, _COMPARE_CHUNK // a[0].size)
+    return all(np.array_equal(a[r:r + step], b[r:r + step]) for r in range(0, len(a), step))
+
+
 def _damp(arr: np.ndarray, old: np.ndarray, lam: float):
     arr *= 1.0 - lam
     arr += lam * old
@@ -612,12 +650,20 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     Two tables per predicate take turns: one holds the current marginals,
     the other is refilled with the unary logits, receives the messages and
     is normalized, damped, clamped and flushed in place.  A zero-unary plane
-    that a message writes is not refilled, and messages into a predicate
-    observed in every cell are skipped (see ``_schedule``).  A binary
-    predicate's pair is two planes (see the module docstring), and the one
-    the last iteration writes is label 1 of its output table from the
-    start, so the result costs one ``1 - q1`` pass and no copy.  ``phi`` is
-    validated against the program's knowledge base first.
+    that a message writes is not refilled, and starts at ½ (see ``_start``),
+    and messages into a predicate observed in every cell are skipped (see
+    ``_schedule``).  A binary predicate's pair is two planes (see the module
+    docstring), and the one iteration ``config.iterations`` would write is
+    label 1 of its output table from the start, so the result costs one
+    ``1 - q1`` pass and no copy.
+
+    After every iteration but the last, each new table is compared bit for
+    bit with the snapshot it was computed from.  When all are identical the
+    run is at an exact fixed point and stops: every later iteration would
+    give the same bytes, and both tables of each pair now hold them, so
+    label 1 holds the result whichever of the two the stop wrote.  ``trace``
+    gets one entry per iteration that ran.  ``phi`` is validated against
+    the program's knowledge base first.
     """
     phi.validate(program.kb)
     unknown = sorted(set(config.weights) - {ci.rule_id for ci in program.implications})
@@ -633,28 +679,34 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
              for name, arr in last.items()}
     # iteration t writes the spare table; after T iterations that is `last`
     q, spare = (last, other) if config.iterations % 2 == 0 else (other, last)
-    _start(q, phi, planes, pins)
-    if trace is not None:
-        scratch = np.empty((2, max((last[name].size for name in planes), default=0)))
+    _start(q, phi, planes, pins, planes - refill)
+    scratch = None if trace is None else np.empty(
+        (2, max((last[name].size for name in planes), default=0)))
     lam = config.damping
+    # the loops below bind names, not tables: a table bound to a loop
+    # variable would outlive the `del` before `_expand`
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
         _refill(spare, phi, planes, refill)
         _add_messages(spare, MarginalTable(q), messages)
-        for name, arr in spare.items():
-            if not all(rows(_finite, arr)):
+        for name in spare:
+            if not all(rows(_finite, spare[name])):
                 raise EngineError(f"non-finite logits for {name} at iteration {t}")
         _normalize(spare, planes)
         if lam > 0.0:
-            for name, arr in spare.items():
-                rows(_damp, arr, q[name], lam)
+            for name in spare:
+                rows(_damp, spare[name], q[name], lam)
         _clamp(spare, pins)
         _flush(spare, planes)
         q, spare = spare, q
+        fixed = t < config.iterations and _same(q, spare)
         if trace is not None:
             trace.seconds.append(time.perf_counter() - started)
             _record(trace, spare, q, planes, scratch)
-    del q, spare, other  # free the spare planes before label 0 is written
+        if fixed:
+            break
+    # free the spare planes, and the trace's scratch, before label 0 is written
+    del q, spare, other, scratch
     return _expand(tables, planes)
 
 

@@ -76,7 +76,9 @@ class _Helper:
                     self.result = block()
             except BaseException as exc:  # raised again on the splitting thread
                 self.error = exc
-            self.job = None
+            # drop the block, and the arrays it closes over, before the split
+            # returns, so that none outlives its caller's last reference
+            self.job = block = None
             self.done.release()
 
 

@@ -26,3 +26,11 @@ def copy_unary(phi: UnaryTable) -> UnaryTable:
 
 def max_abs_diff(a: MarginalTable, b: MarginalTable) -> float:
     return max(float(np.max(np.abs(a.tables[k] - b.tables[k]))) for k in a.tables)
+
+
+def same_bytes(a: MarginalTable, b: MarginalTable) -> bool:
+    """Whether both hold the same tables with the same float64 bit patterns,
+    so that ``-0.0`` differs from ``0.0``."""
+    return a.tables.keys() == b.tables.keys() and all(
+        np.array_equal(a.tables[k].view(np.uint64), b.tables[k].view(np.uint64))
+        for k in a.tables)

@@ -54,6 +54,31 @@ def test_infer_reports_residual_per_iteration(tmp_path, capsys):
     assert residual[-1] < residual[0]
 
 
+def test_infer_prints_the_iterations_that_ran(tmp_path, capsys):
+    # the smoke fixture reaches no bitwise fixed point by T=8
+    _, argv = infer_args(tmp_path)
+    argv[argv.index("--iterations") + 1] = "8"
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and "iterations=8 wall clock" in err and "fixed point" not in err
+    # every cell observed: iteration 1 reproduces the start state and ends the run
+    rules, evidence = tmp_path / "all.rules", tmp_path / "all.evidence"
+    rules.write_text("predicate p(ent)\npredicate q(ent,ent)\n1.5: !p(a) | q(a,b)\n")
+    evidence.write_text("p(A)\n!p(B)\nq(A,A)\n!q(A,B)\nq(B,A)\n!q(B,B)\n")
+    runs = {}
+    for iterations in ("5", "1"):
+        code, out, err = run(capsys, "infer", "--rules", str(rules), "--evidence",
+                             str(evidence), "--iterations", iterations)
+        assert code == 0
+        runs[iterations] = out, err
+        (line,) = [l for l in err.splitlines() if "wall clock per iteration" in l]
+        assert line.startswith("iterations=1 ")
+        assert line.endswith("residual max|q_t - q_t-1|: 0.000e+00")
+    assert runs["5"][0] == runs["1"][0] and runs["5"][0].count("\n") == 6
+    stop = ("stopped at an exact fixed point: iteration 1 of 5 reproduced the state it "
+            "read bit for bit")
+    assert stop in runs["5"][1].splitlines() and "fixed point" not in runs["1"][1]
+
+
 def test_infer_reports_argmax_changes_per_iteration(tmp_path, capsys):
     # the smoke fixture's unary logits already pick every argmax the rules keep
     _, argv = infer_args(tmp_path)

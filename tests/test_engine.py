@@ -1,5 +1,7 @@
+import gc
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,7 @@ from einlog.oracle import naive_mf_step
 from einlog.tensor import softmax_lastaxis
 from einlog.testing import ORACLE_TOL, engine_oracle_gap, random_instance
 
-from helpers import copy_unary, max_abs_diff
+from helpers import copy_unary, max_abs_diff, same_bytes
 
 C = Predicate("c", 2)
 A, B, D = variable("a"), variable("b"), variable("d")
@@ -1223,3 +1225,99 @@ def test_split_product_writes_a_zero_unary_plane_through_out(split_products, spl
         m.setattr(parallel, "WORKERS", 1)
         whole = iterate(phi, program, config)
     assert max_abs_diff(split, whole) <= 1e-12
+
+
+# --- the exact fixed-point stop and the half start -------------------------
+
+def _kbc_workload(workloads, n=80, seed=11):
+    """The benchmark's kbc instance at ``n`` entities, compiled."""
+    inst = workloads.make("kbc", seed, n)
+    s = workloads.setup(inst, inst.texts.__getitem__)
+    return compile_rules(s.rules, s.kb), s.phi
+
+
+@pytest.mark.parametrize("iterations", [5, 8])
+def test_fixed_point_stop_ends_kbc_after_iteration_4(workloads, monkeypatch, iterations):
+    program, phi = _kbc_workload(workloads)
+    trace = IterationTrace()
+    got = iterate(phi, program, EngineConfig(iterations), trace)
+    assert len(trace.seconds) == len(trace.residual) == 4
+    assert trace.residual[2] > 0.0 and (trace.residual[3], trace.changed[3]) == (0.0, 0)
+    monkeypatch.setattr(engine, "_same", lambda new, old: False)
+    assert same_bytes(got, iterate(phi, program, EngineConfig(iterations)))
+
+
+def test_fixed_point_stop_compares_bit_patterns():
+    # 300 rows of 300 compare in two chunks; a zero's sign differs in the last
+    new = {"p": np.zeros((300, 300)), "s": np.zeros(())}
+    same = {name: arr.copy() for name, arr in new.items()}
+    assert engine._same(new, same)
+    for name, cell in (("p", (-1, -1)), ("s", ())):
+        old = {name: arr.copy() for name, arr in new.items()}
+        old[name][cell] = -0.0
+        assert not engine._same(new, old), name
+
+
+@pytest.mark.parametrize("zeros", ["+0", "-0", "mixed"])
+def test_half_start_is_the_refilled_sigmoid_bitwise(zeros):
+    rules, kb, phi = _kbc_instance(6)
+    kb = _with_evidence(kb, np.random.default_rng(4))
+    rng = np.random.default_rng(9)
+    for name in ("rel", "tri"):
+        shape = phi.tables[name].shape
+        phi.tables[name] = {"+0": np.zeros(shape), "-0": np.full(shape, -0.0),
+                            "mixed": np.where(rng.random(shape) < 0.5, -0.0, 0.0)}[zeros]
+    program = compile_rules(rules, kb)
+    _, refilled, planes = engine._storage(kb)
+    weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
+    _, refill = engine._schedule(program, weights, kb.masks(), phi, planes)
+    halves = planes - refill
+    assert halves == {"rel", "tri"}
+    pins = engine._pins(kb.masks())
+    _, half, _ = engine._storage(kb)
+    engine._start(refilled, phi, planes, pins)
+    engine._start(half, phi, planes, pins, halves)
+    assert same_bytes(MarginalTable(half), MarginalTable(refilled))
+    latent = ~kb.masks()["tri"].mask
+    assert latent.any() and np.all(half["tri"][latent] == 0.5)
+    config = EngineConfig(iterations=3)
+    got, ref = iterate(phi, program, config), _refill_and_add(phi, program, config)
+    assert same_bytes(MarginalTable({name: got.tables[name][..., 1] if name in planes
+                                     else got.tables[name] for name in ref}),
+                      MarginalTable(ref))
+
+
+def test_fixed_point_stop_frees_the_spare_planes_before_expand(workloads, monkeypatch):
+    # T=5 is odd, so iteration 4, where kbc stops, writes the spare tables
+    program, phi = _kbc_workload(workloads)
+    program.kb.masks()
+    live = []
+    original = engine._expand
+
+    def expand(tables, planes):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return original(tables, planes)
+
+    monkeypatch.setattr(engine, "_expand", expand)
+    trace = IterationTrace()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = iterate(phi, program, EngineConfig(iterations=5), trace)
+    finally:
+        tracemalloc.stop()
+    assert len(trace.seconds) == 4
+    output = sum(t.nbytes for t in result.tables.values())
+    # a spare tri plane, or the trace's scratch, would add at least this
+    plane = result.tables["tri"][..., 1].nbytes
+    assert live[0] - before < output + plane // 4
+
+
+def test_split_helper_keeps_no_table_of_a_dropped_result(workloads, split_products):
+    program, phi = _kbc_workload(workloads)
+    result = iterate(phi, program, EngineConfig(iterations=5))
+    assert parallel._helper.thread is not None
+    buffers = [weakref.ref(t.base) for t in result.tables.values()]
+    del result
+    gc.collect()
+    assert all(ref() is None for ref in buffers)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from einlog.engine import (EngineConfig, MarginalTable, UnaryTable, _schedule, _storage,
+from einlog.engine import (EngineConfig, IterationTrace, MarginalTable, UnaryTable,
+                           _schedule, _storage,
                            compile_rules, initial_marginals, iterate)
 from einlog.fol import (Clause, CnfFormula, Literal, Predicate, binary_literal, constant,
                         merge_literals, parse_rules, variable)
@@ -16,7 +17,7 @@ from einlog.oracle import (OracleError, brute_einsum, enumerate_groundings,
 from einlog.tensor import softmax_lastaxis
 from einlog.testing import random_instance
 
-from helpers import max_abs_diff
+from helpers import max_abs_diff, same_bytes
 
 S = Predicate("s", 1)
 F = Predicate("f", 2)
@@ -301,6 +302,46 @@ def test_iterate_matches_chained_oracle_on_every_rule_shape():
     seen: dict[str, list[bool]] = {"expanding": [], "writing": []}
     _matches_chained_oracle(seen)
     assert any(seen["expanding"]) and any(seen["writing"])
+
+
+# Every cell observed stops at iteration 1; logits of ten thousand saturate
+# the sigmoid and softmax to exact 0 and 1, which messages rarely move.
+@given(rules=rule_lists(), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+       damping=st.sampled_from([0.0, 0.3]), iterations=st.integers(1, 5),
+       observed=st.sampled_from([0.2, 1.0]), scale=st.sampled_from([1.0, 1e4]),
+       zero_unary=st.sets(st.sampled_from([p.name for p in PALETTE])))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def _stops_only_where_later_iterations_repeat(seen, rules, n, seed, damping, iterations,
+                                              observed, scale, zero_unary):
+    rng = np.random.default_rng(seed)
+    kb = KnowledgeBase([f"E{i}" for i in range(n)], {p.name: p for p in PALETTE}, {
+        (p.name, cell): int(rng.integers(p.num_labels))
+        for p in PALETTE for cell in np.ndindex(*(n,) * p.arity) if rng.random() < observed})
+    phi = UnaryTable({p.name: np.zeros(shape) if p.name in zero_unary
+                      else scale * rng.normal(0.0, 1.5, shape)
+                      for p in PALETTE for shape in [(n,) * p.arity + (p.num_labels,)]})
+    program = compile_rules(rules, kb)
+    trace, longer_trace = IterationTrace(), IterationTrace()
+    got = iterate(phi, program, EngineConfig(iterations, damping=damping), trace)
+    ran = len(trace.seconds)
+    assert len(trace.residual) == len(trace.changed) == ran and 1 <= ran <= iterations
+    seen.append((ran, iterations, damping))
+    if ran == iterations:
+        return
+    assert (trace.residual[-1], trace.changed[-1]) == (0.0, 0)
+    longer = iterate(phi, program, EngineConfig(iterations + 3, damping=damping), longer_trace)
+    assert len(longer_trace.seconds) == ran and same_bytes(longer, got)
+    # the stop's own iteration count, whose last iteration is never compared
+    assert same_bytes(iterate(phi, program, EngineConfig(ran, damping=damping)), got)
+
+
+def test_fixed_point_stop_gives_the_bytes_of_every_longer_run():
+    seen: list[tuple[int, int, float]] = []
+    _stops_only_where_later_iterations_repeat(seen)
+    stopped = [(ran, damping) for ran, iterations, damping in seen if ran < iterations]
+    # stops with and without damping, and after messages moved a cell
+    assert {damping for _, damping in stopped} == {0.0, 0.3}
+    assert any(ran > 1 for ran, _ in stopped) and len(stopped) < len(seen)
 
 
 def test_brute_einsum_agrees_with_numpy():
