@@ -11,15 +11,15 @@ inside atoms, ``#`` comments)::
 Entity constants are collected in first-occurrence order; an optional seed
 list pins the leading indices.
 
-Data files (evidence, queries, unary potentials) are read in bulk, in blocks
-of ``BLOCK_LINES`` lines: ``atom_blocks`` checks the atom grammar of a block
-in array passes over its characters' classes (the sequence of delimiters
-``!``, ``(``, ``,``, ``)``, ``=`` and the gaps between them), cuts it into
-tokens with one ``str.translate`` and ``split``, and turns the atoms into
-per-predicate entity index arrays.  When a bulk reader declines a text,
-``read_bulk`` runs the reader's per-line walk, which goes through
-``fol.content_lines`` and ``parse_atom`` and raises the first error in line
-order, so each reader error starts with ``line N:``.
+Data files (evidence, queries, unary potentials, predictions, truth) are
+read in bulk, in blocks of ``BLOCK_LINES`` lines: ``atom_blocks`` checks the
+atom grammar of a block in array passes over its characters' classes (the
+sequence of delimiters ``!``, ``(``, ``,``, ``)``, ``=`` and the gaps between
+them), cuts it into tokens with one ``str.translate`` and ``split``, and
+turns the atoms into per-predicate entity index arrays.  When a bulk reader
+declines a text, ``read_bulk`` runs the reader's per-line walk, which goes
+through ``fol.content_lines`` and ``parse_atom`` and raises the first error
+in line order, so each reader error starts with ``line N:``.
 """
 
 from __future__ import annotations
@@ -379,6 +379,16 @@ def atom_blocks(text: str, predicates: dict[str, Predicate], entities):
         yield AtomBlock(codes, negated, named, labels, counts, fields, groups)
 
 
+def first_rows(cells: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The first row of each distinct cell of an (m, arity) entity index
+    array, in row order.  Declines when two rows of one cell hold different
+    values."""
+    _, first, inverse = np.unique(flat_cells(cells, n), return_index=True, return_inverse=True)
+    if np.any(values != values[first][inverse]):
+        raise Declined
+    return np.sort(first)
+
+
 def load_evidence(text: str, predicates, entities=None) -> KnowledgeBase:
     """Build a KnowledgeBase from evidence text and declared predicates."""
     preds = {p.name: p for p in (predicates.values() if isinstance(predicates, dict)
@@ -407,11 +417,7 @@ def _bulk_evidence(text: str, preds: dict[str, Predicate], seed: list) -> Knowle
     for name, parts in found.items():
         cells = np.concatenate([c for c, _ in parts])
         labels = np.concatenate([v for _, v in parts])
-        _, first, inverse = np.unique(flat_cells(cells, len(index)),
-                                      return_index=True, return_inverse=True)
-        if np.any(labels != labels[first][inverse]):
-            raise Declined                      # conflicting observation
-        keep = np.sort(first)
+        keep = first_rows(cells, labels, len(index))
         observed[name] = (cells[keep], labels[keep])
     if not index:
         raise EvidenceError("empty entity domain: no entities seeded or observed")

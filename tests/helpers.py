@@ -1,9 +1,11 @@
-"""Helpers that only the tests use: rule-file printing and table comparison."""
+"""Helpers that only the tests use: rule-file printing, table comparison and
+a row view of the report."""
 
 import numpy as np
 
 from einlog.engine import MarginalTable, UnaryTable
 from einlog.fol import RuleSet
+from einlog.io import report_columns
 
 
 def format_rules(ruleset: RuleSet) -> str:
@@ -34,3 +36,14 @@ def same_bytes(a: MarginalTable, b: MarginalTable) -> bool:
     return a.tables.keys() == b.tables.keys() and all(
         np.array_equal(a.tables[k].view(np.uint64), b.tables[k].view(np.uint64))
         for k in a.tables)
+
+
+def report_rows(result: MarginalTable, kb, queries=None) -> list[tuple]:
+    """The report's rows as ``(predicate, argument names, label name,
+    probability, observed 0 or 1)`` tuples, read from its columns."""
+    return [(columns.predicate.name, tuple(kb.entities[a] for a in args),
+             columns.predicate.label_name(label), prob, int(observed))
+            for columns in report_columns(result, kb, queries)
+            for args, label, prob, observed in zip(
+                columns.cells.tolist(), columns.labels.tolist(),
+                columns.probability.tolist(), columns.observed.tolist())]

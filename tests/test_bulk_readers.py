@@ -1,7 +1,8 @@
 """The bulk readers against the per-line walks they fall back on.
 
-Every evidence, query and unary text must give the same result from the bulk
-reader as from the per-line walk, or the same error string.  Small block
+Every evidence, query, unary, prediction and truth text must give the same
+result from the bulk reader as from the per-line walk, or the same error
+string.  Small block
 sizes put block edges between the lines, so a first error in a later block
 must still carry its own line number.
 """
@@ -25,6 +26,7 @@ PREDS = {p.name: p for p in [
 ENTITIES = ["E2", "E10", "A", "B"]
 CELLS = [(p, args) for p in PREDS.values()
          for args in itertools.product(ENTITIES, repeat=p.arity)]
+BINARY_CELLS = [(p, args) for p, args in CELLS if p.num_labels == 2]
 GOOD_LOGITS = ["0", "1.5", "-2e-3", ".5", "+3", "1E2", "1_0", "-0"]
 BAD_LOGITS = ["x", "nan", "inf", "-inf", "1e400", "1,5", "--1"]
 SPACES = [" ", "\t", "\xa0", "  "]
@@ -42,9 +44,19 @@ def _label_suffix(draw, pred):
     return draw(st.sampled_from(["", "", "!", "=0", "=1"]))
 
 
+def _cells(reader):
+    """The cells a good line of ``reader`` may name: truth atoms are binary."""
+    return BINARY_CELLS if reader == "truth" else CELLS
+
+
 def _good_line(draw, reader, pred, args):
     if reader == "queries":
         return _atom(pred, args)
+    if reader == "predictions":
+        return _atom(pred, args) + draw(st.sampled_from(SPACES)) + draw(
+            st.sampled_from(GOOD_LOGITS))
+    if reader == "truth":
+        return draw(st.sampled_from(["", "!"])) + _atom(pred, args)
     if reader == "unary":
         values = draw(st.lists(st.sampled_from(GOOD_LOGITS),
                                min_size=pred.num_labels, max_size=pred.num_labels))
@@ -75,11 +87,16 @@ def _bad_lines(reader, pred, args, good):
                    _atom(pred, args, label="=" + pred.label_name(pred.num_labels - 1))]
     if reader == "queries":
         shapes += ["!" + good, good + "=1", good + " 0"]
-    if reader == "unary":
+    if reader in ("unary", "predictions"):
         head = good.rsplit(None, 1)[0]
         shapes += [good + " 0", head, "!" + good, _atom(pred, args) + "=0 0 0",
                    _atom(pred, args)]
         shapes += [f"{head}{space}{value}" for space in SPACES[:2] for value in BAD_LOGITS]
+    if reader == "truth":
+        # a multi-class atom, fields, and a conflict with the good line when
+        # that comes first
+        shapes += [_atom(PREDS["tag"], ("A",)), good + " 1", good + " x",
+                   good[1:] if good.startswith("!") else "!" + good]
     return shapes
 
 
@@ -93,17 +110,18 @@ def _decorated(draw, line):
 def reader_texts(draw, reader):
     """A block size and a text of good lines, comments and blanks, with up to
     two bad lines (most often one, so that each kind of bad line is met alone)."""
-    picks = draw(st.lists(st.integers(0, len(CELLS) - 1), max_size=30,
+    cells = _cells(reader)
+    picks = draw(st.lists(st.integers(0, len(cells) - 1), max_size=30,
                           unique=draw(st.booleans())))
     lines = []
     for i in picks:
-        lines.append(_decorated(draw, _good_line(draw, reader, *CELLS[i])))
+        lines.append(_decorated(draw, _good_line(draw, reader, *cells[i])))
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from(["", "   ", "# comment", "\t#", "\xa0"])))
     if lines and draw(st.booleans()):
         lines.append(lines[draw(st.integers(0, len(lines) - 1))])   # a repeated line
     for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
-        pred, args = CELLS[draw(st.integers(0, len(CELLS) - 1))]
+        pred, args = cells[draw(st.integers(0, len(cells) - 1))]
         bad = draw(st.sampled_from(_bad_lines(reader, pred, args,
                                               _good_line(draw, reader, pred, args))))
         lines.insert(draw(st.integers(0, len(lines))), _decorated(draw, bad))
@@ -122,6 +140,8 @@ def _outcome(read, *args):
                       {name: (c.tolist(), v.tolist()) for name, (c, v) in got.observed.items()})
     if isinstance(got, io.UnaryTable):
         return "ok", {name: t.tolist() for name, t in got.tables.items()}
+    if isinstance(got, dict):
+        return "ok", got
     return "ok", [(a.predicate.name, a.args) for a in got]
 
 
@@ -135,6 +155,9 @@ READERS = {  # reader -> (bulk, walk), both taking the text
     "evidence": (lambda t: load_evidence(t, PREDS), lambda t: kb._walk_evidence(t, PREDS, [])),
     "queries": (lambda t: load_queries(t, SEEDED), lambda t: kb._walk_queries(t, SEEDED)),
     "unary": (lambda t: io.load_unary(t, SEEDED), lambda t: io._walk_unary(t, SEEDED)),
+    "predictions": (lambda t: io.load_predictions(t, SEEDED),
+                    lambda t: io._walk_predictions(t, SEEDED)),
+    "truth": (lambda t: io.load_truth(t, SEEDED), lambda t: io._walk_truth(t, SEEDED)),
 }
 PROPERTY = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -160,9 +183,23 @@ def test_bulk_unary_matches_line_walk(case):
     _assert_same(case[0], *READERS["unary"], case[1])
 
 
+@PROPERTY
+@given(reader_texts("predictions"))
+def test_bulk_predictions_match_line_walk(case):
+    _assert_same(case[0], *READERS["predictions"], case[1])
+
+
+@PROPERTY
+@given(reader_texts("truth"))
+def test_bulk_truth_matches_line_walk(case):
+    _assert_same(case[0], *READERS["truth"], case[1])
+
+
 def _plain_good_line(reader, pred, args):
     if reader == "unary":
         return _atom(pred, args) + " 0.5" * pred.num_labels
+    if reader == "predictions":
+        return _atom(pred, args) + " 0.5"
     if reader == "evidence" and pred.num_labels > 2:
         return _atom(pred, args, label="=" + pred.label_name(0))
     return _atom(pred, args)
@@ -170,15 +207,16 @@ def _plain_good_line(reader, pred, args):
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_each_kind_of_bad_line_alone_gets_the_walk_error(reader):
+    preds = [p for p in PREDS.values() if reader != "truth" or p.num_labels == 2]
     others = [_plain_good_line(reader, p, tuple((ENTITIES[2:] + ENTITIES)[:p.arity]))
-              for p in PREDS.values() if p.arity]
+              for p in preds if p.arity]
     assert _outcome(READERS[reader][0], "\n".join(others))[0] == "ok"
-    for pred in PREDS.values():
+    for pred in preds:
         args = tuple(ENTITIES[:pred.arity])
         good = _plain_good_line(reader, pred, args)
-        # evidence repeats a cell to conflict; a repeated unary cell would be
-        # the first error itself
-        first = [good] if reader == "evidence" else []
+        # evidence and truth repeat a cell to conflict; a repeated unary cell
+        # or prediction would be the first error itself
+        first = [good] if reader in ("evidence", "truth") else []
         for bad in _bad_lines(reader, pred, args, good):
             text = "\n".join(others[:2] + first + [bad] + others[2:])
             for block in (1, kb.BLOCK_LINES):
@@ -195,6 +233,10 @@ def test_first_error_in_a_later_block_names_its_line():
         "queries": ([f"smoke(E{i})" for i in range(n)], "", lambda t: load_queries(t, base)),
         "unary": ([f"smoke(E{i}) 1 -1" for i in range(n)], " 0 0",
                   lambda t: io.load_unary(t, base)),
+        "predictions": ([f"smoke(E{i}) 0.5" for i in range(n)], " 0",
+                        lambda t: io.load_predictions(t, base)),
+        "truth": ([f"{'!' * (i % 2)}smoke(E{i})" for i in range(n)], "",
+                  lambda t: io.load_truth(t, base)),
     }
     bad_at = kb.BLOCK_LINES + 57
     for reader, (lines, tail, read) in cases.items():
@@ -221,14 +263,18 @@ SHAPE_READERS = {
                  lambda t: kb._walk_evidence(t, SHAPE_PREDS, [])),
     "queries": (lambda t: load_queries(t, SHAPE_KB), lambda t: kb._walk_queries(t, SHAPE_KB)),
     "unary": (lambda t: io.load_unary(t, SHAPE_KB), lambda t: io._walk_unary(t, SHAPE_KB)),
+    "predictions": (lambda t: io.load_predictions(t, SHAPE_KB),
+                    lambda t: io._walk_predictions(t, SHAPE_KB)),
+    "truth": (lambda t: io.load_truth(t, SHAPE_KB), lambda t: io._walk_truth(t, SHAPE_KB)),
 }
+FIELDS = {"unary": " 0 0", "predictions": " 0"}
 
 
 @pytest.mark.parametrize("reader", sorted(SHAPE_READERS))
 @pytest.mark.parametrize("shape", ["rel(A,B)=", "!!rel(A,B)", "rel((A,B))", "rel(A,B))", "(A,B)",
                                    "kind(A)=K0=K1", "rél(A)", "rel(A)B", "rel(A,B)=K0("])
 def test_each_bad_delimiter_shape_gets_the_walk_error(reader, shape):
-    logits = " 0 0" if reader == "unary" else ""
+    logits = FIELDS.get(reader, "")
     text = "\n".join(["rel(B,A)" + logits, shape + logits, "kind(B)" + logits])
     bulk, walk = SHAPE_READERS[reader]
     assert _outcome(walk, text) == ("error", f"line 2: malformed atom {shape!r}")
@@ -240,6 +286,7 @@ def _multi_block_lines(reader, entities):
     """Over 6,000 lines of every arity, read form and separator, in an order
     that mixes predicates within each block."""
     cells = [(p, args) for p in PREDS.values() if p.arity < 3
+             and (reader != "truth" or p.num_labels == 2)
              for args in itertools.product(entities, repeat=p.arity)]
     cells += list(itertools.product([PREDS["tri"]], itertools.product(entities, repeat=3)))[::16]
     cells = [cells[i * 7919 % len(cells)] for i in range(len(cells))]   # 7919 is prime
@@ -257,11 +304,15 @@ def _multi_block_lines(reader, entities):
             seps = [" ", "\t", "\xa0", " \t"]
             atom += "".join(f"{seps[(i + k) % 4]}{(i * 3 + k) % 11 - 5}.{k}5"
                             for k in range(pred.num_labels))
+        elif reader == "predictions":
+            atom += [" ", "\t", "\xa0", " \t"][i % 4] + f"{(i * 3) % 11 - 5}.{i % 7}5"
+        elif reader == "truth":
+            atom = "!" * (i % 3 == 1) + atom
         lines.append(["", " ", "\t", "\xa0"][i % 4 if i % 3 == 0 else 0] + atom
                      + ("  # note" if i % 5 == 0 else ""))
         if i % 13 == 0:
             lines.append("" if i % 2 else "# a comment line")
-        if reader != "unary" and i % 50 == 49:
+        if reader not in ("unary", "predictions") and i % 50 == 49:
             lines.append(lines[-40])          # a repeated line
     return lines
 
@@ -278,6 +329,9 @@ def test_multi_block_text_at_default_block_size_matches_the_walk(reader):
                      lambda t: kb._walk_evidence(t, PREDS, [])),
         "queries": (lambda t: load_queries(t, wide), lambda t: kb._walk_queries(t, wide)),
         "unary": (lambda t: io.load_unary(t, wide), lambda t: io._walk_unary(t, wide)),
+        "predictions": (lambda t: io.load_predictions(t, wide),
+                        lambda t: io._walk_predictions(t, wide)),
+        "truth": (lambda t: io.load_truth(t, wide), lambda t: io._walk_truth(t, wide)),
     }[reader]
     got = _outcome(bulk, text)
     assert got[0] == "ok"

@@ -6,8 +6,9 @@ import pytest
 import einlog as E
 from einlog.engine import EngineConfig
 from einlog.io import (format_marginals_csv, format_marginals_json, load_predictions,
-                       load_truth, load_unary, marginal_rows)
+                       load_truth, load_unary)
 from einlog.kb import EvidenceError, load_evidence, load_queries
+from helpers import report_rows
 
 
 def test_unary_defaults_to_zero(smoke_kb):
@@ -30,7 +31,7 @@ def test_unary_errors(smoke_kb):
 
 def test_marginal_rows_cover_all_cells_flagging_observed(smoke_rules, smoke_kb, smoke_phi):
     result = E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=2))
-    rows = marginal_rows(result, smoke_kb)
+    rows = report_rows(result, smoke_kb)
     # binary predicates: one row per cell (2 + 4 + 2 cells)
     assert len(rows) == 8
     unobserved = [r for r in rows if r[4] == 0]
@@ -52,7 +53,7 @@ def test_csv_format_has_nine_decimals(smoke_rules, smoke_kb, smoke_phi):
 def test_json_mirrors_csv_records(smoke_rules, smoke_kb, smoke_phi):
     result = E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=2))
     records = json.loads(format_marginals_json(result, smoke_kb))
-    rows = marginal_rows(result, smoke_kb)
+    rows = report_rows(result, smoke_kb)
     assert len(records) == len(rows)
     for rec, row in zip(records, rows):
         assert rec["predicate"] == row[0]
@@ -64,7 +65,7 @@ def test_json_mirrors_csv_records(smoke_rules, smoke_kb, smoke_phi):
 def test_queries_restrict_rows(smoke_rules, smoke_kb, smoke_phi):
     result = E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=2))
     queries = load_queries("smoke(A)\nfriend(B,A)\n", smoke_kb)
-    rows = marginal_rows(result, smoke_kb, queries)
+    rows = report_rows(result, smoke_kb, queries)
     assert [(r[0], r[1], r[4]) for r in rows] == [
         ("friend", ("B", "A"), 1), ("smoke", ("A",), 0)]
 
@@ -76,7 +77,7 @@ def test_multiclass_rows_list_every_label():
     pred = Predicate("tag", 1, 3, ("O", "B", "I"))
     kb = KnowledgeBase(["w"], {"tag": pred}, {})
     result = MarginalTable({"tag": np.array([[0.2, 0.5, 0.3]])})
-    rows = marginal_rows(result, kb)
+    rows = report_rows(result, kb)
     assert [(r[2], r[3]) for r in rows] == [("B", 0.5), ("I", 0.3), ("O", 0.2)]
 
 
