@@ -166,8 +166,7 @@ def cmd_aucpr(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    worst, failures = testing.run_equivalence_suite(args.trials, args.seed,
-                                                    verbose=True)
+    worst, failures = testing.run_equivalence_suite(args.trials, args.seed)
     elapsed = time.perf_counter() - started
     print(f"{args.trials} trials in {elapsed:.1f}s; worst gap {worst:.3e}")
     if failures:

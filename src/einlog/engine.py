@@ -15,13 +15,15 @@ literal compiles to two implications instead of one (see
 and ``contract(other premises)`` with coefficient ``N^k``, so no complement
 table is built.  Each implication's coefficient scales its rule weight.
 
-Inside ``iterate`` a binary predicate is held as one plane, since
-``q0 = 1 - q1``: the logit difference ``x0 - x1`` while messages are added,
-then ``q1 = 1 / (1 + exp(x0 - x1))``.  A table whose ``ndim`` equals its
-predicate's arity is such a plane; every other table is ``N^arity x D``
-with the labels last.  Each snapshot of ``q1`` on a plane of arity at most 2
-holds exactly 0 wherever it would hold less than ``_FLUSH``, so the product
-of two nonzero entries of a matrix-product operand is a normal number.
+Inside ``iterate`` a binary predicate is held as one plane at a time,
+since ``q0 = 1 - q1``: the logit difference ``x0 - x1`` while messages are
+added, then ``q1 = 1 / (1 + exp(x0 - x1))``.  The two planes it alternates
+between are the label planes of its output table.  A table whose ``ndim``
+equals its predicate's arity is such a plane; every other table is
+``N^arity x D`` with the labels last.  Each snapshot of ``q1`` on a plane
+of arity at most 2 holds exactly 0 wherever it would hold less than
+``_FLUSH``, so the product of two nonzero entries of a matrix-product
+operand is a normal number.
 
 Where it is exact, a message writes its logit plane (see ``_schedule``):
 a zero-unary binary plane is not refilled but written by one of its first
@@ -41,7 +43,9 @@ Each large pass of an iteration over a table, a plane or a label slice
 check, normalize, damping, flush, the fixed-point compare, the ½ start,
 the result's ``1 - q1`` and the trace's passes) runs in row blocks through
 ``parallel.rows``, and each large contraction step through
-``planner.execute``'s split.  Every block does the whole pass's arithmetic
+``planner.execute``'s split.  The fixed-point compare and the trace walk
+their blocks in chunks of rows (see ``_chunks``), so they need no
+table-sized temporary.  Every block does the whole pass's arithmetic
 on its own rows, so the bytes are those of the whole pass.  Clamping and
 an add into a diagonal, which index by array, stay whole.
 """
@@ -241,8 +245,9 @@ class EngineConfig:
 @dataclass
 class IterationTrace:
     """Optional per-iteration record: wall seconds, the residual
-    ``max|q_t - q_{t-1}|`` over every cell of every predicate, and the number
-    of latent cells whose argmax label changed.  It holds one entry per
+    ``max|q_t - q_{t-1}|`` over the values the engine stores (``q1`` of a
+    binary predicate, every label of the others), and the number of latent
+    cells whose argmax label changed.  It holds one entry per
     iteration that ran: fewer than configured when ``iterate`` stopped at an
     exact fixed point, whose last entry then has residual 0."""
 
@@ -581,39 +586,43 @@ def _max_abs(d: np.ndarray) -> float:
     return max(float(d.max()), -float(d.min()))
 
 
-def _record(trace: IterationTrace, q: dict, new: dict, planes: frozenset, scratch):
-    """Residual and argmax changes between two states, as the expanded
-    ``N^arity x D`` tables would give them, worked out for binary planes in
-    the two rows of ``scratch``, in row blocks of large tables (see
-    ``parallel.rows``).  Observed cells stay pinned, so every cell whose
-    argmax changes is latent."""
+def _chunks(a: np.ndarray, b: np.ndarray):
+    """Matching chunks of rows of ``a`` and ``b`` of about ``_COMPARE_CHUNK``
+    elements each, so that a temporary made from one chunk stays well below
+    a large table; an array of fewer than two axes is one chunk."""
+    if a.ndim < 2:
+        yield a, b
+        return
+    step = max(1, _COMPARE_CHUNK // a[0].size)
+    for r in range(0, len(a), step):
+        yield a[r:r + step], b[r:r + step]
+
+
+def _record(trace: IterationTrace, q: dict, new: dict, planes: frozenset):
+    """Residual and argmax changes between two states, in row blocks of
+    large tables (see ``parallel.rows``).  Observed cells stay pinned, so
+    every cell whose argmax changes is latent."""
     residual, changed = 0.0, 0
     for name, arr in new.items():
-        if name in planes:
-            a, b = (buf[:arr.size].reshape(arr.shape) for buf in scratch)
-            blocks = rows(_plane_change, a, b, arr, q[name])
-        else:
-            blocks = rows(_table_change, arr, q[name])
+        blocks = rows(_change, arr, q[name], name in planes)
         residual = max(residual, *(r for r, _ in blocks))
         changed += sum(c for _, c in blocks)
     trace.residual.append(residual)
     trace.changed.append(changed)
 
 
-def _plane_change(a: np.ndarray, b: np.ndarray, arr: np.ndarray, old: np.ndarray):
-    """The residual of both labels and the argmax changes between two
-    ``q1`` planes, using ``a`` and ``b`` as scratch.  ``q1 > 0.5`` is
-    exactly ``q1 > 1 - q1``: above 0.5 the difference is exact, at or below
-    it rounds to at least 0.5."""
-    residual = _max_abs(np.subtract(arr, old, out=a))
-    diff = np.subtract(np.subtract(1.0, arr, out=a), np.subtract(1.0, old, out=b), out=a)
-    return (max(residual, _max_abs(diff)),
-            int(np.count_nonzero((arr > 0.5) != (old > 0.5))))
-
-
-def _table_change(arr: np.ndarray, old: np.ndarray):
-    return (_max_abs(arr - old),
-            int(np.count_nonzero(arr.argmax(axis=-1) != old.argmax(axis=-1))))
+def _change(new: np.ndarray, old: np.ndarray, plane: bool) -> tuple[float, int]:
+    """``max|new - old|`` over the stored values and the count of cells
+    whose argmax differs, chunk by chunk (see ``_chunks``).  On a ``q1``
+    plane the argmax is 1 where ``q1 > 0.5``, which is exactly
+    ``q1 > 1 - q1``: above 0.5 the difference is exact, at or below it
+    rounds to at least 0.5."""
+    residual, changed = 0.0, 0
+    for a, b in _chunks(new, old):
+        residual = max(residual, _max_abs(a - b))
+        moved = (a > 0.5) != (b > 0.5) if plane else a.argmax(axis=-1) != b.argmax(axis=-1)
+        changed += int(np.count_nonzero(moved))
+    return residual, changed
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -628,14 +637,9 @@ def _same(new: dict[str, np.ndarray], old: dict[str, np.ndarray]) -> bool:
 
 
 def _same_block(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two arrays hold the same bit patterns, compared in chunks of
-    rows of about ``_COMPARE_CHUNK`` elements up to the first that differs,
-    so that no boolean temporary is larger than a chunk."""
-    a, b = a.view(np.uint64), b.view(np.uint64)
-    if a.ndim < 2:
-        return bool(np.array_equal(a, b))
-    step = max(1, _COMPARE_CHUNK // a[0].size)
-    return all(np.array_equal(a[r:r + step], b[r:r + step]) for r in range(0, len(a), step))
+    """Whether two arrays hold the same bit patterns, compared chunk by
+    chunk (see ``_chunks``) up to the first that differs."""
+    return all(np.array_equal(x, y) for x, y in _chunks(a.view(np.uint64), b.view(np.uint64)))
 
 
 def _damp(arr: np.ndarray, old: np.ndarray, lam: float):
@@ -652,10 +656,12 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     is normalized, damped, clamped and flushed in place.  A zero-unary plane
     that a message writes is not refilled, and starts at ½ (see ``_start``),
     and messages into a predicate observed in every cell are skipped (see
-    ``_schedule``).  A binary predicate's pair is two planes (see the module
-    docstring), and the one iteration ``config.iterations`` would write is
-    label 1 of its output table from the start, so the result costs one
-    ``1 - q1`` pass and no copy.
+    ``_schedule``).  A binary predicate's pair is the two label planes of
+    its output table (see the module docstring): iteration
+    ``config.iterations`` writes label 1, and label 0 is the spare until the
+    result's one ``1 - q1`` pass writes it, so the predicate needs no buffer
+    beyond its output table and the result no copy.  A multi-class
+    predicate has one spare table beside its output table.
 
     After every iteration but the last, each new table is compared bit for
     bit with the snapshot it was computed from.  When all are identical the
@@ -675,16 +681,13 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     pins = _pins(masks)
     tables, last, planes = _storage(program.kb)
     messages, refill = _schedule(program, weights, masks, phi, planes)
-    other = {name: np.empty(arr.shape) if name in planes else label_planes(arr.shape)
+    # iteration T writes `last`; a binary predicate's spare is label 0 of its
+    # output table, read for the last time before `_expand` writes it
+    other = {name: tables[name][..., 0] if name in planes else label_planes(arr.shape)
              for name, arr in last.items()}
-    # iteration t writes the spare table; after T iterations that is `last`
     q, spare = (last, other) if config.iterations % 2 == 0 else (other, last)
     _start(q, phi, planes, pins, planes - refill)
-    scratch = None if trace is None else np.empty(
-        (2, max((last[name].size for name in planes), default=0)))
     lam = config.damping
-    # the loops below bind names, not tables: a table bound to a loop
-    # variable would outlive the `del` before `_expand`
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
         _refill(spare, phi, planes, refill)
@@ -702,11 +705,9 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
         fixed = t < config.iterations and _same(q, spare)
         if trace is not None:
             trace.seconds.append(time.perf_counter() - started)
-            _record(trace, spare, q, planes, scratch)
+            _record(trace, spare, q, planes)
         if fixed:
             break
-    # free the spare planes, and the trace's scratch, before label 0 is written
-    del q, spare, other, scratch
     return _expand(tables, planes)
 
 

@@ -28,22 +28,10 @@ def auc_pr(scores, truths) -> float:
 
     order = np.argsort(-scores, kind="stable")
     scores = scores[order]
-    truths = truths[order]
-
-    area = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j < n and scores[j] == scores[i]:
-            j += 1
-        tp += int(truths[i:j].sum())
-        fp += (j - i) - int(truths[i:j].sum())
-        recall = tp / positives
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return float(area)
+    # the last position of each run of equal scores, one per threshold
+    ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
+    tp = np.cumsum(truths[order])[ends]
+    recall = tp / positives
+    precision = tp / (ends + 1)
+    # cumsum adds in order, as a loop over the thresholds would
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])

@@ -1,5 +1,5 @@
-"""Helpers that only the tests use: rule-file printing, table comparison and
-a row view of the report."""
+"""Helpers that only the tests use: rule-file printing, table comparison, a
+row view of the report and a per-threshold loop for ``auc_pr``."""
 
 import numpy as np
 
@@ -47,3 +47,25 @@ def report_rows(result: MarginalTable, kb, queries=None) -> list[tuple]:
             for args, label, prob, observed in zip(
                 columns.cells.tolist(), columns.labels.tolist(),
                 columns.probability.tolist(), columns.observed.tolist())]
+
+
+def auc_pr_loop(scores, truths) -> float:
+    """``metrics.auc_pr`` of valid input, one distinct score at a time in
+    decreasing order, adding each threshold's recall step times precision."""
+    scores = np.asarray(scores, dtype=np.float64)
+    truths = np.asarray(truths, dtype=bool)
+    positives = int(truths.sum())
+    order = np.argsort(-scores, kind="stable")
+    scores, truths = scores[order], truths[order]
+    area = prev_recall = 0.0
+    tp = fp = i = 0
+    while i < scores.size:
+        j = i
+        while j < scores.size and scores[j] == scores[i]:
+            j += 1
+        hits = int(truths[i:j].sum())
+        tp, fp = tp + hits, fp + (j - i) - hits
+        recall = tp / positives
+        area += (recall - prev_recall) * (tp / (tp + fp))
+        prev_recall, i = recall, j
+    return float(area)

@@ -501,6 +501,12 @@ def test_iterate_matches_c_order_reference_bitwise(iterations, damping):
     assert all(_is_label_plane(t) for t in UnaryTable.zeros(kb).tables.values())
 
 
+def _stored(result: MarginalTable) -> MarginalTable:
+    """What ``iterate`` stores: label 1 of a binary table, a table whole."""
+    return MarginalTable({name: t[..., 1] if t.shape[-1] == 2 else t
+                          for name, t in result.tables.items()})
+
+
 def test_trace_residual_is_the_change_between_iterations(smoke_rules, smoke_kb, smoke_phi):
     trace = IterationTrace()
     E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=6), trace)
@@ -508,7 +514,7 @@ def test_trace_residual_is_the_change_between_iterations(smoke_rules, smoke_kb, 
     prev = initial_marginals(smoke_phi, smoke_kb)
     for k in range(1, 7):
         cur = E.run_inference(smoke_rules, smoke_kb, smoke_phi, EngineConfig(iterations=k))
-        assert trace.residual[k - 1] == max_abs_diff(cur, prev)
+        assert trace.residual[k - 1] == max_abs_diff(_stored(cur), _stored(prev))
         prev = cur
     assert 0.0 < trace.residual[-1] < trace.residual[0]
 
@@ -829,6 +835,7 @@ def test_record_matches_the_two_label_formula():
             edges += [v for v in (below, above) if 0.0 <= v <= 1.0]
     rng = np.random.default_rng(14)
     planes = frozenset({"p", "t", "flag"})
+    below_two_label = 0
     for trial in range(40):
         q = _record_state(rng, edges, trial % 2)
         new = _record_state(rng, edges, trial % 2)
@@ -839,9 +846,17 @@ def test_record_matches_the_two_label_formula():
             new["t"][0, :, 1] = (np.nextafter(q["t"][0, :, 1], 2.0) if trial % 8
                                  else rng.choice(edges, 5))
         trace = IterationTrace()
-        engine._record(trace, q, new, planes, np.empty((2, 125)))
-        assert (trace.residual[0], trace.changed[0]) == _two_label_record(q, new, planes)
+        engine._record(trace, q, new, planes)
+        residual, changed = _two_label_record(q, new, planes)
+        assert trace.changed[0] == changed
+        # the residual is over the stored q1, so it drops only what the two
+        # roundings of 1 - q1 and one of their difference add
+        assert trace.residual[0] == max(float(np.max(np.abs(new[name] - q[name])))
+                                        for name in new)
+        assert residual - 3 * 2.0 ** -53 <= trace.residual[0] <= residual
         assert type(trace.residual[0]) is float and type(trace.changed[0]) is int
+        below_two_label += trace.residual[0] < residual
+    assert below_two_label > 0   # the one-ulp steps below 0.5
 
 
 # --- summed 1 - q1 premises compiled into N^k - sum q1 pairs ----------------
@@ -1308,9 +1323,43 @@ def test_fixed_point_stop_frees_the_spare_planes_before_expand(workloads, monkey
         tracemalloc.stop()
     assert len(trace.seconds) == 4
     output = sum(t.nbytes for t in result.tables.values())
-    # a spare tri plane, or the trace's scratch, would add at least this
+    # a tri plane beyond the output tables would add at least this
     plane = result.tables["tri"][..., 1].nbytes
     assert live[0] - before < output + plane // 4
+
+
+BINARY_ARITY_3 = """\
+predicate rel(ent,ent)
+predicate tri(ent,ent,ent)
+!rel(a,b) | tri(a,b,c)
+!tri(a,b,c) | !rel(b,c) | rel(a,c)
+"""
+
+
+@pytest.mark.parametrize("iterations", [3, 4])
+@pytest.mark.parametrize("traced", [False, True])
+def test_fixed_point_loop_allocates_no_plane_beyond_output_and_a_message(traced, iterations):
+    # T=3 starts in label 0 of the output tables, T=4 in label 1
+    rules = E.parse_rules(BINARY_ARITY_3)
+    kb = KnowledgeBase([f"E{i}" for i in range(64)], rules.predicates, {})
+    rng = np.random.default_rng(5)
+    phi = UnaryTable({name: rng.normal(0.0, 1.5, kb.shape(p) + (p.num_labels,))
+                      for name, p in kb.predicates.items()})
+    program = compile_rules(rules, kb)
+    start = initial_marginals(phi, kb)
+    largest = max(E.message(ci, start).nbytes for ci in program.implications)
+    tracemalloc.start()
+    try:
+        result = iterate(phi, program, EngineConfig(iterations),
+                         IterationTrace() if traced else None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(t.nbytes for t in result.tables.values())
+    plane = result.tables["tri"][..., 1].nbytes
+    assert largest == plane
+    # a spare plane, or a plane-sized temporary of the trace, would add a plane
+    assert peak < output + largest + plane // 4
 
 
 def test_split_helper_keeps_no_table_of_a_dropped_result(workloads, split_products):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einlog.metrics import MetricError, auc_pr
+
+from helpers import auc_pr_loop
 
 
 def brute_force_auc(scores, truths):
@@ -51,6 +55,27 @@ def test_random_cases_match_threshold_sweep(seed):
         truths[0] = True
     assert auc_pr(scores, truths) == pytest.approx(
         brute_force_auc(list(scores), list(truths.astype(int))), abs=1e-12)
+
+
+@st.composite
+def ranked_atoms(draw):
+    """Scores with many ties (a few values, signed zeros among them) or
+    none, and truths with at least one positive."""
+    n = draw(st.integers(1, 60))
+    values = st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 1.0, -3.0, 5e-324])
+    any_float = st.floats(-1e300, 1e300, allow_nan=False)
+    scores = draw(st.lists(draw(st.sampled_from([values, any_float])), min_size=n, max_size=n))
+    truths = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    truths[draw(st.integers(0, n - 1))] = True
+    return scores, truths
+
+
+@given(ranked_atoms())
+@settings(max_examples=300, deadline=None)
+def test_array_passes_equal_the_threshold_loop_bitwise(atoms):
+    scores, truths = atoms
+    got, want = auc_pr(scores, truths), auc_pr_loop(scores, truths)
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 def test_ranking_only_depends_on_order():

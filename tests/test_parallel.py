@@ -298,12 +298,17 @@ def test_split_passes_equal_unsplit_bytes(shape, labels, seed, label_slice,
     for arr in (base, bad):
         split, whole = _split_and_whole(lambda: parallel.rows(engine._finite, arr))
         assert all(split) == all(whole) == (arr is base)
-    scratch = np.empty_like(base), np.empty_like(base)
-    for fn, args in ((engine._table_change, (base, other)),
-                     (engine._plane_change, (*scratch, base, other))):
-        split, whole = _split_and_whole(lambda: parallel.rows(fn, *args))
-        assert len(whole) == 1
-        assert (max(r for r, _ in split), sum(c for _, c in split)) == whole[0]
+    # and so do the trace's, with a block in one chunk or a chunk per row
+    for plane in (False, True):
+        results = []
+        for chunk in (1, engine._COMPARE_CHUNK):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(engine, "_COMPARE_CHUNK", chunk)
+                split, whole = _split_and_whole(
+                    lambda: parallel.rows(engine._change, base, other, plane))
+            assert len(whole) == 1
+            results += [(max(r for r, _ in split), sum(c for _, c in split)), whole[0]]
+        assert len(set(results)) == 1
 
 
 @st.composite
