@@ -153,9 +153,14 @@ def cmd_demo(args) -> int:
 
 def cmd_aucpr(args) -> int:
     ruleset = parse_rules(_read(args.rules))
-    kb = load_evidence(_read(args.truth), ruleset.predicates)
+    text = _read(args.truth)
+    kb = load_evidence(text, ruleset.predicates)
     predictions = io.load_predictions(_read(args.predictions), kb)
-    truth = io.load_truth(_read(args.truth), kb)
+    # The truth file read as evidence holds the truth (label 1 is true).  The
+    # one thing evidence takes that truth does not is an '=LABEL' suffix, so
+    # a text with an '=' goes through the truth reader, for its error.
+    truth = (io.load_truth(text, kb) if "=" in text
+             else {key: label == 1 for key, label in kb.observations.items()})
     if set(predictions) != set(truth):
         raise EvidenceError("prediction and truth atom sets differ")
     keys = sorted(predictions)

@@ -37,11 +37,10 @@ def load_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
 def _bulk_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
     found = {name: ([np.empty((0, p.arity), np.int64)], [np.empty((0, p.num_labels))])
              for name, p in kb.predicates.items()}
-    for block in atom_blocks(text, kb.predicates, kb.index):
+    for block in atom_blocks(text, kb.predicates, kb.entity_keys):
         if block.negated.any() or block.named.any():
             raise Declined
-        counts = block.counts
-        values = np.fromiter(map(float, block.fields), np.float64, len(block.fields))
+        counts, values = block.counts, block.values
         if not np.all(np.isfinite(values)):
             raise Declined
         first = np.cumsum(counts) - counts
@@ -68,7 +67,7 @@ def _walk_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
     seen = set()
     for lineno, line in content_lines(text):
         atom, *values = line.split()
-        negated, pred, args, label = parse_atom(atom, lineno, kb.predicates, kb.index)
+        negated, pred, args, label = parse_atom(atom, lineno, kb.predicates, kb.index.__getitem__)
         if negated or label is not None:
             raise EvidenceError(f"line {lineno}: malformed atom {atom!r}")
         if len(values) != pred.num_labels:
@@ -283,10 +282,10 @@ def load_predictions(text: str, kb: KnowledgeBase):
 
 def _bulk_predictions(text: str, kb: KnowledgeBase):
     found = {}
-    for block in atom_blocks(text, kb.predicates, kb.index):
+    for block in atom_blocks(text, kb.predicates, kb.entity_keys):
         if block.negated.any() or block.named.any() or np.any(block.counts != 1):
             raise Declined
-        scores = np.fromiter(map(float, block.fields), np.float64, len(block.fields))
+        scores = block.values
         if not np.all(np.isfinite(scores)):
             raise Declined
         for pred, at, cells in block.groups:
@@ -310,7 +309,7 @@ def _walk_predictions(text: str, kb: KnowledgeBase):
         if len(parts) != 2:
             raise EvidenceError(f"line {lineno}: expected 'Atom score'")
         atom, value = parts
-        negated, pred, args, label = parse_atom(atom, lineno, kb.predicates, kb.index)
+        negated, pred, args, label = parse_atom(atom, lineno, kb.predicates, kb.index.__getitem__)
         if negated or label is not None:
             raise EvidenceError(f"line {lineno}: malformed atom {atom!r}")
         try:
@@ -335,7 +334,7 @@ def load_truth(text: str, kb: KnowledgeBase):
 
 def _bulk_truth(text: str, kb: KnowledgeBase):
     found = {}
-    for block in atom_blocks(text, kb.predicates, kb.index):
+    for block in atom_blocks(text, kb.predicates, kb.entity_keys):
         if block.named.any() or block.counts.any():
             raise Declined
         for pred, at, cells in block.groups:
@@ -357,7 +356,7 @@ def _walk_truth(text: str, kb: KnowledgeBase):
     """The per-line truth reader; its errors name the first bad line."""
     out = {}
     for lineno, line in content_lines(text):
-        negated, pred, args, label = parse_atom(line, lineno, kb.predicates, kb.index)
+        negated, pred, args, label = parse_atom(line, lineno, kb.predicates, kb.index.__getitem__)
         if label is not None:
             raise EvidenceError(f"line {lineno}: malformed truth atom {line!r}")
         if pred.num_labels != 2:

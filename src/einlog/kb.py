@@ -15,11 +15,14 @@ Data files (evidence, queries, unary potentials, predictions, truth) are
 read in bulk, in blocks of ``BLOCK_LINES`` lines: ``atom_blocks`` checks the
 atom grammar of a block in array passes over its characters' classes (the
 sequence of delimiters ``!``, ``(``, ``,``, ``)``, ``=`` and the gaps between
-them), cuts it into tokens with one ``str.translate`` and ``split``, and
-turns the atoms into per-predicate entity index arrays.  When a bulk reader
-declines a text, ``read_bulk`` runs the reader's per-line walk, which goes
-through ``fol.content_lines`` and ``parse_atom`` and raises the first error
-in line order, so each reader error starts with ``line N:``.
+them) and cuts it into tokens as spans of positions, not strings.  Predicate
+and entity names are resolved by exact key lookup in sorted tables of their
+padded bytes (``_Keys``), and fields become float64 values read from their
+digits (``_numbers``), so no token becomes a Python object unless it is a
+label or a number outside the fast path.  When a bulk reader declines a
+text, ``read_bulk`` runs the reader's per-line walk, which goes through
+``fol.content_lines`` and ``parse_atom`` and raises the first error in line
+order, so each reader error starts with ``line N:``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import numpy as np
 from .fol import Predicate, RuleError, content_lines
 
 _SYMBOL = r"[A-Za-z0-9_.-]+"
+_SYMBOL_RE = re.compile(_SYMBOL)
 ATOM_RE = re.compile(rf"^(?P<neg>!?)(?P<name>{_SYMBOL})"
                      rf"\((?P<args>(?:{_SYMBOL}(?:,{_SYMBOL})*)?)\)(?:=(?P<label>{_SYMBOL}))?$")
 
@@ -141,6 +145,11 @@ class KnowledgeBase:
             for name, (cells, labels) in self.observed.items()
             for args, label in zip(cells.tolist(), labels.tolist())})
 
+    @cached_property
+    def entity_keys(self) -> _Keys:
+        """The sorted key table the bulk readers look entity names up in."""
+        return _Keys(self.entities)
+
     def entity_index(self, name: str) -> int:
         try:
             return self.index[name]
@@ -190,20 +199,11 @@ class Queries:
         for pred in map(self._predicates.__getitem__, self._lines.tolist()):
             yield GroundAtom(pred, tuple(next(rows[pred.name])))
 
-
-class _Numbering(dict):
-    """Entity name -> index map that numbers each new name on first lookup."""
-
-    def __missing__(self, name: str) -> int:
-        self[name] = index = len(self)
-        return index
-
-
-def parse_atom(line: str, lineno: int, predicates: dict[str, Predicate], entities):
+def parse_atom(line: str, lineno: int, predicates: dict[str, Predicate], entity):
     """``(negated, predicate, args, label)`` of one atom line.
 
-    ``entities`` maps entity names to indices; a name it lacks is an unknown
-    entity unless it numbers new names itself.  Every error names the line.
+    ``entity`` maps an entity name to its index and raises KeyError for a
+    name that is an unknown entity.  Every error names the line.
     """
     m = ATOM_RE.match(line)
     if m is None:
@@ -217,7 +217,7 @@ def parse_atom(line: str, lineno: int, predicates: dict[str, Predicate], entitie
         raise EvidenceError(f"line {lineno}: {name} expects {pred.arity} args, "
                             f"got {len(syms)}")
     try:
-        args = tuple(map(entities.__getitem__, syms))
+        args = tuple(map(entity, syms))
     except KeyError as exc:
         raise EvidenceError(f"line {lineno}: unknown entity {exc.args[0]!r}") from None
     return bool(negated), pred, args, label
@@ -227,9 +227,9 @@ class Declined(Exception):
     """A bulk reader met input it does not take; the per-line walk names it."""
 
 
-# A bulk reader declines by raising one of these: its own signal, a miss in a
-# predicate or entity lookup, a number float() rejects, an unknown label.
-_DECLINES = (Declined, KeyError, ValueError, RuleError)
+# A bulk reader declines by raising one of these: its own signal, a number
+# float() rejects, an unknown label.
+_DECLINES = (Declined, ValueError, RuleError)
 
 
 def read_bulk(bulk, walk, *args):
@@ -248,7 +248,7 @@ def read_bulk(bulk, walk, *args):
                        f"{walk.__name__} accepts")
 
 
-# Character classes of the bulk readers; a class up to _HASH ends a token.
+# Character classes of the bulk readers; a class up to _NEWLINE separates words.
 _SPACE, _NEWLINE, _OPEN, _COMMA, _EQUALS, _HASH, _SYM, _BANG, _CLOSE, _OTHER = range(10)
 # No code point above U+3000 is whitespace, so the last entry stands for them all.
 _CLASS = np.full(0x3002, _OTHER, np.uint8)
@@ -256,18 +256,217 @@ _CLASS[[i for i in range(0x3001) if chr(i).isspace()]] = _SPACE
 _CLASS[[i for i in range(128) if re.fullmatch(_SYMBOL, chr(i))]] = _SYM
 _CLASS[list(b"\n(,=#!)")] = [_NEWLINE, _OPEN, _COMMA, _EQUALS, _HASH, _BANG, _CLOSE]
 _ASCII_CLASS = _CLASS[:256].tobytes()
-# str.split(",") after this table cuts a block into its tokens: each
-# token-ending character becomes ',', and '!' and ')' are dropped.
-_TOKENS = (dict.fromkeys(np.flatnonzero(_CLASS[:-1] <= _HASH).tolist(), ",")
-           | {ord("!"): None, ord(")"): None})
 
 
-def _classes(block: str) -> np.ndarray:
-    """The class of each character of ``block``."""
+def _classes(block: str):
+    """A ``_window`` over the character codes of ``block`` (0 for a
+    character outside ASCII), and the class of each character."""
     if block.isascii():
-        return np.frombuffer(block.encode("ascii").translate(_ASCII_CLASS), np.uint8)
+        raw = block.encode("ascii")
+        return (_window(np.frombuffer(raw + bytes(8), np.uint8)),
+                np.frombuffer(raw.translate(_ASCII_CLASS), np.uint8))
     codes = np.frombuffer(block.encode("utf-32-le"), "<u4")
-    return _CLASS[np.minimum(codes, len(_CLASS) - 1)]
+    chars = np.zeros(len(codes) + 8, np.uint8)
+    np.copyto(chars[:len(codes)], codes, casting="unsafe", where=codes < 128)
+    return _window(chars), _CLASS[np.minimum(codes, len(_CLASS) - 1)]
+
+
+def _window(chars: np.ndarray) -> np.ndarray:
+    """Each run of 8 bytes of ``chars`` (which ends in 8 zero bytes) as a
+    little-endian uint64, indexed by the position of its first byte."""
+    return np.ndarray((len(chars) - 7,), "<u8", chars, 0, (1,))
+
+
+# _MASKS[k] keeps the first k bytes of a little-endian word.
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+
+
+def _words(win: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """The (m, width) little-endian uint64 key of each token at ``starts``:
+    its bytes, zero-padded (or cut) to ``8 * width``."""
+    out = np.empty((len(starts), width), "<u8")
+    for k in range(width):
+        at, rest = starts, np.minimum(lengths, 8)
+        if k:                           # past a token's last word: no bytes
+            at = np.minimum(starts + 8 * k, len(win) - 1)
+            rest = np.clip(lengths - 8 * k, 0, 8)
+        np.bitwise_and(win[at], _MASKS[rest], out=out[:, k])
+    return out
+
+
+def _levels(words: np.ndarray):
+    """A key table of the rows of ``words``, and each row's id in it: equal
+    rows, and only those, share an id, and the ids count up from 0.
+
+    Level k holds the sorted distinct words of column k and, past the first,
+    the sorted distinct codes ``id * (number of those words) + word rank``,
+    where the id numbers the distinct first k words of a row.
+    """
+    levels, ids = [], np.zeros(len(words), np.intp)
+    for k, col in enumerate(words.T):
+        vals, rank = np.unique(col, return_inverse=True)
+        codes = None
+        if k:
+            codes, ids = np.unique(ids * len(vals) + rank, return_inverse=True)
+        else:
+            ids = rank
+        levels.append((vals, codes))
+    return levels, ids
+
+
+def _find(table: np.ndarray, keys: np.ndarray):
+    """The position of each key in the sorted ``table`` (clipped to its last
+    entry), and whether the key is there.  numpy's binary search starts from
+    its last result, so searching the keys in ascending order, argsort
+    included, takes about half as long as searching them as they come."""
+    order = np.argsort(keys)
+    at = np.empty(len(keys), np.intp)
+    at[order] = np.searchsorted(table, keys[order])
+    np.minimum(at, len(table) - 1, out=at)
+    return at, table[at] == keys
+
+
+class _Table:
+    """A sorted key table of names given as (m, width) key words (``_words``)
+    and the name index of each row."""
+
+    def __init__(self, kept: np.ndarray, words: np.ndarray):
+        self.kept, self.words = kept, words
+        self.levels, ids = _levels(words)
+        self.name_of = np.empty(len(kept), np.intp)     # per table id
+        self.name_of[ids] = kept
+
+    def find(self, win: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+        """The name index of each token, and whether it names one."""
+        width = self.words.shape[1]
+        words = _words(win, starts, lengths, width)
+        found = lengths <= 8 * width
+        ids = np.zeros(len(starts), np.intp)
+        for k, (vals, codes) in enumerate(self.levels):
+            rank, hit = _find(vals, words[:, k])
+            found &= hit
+            if codes is None:
+                ids = rank
+            else:
+                ids, hit = _find(codes, ids * len(vals) + rank)
+                found &= hit
+        return self.name_of[ids], found
+
+
+class _Keys:
+    """Names, and sorted key tables to look tokens up among them exactly.
+
+    A key is a name's bytes, zero-padded to a multiple of 8 and read as
+    uint64 words: one word holds a name of up to 8 bytes.  Only symbols can
+    be tokens, so the tables hold the names that are symbols, and a symbol
+    has no zero byte to make two keys equal.  A lookup is a ``searchsorted``
+    and an equality check per word (``_levels``), so a token matches a name
+    only when every byte does.
+
+    A token that matches no name declines its block; with ``grow`` it is
+    added instead, numbered after the names in first-occurrence order.  The
+    names a block adds form a new table, merged with the one before it while
+    that one is no larger, so a file of n new names costs O(n log n) in
+    table builds and each lookup searches at most log2(n) tables.
+    """
+
+    def __init__(self, names, grow: bool = False):
+        self.names = list(names)
+        self.grow = grow
+        kept = [i for i, name in enumerate(self.names) if _SYMBOL_RE.fullmatch(name)]
+        lengths = np.fromiter((len(self.names[i]) for i in kept), np.intp, len(kept))
+        raw = "".join(self.names[i] for i in kept).encode("ascii") + bytes(8)
+        words = _words(_window(np.frombuffer(raw, np.uint8)), np.cumsum(lengths) - lengths,
+                       lengths, -(-int(lengths.max(initial=0)) // 8))
+        self._tables = [_Table(np.array(kept, np.intp), words)] if kept else []
+
+    def index(self, block: str, win: np.ndarray, starts: np.ndarray,
+              stops: np.ndarray) -> np.ndarray:
+        """The name index of each token ``block[start:stop]``."""
+        lengths = stops - starts
+        out, found = np.zeros(len(starts), np.intp), np.zeros(len(starts), bool)
+        for table in self._tables:
+            got, hit = table.find(win, starts, lengths)
+            np.copyto(out, got, where=hit)
+            found |= hit
+        miss = np.flatnonzero(~found)
+        if len(miss):
+            if not self.grow:
+                raise Declined
+            self._add(block, win, starts[miss], stops[miss], out, miss)
+        return out
+
+    def _add(self, block, win, starts, stops, out, miss) -> None:
+        """Number the names of the tokens at ``starts``, which ``out`` lacks
+        at ``miss``, after the names in first-occurrence order."""
+        lengths = stops - starts
+        words = _words(win, starts, lengths, -(-int(lengths.max()) // 8))
+        _, first, inverse = np.unique(_levels(words)[1], return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty(len(first), np.intp)
+        number[order] = len(self.names) + np.arange(len(first))
+        out[miss] = number[inverse]
+        heads = first[order]
+        self.names += [block[s:e] for s, e in zip(starts[heads].tolist(), stops[heads].tolist())]
+        self._tables.append(_Table(number[order], words[heads]))
+        while len(self._tables) > 1 and len(self._tables[-2].kept) <= len(self._tables[-1].kept):
+            b, a = self._tables.pop(), self._tables.pop()
+            width = max(a.words.shape[1], b.words.shape[1])
+            self._tables.append(_Table(
+                np.concatenate([a.kept, b.kept]),
+                np.concatenate([np.pad(t.words, ((0, 0), (0, width - t.words.shape[1])))
+                                for t in (a, b)])))
+
+
+# A field of at most _NUMBER_CHARS characters that reads [+-]?digits[.digits]
+# or [+-]?.digits, with at most 15 significant digits and 22 after the point,
+# is read from its character codes.  Its digits as an integer m < 10^15 < 2^53,
+# and 10^frac, are exact float64 values, so m / 10^frac is the correctly
+# rounded value, float(text) bit for bit (Clinger, "How to read floating point
+# numbers accurately", PLDI 1990).
+_NUMBER_CHARS = 24
+# 10^k for k <= 22, then -10^k
+_POW10 = np.array([float(10 ** k) for k in range(23)] * 2) * np.repeat([1, -1], 23)
+
+
+def _numbers(block: str, win: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``float(block[start:stop])`` of each field; ValueError when one is no
+    number.  A field outside the fast path above goes through ``float``."""
+    values = np.empty(len(starts))
+    if not len(starts):
+        return values
+    lengths = stops - starts
+    width = min(int(lengths.max()), _NUMBER_CHARS)
+    # one row per character position, one column per field; 0 past a field's end
+    chars = np.ascontiguousarray(_words(win, starts, lengths, -(-width // 8))
+                                 .view(np.uint8)[:, :width].T)
+    digit = chars - np.uint8(ord("0"))         # a character that is no digit wraps past 9
+    is_digit = digit < 10
+    is_point = chars == ord(".")
+    digit *= is_digit
+    scale = 1 + 9 * is_digit.view(np.int8)
+    # running over the rows: the digit count, the digits after a point, the
+    # point count, and the digits as a number (float64: exact below 2^53, and
+    # from 10^15 on it only has to stay there)
+    digits, frac, points = np.zeros((3, len(starts)), np.int8)
+    mantissa = np.zeros(len(starts))
+    for row in range(width):
+        digits += is_digit[row]
+        frac += is_digit[row] * (points > 0)
+        points += is_point[row]
+        mantissa *= scale[row]
+        mantissa += digit[row]
+    negative = chars[0] == ord("-")
+    # counted characters are no more than width, so a longer field fails the sum
+    fast = ((digits + points + (negative | (chars[0] == ord("+"))) == lengths)
+            & (digits > 0) & (points <= 1) & (frac <= 22) & (mantissa < 1e15))
+    # m / -10^k is -(m / 10^k), and -0.0 for m = 0, as float("-0") is
+    np.divide(mantissa, _POW10[np.minimum(frac, 22) + len(_POW10) // 2 * negative], out=values)
+    slow = np.flatnonzero(~fast)
+    values[slow] = [float(block[s:e]) for s, e in zip(starts[slow].tolist(),
+                                                      stops[slow].tolist())]
+    return values
 
 
 def _scan(block: str):
@@ -276,15 +475,17 @@ def _scan(block: str):
 
     Lines, comments and whitespace are read as ``fol.content_lines`` and
     ``str.split`` read them: a line's first word is its atom, the words after
-    it are its fields.  Returns ``(names, nargs, args, negated, named, labels,
-    counts, fields)``: per line the predicate name and argument count, all
-    lines' arguments in order, per line the '!' and '=LABEL' flags, the label
-    text (or None) and the field count, and all lines' fields in order.
-    Declines a block with an atom outside the grammar or a field that holds a
-    delimiter, which no reader takes.
+    it are its fields.  Returns ``(win, names, nargs, args, negated, named,
+    labels, counts, fields)``: the block's ``_window``; per line the span of
+    the predicate name and the argument count; the spans of all lines'
+    arguments in order; per line the '!' and '=LABEL' flags; the spans of the
+    labels of the lines that have one; per line the field count; and the
+    spans of all lines' fields in order.  A span is a ``(starts, stops)`` pair
+    of arrays of positions in ``block``.  Declines a block with an atom
+    outside the grammar or a field that holds a delimiter, which no reader
+    takes.
     """
-    cls = _classes(block)
-    seps = np.flatnonzero(cls <= _HASH)         # token ends, as str.translate sees them
+    win, cls = _classes(block)
     newlines = np.flatnonzero(cls == _NEWLINE)
     hashes = np.flatnonzero(cls == _HASH)
     if hashes.size:                     # a comment runs from a line's first '#' on
@@ -320,21 +521,20 @@ def _scan(block: str):
             and np.isin(bangs, a0, assume_unique=True).all()
             and not np.any((other_of >= 0) & (others < a1[other_of]))):
         raise Declined
-    nargs = np.bincount(comma_of, minlength=m) + (closes > opens + 1)
+    has_args = closes > opens + 1
+    nargs = np.bincount(comma_of, minlength=m) + has_args
     negated = np.zeros(m, bool)
     negated[np.searchsorted(a0, bangs)] = True
     named = np.zeros(m, bool)
     named[np.searchsorted(closes, equals - 1)] = True
-    # the token at a position is the count of token ends before it
-    tokens = np.array(block.translate(_TOKENS).split(","), object)
-    name_at = np.searchsorted(seps, a0)
-    arg_first = np.cumsum(nargs) - nargs
-    arg_at = np.arange(arg_first[-1] + nargs[-1]) + np.repeat(name_at + 1 - arg_first, nargs)
-    labels = np.full(m, None, object)
-    labels[named] = tokens[np.searchsorted(seps, equals + 1)]
-    return (tokens[name_at], nargs, tokens[arg_at], negated, named, labels,
-            np.diff(head, append=len(starts)) - 1,
-            tokens[np.searchsorted(seps, np.delete(starts, head))])
+    # an argument runs from just after a '(' or ',' to the next ',' or ')'
+    args = (np.sort(np.concatenate([opens[has_args], commas])) + 1,
+            np.sort(np.concatenate([commas, closes[has_args]])))
+    fields = np.ones(len(starts), bool)
+    fields[head] = False
+    return (win, (a0 + negated, opens), nargs, args, negated, named,
+            (equals + 1, a1[named]), np.diff(head, append=len(starts)) - 1,
+            (starts[fields], stops[fields]))
 
 
 @dataclass
@@ -345,38 +545,45 @@ class AtomBlock:
     codes: np.ndarray                 # position in the predicate dict, per line
     negated: np.ndarray               # per line: a leading '!'
     named: np.ndarray                 # per line: an '=LABEL' suffix
-    labels: np.ndarray                # per line: the label text, or None
+    labels: np.ndarray                # per line: the label's index, or -1
     counts: np.ndarray                # per line: whitespace-separated fields after the atom
-    fields: np.ndarray                # those fields, in line order (object)
+    values: np.ndarray                # those fields as float64, in line order
     groups: list[tuple[Predicate, np.ndarray, np.ndarray]]
 
 
-def atom_blocks(text: str, predicates: dict[str, Predicate], entities):
+def atom_blocks(text: str, predicates: dict[str, Predicate], entities: _Keys):
     """Yield an ``AtomBlock`` for each ``BLOCK_LINES`` lines with content.
 
-    Each block is read by ``_scan``.  Declines a block that ``_scan``
-    declines, or with an undeclared predicate, a wrong argument count or an
-    entity that ``entities`` cannot map.
+    Each block is read by ``_scan``, and its names are looked up by key.
+    Declines a block that ``_scan`` declines, or with an undeclared
+    predicate, a wrong argument count, an entity that ``entities`` cannot
+    number, an unknown label or a field that is no number.
     """
     preds = list(predicates.values())
-    position = {p.name: i for i, p in enumerate(preds)}
+    names = _Keys([p.name for p in preds])
     arity = np.array([p.arity for p in preds], dtype=np.intp)
     lines = text.splitlines()
     for start in range(0, len(lines), BLOCK_LINES):
-        scanned = _scan("\n".join(lines[start:start + BLOCK_LINES]) + "\n")
+        block = "\n".join(lines[start:start + BLOCK_LINES]) + "\n"
+        scanned = _scan(block)
         if scanned is None:
             continue
-        names, nargs, args, negated, named, labels, counts, fields = scanned
-        codes = np.fromiter(map(position.__getitem__, names), np.intp, len(names))
+        win, name_spans, nargs, arg_spans, negated, named, label_spans, counts, fields = scanned
+        codes = names.index(block, win, *name_spans)
         if not np.array_equal(nargs, arity[codes]):
             raise Declined
-        ids = np.fromiter(map(entities.__getitem__, args), np.int64, len(args))
+        ids = entities.index(block, win, *arg_spans)
+        labels = np.full(len(codes), -1, np.intp)
+        at = np.flatnonzero(named)
+        labels[at] = [preds[code].label_index(block[s:e]) for code, s, e in zip(
+            codes[at].tolist(), *(span.tolist() for span in label_spans))]
         first = np.cumsum(nargs) - nargs
         groups = []
         for code in np.flatnonzero(np.bincount(codes)).tolist():
             at = np.flatnonzero(codes == code)
             groups.append((preds[code], at, ids[first[at, None] + np.arange(arity[code])]))
-        yield AtomBlock(codes, negated, named, labels, counts, fields, groups)
+        yield AtomBlock(codes, negated, named, labels, counts,
+                        _numbers(block, win, *fields), groups)
 
 
 def first_rows(cells: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -401,35 +608,36 @@ def load_evidence(text: str, predicates, entities=None) -> KnowledgeBase:
 
 def _bulk_evidence(text: str, preds: dict[str, Predicate], seed: list) -> KnowledgeBase:
     """Observations as per-predicate arrays, first occurrence of each cell kept."""
-    index = _Numbering(zip(seed, range(len(seed))))
+    keys = _Keys(seed, grow=True)
     found: dict[str, list] = {}
-    for block in atom_blocks(text, preds, index):
+    for block in atom_blocks(text, preds, keys):
         if block.counts.any() or np.any(block.negated & block.named):
             raise Declined
         for pred, at, cells in block.groups:
-            labels = np.where(block.negated[at], 0, 1)
             has = block.named[at]
             if pred.num_labels != 2 and not has.all():
                 raise Declined
-            labels[has] = [pred.label_index(label) for label in block.labels[at[has]]]
+            labels = np.where(has, block.labels[at], ~block.negated[at])
             found.setdefault(pred.name, []).append((cells, labels))
     observed = {}
     for name, parts in found.items():
         cells = np.concatenate([c for c, _ in parts])
         labels = np.concatenate([v for _, v in parts])
-        keep = first_rows(cells, labels, len(index))
+        keep = first_rows(cells, labels, len(keys.names))
         observed[name] = (cells[keep], labels[keep])
-    if not index:
+    if not keys.names:
         raise EvidenceError("empty entity domain: no entities seeded or observed")
-    return KnowledgeBase(index, preds, observed)
+    return KnowledgeBase(keys.names, preds, observed)
 
 
 def _walk_evidence(text: str, preds: dict[str, Predicate], seed: list) -> KnowledgeBase:
-    """The per-line evidence reader; its errors name the first bad line."""
-    index = _Numbering(zip(seed, range(len(seed))))
+    """The per-line evidence reader; its errors name the first bad line.
+    Entities are numbered after the seed in first-occurrence order."""
+    index = dict(zip(seed, range(len(seed))))
     observations: dict[tuple[str, tuple[int, ...]], int] = {}
     for lineno, line in content_lines(text):
-        negated, pred, args, label_sym = parse_atom(line, lineno, preds, index)
+        negated, pred, args, label_sym = parse_atom(
+            line, lineno, preds, lambda name: index.setdefault(name, len(index)))
         if label_sym is None:
             if pred.num_labels != 2:
                 raise EvidenceError(f"line {lineno}: multi-class fact {pred.name} "
@@ -459,7 +667,7 @@ def load_queries(text: str, kb: KnowledgeBase) -> Queries:
 def _bulk_queries(text: str, kb: KnowledgeBase) -> Queries:
     lines = [np.empty(0, np.intp)]
     found = {name: [np.empty((0, p.arity), np.int64)] for name, p in kb.predicates.items()}
-    for block in atom_blocks(text, kb.predicates, kb.index):
+    for block in atom_blocks(text, kb.predicates, kb.entity_keys):
         if block.negated.any() or block.named.any() or block.counts.any():
             raise Declined
         lines.append(block.codes)
@@ -473,7 +681,7 @@ def _walk_queries(text: str, kb: KnowledgeBase) -> list[GroundAtom]:
     """The per-line query reader; its errors name the first bad line."""
     out = []
     for lineno, line in content_lines(text):
-        negated, pred, args, label = parse_atom(line, lineno, kb.predicates, kb.index)
+        negated, pred, args, label = parse_atom(line, lineno, kb.predicates, kb.index.__getitem__)
         if negated or label is not None:
             raise EvidenceError(f"line {lineno}: queries are bare atoms")
         out.append(GroundAtom(pred, args))

@@ -360,7 +360,8 @@ def scan_lines(draw):
 
 def _assert_scan_is_the_regex(lines):
     """``_scan`` declines a block unless each line's first word is an atom
-    and no later word holds a delimiter, and then cuts it as the regex does."""
+    and no later word holds a delimiter, and then cuts it as the regex does:
+    each span it returns reads as ``block[start:stop]``."""
     words = [w for w in (line.split("#", 1)[0].split() for line in lines) if w]
     atoms = [kb.ATOM_RE.fullmatch(w[0]) for w in words]
     block = "\n".join(lines) + "\n"
@@ -371,16 +372,22 @@ def _assert_scan_is_the_regex(lines):
     if not words:
         assert kb._scan(block) is None
         return
-    names, nargs, args, negated, named, labels, counts, fields = kb._scan(block)
+    _, names, nargs, args, negated, named, labels, counts, fields = kb._scan(block)
+
+    def text(span):
+        return [block[start:stop] for start, stop in zip(*span)]
+
     want_args = [a["args"].split(",") if a["args"] else [] for a in atoms]
-    assert list(names) == [a["name"] for a in atoms]
+    assert text(names) == [a["name"] for a in atoms]
     assert nargs.tolist() == list(map(len, want_args))
-    assert list(args) == list(itertools.chain.from_iterable(want_args))
+    assert text(args) == list(itertools.chain.from_iterable(want_args))
     assert negated.tolist() == [bool(a["neg"]) for a in atoms]
     assert named.tolist() == [a["label"] is not None for a in atoms]
-    assert labels.tolist() == [a["label"] for a in atoms]
+    label_text = iter(text(labels))
+    assert [next(label_text) if has else None for has in named] == [a["label"] for a in atoms]
+    assert next(label_text, None) is None
     assert counts.tolist() == [len(w) - 1 for w in words]
-    assert list(fields) == [field for w in words for field in w[1:]]
+    assert text(fields) == [field for w in words for field in w[1:]]
 
 
 @settings(max_examples=500, deadline=None)
@@ -407,3 +414,132 @@ def test_the_class_table_holds_every_whitespace_character():
     spaces = [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
     assert max(spaces) < len(kb._CLASS) - 1
     assert all(kb._CLASS[c] in (kb._SPACE, kb._NEWLINE) for c in spaces)
+
+
+# Names of one to four uint64 words, and names that share their first 8 bytes
+LONG_PREDS = {p.name: p for p in [
+    Predicate("ABCDEFGH", 1), Predicate("ABCDEFGHI", 1), Predicate("relationship_of", 2),
+    Predicate("labelled_entity_kind", 1, 3, ("first_label_name", "B", "label_3"))]}
+LONG_ENTITIES = ["ABCDEFGH", "ABCDEFGHI", "entity_0001", "entity_0002", "Q",
+                 "a_name_longer_than_twenty_four_bytes"]
+LONG_KB = KnowledgeBase(LONG_ENTITIES, LONG_PREDS, {})
+LONG_READERS = {
+    "evidence": (lambda t: load_evidence(t, LONG_PREDS),
+                 lambda t: kb._walk_evidence(t, LONG_PREDS, [])),
+    "queries": (lambda t: load_queries(t, LONG_KB), lambda t: kb._walk_queries(t, LONG_KB)),
+    "unary": (lambda t: io.load_unary(t, LONG_KB), lambda t: io._walk_unary(t, LONG_KB)),
+    "predictions": (lambda t: io.load_predictions(t, LONG_KB),
+                    lambda t: io._walk_predictions(t, LONG_KB)),
+    "truth": (lambda t: io.load_truth(t, LONG_KB), lambda t: io._walk_truth(t, LONG_KB)),
+}
+
+
+def _long_lines(reader):
+    lines = []
+    for i, (pred, args) in enumerate((p, args) for p in LONG_PREDS.values()
+                                     for args in itertools.product(LONG_ENTITIES, repeat=p.arity)):
+        if reader == "truth" and pred.num_labels > 2:
+            continue
+        if reader == "evidence" and pred.num_labels > 2:
+            lines.append(_atom(pred, args, label="=" + pred.label_names[i % 3]))
+        else:
+            negated = reader in ("evidence", "truth") and i % 3 == 1
+            lines.append("!" * negated + _plain_good_line(reader, pred, args))
+    return lines
+
+
+@pytest.mark.parametrize("reader", sorted(LONG_READERS))
+def test_long_names_and_names_sharing_eight_bytes_match_the_walk(reader):
+    lines = _long_lines(reader)
+    bulk, walk = LONG_READERS[reader]
+    for block in (1, 3, kb.BLOCK_LINES):
+        with mock.patch.object(kb, "BLOCK_LINES", block):
+            assert _outcome(bulk, "\n".join(lines))[0] == "ok"
+        _assert_same(block, bulk, walk, "\n".join(lines))
+    # unknown names one byte or one word away from known ones
+    for bad in ["ABCDEFGH(entity_0003)", "ABCDEFGH(ABCDEFG)", "ABCDEFGHI(ABCDEFGHIJ)",
+                "ABCDEFGHIJ(Q)", "relationship(Q,Q)", "relationship_of_(Q,Q)",
+                "ABCDEFGHI(a_name_longer_than_twenty_four_byte)",
+                "ABCDEFGHI(a_name_longer_than_twenty_four_bytes_)",
+                "ABCDEFGHI(a_name_longer_than_twenty_four_bytes_and_one_more_word)"]:
+        text = "\n".join(lines[:5] + [bad + FIELDS.get(reader, "")] + lines[5:])
+        for block in (1, 3, kb.BLOCK_LINES):
+            _assert_same(block, bulk, walk, text)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_names_new_in_a_later_block_are_numbered_after_the_seed(block):
+    seed = ["E2", "entity_0001", "not a symbol"]
+    text = "\n".join(["smoke(E2)", "friend(entity_0002,E2)", "# a comment", "smoke(ABCDEFGHI)",
+                      "friend(ABCDEFGH,entity_0002)", "smoke(entity_0001)", "",
+                      "tri(Z,ABCDEFGH,a_name_longer_than_sixteen)", "!smoke(Z)",
+                      "friend(a_name_longer_than_sixteen,ABCDEFGHI)"])
+    want = seed + ["entity_0002", "ABCDEFGHI", "ABCDEFGH", "Z", "a_name_longer_than_sixteen"]
+    bulk = (lambda t: load_evidence(t, PREDS, seed))
+    _assert_same(block, bulk, lambda t: kb._walk_evidence(t, PREDS, seed), text)
+    with mock.patch.object(kb, "BLOCK_LINES", block):
+        assert bulk(text).entities == tuple(want)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_new_names_in_every_block_match_the_walk(block):
+    # each block adds names, so the added key tables merge many times
+    seed = ["N3", "entity_0001"]
+    text = "\n".join(f"friend(N{i},{'entity_000' if i % 5 else 'N'}{i // 2})" for i in range(300))
+    _assert_same(block, lambda t: load_evidence(t, PREDS, seed),
+                 lambda t: kb._walk_evidence(t, PREDS, seed), text)
+
+
+# Fields for the number path: the ones that float() reads and the fast path
+# takes (15 significant digits, 22 after the point), then the ones that go
+# through float() (16 significant digits, 23 after the point, over 24
+# characters, an exponent, an underscore, non-ASCII digits), then non-numbers.
+FAST_NUMBERS = ["0", "-0", "-0.0", "+0", "+.5", "5.", "007", "-12.50", ".000",
+                "123456789012345", "-12345678901234.5", "0." + "0" * 21 + "1",
+                "0.0000000123456789012345", "-." + "0" * 21 + "1", "0" * 23 + "1"]
+SLOW_NUMBERS = ["1234567890123456", "9007199254740993", "1.000000000000000",
+                "0." + "0" * 22 + "1", "." + "0" * 22 + "1", "0" * 24 + "1",
+                "1e5", "-1E-2", "1_0", "inf", "nan", "５", "-٣.5"]
+NOT_NUMBERS = [".", "-", "+", "+-1", "1.2.3", "1-", "x", "é", "1__0"]
+
+
+def _number_fields(fields, wide):
+    """``_numbers`` of the fields of one unary line, in a non-ASCII block
+    when ``wide``."""
+    block = "p(A) " + " ".join(fields) + ("  # é" if wide else "") + "\n"
+    scanned = kb._scan(block)
+    return kb._numbers(block, scanned[0], *scanned[-1])
+
+
+def _bits(values):
+    return np.asarray(values, np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_float_is_called_only_outside_the_fast_path(wide):
+    with mock.patch.object(kb, "float", create=True, side_effect=float) as called:
+        got = _number_fields(FAST_NUMBERS + SLOW_NUMBERS, wide)
+    assert [c.args[0] for c in called.call_args_list] == SLOW_NUMBERS
+    assert _bits(got) == _bits([float(f) for f in FAST_NUMBERS + SLOW_NUMBERS])
+    for bad in NOT_NUMBERS:
+        with pytest.raises(ValueError):
+            _number_fields(FAST_NUMBERS + [bad], wide)
+
+
+DIGITS = st.text("0123456789", max_size=12) | st.text("0123456789", max_size=24)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(
+    st.builds(lambda sign, whole, point, frac: sign + whole + point + frac,
+              st.sampled_from(["", "+", "-"]), DIGITS, st.sampled_from(["", ".", "."]), DIGITS),
+    st.sampled_from(FAST_NUMBERS + SLOW_NUMBERS + NOT_NUMBERS)).filter(bool),
+    min_size=1, max_size=6), st.booleans())
+def test_number_path_is_float_bit_for_bit(fields, wide):
+    try:
+        want = [float(f) for f in fields]
+    except ValueError:
+        with pytest.raises(ValueError):
+            _number_fields(fields, wide)
+        return
+    assert _bits(_number_fields(fields, wide)) == _bits(want)

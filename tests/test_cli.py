@@ -477,6 +477,43 @@ def test_aucpr_mismatched_atoms(tmp_path, capsys):
     assert "differ" in err
 
 
+AUCPR_RULES = "predicate hit(x)\npredicate tag(x) labels {T0,T1,T2}\nhit(a)\n"
+
+
+def _aucpr(tmp_path, capsys, truth, predictions="hit(A) 0.9\nhit(B) 0.8\n"):
+    paths = []
+    for name, text in (("r.rules", AUCPR_RULES), ("p.txt", predictions), ("t.txt", truth)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text)
+    return run(capsys, "aucpr", "--rules", str(paths[0]), "--predictions", str(paths[1]),
+               "--truth", str(paths[2]))
+
+
+@pytest.mark.parametrize("truth", ["hit(A)\n!hit(B)\n", "hit(A)  # a=b\n!hit(B)\nhit(A)\n"])
+def test_aucpr_reads_the_truth_file_with_or_without_an_equals_sign(tmp_path, capsys, truth):
+    assert _aucpr(tmp_path, capsys, truth) == (0, "1.000000000\n", "")
+
+
+# the truth file is read as evidence first, so most of its errors are evidence errors
+@pytest.mark.parametrize("truth, error", [
+    ("hit(A)\ntag(A)\n!hit(B)\n", "line 2: multi-class fact tag needs '=LABEL'"),
+    ("hit(A)\ntag(A)=T1\n!hit(B)\n", "line 2: malformed truth atom 'tag(A)=T1'"),
+    ("hit(A)=1\n!hit(B)\n", "line 1: malformed truth atom 'hit(A)=1'"),
+    ("hit(A)\n!hit(B)=1\n", "line 2: '!' and '=' cannot be combined"),
+    ("hit(A)\n!hit(B)\n!hit(A)\n", "line 3: conflicting observation for '!hit(A)'"),
+    ("hit(A)\nghost(B)\n", "line 2: undeclared predicate 'ghost'"),
+    ("", "empty entity domain: no entities seeded or observed"),
+    ("# nothing\n", "empty entity domain: no entities seeded or observed"),
+])
+def test_aucpr_bad_truth_file_errors(tmp_path, capsys, truth, error):
+    assert _aucpr(tmp_path, capsys, truth) == (2, "", f"error: {error}\n")
+
+
+def test_aucpr_bad_prediction_comes_before_a_truth_label(tmp_path, capsys):
+    got = _aucpr(tmp_path, capsys, "hit(A)=1\n!hit(B)\n", "hit(A) 0.9\nhit(B) x\n")
+    assert got == (2, "", "error: line 2: bad score 'x'\n")
+
+
 def test_check_command(capsys):
     code, out, _ = run(capsys, "check", "--trials", "5", "--seed", "0")
     assert code == 0
