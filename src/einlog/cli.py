@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``infer`` (run inference, write marginals), ``plan`` (show
-contraction plans per implication), ``demo-transitivity`` (noisy block-matrix
-repair), ``aucpr`` (ranking metric), ``check`` (random engine-vs-oracle
-equivalence trials).  Exit codes: 0 success, 1 usage error, 2 data error,
+contraction plans per implication, then one line per pair of messages run as
+one summed product), ``demo-transitivity`` (noisy block-matrix repair),
+``aucpr`` (ranking metric), ``check`` (random engine-vs-oracle equivalence
+trials).  Exit codes: 0 success, 1 usage error, 2 data error,
 3 internal check failure.
 """
 
@@ -87,6 +88,8 @@ def cmd_infer(args) -> int:
     result = engine.iterate(phi, program, config, trace=trace)
     for ci in program.implications:
         print(ci.describe(), file=sys.stderr)
+    for summed in program.sums:
+        print(summed.describe(), file=sys.stderr)
     secs = ", ".join(f"{s:.4f}s" for s in trace.seconds)
     residual = ", ".join(f"{r:.3e}" for r in trace.residual)
     changed = ", ".join(map(str, trace.changed))
@@ -124,7 +127,8 @@ def cmd_plan(args) -> int:
     filler = max(args.entities - len(constants), 2)
     kb = KnowledgeBase(constants + [f"e{i}" for i in range(filler)],
                        ruleset.predicates, {})
-    for ci in engine.compile_rules(ruleset, kb).implications:
+    program = engine.compile_rules(ruleset, kb)
+    for ci in program.implications:
         plan = ci.plan
         notes = "" if ci.coefficient == 1.0 else f" x {ci.coefficient:.17g}"
         if ci.symmetric:
@@ -136,6 +140,8 @@ def cmd_plan(args) -> int:
         print(f"naive={int(plan.naive_cost)} optimized={int(plan.total_cost)} "
               f"ratio={ratio:.1f}")
         print()
+    for summed in program.sums:
+        print(f"# {summed.describe()}")
     return EXIT_OK
 
 
@@ -201,7 +207,8 @@ def build_parser() -> _Parser:
                    help="cross-check one iteration against the sequential oracle")
     p.set_defaults(fn=cmd_infer)
 
-    p = sub.add_parser("plan", help="print contraction plans per implication")
+    p = sub.add_parser("plan", help="print contraction plans per implication "
+                       "and the pairs run as one summed product")
     p.add_argument("--rules", required=True)
     p.add_argument("--entities", type=int, default=8,
                    help="domain size used for costs")

@@ -15,6 +15,17 @@ literal compiles to two implications instead of one (see
 and ``contract(other premises)`` with coefficient ``N^k``, so no complement
 table is built.  Each implication's coefficient scales its rule weight.
 
+Two implications of one clause whose plans are one matrix product each,
+into every cell of one hypothesis with the same signed weight, and which
+read one operand in the same role, run as one ``SummedProduct``
+(``Program.sums``): by linearity ``A·B + A·C = A·(B + C)``, so one product
+runs on the sum of the two other operands, which is built in the
+hypothesis's spare table before its refill.  On transitivity ``Q·Q`` takes
+in ``Q·Qᵀ``, and the three messages cost 1.5N³ multiply-adds per iteration
+instead of 2N³.  The sum adds in another order than the two messages, so
+on a rule set with a summed pair the marginals can differ from adding them
+one at a time in their last bits, and a 9-decimal report at a rounding tie.
+
 Inside ``iterate`` a binary predicate is held as one plane at a time,
 since ``q0 = 1 - q1``: the logit difference ``x0 - x1`` while messages are
 added, then ``q1 = 1 / (1 + exp(x0 - x1))``.  The two planes it alternates
@@ -39,15 +50,15 @@ reproduced by every later one: ``iterate`` stops there, with the bytes the
 remaining iterations would give.
 
 Each large pass of an iteration over a table, a plane or a label slice
-(refill, a message's scale and its add through a basic index, the finite
-check, normalize, damping, flush, the fixed-point compare, the ½ start,
-the result's ``1 - q1`` and the trace's passes) runs in row blocks through
-``parallel.rows``, and each large contraction step through
-``planner.execute``'s split.  The fixed-point compare and the trace walk
-their blocks in chunks of rows (see ``_chunks``), so they need no
-table-sized temporary.  Every block does the whole pass's arithmetic
-on its own rows, so the bytes are those of the whole pass.  Clamping and
-an add into a diagonal, which index by array, stay whole.
+(refill, a summed product's sum, a message's scale and its add through a
+basic index, the finite check, normalize, damping, flush, the fixed-point
+compare, the ½ start, the result's ``1 - q1`` and the trace's passes) runs
+in row blocks through ``parallel.rows``, and each large contraction step
+through ``planner.execute``'s split.  The fixed-point compare and the trace
+walk their blocks in chunks of rows (see ``_chunks``), so they need no
+table-sized temporary.  Every block does the whole pass's arithmetic on its
+own rows, so the bytes are those of the whole pass.  Clamping and an add
+into a diagonal, which index by array, stay whole.
 """
 
 from __future__ import annotations
@@ -56,6 +67,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -72,6 +84,8 @@ _FLUSH = math.sqrt(np.finfo(np.float64).tiny)
 # elements per chunk of the fixed-point compare, whose boolean temporary
 # then stays well below a large table
 _COMPARE_CHUNK = 1 << 16
+# columns per strip of a transposed operand's copy (see _add)
+_TILE = 64
 # the largest last residual of a run that counts as converged
 CONVERGENCE_TOL = 1e-6
 
@@ -217,11 +231,51 @@ class CompiledImplication:
 
 
 @dataclass(frozen=True)
+class SummedProduct:
+    """Two implications of one clause whose messages run as one matrix
+    product.
+
+    Both plans are one ``gemm`` step into every cell of one hypothesis, with
+    the same signed weight, and they read one operand, under one premise
+    key, in the same role.  By linearity ``kept``'s plan, run with its
+    premise ``operand`` replaced by that premise's array plus the array of
+    ``dropped``'s premise ``other`` (transposed when ``transpose``), gives
+    the sum of the two messages.  ``kept`` is not a symmetric product, and
+    ``saved`` is the multiply-adds this saves per iteration: ``dropped``'s
+    product, half of it when symmetric, less the ``N^2`` adds of the sum.
+    """
+
+    kept: CompiledImplication
+    dropped: CompiledImplication
+    operand: int
+    other: int
+    transpose: bool
+    saved: float
+
+    @property
+    def hypothesis(self) -> str:
+        return self.kept.hypothesis
+
+    def describe(self) -> str:
+        kept, dropped = self.kept, self.dropped
+        times = "" if kept.coefficient == 1.0 else f" x {kept.coefficient:.17g}"
+        dtimes = "" if dropped.coefficient == 1.0 else f" x {dropped.coefficient:.17g}"
+        turned = " transposed" if self.transpose else ""
+        return (f"summed rule {kept.rule_id} clause {kept.clause_id} -> {kept.hypothesis}: "
+                f"spec {kept.plan.spec}{times} + spec {dropped.plan.spec}{dtimes}, run as "
+                f"{kept.plan.steps[0].describe()} on its operand "
+                f"{kept.plan.spec.inputs[self.operand]} plus the second's operand "
+                f"{dropped.plan.spec.inputs[self.other]}{turned}; saves {int(self.saved)}")
+
+
+@dataclass(frozen=True)
 class Program:
-    """Rules compiled against one knowledge base: every implication, planned."""
+    """Rules compiled against one knowledge base: every implication, planned,
+    and the pairs of them whose messages run as one product."""
 
     kb: KnowledgeBase
     implications: tuple[CompiledImplication, ...]
+    sums: tuple[SummedProduct, ...] = ()
 
 
 @dataclass
@@ -359,13 +413,64 @@ def _scatter_index(output: str, pattern, n: int) -> tuple:
     return tuple(idx)
 
 
+def _summed(a: CompiledImplication, b: CompiledImplication,
+            kb: KnowledgeBase) -> SummedProduct | None:
+    """``a`` and ``b`` as one product (see ``SummedProduct``) when that saves
+    multiply-adds, else None.  Their signed coefficients must be equal: on a
+    binary hypothesis, which ``iterate`` holds as the plane ``x0 - x1``, the
+    coefficient with the target label's sign, on a table the coefficient
+    with equal target labels."""
+    if ((a.rule_id, a.clause_id, a.weight, a.hypothesis)
+            != (b.rule_id, b.clause_id, b.weight, b.hypothesis)
+            or not all(isinstance(ix, slice) for ix in a.scatter)
+            or not all(len(ci.plan.steps) == 1 and ci.plan.steps[0].gemm is not None
+                       and ci.plan.fills_output for ci in (a, b))):
+        return None
+    if kb.predicates[a.hypothesis].num_labels == 2:
+        (la,), (lb,) = a.target_labels, b.target_labels
+        if (-1.0 if la else 1.0) * a.coefficient != (-1.0 if lb else 1.0) * b.coefficient:
+            return None
+    elif (a.target_labels, a.coefficient) != (b.target_labels, b.coefficient):
+        return None
+    kept, dropped = (b, a) if a.symmetric else (a, b)
+    if kept.symmetric:
+        return None
+    left, right, t_left, t_right = kept.plan.steps[0].gemm
+    d_left, d_right, dt_left, dt_right = dropped.plan.steps[0].gemm
+    if kept.premises[left].key == dropped.premises[d_left].key and t_left == dt_left:
+        operand, other, transpose = right, d_right, t_right != dt_right
+    elif kept.premises[right].key == dropped.premises[d_right].key and t_right == dt_right:
+        operand, other, transpose = left, d_left, t_left != dt_left
+    else:
+        return None
+    saved = (dropped.plan.total_cost / (2 if dropped.symmetric else 1)
+             - math.prod(kept.plan.input_shapes[operand]))
+    return SummedProduct(kept, dropped, operand, other, transpose, saved) if saved > 0 else None
+
+
+def _summed_products(implications: tuple[CompiledImplication, ...],
+                     kb: KnowledgeBase) -> tuple[SummedProduct, ...]:
+    """The pairs of ``implications`` whose messages run as one product, the
+    largest saving first and then in implication order, at most one per
+    hypothesis: ``iterate`` builds the sum in the hypothesis's spare table,
+    whose bytes are dead only until its first message."""
+    found = [s for i, a in enumerate(implications) for b in implications[i + 1:]
+             if (s := _summed(a, b, kb)) is not None]
+    taken: dict[str, SummedProduct] = {}
+    for s in sorted(found, key=lambda s: -s.saved):
+        taken.setdefault(s.hypothesis, s)
+    return tuple(taken.values())
+
+
 def compile_rules(rules, kb: KnowledgeBase) -> Program:
-    """Split CNF formulas into clauses and plan every implication."""
+    """Split CNF formulas into clauses, plan every implication and pair the
+    ones whose messages run as one product."""
     compiled = []
     for formula in normalize_rules(rules):
         for clause in split_cnf(formula):
             compiled.extend(_compile_clause(clause, kb, formula.id))
-    return Program(kb, tuple(compiled))
+    implications = tuple(compiled)
+    return Program(kb, implications, _summed_products(implications, kb))
 
 
 def message(ci: CompiledImplication, marginals: MarginalTable,
@@ -388,6 +493,41 @@ def message(ci: CompiledImplication, marginals: MarginalTable,
     first = {p.key: p for p in ci.premises}
     gathered = {key: p.gather(marginals.tables[p.predicate]) for key, p in first.items()}
     return planner.execute(ci.plan, [gathered[p.key] for p in ci.premises], out=out)
+
+
+def summed_message(s: SummedProduct, marginals: MarginalTable,
+                   scratch: np.ndarray) -> np.ndarray:
+    """The sum of the messages of ``s.kept`` and ``s.dropped``, in one run
+    of ``s.kept``'s plan (see ``SummedProduct``).
+
+    The summed operand is written into ``scratch``, an array of its shape
+    whose bytes the caller does not need, in row blocks (see
+    ``parallel.rows``), so the message needs no buffer beyond the product.
+    Gathering is as in ``message``, and the dropped premise reuses the
+    array of an equal key.  The sum adds in another order than the two
+    messages would, so it agrees with their sum to rounding, not bitwise.
+    """
+    kept, other = s.kept, s.dropped.premises[s.other]
+    first = {p.key: p for p in (*kept.premises, other)}
+    gathered = {key: p.gather(marginals.tables[p.predicate]) for key, p in first.items()}
+    extra = gathered[other.key]
+    rows(_add, scratch, gathered[kept.premises[s.operand].key],
+         extra.T if s.transpose else extra)
+    return planner.execute(kept.plan, [scratch if i == s.operand else gathered[p.key]
+                                       for i, p in enumerate(kept.premises)])
+
+
+def _add(out: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """``a + b`` into the C-contiguous ``out``.  A ``b`` that is not
+    C-contiguous, such as a transposed view, is first copied into ``out`` in
+    strips of ``_TILE`` columns, so the rows of ``b``'s memory that a strip
+    reads stay in cache; an add over mixed layouts would be slower and
+    allocate a buffer."""
+    if not b.flags.c_contiguous:
+        for j in range(0, out.shape[-1], _TILE):
+            np.copyto(out[:, j:j + _TILE], b[:, j:j + _TILE])
+        b = out
+    np.add(a, b, out=out)
 
 
 def _pins(masks: dict[str, ObservationMask]) -> dict[str, tuple]:
@@ -496,69 +636,98 @@ def initial_marginals(phi: UnaryTable, kb: KnowledgeBase) -> MarginalTable:
 def _schedule(program: Program, weights: tuple[float, ...],
               masks: dict[str, ObservationMask], phi: UnaryTable,
               planes: frozenset) -> tuple[tuple, frozenset]:
-    """The messages of one iteration as ``(implication, weight, writes)``
+    """The messages of one iteration as ``(message, weight, writes)``
     triples, in the order ``_add_messages`` runs them, and the names of the
-    tables to refill before them.
+    tables to refill before them.  A message is an implication or a
+    ``SummedProduct``, which stands in for its two implications and takes
+    the weight of ``kept``.
 
     An implication whose hypothesis is observed in every cell is dropped:
-    clamping overwrites whatever it adds.  A binary plane whose unary table
-    is all zero is not refilled when one of the first two messages to it
-    covers every cell (a full slice per axis): that message writes the
-    plane, and runs first.  One whose plan fills the plane is preferred,
-    since it writes through ``out=`` with no temporary.  Either of the two
-    may write because the refilled sum ``(0 + a) + b`` equals ``b + a`` bit
-    for bit: ``0 + a == a`` and addition commutes.
+    clamping overwrites whatever it adds.  A summed product runs first of
+    the messages into its hypothesis and is not refilled before it: it
+    builds its sum in the table's dead bytes, then refills the table, or
+    writes it when it is a binary plane with an all-zero unary table.  Of
+    the other binary planes, one whose unary table is all zero is not
+    refilled when one of the first two messages to it covers every cell (a
+    full slice per axis): that message writes the plane, and runs first.
+    One whose plan fills the plane is preferred, since it writes through
+    ``out=`` with no temporary.  Either of the two may write because the
+    refilled sum ``(0 + a) + b`` equals ``b + a`` bit for bit: ``0 + a == a``
+    and addition commutes.
     """
     full = {name for name, m in masks.items() if m.mask.all()}
-    messages = [(ci, w, False) for ci, w in zip(program.implications, weights)
-                if ci.hypothesis not in full]
+    dropped = {id(s.dropped) for s in program.sums}
+    summed = {id(s.kept): s for s in program.sums}
+    messages = [(summed.get(id(ci), ci), w, False)
+                for ci, w in zip(program.implications, weights)
+                if ci.hypothesis not in full and id(ci) not in dropped]
     refill = set(program.kb.predicates)
-    for name in planes:
-        first = [i for i, (ci, _, _) in enumerate(messages) if ci.hypothesis == name][:2]
-        cover = [i for i in first
+    for name in planes | {s.hypothesis for s in program.sums}:
+        into = [i for i, (ci, _, _) in enumerate(messages) if ci.hypothesis == name]
+        sums = [i for i in into if isinstance(messages[i][0], SummedProduct)]
+        if sums:
+            refill.discard(name)
+            writes = name in planes and not phi.tables[name].any()
+            ci, w, _ = messages.pop(sums[0])
+            messages.insert(into[0], (ci, w, writes))
+            continue
+        cover = [i for i in into[:2]
                  if all(isinstance(ix, slice) for ix in messages[i][0].scatter)]
         if not cover or phi.tables[name].any():
             continue
         ci, w, _ = messages.pop(min(cover, key=lambda i: not messages[i][0].plan.fills_output))
-        messages.insert(first[0], (ci, w, True))
+        messages.insert(into[0], (ci, w, True))
         refill.discard(name)
     return tuple(messages), frozenset(refill)
 
 
-def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, messages):
-    """Add each message of ``messages``, ``(implication, weight, writes)``
+def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, messages, fill=None):
+    """Add each message of ``messages``, ``(message, weight, writes)``
     triples (see ``_schedule``), to ``logits``, all read from the snapshot
     ``q``.
 
     A binary plane holds ``x0 - x1``, so a message to label 1 is added with
     its weight negated; negation is exact, so this rounds as a subtraction.
-    A writing message covers its plane and overwrites it: a plan that fills
-    the plane writes it through ``out=`` and is scaled in place unless the
-    weight is 1, and any other message is written as ``w * msg``.  Added
-    with weight ±1, a message goes in by ``+=`` or ``-=`` with no scale
-    pass, which is exact since ``1.0 * x == x``.  With any other weight a
-    message that ``planner.execute`` allocated is scaled in place (it
-    rounds as ``w * msg``), and a view, such as a message without
-    contraction that aliases its gathered input or ``q`` itself, is scaled
-    into a new array.  The ``+=`` broadcasts a message's size-1 axes over
-    the hypothesis cells.  Each message, and what it gathered, is dropped
-    before the next is computed.
+    A summed product (see ``summed_message``) builds its sum in its
+    hypothesis's plane, or in the first label plane of its table, whose
+    bytes are dead until then;
+    after the product it calls ``fill([name])`` to write the table's unary
+    logits, unless it writes the table.  A writing message covers its plane
+    and overwrites it: a plan that fills the plane writes it through
+    ``out=`` and is scaled in place unless the weight is 1, and any other
+    message is written as ``w * msg``.  Added with weight ±1, a message goes
+    in by ``+=`` or ``-=`` with no scale pass, which is exact since
+    ``1.0 * x == x``.  With any other weight a message that
+    ``planner.execute`` allocated is scaled in place (it rounds as
+    ``w * msg``), and a view, such as a message without contraction that
+    aliases its gathered input or ``q`` itself, is scaled into a new array.
+    The ``+=`` broadcasts a message's size-1 axes over the hypothesis cells.
+    Each message, and what it gathered, is dropped before the next is
+    computed.
     """
     for ci, w, writes in messages:
         target = logits[ci.hypothesis]
+        msg = None
+        if isinstance(ci, SummedProduct):
+            msg = summed_message(ci, q, target if target.ndim == len(ci.kept.scatter)
+                                 else target[..., 0])
+            ci = ci.kept
+            if not writes:
+                fill([ci.hypothesis])
         if target.ndim == len(ci.scatter):
             (label,) = ci.target_labels
             w, cells = (-w if label else w), [ci.scatter]
         else:
             cells = [ci.scatter + (label,) for label in ci.target_labels]
-        if writes and ci.plan.fills_output:
+        if writes and msg is None and ci.plan.fills_output:
             message(ci, q, out=target)
             if w != 1.0:
                 rows(_scale, target, target, w)
         elif writes:
-            rows(_scale, target, message(ci, q), w)
+            rows(_scale, target, message(ci, q) if msg is None else msg, w)
         else:
-            msg = message(ci, q)
+            if msg is None:
+                msg = message(ci, q)
             if abs(w) != 1.0:
                 scaled = msg if msg.flags.owndata else np.empty_like(msg)
                 rows(_scale, scaled, msg, w)
@@ -570,7 +739,7 @@ def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, messages):
                     rows(_accumulate, view, msg, add)
                 else:   # one cell or a diagonal, which indexing copies
                     target[index] = add(view, msg)
-            del msg
+        del msg
 
 
 def _scale(out: np.ndarray, msg: np.ndarray, w: float):
@@ -655,7 +824,8 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     the other is refilled with the unary logits, receives the messages and
     is normalized, damped, clamped and flushed in place.  A zero-unary plane
     that a message writes is not refilled, and starts at ½ (see ``_start``),
-    and messages into a predicate observed in every cell are skipped (see
+    messages into a predicate observed in every cell are skipped, and a
+    summed product refills its hypothesis after building its sum there (see
     ``_schedule``).  A binary predicate's pair is the two label planes of
     its output table (see the module docstring): iteration
     ``config.iterations`` writes label 1, and label 0 is the spare until the
@@ -681,17 +851,18 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     pins = _pins(masks)
     tables, last, planes = _storage(program.kb)
     messages, refill = _schedule(program, weights, masks, phi, planes)
+    written = frozenset(ci.hypothesis for ci, _, writes in messages if writes)
     # iteration T writes `last`; a binary predicate's spare is label 0 of its
     # output table, read for the last time before `_expand` writes it
     other = {name: tables[name][..., 0] if name in planes else label_planes(arr.shape)
              for name, arr in last.items()}
     q, spare = (last, other) if config.iterations % 2 == 0 else (other, last)
-    _start(q, phi, planes, pins, planes - refill)
+    _start(q, phi, planes, pins, written)
     lam = config.damping
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
         _refill(spare, phi, planes, refill)
-        _add_messages(spare, MarginalTable(q), messages)
+        _add_messages(spare, MarginalTable(q), messages, partial(_refill, spare, phi, planes))
         for name in spare:
             if not all(rows(_finite, spare[name])):
                 raise EngineError(f"non-finite logits for {name} at iteration {t}")

@@ -551,6 +551,31 @@ class AtomBlock:
     groups: list[tuple[Predicate, np.ndarray, np.ndarray]]
 
 
+# the line breaks str.splitlines honours besides "\n"
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _blocks(text: str):
+    """Each ``BLOCK_LINES`` lines of ``text``, as ``str.splitlines`` cuts
+    them, joined and ended by "\\n".  A text whose only break is "\\n" is cut
+    at the offsets of every ``BLOCK_LINES``-th one, so no line becomes a
+    string of its own."""
+    if any(ch in text for ch in _BREAKS):
+        lines = text.splitlines()
+        for start in range(0, len(lines), BLOCK_LINES):
+            yield "\n".join(lines[start:start + BLOCK_LINES]) + "\n"
+        return
+    codes = (np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii()
+             else np.frombuffer(text.encode("utf-32-le"), "<u4"))
+    cuts = (np.flatnonzero(codes == 10)[BLOCK_LINES - 1::BLOCK_LINES] + 1).tolist()
+    start = 0
+    for stop in cuts:
+        yield text[start:stop]
+        start = stop
+    if start < len(text):
+        yield text[start:] if text.endswith("\n") else text[start:] + "\n"
+
+
 def atom_blocks(text: str, predicates: dict[str, Predicate], entities: _Keys):
     """Yield an ``AtomBlock`` for each ``BLOCK_LINES`` lines with content.
 
@@ -562,9 +587,7 @@ def atom_blocks(text: str, predicates: dict[str, Predicate], entities: _Keys):
     preds = list(predicates.values())
     names = _Keys([p.name for p in preds])
     arity = np.array([p.arity for p in preds], dtype=np.intp)
-    lines = text.splitlines()
-    for start in range(0, len(lines), BLOCK_LINES):
-        block = "\n".join(lines[start:start + BLOCK_LINES]) + "\n"
+    for block in _blocks(text):
         scanned = _scan(block)
         if scanned is None:
             continue

@@ -13,24 +13,41 @@ from .fol import (Clause, CnfFormula, Literal, Predicate, merge_literals, normal
 from .kb import KnowledgeBase
 
 _VARS = ("x", "y", "z")
+# the share of drawn clauses that read one arity-2 predicate in a chain
+_CHAIN = 0.25
 # the largest engine-versus-oracle gap a check accepts
 ORACLE_TOL = 1e-9
 
 
 def _random_clause(rng: np.random.Generator, predicates, max_literals: int,
                    weight: float, cid: str) -> Clause | None:
-    """None when the drawn literals merge into a tautology; the caller redraws."""
+    """None when the drawn literals merge into a tautology; the caller redraws.
+
+    With probability ``_CHAIN``, when there is an arity-2 predicate, the
+    clause is ``p(x,y) | p(y,z) | h(x,z)``: one predicate read twice, in a
+    chain, with one value set, as in transitivity, so that its implications
+    include matrix products, symmetric ones and summed pairs."""
+    def values(pred: Predicate) -> frozenset:
+        size = int(rng.integers(1, pred.num_labels))
+        return frozenset(int(v) for v in
+                         rng.choice(pred.num_labels, size=size, replace=False))
+
     def draw() -> Literal:
         pred = predicates[int(rng.integers(len(predicates)))]
         args = tuple(variable(_VARS[int(rng.integers(len(_VARS)))])
                      for _ in range(pred.arity))
-        size = int(rng.integers(1, pred.num_labels))
-        values = frozenset(int(v) for v in
-                           rng.choice(pred.num_labels, size=size, replace=False))
-        return Literal(pred, args, values)
+        return Literal(pred, args, values(pred))
 
-    length = int(rng.integers(1, max_literals + 1))
-    literals = merge_literals(draw() for _ in range(length))
+    pairs = [p for p in predicates if p.arity == 2]
+    if pairs and max_literals >= 3 and rng.random() < _CHAIN:
+        pred, head = (pairs[int(i)] for i in rng.integers(len(pairs), size=2))
+        x, y, z = map(variable, _VARS)
+        held = values(pred)
+        literals = merge_literals([Literal(pred, (x, y), held), Literal(pred, (y, z), held),
+                                   Literal(head, (x, z), values(head))])
+    else:
+        length = int(rng.integers(1, max_literals + 1))
+        literals = merge_literals(draw() for _ in range(length))
     return None if literals is None else Clause(literals, weight=weight, id=cid)
 
 

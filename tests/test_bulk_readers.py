@@ -543,3 +543,36 @@ def test_number_path_is_float_bit_for_bit(fields, wide):
             _number_fields(fields, wide)
         return
     assert _bits(_number_fields(fields, wide)) == _bits(want)
+
+
+def _splitlines_blocks(text):
+    lines = text.splitlines()
+    return ["\n".join(lines[start:start + kb.BLOCK_LINES]) + "\n"
+            for start in range(0, len(lines), kb.BLOCK_LINES)]
+
+
+# lines of "\n" breaks alone, cut at offsets, or mixed with another break
+# that str.splitlines honours, which the cut leaves to splitlines
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(st.sampled_from("a( \t\xa0é#")), max_size=12),
+       st.sampled_from(["", *kb._BREAKS, "\r\n"]), st.integers(0, 12), st.booleans(),
+       st.sampled_from([1, 3, kb.BLOCK_LINES]))
+def test_blocks_are_the_splitlines_blocks(lines, other, at, ended, block):
+    text = "\n".join(lines) + ("\n" if ended else "")
+    text = text[:at] + other + text[at:]
+    with mock.patch.object(kb, "BLOCK_LINES", block):
+        assert list(kb._blocks(text)) == _splitlines_blocks(text)
+
+
+def test_blocks_of_a_text_without_a_final_newline():
+    text = "\n".join(f"smoke(E{i})" for i in range(7))
+    for block in (1, 3, kb.BLOCK_LINES):
+        with mock.patch.object(kb, "BLOCK_LINES", block):
+            got = list(kb._blocks(text))
+            assert got == _splitlines_blocks(text) and got[-1].endswith("smoke(E6)\n")
+
+
+def test_blocks_know_every_break_that_splitlines_honours():
+    breaks = {chr(c) for c in range(sys.maxunicode + 1)
+              if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert breaks == {"\n", *kb._BREAKS}

@@ -6,13 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 import einlog as E
 from einlog import engine, parallel, planner
 from einlog.engine import (EngineConfig, EngineError, IterationTrace, MarginalTable,
                            PremiseInput, Program, UnaryTable, _add_messages, compile_rules,
                            initial_marginals, iterate, message, transitivity_violations)
-from einlog.fol import Clause, CnfFormula, Literal, Predicate, binary_literal, variable
+from einlog.fol import (Clause, CnfFormula, Literal, Predicate, binary_literal, constant,
+                        merge_literals, variable)
 from einlog.kb import KnowledgeBase
 from einlog.oracle import naive_mf_step
 from einlog.tensor import softmax_lastaxis
@@ -1370,3 +1373,188 @@ def test_split_helper_keeps_no_table_of_a_dropped_result(workloads, split_produc
     del result
     gc.collect()
     assert all(ref() is None for ref in buffers)
+
+
+# --- two messages run as one summed product ---------------------------------
+
+SUM_PREDS = {p.name: p for p in (Predicate("p", 2), Predicate("q", 2), Predicate("m", 2, 3),
+                                 Predicate("t", 3))}
+
+
+def _values(draw, pred):
+    return frozenset(draw(st.sets(st.integers(0, pred.num_labels - 1), min_size=1,
+                                  max_size=pred.num_labels - 1)))
+
+
+def _pair_literal(draw, pred, first, second, values):
+    """``pred`` over the terms ``first`` and ``second``, in either order; t
+    gets the constant E1 in a drawn position."""
+    args = [first, second] if draw(st.booleans()) else [second, first]
+    if pred.arity == 3:
+        args.insert(draw(st.integers(0, 2)), constant("E1"))
+    return Literal(pred, tuple(args), values)
+
+
+@st.composite
+def _chain_clauses(draw):
+    """``a(x,y) | b(y,z) | h(x,z)`` (transitivity-shaped) or a four-literal
+    chain to ``h(x,w)``, each literal's terms in either order.  Most often
+    the premises read one predicate with one value set, and often ``h`` is
+    that predicate too, which is where summed pairs come from."""
+    x, y, z, w = (variable(v) for v in "xyzw")
+    links = [(x, y), (y, z)] if draw(st.booleans()) else [(x, y), (y, z), (z, w)]
+    pick = st.sampled_from(sorted(SUM_PREDS))
+    one = SUM_PREDS[draw(pick)]
+    held = _values(draw, one)
+    literals = []
+    for first, second in links:
+        pred = one if draw(st.integers(0, 3)) else SUM_PREDS[draw(pick)]
+        values = held if pred is one else _values(draw, pred)
+        literals.append(_pair_literal(draw, pred, first, second, values))
+    head = one if draw(st.booleans()) else SUM_PREDS[draw(pick)]
+    literals.append(_pair_literal(draw, head, links[0][0], links[-1][1], _values(draw, head)))
+    merged = merge_literals(literals)
+    assume(merged is not None)
+    return Clause(merged)
+
+
+@st.composite
+def _chain_rules(draw):
+    rules = []
+    for i in range(draw(st.integers(1, 3))):
+        body = draw(st.lists(_chain_clauses(), min_size=1, max_size=2,
+                             unique_by=lambda c: c.literals))
+        weight = draw(st.one_of(st.sampled_from([1.0, -1.0]),
+                                st.floats(-2.0, 2.0, allow_nan=False)))
+        rules.append(CnfFormula(tuple(body), weight=weight, id=f"r{i}"))
+    return rules
+
+
+def _transitivity_on(name, held, head, weight=1.0):
+    """``name(x,y) in held | name(y,z) in held | name(x,z) in head`` as rule r0."""
+    pred = SUM_PREDS[name]
+    x, y, z = (variable(v) for v in "xyz")
+    clause = Clause(merge_literals([Literal(pred, (x, y), frozenset(held)),
+                                    Literal(pred, (y, z), frozenset(held)),
+                                    Literal(pred, (x, z), frozenset(head))]))
+    return [CnfFormula((clause,), weight=weight, id="r0")]
+
+
+# a pair that writes a zero-unary plane under an override, and a pair into
+# the multi-class table m
+@example(rules=_transitivity_on("p", {0}, {1}), n=4, seed=1, damping=0.0, iterations=2,
+         override=0.7, zero_unary={"p"})
+@example(rules=_transitivity_on("m", {0, 2}, {0, 2}, 1.5), n=3, seed=2, damping=0.3,
+         iterations=3, override=None, zero_unary=set())
+@given(rules=_chain_rules(), n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       damping=st.sampled_from([0.0, 0.3]), iterations=st.integers(1, 3),
+       override=st.one_of(st.none(), st.floats(-2.0, 2.0, allow_nan=False)),
+       zero_unary=st.sets(st.sampled_from(sorted(SUM_PREDS))))
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def _summed_matches_one_at_a_time(seen, rules, n, seed, damping, iterations, override,
+                                  zero_unary):
+    rng = np.random.default_rng(seed)
+    kb = KnowledgeBase([f"E{i}" for i in range(n)], SUM_PREDS, {
+        (p.name, cell): int(rng.integers(p.num_labels))
+        for p in SUM_PREDS.values() for cell in np.ndindex(*(n,) * p.arity)
+        if rng.random() < 0.2})
+    phi = UnaryTable({p.name: np.zeros(shape) if p.name in zero_unary
+                      else rng.normal(0.0, 1.5, shape)
+                      for p in SUM_PREDS.values() for shape in [(n,) * p.arity + (p.num_labels,)]})
+    weights = {} if override is None else {"r0": override}
+    config = EngineConfig(iterations, weights=weights, damping=damping)
+    program = compile_rules(rules, kb)
+    planes = engine._storage(kb)[2]
+    scheduled, _ = engine._schedule(program, tuple(ci.weight * ci.coefficient
+                                                   for ci in program.implications),
+                                    kb.masks(), phi, planes)
+    for s in program.sums:
+        seen["summed"].append(s.hypothesis)
+        seen["table"] += s.hypothesis not in planes
+        seen["override"] += s.kept.rule_id in weights
+    seen["writing"] += sum(writes for ci, _, writes in scheduled
+                           if isinstance(ci, engine.SummedProduct))
+    got = iterate(phi, program, config)
+    want = iterate(phi, Program(kb, program.implications), config)
+    assert max_abs_diff(got, want) <= 1e-12
+    # the argmax agrees wherever the best label leads by more than rounding;
+    # an exact tie, such as two rules that cancel, is broken by the last bits
+    for name in kb.predicates:
+        ranked = np.sort(want.tables[name], axis=-1)
+        decided = ranked[..., -1] - ranked[..., -2] > 1e-12
+        assert np.array_equal(got.tables[name].argmax(-1)[decided],
+                              want.tables[name].argmax(-1)[decided]), name
+    assert engine_oracle_gap(kb, rules, phi, weights) <= ORACLE_TOL
+
+
+def _assert_summed_matches_one_at_a_time():
+    seen = {"summed": [], "table": 0, "override": 0, "writing": 0}
+    _summed_matches_one_at_a_time(seen)
+    # pairs into binary planes and into a table, under an override, and
+    # pairs that write a zero-unary plane
+    assert len(seen["summed"]) >= 10 and "p" in seen["summed"]
+    assert seen["table"] and seen["override"] and seen["writing"]
+
+
+def test_summed_products_match_the_messages_one_at_a_time():
+    _assert_summed_matches_one_at_a_time()
+
+
+def test_split_summed_products_match_the_messages_one_at_a_time(split_products, splits):
+    _assert_summed_matches_one_at_a_time()
+    assert splits
+
+
+@pytest.mark.parametrize("n", [8, 1024])
+def test_summed_products_of_the_workload_rules(workloads, smoke_rules, smoke_kb, n):
+    def sums(rules, kb=None):
+        kb = kb or KnowledgeBase([f"E{i}" for i in range(n)], rules.predicates, {})
+        return compile_rules(rules, kb).sums
+
+    assert sums(E.parse_rules(workloads.KBC_RULES)) == ()
+    assert sums(E.parse_rules(workloads.REPORT_RULES)) == ()
+    assert sums(smoke_rules, smoke_kb) == ()
+    (s,) = sums(E.parse_rules(workloads.TRANSITIVITY_RULES))
+    # Q @ Q into coexist(a,c) takes in Q @ Q^T into coexist(a,b): one N^3
+    # product and an N^2 sum in place of N^3 + N^3 / 2
+    assert (str(s.kept.plan.spec), str(s.dropped.plan.spec)) == ("ab,bc->ac", "bc,ac->ab")
+    assert not s.kept.symmetric and s.dropped.symmetric and s.transpose
+    assert s.saved == n ** 3 / 2 - n ** 2
+
+
+def test_summed_message_is_the_kept_plan_on_the_summed_operand():
+    n = 40
+    program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(n))
+    (s,) = program.sums
+    q1 = np.random.default_rng(3).random((n, n))
+    q = MarginalTable({"c": q1})
+    scratch = np.empty((n, n))
+    got = engine.summed_message(s, q, scratch)
+    assert np.array_equal(scratch, q1 + q1.T)
+    assert np.array_equal(got, planner.execute(s.kept.plan, [q1, q1 + q1.T]))
+    # weight 1 and coefficient -1 on label 0: both go into x0 - x1 as -msg
+    assert s.kept.target_labels == (1,) and s.dropped.coefficient == -1.0
+    apart = message(s.kept, q) + message(s.dropped, q)
+    assert np.max(np.abs(got - apart)) <= 1e-12
+
+
+@pytest.mark.parametrize("iterations", [3, 4])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_summed_product_allocates_no_plane_beyond_output_and_a_message(iterations, zeros):
+    # the sum is built in the hypothesis's spare plane, not in a plane of its own
+    n = 128
+    kb = trans_kb(n)
+    program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], kb)
+    assert len(program.sums) == 1
+    rng = np.random.default_rng(8)
+    phi = UnaryTable({"c": np.zeros((n, n, 2)) if zeros else rng.normal(0.0, 2.0, (n, n, 2))})
+    program.kb.masks()      # cached by the knowledge base, not by the solve
+    tracemalloc.start()
+    try:
+        result = iterate(phi, program, EngineConfig(iterations))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = result.tables["c"].nbytes
+    plane = result.tables["c"][..., 1].nbytes
+    assert peak < output + plane + plane // 4
