@@ -44,6 +44,19 @@ in every cell gets no message.  Such a written plane starts at ½ with no
 refill and no sigmoid.  Marginals are bit-identical to refilling and adding
 every scaled message.
 
+Before its first iteration ``iterate`` bounds the logits of each predicate
+H (``_bounds``): ``max|phi_H|`` (the spread ``hi - lo`` on a binary plane,
+which holds ``x0 - x1``), read from the extremes ``UnaryTable.extremes``
+validates, plus, over the implications into H, ``|w * coefficient|`` (the
+weights ``iterate`` uses, overrides included) times the groundings per cell:
+the product of the extents of the premise letters absent from the output.  A
+message sums, over those groundings, products of marginal masses of at most
+1, so no logit exceeds the bound, whatever damping and clamping do, but by
+rounding (a damped marginal can be an ulp above 1).  Only a predicate whose
+bound is not below ``LOGIT_LIMIT`` (1e300, far under float64's 1.8e308), an
+infinite or NaN bound included, gets the per-iteration finite check, which
+fails with an ``EngineError`` naming the predicate and the iteration.
+
 An iteration reads only the snapshot it is given, the unary tables and the
 program, so one that reproduces its snapshot bit for bit would be
 reproduced by every later one: ``iterate`` stops there, with the bytes the
@@ -73,7 +86,7 @@ import numpy as np
 
 from . import planner
 from .fol import Clause, normalize_rules, split_cnf
-from .kb import KnowledgeBase, ObservationMask
+from .kb import KnowledgeBase
 from .parallel import rows
 from .tensor import EinsumSpec, label_planes, sigmoid, softmax_lastaxis
 
@@ -88,6 +101,8 @@ _COMPARE_CHUNK = 1 << 16
 _TILE = 64
 # the largest last residual of a run that counts as converged
 CONVERGENCE_TOL = 1e-6
+# a predicate whose logit bound is below this gets no finite check
+LOGIT_LIMIT = 1e300
 
 
 class EngineError(Exception):
@@ -106,9 +121,16 @@ class UnaryTable:
                     for name, p in kb.predicates.items()})
 
     def validate(self, kb: KnowledgeBase) -> "UnaryTable":
+        self.extremes(kb)
+        return self
+
+    def extremes(self, kb: KnowledgeBase) -> dict[str, tuple[float, float]]:
+        """Each table's ``(min, max)``, from the one pass that checks the
+        tables against ``kb`` and raises what ``validate`` raises."""
         unknown = sorted(set(self.tables).difference(kb.predicates))
         if unknown:
             raise EngineError(f"unary table for unknown predicate {', '.join(unknown)}")
+        out = {}
         for name, pred in kb.predicates.items():
             arr = self.tables.get(name)
             if arr is None:
@@ -125,7 +147,8 @@ class UnaryTable:
                         or np.isfinite(arr.max(axis=-1) - arr.min(axis=-1)).all()):
                     raise EngineError(f"unary table {name}: the label logits of a cell "
                                       "differ by more than a float64 holds")
-        return self
+            out[name] = (float(lo), float(hi))
+        return out
 
 
 @dataclass
@@ -303,11 +326,13 @@ class IterationTrace:
     binary predicate, every label of the others), and the number of latent
     cells whose argmax label changed.  It holds one entry per
     iteration that ran: fewer than configured when ``iterate`` stopped at an
-    exact fixed point, whose last entry then has residual 0."""
+    exact fixed point, whose last entry then has residual 0.  ``bounds``
+    holds each predicate's logit bound (see the module docstring)."""
 
     seconds: list[float] = field(default_factory=list)
     residual: list[float] = field(default_factory=list)
     changed: list[int] = field(default_factory=list)
+    bounds: dict[str, float] = field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -530,17 +555,19 @@ def _add(out: np.ndarray, a: np.ndarray, b: np.ndarray):
     np.add(a, b, out=out)
 
 
-def _pins(masks: dict[str, ObservationMask]) -> dict[str, tuple]:
-    """The mask and observed labels of each predicate with an observed cell."""
-    return {name: (m.mask, m.labels[m.mask]) for name, m in masks.items() if m.mask.any()}
+def _pins(kb: KnowledgeBase) -> dict[str, tuple]:
+    """The observed cells, one index array per axis, and their labels, of
+    each predicate with an observed cell."""
+    return {name: (tuple(cells.T), labels) for name, (cells, labels) in kb.observed.items()
+            if len(labels)}
 
 
 def _clamp(tables: dict[str, np.ndarray], pins: dict[str, tuple]):
     """Pin observed cells (``pins``, see ``_pins``) to the one-hot marginal
     of their observed label; a ``q1`` plane gets the label itself."""
-    for name, (mask, labels) in pins.items():
+    for name, (cells, labels) in pins.items():
         arr = tables[name]
-        arr[mask] = labels if arr.ndim == mask.ndim else np.eye(arr.shape[-1])[labels]
+        arr[(*cells, ...)] = labels if arr.ndim == len(cells) else np.eye(arr.shape[-1])[labels]
 
 
 def _storage(kb: KnowledgeBase) -> tuple[dict, dict, frozenset]:
@@ -629,12 +656,12 @@ def initial_marginals(phi: UnaryTable, kb: KnowledgeBase) -> MarginalTable:
     """
     phi.validate(kb)
     tables, q, planes = _storage(kb)
-    _start(q, phi, planes, _pins(kb.masks()))
+    _start(q, phi, planes, _pins(kb))
     return _expand(tables, planes)
 
 
 def _schedule(program: Program, weights: tuple[float, ...],
-              masks: dict[str, ObservationMask], phi: UnaryTable,
+              extremes: dict[str, tuple[float, float]],
               planes: frozenset) -> tuple[tuple, frozenset]:
     """The messages of one iteration as ``(message, weight, writes)``
     triples, in the order ``_add_messages`` runs them, and the names of the
@@ -655,7 +682,10 @@ def _schedule(program: Program, weights: tuple[float, ...],
     refilled sum ``(0 + a) + b`` equals ``b + a`` bit for bit: ``0 + a == a``
     and addition commutes.
     """
-    full = {name for name, m in masks.items() if m.mask.all()}
+    kb = program.kb
+    full = {name for name, (cells, _) in kb.observed.items()
+            if len(cells) == kb.n ** cells.shape[1]}
+    zero = {name for name, (lo, hi) in extremes.items() if lo == hi == 0.0}
     dropped = {id(s.dropped) for s in program.sums}
     summed = {id(s.kept): s for s in program.sums}
     messages = [(summed.get(id(ci), ci), w, False)
@@ -667,13 +697,13 @@ def _schedule(program: Program, weights: tuple[float, ...],
         sums = [i for i in into if isinstance(messages[i][0], SummedProduct)]
         if sums:
             refill.discard(name)
-            writes = name in planes and not phi.tables[name].any()
+            writes = name in planes and name in zero
             ci, w, _ = messages.pop(sums[0])
             messages.insert(into[0], (ci, w, writes))
             continue
         cover = [i for i in into[:2]
                  if all(isinstance(ix, slice) for ix in messages[i][0].scatter)]
-        if not cover or phi.tables[name].any():
+        if not cover or name not in zero:
             continue
         ci, w, _ = messages.pop(min(cover, key=lambda i: not messages[i][0].plan.fills_output))
         messages.insert(into[0], (ci, w, True))
@@ -748,6 +778,20 @@ def _scale(out: np.ndarray, msg: np.ndarray, w: float):
 
 def _accumulate(out: np.ndarray, msg: np.ndarray, add):
     add(out, msg, out=out)
+
+
+def _bounds(program: Program, weights: tuple[float, ...],
+            extremes: dict[str, tuple[float, float]], planes: frozenset) -> dict[str, float]:
+    """Each predicate's logit bound (see the module docstring), in Python
+    floats, so that an overflow gives ``inf``."""
+    bound = {name: hi - lo if name in planes else max(-lo, hi)
+             for name, (lo, hi) in extremes.items()}
+    for ci, w in zip(program.implications, weights):
+        spec = ci.plan.spec
+        letters = spec.input_letters().difference(spec.output)
+        bound[ci.hypothesis] += abs(w) * math.prod((ci.plan.extents[ch] for ch in letters),
+                                                   start=1.0)
+    return bound
 
 
 def _max_abs(d: np.ndarray) -> float:
@@ -838,19 +882,22 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     run is at an exact fixed point and stops: every later iteration would
     give the same bytes, and both tables of each pair now hold them, so
     label 1 holds the result whichever of the two the stop wrote.  ``trace``
-    gets one entry per iteration that ran.  ``phi`` is validated against
-    the program's knowledge base first.
+    gets one entry per iteration that ran, and the logit bounds.  ``phi``
+    is validated against the program's knowledge base first.
     """
-    phi.validate(program.kb)
+    extremes = phi.extremes(program.kb)
     unknown = sorted(set(config.weights) - {ci.rule_id for ci in program.implications})
     if unknown:
         raise EngineError(f"weight override for unknown rule id {', '.join(unknown)}")
     weights = tuple(config.weights.get(ci.rule_id, ci.weight) * ci.coefficient
                     for ci in program.implications)
-    masks = program.kb.masks()
-    pins = _pins(masks)
+    pins = _pins(program.kb)
     tables, last, planes = _storage(program.kb)
-    messages, refill = _schedule(program, weights, masks, phi, planes)
+    bounds = _bounds(program, weights, extremes, planes)
+    checked = [name for name, bound in bounds.items() if not bound < LOGIT_LIMIT]
+    if trace is not None:
+        trace.bounds = bounds
+    messages, refill = _schedule(program, weights, extremes, planes)
     written = frozenset(ci.hypothesis for ci, _, writes in messages if writes)
     # iteration T writes `last`; a binary predicate's spare is label 0 of its
     # output table, read for the last time before `_expand` writes it
@@ -863,7 +910,7 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
         started = time.perf_counter()
         _refill(spare, phi, planes, refill)
         _add_messages(spare, MarginalTable(q), messages, partial(_refill, spare, phi, planes))
-        for name in spare:
+        for name in checked:
             if not all(rows(_finite, spare[name])):
                 raise EngineError(f"non-finite logits for {name} at iteration {t}")
         _normalize(spare, planes)

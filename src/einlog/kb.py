@@ -165,10 +165,16 @@ class KnowledgeBase:
         for name, pred in self.predicates.items():
             cells, observed = self.observed[name]
             # the smallest signed type that holds -1 and every label: int8 up to 128 labels
-            labels = np.full(self.n ** pred.arity, -1, np.min_scalar_type(-pred.num_labels))
-            labels[flat_cells(cells, self.n)] = observed
-            labels = labels.reshape(self.shape(pred))
-            out[name] = ObservationMask(labels >= 0, labels)
+            dtype = np.min_scalar_type(-pred.num_labels)
+            shape = self.shape(pred)
+            if len(observed):
+                labels = np.full(self.n ** pred.arity, -1, dtype)
+                labels[flat_cells(cells, self.n)] = observed
+                labels = labels.reshape(shape)
+                out[name] = ObservationMask(labels >= 0, labels)
+            else:   # never observed: broadcast views of one value, no N^arity table
+                out[name] = ObservationMask(np.broadcast_to(False, shape),
+                                            np.broadcast_to(np.array(-1, dtype), shape))
         return out
 
     def masks(self) -> dict[str, ObservationMask]:

@@ -79,6 +79,28 @@ def test_infer_prints_the_iterations_that_ran(tmp_path, capsys):
     assert stop in runs["5"][1].splitlines() and "fixed point" not in runs["1"][1]
 
 
+def test_infer_prints_each_logit_bound_and_whether_its_finite_check_runs(tmp_path, capsys):
+    # smoke: unary spread 3.476... plus 2 + 2 + 1 + 1 (two messages over 2
+    # groundings, two over 1); friend: spread 6.42... plus 1; cancer: 4.595...
+    # plus 1 + 1
+    _, argv = infer_args(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    (line,) = [l for l in err.splitlines() if l.startswith("logit bound")]
+    assert line == ("logit bound per predicate: smoke 9.476e+00 (finite check skipped), "
+                    "friend 7.421e+00 (finite check skipped), "
+                    "cancer 6.595e+00 (finite check skipped)")
+    # an override that lifts a bound past the limit brings the check back;
+    # the logits, about 2e305, stay finite
+    _, argv = infer_args(tmp_path, "--weight", "f1=1e305")
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    (line,) = [l for l in err.splitlines() if l.startswith("logit bound")]
+    assert line == ("logit bound per predicate: smoke 4.000e+305 (finite check runs), "
+                    "friend 1.000e+305 (finite check runs), "
+                    "cancer 6.595e+00 (finite check skipped)")
+
+
 def test_infer_reports_argmax_changes_per_iteration(tmp_path, capsys):
     # the smoke fixture's unary logits already pick every argmax the rules keep
     _, argv = infer_args(tmp_path)

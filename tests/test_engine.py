@@ -169,6 +169,71 @@ def test_nonfinite_logits_of_any_kind_reported_with_iteration(rules):
         iterate(UnaryTable.zeros(kb), compile_rules(ruleset, kb), EngineConfig(iterations=1))
 
 
+@given(seed=st.integers(0, 2**32 - 1), damping=st.sampled_from([0.0, 0.3]),
+       iterations=st.integers(1, 3), override=st.one_of(st.none(), st.floats(-20.0, 20.0)))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def _logits_within_bound(seen, seed, damping, iterations, override):
+    kb, rules, phi = random_instance(np.random.default_rng(seed), max_entities=4,
+                                     max_predicates=3, max_arity=2, max_clauses=4)
+    weights = {} if override is None else {rules[0].id: override}
+    program = compile_rules(rules, kb)
+    peaks = {name: [] for name in kb.predicates}
+    original = engine._normalize
+
+    def normalize(tables, planes):
+        for name, arr in tables.items():
+            peaks[name].append(float(np.max(np.abs(arr))))
+        return original(tables, planes)
+
+    trace = IterationTrace()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_normalize", normalize)
+        iterate(phi, program, EngineConfig(iterations, weights=weights, damping=damping),
+                trace)
+    seen["damped"] += damping > 0.0
+    seen["multi-class"] += any(p.num_labels > 2 for p in kb.predicates.values())
+    seen["summed"] += bool(program.sums)
+    seen["override"] += bool(weights)
+    for name, bound in trace.bounds.items():
+        assert bound < engine.LOGIT_LIMIT
+        # the bound is of exact arithmetic: a marginal an ulp above 1, as
+        # damping can make, may move a logit by a few ulps
+        assert max(peaks[name], default=0.0) <= bound * (1.0 + 1e-12), name
+
+
+def test_logits_never_exceed_their_bound():
+    seen = {"damped": 0, "multi-class": 0, "summed": 0, "override": 0}
+    _logits_within_bound(seen)
+    assert all(seen.values()), seen
+
+
+def test_bound_above_the_limit_keeps_the_finite_check(smoke_rules, smoke_kb, smoke_phi,
+                                                      monkeypatch):
+    # weight 1e305 times one grounding: the bound of p is 1e305, and its
+    # logits, -1e305, stay finite; q gets no message
+    ruleset = E.parse_rules("predicate p(t,t)\npredicate q(t)\n1e305: p(a,b)\n")
+    kb = KnowledgeBase(["X", "Y"], ruleset.predicates, {("q", (0,)): 1})
+    checked = []
+    original = engine._finite
+
+    def finite(arr):
+        checked.append(arr.shape)
+        return original(arr)
+
+    monkeypatch.setattr(engine, "_finite", finite)
+    trace = IterationTrace()
+    result = iterate(UnaryTable.zeros(kb), compile_rules(ruleset, kb),
+                     EngineConfig(iterations=3), trace)
+    assert trace.bounds == {"p": 1e305, "q": 0.0}
+    # only p's plane is checked, once in each iteration that ran
+    assert checked == [(2, 2)] * len(trace.seconds)
+    assert np.all(result.tables["p"][..., 1] == 1.0)
+    # a bound far below the limit skips the check
+    checked.clear()
+    iterate(smoke_phi, compile_rules(smoke_rules, smoke_kb), EngineConfig(iterations=3))
+    assert checked == []
+
+
 def test_unknown_weight_override_rejected(smoke_rules, smoke_kb, smoke_phi):
     program = compile_rules(smoke_rules, smoke_kb)
     with pytest.raises(EngineError, match="nosuchrule"):
@@ -560,7 +625,7 @@ def test_one_gather_per_distinct_premise_key(monkeypatch):
 
     # each iteration gathers each distinct key once per scheduled message
     scheduled, _ = engine._schedule(program, tuple(ci.weight for ci in program.implications),
-                                 kb.masks(), phi, engine._storage(kb)[2])
+                                 phi.extremes(kb), engine._storage(kb)[2])
     per_iteration = sorted(key for ci, _, _ in scheduled for key in {p.key for p in ci.premises})
     calls = []
     original = PremiseInput.gather
@@ -1100,7 +1165,7 @@ def _refill_and_add(phi, program, config):
     """``iterate`` with every table refilled and every message scaled by its
     weight and added, messages into observed tables included."""
     kb = program.kb
-    pins = engine._pins(kb.masks())
+    pins = engine._pins(kb)
     _, q, planes = engine._storage(kb)
     engine._start(q, phi, planes, pins)
     for _ in range(config.iterations):
@@ -1141,7 +1206,7 @@ def test_written_plane_is_bitwise_the_refilled_sum(candidate, partner, damping):
     program, phi = _writer_instance(candidate, partner)
     planes = frozenset(program.kb.predicates)
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    messages, refill = engine._schedule(program, weights, program.kb.masks(), phi, planes)
+    messages, refill = engine._schedule(program, weights, phi.extremes(program.kb), planes)
     assert "o" not in {ci.hypothesis for ci, _, _ in messages}
     into_t = [ci for ci in program.implications if ci.hypothesis == "t"]
     writers = [ci for ci, _, writes in messages if writes]
@@ -1167,7 +1232,7 @@ def test_kbc_tri_takes_its_outer_product_directly():
     phi = UnaryTable.zeros(kb)
     _, _, planes = engine._storage(kb)
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    messages, refill = engine._schedule(program, weights, kb.masks(), phi, planes)
+    messages, refill = engine._schedule(program, weights, phi.extremes(kb), planes)
     assert refill == {"kind"}
     (writer,) = [ci for ci, _, writes in messages if writes and ci.hypothesis == "tri"]
     assert str(writer.plan.spec) == "bc,ac->abc" and writer.plan.fills_output
@@ -1288,10 +1353,10 @@ def test_half_start_is_the_refilled_sigmoid_bitwise(zeros):
     program = compile_rules(rules, kb)
     _, refilled, planes = engine._storage(kb)
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    _, refill = engine._schedule(program, weights, kb.masks(), phi, planes)
+    _, refill = engine._schedule(program, weights, phi.extremes(kb), planes)
     halves = planes - refill
     assert halves == {"rel", "tri"}
-    pins = engine._pins(kb.masks())
+    pins = engine._pins(kb)
     _, half, _ = engine._storage(kb)
     engine._start(refilled, phi, planes, pins)
     engine._start(half, phi, planes, pins, halves)
@@ -1467,7 +1532,7 @@ def _summed_matches_one_at_a_time(seen, rules, n, seed, damping, iterations, ove
     planes = engine._storage(kb)[2]
     scheduled, _ = engine._schedule(program, tuple(ci.weight * ci.coefficient
                                                    for ci in program.implications),
-                                    kb.masks(), phi, planes)
+                                    phi.extremes(kb), planes)
     for s in program.sums:
         seen["summed"].append(s.hypothesis)
         seen["table"] += s.hypothesis not in planes

@@ -5,7 +5,8 @@ import pytest
 
 import einlog as E
 from einlog.fol import Predicate
-from einlog.kb import EvidenceError, KnowledgeBase, load_evidence, load_queries
+from einlog.io import report_columns
+from einlog.kb import EvidenceError, KnowledgeBase, flat_cells, load_evidence, load_queries
 
 SMOKE_PREDS = [Predicate("smoke", 1), Predicate("friend", 2), Predicate("cancer", 1)]
 
@@ -112,6 +113,37 @@ def test_masks_mark_observed_cells():
     assert masks["friend"].labels[0, 1] == 1
     assert masks["friend"].labels[1, 0] == -1
     assert masks["smoke"].mask.sum() == 0
+
+
+@pytest.mark.parametrize("observed", [True, False], ids=["observed", "never observed"])
+@pytest.mark.parametrize("arity", [0, 1, 2, 3])
+def test_masks_and_report_flags_match_full_tables(arity, observed):
+    n, pred = 3, Predicate("p", arity, 3)
+    rng = np.random.default_rng(arity)
+    facts = {}
+    if observed:
+        facts = {("p", cell): int(rng.integers(3)) for cell in np.ndindex(*(n,) * arity)
+                 if rng.random() < 0.5}
+        facts.setdefault(("p", (0,) * arity), 2)
+    kb = KnowledgeBase(["A", "B", "C"], {"p": pred}, facts)
+    cells, labels = kb.observed["p"]
+    # the masks as one full table each, as they were always built
+    want = np.full(n ** arity, -1, np.int8)
+    want[flat_cells(cells, n)] = labels
+    want = want.reshape((n,) * arity)
+    m = kb.masks()["p"]
+    assert m.labels.dtype == np.int8 and m.mask.dtype == bool
+    assert np.array_equal(m.labels, want) and np.array_equal(m.mask, want >= 0)
+    for arr in (m.mask, m.labels):
+        assert arr.shape == (n,) * arity and not arr.flags.writeable
+    # a never-observed predicate holds no table: its masks are views of one value
+    if arity:
+        assert all(step == 0 for step in m.mask.strides + m.labels.strides) != observed
+    result = E.initial_marginals(E.UnaryTable.zeros(kb), kb)
+    (columns,) = report_columns(result, kb)
+    assert np.array_equal(columns.observed,
+                          (want >= 0).reshape(-1)[flat_cells(columns.cells, n)])
+    assert columns.observed.sum() == 3 * len(labels)
 
 
 def test_fully_observed_predicate_has_zero_latents():

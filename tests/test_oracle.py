@@ -287,7 +287,7 @@ def _matches_chained_oracle(seen, rules, n, seed, damping, iterations, zero_unar
     program = compile_rules(rules, kb)
     seen["expanding"].append(any(ci.coefficient != 1.0 for ci in program.implications))
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    messages, _ = _schedule(program, weights, kb.masks(), phi, _storage(kb)[2])
+    messages, _ = _schedule(program, weights, phi.extremes(kb), _storage(kb)[2])
     seen["writing"].append(any(writes for _, _, writes in messages))
     got = iterate(phi, program, EngineConfig(iterations=iterations, damping=damping))
     q = chained_oracle(phi, rules, kb, iterations, damping)
