@@ -117,6 +117,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    if args.entities < 1:
+        raise UsageError("--entities must be >= 1")
     ruleset = parse_rules(_read(args.rules))
     if not len(ruleset):
         raise RuleError("no formulas in rule file")
@@ -180,6 +182,8 @@ def cmd_aucpr(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     started = time.perf_counter()
     worst, failures = testing.run_equivalence_suite(args.trials, args.seed)
     elapsed = time.perf_counter() - started

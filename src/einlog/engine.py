@@ -17,14 +17,16 @@ table is built.  Each implication's coefficient scales its rule weight.
 
 Two implications of one clause whose plans are one matrix product each,
 into every cell of one hypothesis with the same signed weight, and which
-read one operand in the same role, run as one ``SummedProduct``
-(``Program.sums``): by linearity ``A·B + A·C = A·(B + C)``, so one product
-runs on the sum of the two other operands, which is built in the
-hypothesis's spare table before its refill.  On transitivity ``Q·Q`` takes
-in ``Q·Qᵀ``, and the three messages cost 1.5N³ multiply-adds per iteration
-instead of 2N³.  The sum adds in another order than the two messages, so
-on a rule set with a summed pair the marginals can differ from adding them
-one at a time in their last bits, and a 9-decimal report at a rounding tie.
+read one operand in the same role, run as one summed product
+(``SummedProduct``, ``Program.sums``): by linearity ``A·B + A·C = A·(B +
+C)``, so ``message`` runs one plan on the sum of the two other operands.
+The sum is built in row blocks in the hypothesis's spare table, whose bytes
+are dead until its first message; a transposed operand is first copied in
+strips (see ``_add``).  On transitivity ``Q·Q`` takes in ``Q·Qᵀ``, and the
+three messages cost 1.5N³ multiply-adds per iteration instead of 2N³.  The
+sum adds in another order than the two messages, so on a rule set with a
+summed pair the marginals can differ from adding them one at a time in
+their last bits, and a 9-decimal report at a rounding tie.
 
 Inside ``iterate`` a binary predicate is held as one plane at a time,
 since ``q0 = 1 - q1``: the logit difference ``x0 - x1`` while messages are
@@ -36,13 +38,33 @@ of arity at most 2 holds exactly 0 wherever it would hold less than
 ``_FLUSH``, so the product of two nonzero entries of a matrix-product
 operand is a normal number.
 
-Where it is exact, a message writes its logit plane (see ``_schedule``):
-a zero-unary binary plane is not refilled but written by one of its first
-two messages, through ``planner.execute(out=)`` when the plan fills it; a
-message of weight ±1 is added with no scale pass; and a predicate observed
-in every cell gets no message.  Such a written plane starts at ½ with no
-refill and no sigmoid.  Marginals are bit-identical to refilling and adding
-every scaled message.
+The messages of an iteration run as a tuple of ``Step`` records, built once
+per solve by ``_schedule`` and run in order by ``_add_messages``.  A step
+holds its implication, its weight (negated into label 1 of a binary plane,
+which holds ``x0 - x1``; negation is exact), the logit cells it goes into,
+and its summed product, if any.  A predicate observed in every cell gets no
+step, since clamping overwrites whatever it adds.  A step is of one kind:
+
+* add: the message goes into its cells by ``+=``, or ``-=`` with weight -1,
+  with no scale pass at weight ±1 (``1.0 * x == x``).  At any other weight a
+  message ``planner.execute`` allocated is scaled in place and a view (a
+  message without contraction aliases its gathered input or the snapshot)
+  is scaled into a new array.  A size-1 message axis broadcasts over the
+  cells.  Through a slice the add runs in row blocks; into one cell or a
+  diagonal, which indexing copies, it is whole.
+* write: a binary plane with an all-zero unary table is not refilled when
+  one of its first two messages covers every cell (a slice per axis).  That
+  message runs first of those into the plane and overwrites it: through
+  ``planner.execute(out=)``, then scaled in place unless the weight is 1,
+  when its plan fills the plane (preferred), else as ``w * msg``.  The
+  refilled sum ``(0 + a) + b`` equals ``b + a`` bit for bit, so either may
+  write, and the plane starts at ½ with no refill and no sigmoid.
+* summed: runs first of the messages into its hypothesis, with its sum
+  built in the table's dead bytes.  It then refills the table and adds, or
+  writes the plane of a binary predicate with an all-zero unary table.
+
+Marginals are bit-identical to refilling and adding every scaled message,
+but for the summed products' order of adds.
 
 Before its first iteration ``iterate`` bounds the logits of each predicate
 H (``_bounds``): ``max|phi_H|`` (the spread ``hi - lo`` on a binary plane,
@@ -80,7 +102,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -256,16 +277,14 @@ class CompiledImplication:
 @dataclass(frozen=True)
 class SummedProduct:
     """Two implications of one clause whose messages run as one matrix
-    product.
+    product (see the module docstring).
 
-    Both plans are one ``gemm`` step into every cell of one hypothesis, with
-    the same signed weight, and they read one operand, under one premise
-    key, in the same role.  By linearity ``kept``'s plan, run with its
-    premise ``operand`` replaced by that premise's array plus the array of
-    ``dropped``'s premise ``other`` (transposed when ``transpose``), gives
-    the sum of the two messages.  ``kept`` is not a symmetric product, and
-    ``saved`` is the multiply-adds this saves per iteration: ``dropped``'s
-    product, half of it when symmetric, less the ``N^2`` adds of the sum.
+    ``kept``'s plan, run with its premise ``operand`` replaced by that
+    premise's array plus the array of ``dropped``'s premise ``other``
+    (transposed when ``transpose``), gives the sum of the two messages.
+    ``kept`` is not a symmetric product, and ``saved`` is the multiply-adds
+    this saves per iteration: ``dropped``'s product, half of it when
+    symmetric, less the ``N^2`` adds of the sum.
     """
 
     kept: CompiledImplication
@@ -299,6 +318,20 @@ class Program:
     kb: KnowledgeBase
     implications: tuple[CompiledImplication, ...]
     sums: tuple[SummedProduct, ...] = ()
+
+
+@dataclass(frozen=True)
+class Step:
+    """One message of an iteration, as ``_add_messages`` runs it (see the
+    module docstring for the kinds)."""
+
+    implication: CompiledImplication   # a summed product's kept implication
+    weight: float                      # negated into label 1 of a binary plane
+    cells: tuple[tuple, ...]           # one index of the logit table per target label
+    sliced: bool                       # the cells keep a slice: the add runs in row blocks
+    summed: SummedProduct | None = None
+    writes: bool = False               # overwrites its plane instead of adding
+    refills: bool = False              # a summed step refills its table after the message
 
 
 @dataclass
@@ -499,7 +532,8 @@ def compile_rules(rules, kb: KnowledgeBase) -> Program:
 
 
 def message(ci: CompiledImplication, marginals: MarginalTable,
-            out: np.ndarray | None = None) -> np.ndarray:
+            out: np.ndarray | None = None, summed: SummedProduct | None = None,
+            scratch: np.ndarray | None = None) -> np.ndarray:
     """Expected count of true-premise groundings per hypothesis cell.
 
     The message broadcasts to the hypothesis cells: a hypothesis variable
@@ -513,33 +547,20 @@ def message(ci: CompiledImplication, marginals: MarginalTable,
 
     With ``out`` the plan's last step writes the message into ``out``,
     which is returned; the plan must fill its output (see
-    ``planner.execute``).
+    ``planner.execute``).  With ``summed``, whose ``kept`` is ``ci``, it is
+    the pair's message (see the module docstring), with the summed operand
+    written into ``scratch``, an array of its shape whose bytes the caller
+    does not need.
     """
-    first = {p.key: p for p in ci.premises}
+    extra = () if summed is None else (summed.dropped.premises[summed.other],)
+    first = {p.key: p for p in (*ci.premises, *extra)}
     gathered = {key: p.gather(marginals.tables[p.predicate]) for key, p in first.items()}
-    return planner.execute(ci.plan, [gathered[p.key] for p in ci.premises], out=out)
-
-
-def summed_message(s: SummedProduct, marginals: MarginalTable,
-                   scratch: np.ndarray) -> np.ndarray:
-    """The sum of the messages of ``s.kept`` and ``s.dropped``, in one run
-    of ``s.kept``'s plan (see ``SummedProduct``).
-
-    The summed operand is written into ``scratch``, an array of its shape
-    whose bytes the caller does not need, in row blocks (see
-    ``parallel.rows``), so the message needs no buffer beyond the product.
-    Gathering is as in ``message``, and the dropped premise reuses the
-    array of an equal key.  The sum adds in another order than the two
-    messages would, so it agrees with their sum to rounding, not bitwise.
-    """
-    kept, other = s.kept, s.dropped.premises[s.other]
-    first = {p.key: p for p in (*kept.premises, other)}
-    gathered = {key: p.gather(marginals.tables[p.predicate]) for key, p in first.items()}
-    extra = gathered[other.key]
-    rows(_add, scratch, gathered[kept.premises[s.operand].key],
-         extra.T if s.transpose else extra)
-    return planner.execute(kept.plan, [scratch if i == s.operand else gathered[p.key]
-                                       for i, p in enumerate(kept.premises)])
+    inputs = [gathered[p.key] for p in ci.premises]
+    if summed is not None:
+        other = gathered[extra[0].key]
+        rows(_add, scratch, inputs[summed.operand], other.T if summed.transpose else other)
+        inputs[summed.operand] = scratch
+    return planner.execute(ci.plan, inputs, out=out)
 
 
 def _add(out: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -662,113 +683,74 @@ def initial_marginals(phi: UnaryTable, kb: KnowledgeBase) -> MarginalTable:
 
 def _schedule(program: Program, weights: tuple[float, ...],
               extremes: dict[str, tuple[float, float]],
-              planes: frozenset) -> tuple[tuple, frozenset]:
-    """The messages of one iteration as ``(message, weight, writes)``
-    triples, in the order ``_add_messages`` runs them, and the names of the
-    tables to refill before them.  A message is an implication or a
-    ``SummedProduct``, which stands in for its two implications and takes
-    the weight of ``kept``.
-
-    An implication whose hypothesis is observed in every cell is dropped:
-    clamping overwrites whatever it adds.  A summed product runs first of
-    the messages into its hypothesis and is not refilled before it: it
-    builds its sum in the table's dead bytes, then refills the table, or
-    writes it when it is a binary plane with an all-zero unary table.  Of
-    the other binary planes, one whose unary table is all zero is not
-    refilled when one of the first two messages to it covers every cell (a
-    full slice per axis): that message writes the plane, and runs first.
-    One whose plan fills the plane is preferred, since it writes through
-    ``out=`` with no temporary.  Either of the two may write because the
-    refilled sum ``(0 + a) + b`` equals ``b + a`` bit for bit: ``0 + a == a``
-    and addition commutes.
-    """
+              planes: frozenset) -> tuple[tuple[Step, ...], frozenset, frozenset]:
+    """The steps of one iteration in run order (see the module docstring),
+    the tables to refill before them, and the binary planes they write,
+    which start at ½.  A summed product runs as one step, with the weight
+    of ``kept``.  A step that writes, or is summed, runs first of the steps
+    into its hypothesis, which is not refilled before it."""
     kb = program.kb
     full = {name for name, (cells, _) in kb.observed.items()
             if len(cells) == kb.n ** cells.shape[1]}
     zero = {name for name, (lo, hi) in extremes.items() if lo == hi == 0.0}
-    dropped = {id(s.dropped) for s in program.sums}
     summed = {id(s.kept): s for s in program.sums}
-    messages = [(summed.get(id(ci), ci), w, False)
-                for ci, w in zip(program.implications, weights)
-                if ci.hypothesis not in full and id(ci) not in dropped]
-    refill = set(program.kb.predicates)
+    dropped = {id(s.dropped) for s in program.sums}
+    order = [(ci, w, summed.get(id(ci))) for ci, w in zip(program.implications, weights)
+             if ci.hypothesis not in full and id(ci) not in dropped]
+    lead, rank = {}, {}
     for name in planes | {s.hypothesis for s in program.sums}:
-        into = [i for i, (ci, _, _) in enumerate(messages) if ci.hypothesis == name]
-        sums = [i for i in into if isinstance(messages[i][0], SummedProduct)]
-        if sums:
-            refill.discard(name)
-            writes = name in planes and name in zero
-            ci, w, _ = messages.pop(sums[0])
-            messages.insert(into[0], (ci, w, writes))
-            continue
-        cover = [i for i in into[:2]
-                 if all(isinstance(ix, slice) for ix in messages[i][0].scatter)]
-        if not cover or name not in zero:
-            continue
-        ci, w, _ = messages.pop(min(cover, key=lambda i: not messages[i][0].plan.fills_output))
-        messages.insert(into[0], (ci, w, True))
-        refill.discard(name)
-    return tuple(messages), frozenset(refill)
-
-
-def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, messages, fill=None):
-    """Add each message of ``messages``, ``(message, weight, writes)``
-    triples (see ``_schedule``), to ``logits``, all read from the snapshot
-    ``q``.
-
-    A binary plane holds ``x0 - x1``, so a message to label 1 is added with
-    its weight negated; negation is exact, so this rounds as a subtraction.
-    A summed product (see ``summed_message``) builds its sum in its
-    hypothesis's plane, or in the first label plane of its table, whose
-    bytes are dead until then;
-    after the product it calls ``fill([name])`` to write the table's unary
-    logits, unless it writes the table.  A writing message covers its plane
-    and overwrites it: a plan that fills the plane writes it through
-    ``out=`` and is scaled in place unless the weight is 1, and any other
-    message is written as ``w * msg``.  Added with weight ±1, a message goes
-    in by ``+=`` or ``-=`` with no scale pass, which is exact since
-    ``1.0 * x == x``.  With any other weight a message that
-    ``planner.execute`` allocated is scaled in place (it rounds as
-    ``w * msg``), and a view, such as a message without contraction that
-    aliases its gathered input or ``q`` itself, is scaled into a new array.
-    The ``+=`` broadcasts a message's size-1 axes over the hypothesis cells.
-    Each message, and what it gathered, is dropped before the next is
-    computed.
-    """
-    for ci, w, writes in messages:
-        target = logits[ci.hypothesis]
-        msg = None
-        if isinstance(ci, SummedProduct):
-            msg = summed_message(ci, q, target if target.ndim == len(ci.kept.scatter)
-                                 else target[..., 0])
-            ci = ci.kept
-            if not writes:
-                fill([ci.hypothesis])
-        if target.ndim == len(ci.scatter):
+        into = [i for i, (ci, _, _) in enumerate(order) if ci.hypothesis == name]
+        sums = [i for i in into if order[i][2] is not None]
+        cover = [i for i in into[:2] if all(isinstance(ix, slice) for ix in order[i][0].scatter)]
+        if sums or (cover and name in zero):
+            lead[name] = sums[0] if sums else min(
+                cover, key=lambda i: not order[i][0].plan.fills_output)
+            rank[lead[name]] = into[0] - 0.5
+    written = frozenset(name for name in lead if name in planes and name in zero)
+    steps = []
+    for i in sorted(range(len(order)), key=lambda i: rank.get(i, i)):
+        ci, w, s = order[i]
+        if ci.hypothesis in planes:
             (label,) = ci.target_labels
-            w, cells = (-w if label else w), [ci.scatter]
+            w, cells = (-w if label else w), (ci.scatter,)
         else:
-            cells = [ci.scatter + (label,) for label in ci.target_labels]
-        if writes and msg is None and ci.plan.fills_output:
-            message(ci, q, out=target)
-            if w != 1.0:
-                rows(_scale, target, target, w)
-        elif writes:
-            rows(_scale, target, message(ci, q) if msg is None else msg, w)
+            cells = tuple(ci.scatter + (label,) for label in ci.target_labels)
+        writes = lead.get(ci.hypothesis) == i and ci.hypothesis in written
+        steps.append(Step(ci, w, cells, any(isinstance(ix, slice) for ix in ci.scatter),
+                          s, writes, s is not None and not writes))
+    return tuple(steps), frozenset(kb.predicates).difference(lead), written
+
+
+def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, steps,
+                  phi: UnaryTable | None = None, planes: frozenset = frozenset()):
+    """Run ``steps`` (see ``_schedule``) into ``logits``, every message read
+    from the snapshot ``q``; ``phi`` and ``planes`` refill the table of a
+    step that ``refills``.  Each message, and what it gathered, is dropped
+    before the next is computed."""
+    for step in steps:
+        ci, w = step.implication, step.weight
+        target = logits[ci.hypothesis]
+        if step.summed is not None:
+            msg = message(ci, q, summed=step.summed, scratch=target[step.cells[0]])
+            if step.refills:
+                _refill(logits, phi, planes, (ci.hypothesis,))
         else:
-            if msg is None:
-                msg = message(ci, q)
+            msg = message(ci, q, out=target if step.writes and ci.plan.fills_output else None)
+        if step.writes:
+            if msg is not target or w != 1.0:
+                rows(_scale, target, msg, w)
+        else:
             if abs(w) != 1.0:
                 scaled = msg if msg.flags.owndata else np.empty_like(msg)
                 rows(_scale, scaled, msg, w)
                 msg = scaled
+                del scaled
             add = np.subtract if w == -1.0 else np.add
-            for index in cells:
-                view = target[index]
-                if view.ndim and not any(isinstance(ix, np.ndarray) for ix in index):
-                    rows(_accumulate, view, msg, add)
+            for index in step.cells:
+                if step.sliced:
+                    rows(_accumulate, target[index], msg, add)
                 else:   # one cell or a diagonal, which indexing copies
-                    target[index] = add(view, msg)
+                    target[index] = add(target[index], msg)
         del msg
 
 
@@ -866,16 +848,14 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
 
     Two tables per predicate take turns: one holds the current marginals,
     the other is refilled with the unary logits, receives the messages and
-    is normalized, damped, clamped and flushed in place.  A zero-unary plane
-    that a message writes is not refilled, and starts at ½ (see ``_start``),
-    messages into a predicate observed in every cell are skipped, and a
-    summed product refills its hypothesis after building its sum there (see
-    ``_schedule``).  A binary predicate's pair is the two label planes of
-    its output table (see the module docstring): iteration
-    ``config.iterations`` writes label 1, and label 0 is the spare until the
-    result's one ``1 - q1`` pass writes it, so the predicate needs no buffer
-    beyond its output table and the result no copy.  A multi-class
-    predicate has one spare table beside its output table.
+    is normalized, damped, clamped and flushed in place.  The messages run
+    as the steps ``_schedule`` builds once (see the module docstring), and a
+    plane a step writes starts at ½.  A binary predicate's pair is the two
+    label planes of its output table: iteration ``config.iterations``
+    writes label 1, and label 0 is the spare until the result's one
+    ``1 - q1`` pass writes it, so the predicate needs no buffer beyond its
+    output table and the result no copy.  A multi-class predicate has one
+    spare table beside its output table.
 
     After every iteration but the last, each new table is compared bit for
     bit with the snapshot it was computed from.  When all are identical the
@@ -897,8 +877,7 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     checked = [name for name, bound in bounds.items() if not bound < LOGIT_LIMIT]
     if trace is not None:
         trace.bounds = bounds
-    messages, refill = _schedule(program, weights, extremes, planes)
-    written = frozenset(ci.hypothesis for ci, _, writes in messages if writes)
+    steps, refill, written = _schedule(program, weights, extremes, planes)
     # iteration T writes `last`; a binary predicate's spare is label 0 of its
     # output table, read for the last time before `_expand` writes it
     other = {name: tables[name][..., 0] if name in planes else label_planes(arr.shape)
@@ -909,7 +888,7 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
         _refill(spare, phi, planes, refill)
-        _add_messages(spare, MarginalTable(q), messages, partial(_refill, spare, phi, planes))
+        _add_messages(spare, MarginalTable(q), steps, phi, planes)
         for name in checked:
             if not all(rows(_finite, spare[name])):
                 raise EngineError(f"non-finite logits for {name} at iteration {t}")

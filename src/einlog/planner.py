@@ -40,6 +40,7 @@ from .tensor import EinsumSpec, broadcast_output
 # a matrix product of at least _SPLIT_FLOPS multiply-adds is split (see
 # _split_matmul); an einsum step runs in row blocks from parallel.FLOOR
 _SPLIT_FLOPS = 256 ** 3
+_F64 = np.dtype(np.float64)
 
 
 class PlanError(Exception):
@@ -92,9 +93,6 @@ class ContractionPlan:
         """Whether the last step's result is the whole output, with no
         broadcast letter: only then can ``execute`` write into ``out``."""
         return bool(self.steps) and len(self.steps[-1].result_subscript) == len(self.spec.output)
-
-    def max_result_arity(self) -> int:
-        return max((len(s.result_subscript) for s in self.steps), default=0)
 
     def max_intermediate_bytes(self) -> int:
         """float64 bytes of the largest step result: its extents x 8."""
@@ -451,16 +449,19 @@ def execute(cplan: ContractionPlan, inputs, out: np.ndarray | None = None) -> np
     With ``out`` the last step writes its result there and ``out`` is
     returned; the plan must fill its output (``cplan.fills_output``).
     """
-    arrays = [np.asarray(t, dtype=np.float64) for t in inputs]
+    # a float64 ndarray, the usual operand, skips the conversion call; the
+    # shapes are compared as one tuple, and only a mismatch is looked into
+    pool = [t if type(t) is np.ndarray and t.dtype is _F64 else np.asarray(t, dtype=_F64)
+            for t in inputs]
     spec = cplan.spec
-    if len(arrays) != len(cplan.input_shapes):
-        raise PlanError(f"plan has {len(spec.inputs)} operands, got {len(arrays)}")
-    for arr, shape, sub in zip(arrays, cplan.input_shapes, spec.inputs):
-        if arr.shape != shape:
-            raise PlanError(f"operand shape {arr.shape} does not match subscript {sub!r}")
+    if tuple([t.shape for t in pool]) != cplan.input_shapes:
+        if len(pool) != len(cplan.input_shapes):
+            raise PlanError(f"plan has {len(spec.inputs)} operands, got {len(pool)}")
+        for arr, shape, sub in zip(pool, cplan.input_shapes, spec.inputs):
+            if arr.shape != shape:
+                raise PlanError(f"operand shape {arr.shape} does not match subscript {sub!r}")
     if out is not None and not cplan.fills_output:
         raise PlanError(f"plan of {spec} does not fill its output, so it cannot write out=")
-    pool = arrays
     last = None
     final = len(cplan.steps) - 1
     for n, step in enumerate(cplan.steps):

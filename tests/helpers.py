@@ -1,9 +1,10 @@
-"""Helpers that only the tests use: rule-file printing, table comparison, a
-row view of the report and a per-threshold loop for ``auc_pr``."""
+"""Helpers that only the tests use: rule-file printing, table comparison,
+the kind of a solve step, a row view of the report and a per-threshold loop
+for ``auc_pr``."""
 
 import numpy as np
 
-from einlog.engine import MarginalTable, UnaryTable
+from einlog.engine import MarginalTable, UnaryTable, message
 from einlog.fol import RuleSet
 from einlog.io import report_columns
 
@@ -28,6 +29,27 @@ def copy_unary(phi: UnaryTable) -> UnaryTable:
 
 def max_abs_diff(a: MarginalTable, b: MarginalTable) -> float:
     return max(float(np.max(np.abs(a.tables[k] - b.tables[k]))) for k in a.tables)
+
+
+# every kind of engine step, an add told apart by its weight and, when
+# scaled, by whether its message is a view (see the engine module docstring)
+STEP_KINDS = frozenset({"add weight ±1", "add scaled owned", "add scaled view", "add into cells",
+                        "write through out=", "write scaled", "summed refill", "summed write"})
+
+
+def step_kind(step, q: MarginalTable) -> str:
+    """The kind of an engine ``Step``, one of ``STEP_KINDS``; ``q`` is any
+    snapshot the step's message can read."""
+    if step.summed is not None:
+        return "summed write" if step.writes else "summed refill"
+    if step.writes:
+        return "write through out=" if step.implication.plan.fills_output else "write scaled"
+    if not step.sliced:
+        return "add into cells"
+    if abs(step.weight) == 1.0:
+        return "add weight ±1"
+    owned = message(step.implication, q).flags.owndata
+    return "add scaled owned" if owned else "add scaled view"
 
 
 def same_bytes(a: MarginalTable, b: MarginalTable) -> bool:

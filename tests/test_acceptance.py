@@ -245,11 +245,12 @@ def test_planner_reproduces_listed_four_fold_plan():
     cost_ok = p.total_cost == 4 * n**5  # cost-equivalent reordering of the listed steps
     # the listed sequence keeps every intermediate at four indices; the widest
     # step still activates five, which the plan reports as M'
-    arity_ok = p.max_result_arity() == 4 and p.max_intermediate_arity == 5
+    max_result_arity = max(len(s.result_subscript) for s in p.steps)
+    arity_ok = max_result_arity == 4 and p.max_intermediate_arity == 5
     ok = fold_ok and cost_ok and arity_ok
     report("five-operand fold plan", ok,
            f"folds {small}, cost {int(p.total_cost)}, max result arity "
-           f"{p.max_result_arity()} (=4), M'={p.max_intermediate_arity}")
+           f"{max_result_arity} (=4), M'={p.max_intermediate_arity}")
 
 
 # --- planner scaling --------------------------------------------------------

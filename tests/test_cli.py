@@ -548,6 +548,23 @@ def test_check_command(capsys):
     assert "worst gap" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_check_rejects_fewer_than_one_trial(capsys, trials):
+    # a check that ran no trial would print a worst gap of 0 and pass
+    code, out, err = run(capsys, "check", "--trials", trials, "--seed", "0")
+    assert (code, out) == (1, "")
+    assert err == "usage error: --trials must be >= 1\n"
+
+
+@pytest.mark.parametrize("entities", ["0", "-3"])
+def test_plan_rejects_fewer_than_one_entity(tmp_path, capsys, entities):
+    rules = tmp_path / "r.rules"
+    rules.write_text("predicate p(t)\npredicate q(t)\n!p(a) | q(a)\n")
+    code, out, err = run(capsys, "plan", "--rules", str(rules), "--entities", entities)
+    assert (code, out) == (1, "")
+    assert err == "usage error: --entities must be >= 1\n"
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1

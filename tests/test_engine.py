@@ -21,7 +21,7 @@ from einlog.oracle import naive_mf_step
 from einlog.tensor import softmax_lastaxis
 from einlog.testing import ORACLE_TOL, engine_oracle_gap, random_instance
 
-from helpers import copy_unary, max_abs_diff, same_bytes
+from helpers import copy_unary, max_abs_diff, same_bytes, step_kind
 
 C = Predicate("c", 2)
 A, B, D = variable("a"), variable("b"), variable("d")
@@ -624,9 +624,10 @@ def test_one_gather_per_distinct_premise_key(monkeypatch):
     assert ("tri", (), (0,)) not in keys and ("tri", (), (1,)) in keys
 
     # each iteration gathers each distinct key once per scheduled message
-    scheduled, _ = engine._schedule(program, tuple(ci.weight for ci in program.implications),
-                                 phi.extremes(kb), engine._storage(kb)[2])
-    per_iteration = sorted(key for ci, _, _ in scheduled for key in {p.key for p in ci.premises})
+    scheduled, _, _ = engine._schedule(program, tuple(ci.weight for ci in program.implications),
+                                       phi.extremes(kb), engine._storage(kb)[2])
+    per_iteration = sorted(key for step in scheduled
+                           for key in {p.key for p in step.implication.premises})
     calls = []
     original = PremiseInput.gather
 
@@ -687,8 +688,9 @@ def test_weighting_leaves_shared_gathered_input_unchanged(monkeypatch):
     monkeypatch.setattr(PremiseInput, "gather", recording)
     logits = UnaryTable.zeros(kb).tables
     snapshot = q.copy()
-    _add_messages(logits, q, [(ci, ci.weight * ci.coefficient, False)
-                              for ci in program.implications])
+    steps, _, _ = engine._schedule(program, tuple(ci.weight * ci.coefficient
+                                                  for ci in program.implications), {}, frozenset())
+    _add_messages(logits, q, steps)
     assert all(np.array_equal(out, before) for _, out, before in gathered)
     # a message without contraction may alias the live snapshot q itself
     assert all(np.array_equal(q.tables[name], snapshot.tables[name]) for name in q.tables)
@@ -833,13 +835,14 @@ def test_one_plane_weighting_leaves_aliased_snapshot_unchanged():
     q1 = {name: rng.random((3, 3)) for name in "prs"}
     snapshot = {name: arr.copy() for name, arr in q1.items()}
     diff = {name: np.zeros((3, 3)) for name in "prs"}
-    messages = [(ci, ci.weight * ci.coefficient, False) for ci in program.implications]
-    _add_messages(diff, MarginalTable(q1), messages)
+    weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
+    on_planes, _, _ = engine._schedule(program, weights, {}, frozenset("prs"))
+    _add_messages(diff, MarginalTable(q1), on_planes)
     assert all(np.array_equal(q1[name], snapshot[name]) for name in q1)
     # the same messages added to two label planes give x0 - x1 exactly
     q = MarginalTable({name: np.stack([1.0 - arr, arr], axis=-1) for name, arr in q1.items()})
     logits = {name: np.zeros((3, 3, 2)) for name in "prs"}
-    _add_messages(logits, q, messages)
+    _add_messages(logits, q, engine._schedule(program, weights, {}, frozenset())[0])
     for name in "prs":
         assert np.array_equal(diff[name], logits[name][..., 0] - logits[name][..., 1])
     assert np.array_equal(diff["r"], -2.5 * q1["p"]) and np.array_equal(diff["s"], 0.5 * q1["p"])
@@ -1206,17 +1209,17 @@ def test_written_plane_is_bitwise_the_refilled_sum(candidate, partner, damping):
     program, phi = _writer_instance(candidate, partner)
     planes = frozenset(program.kb.predicates)
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    messages, refill = engine._schedule(program, weights, phi.extremes(program.kb), planes)
-    assert "o" not in {ci.hypothesis for ci, _, _ in messages}
+    steps, refill, _ = engine._schedule(program, weights, phi.extremes(program.kb), planes)
+    assert "o" not in {step.implication.hypothesis for step in steps}
     into_t = [ci for ci in program.implications if ci.hypothesis == "t"]
-    writers = [ci for ci, _, writes in messages if writes]
+    writers = [step.implication for step in steps if step.writes]
     want = WRITER[candidate, partner]
     if want is None:
         assert writers == [] and "t" in refill
     else:
         assert writers == [into_t[want]] and refill == {"r", "o"}
         # the writer runs before every other message into t
-        order = [ci for ci, _, _ in messages if ci.hypothesis == "t"]
+        order = [step.implication for step in steps if step.implication.hypothesis == "t"]
         assert order[0] is into_t[want]
     for iterations in (1, 2, 3):
         config = EngineConfig(iterations, damping=damping)
@@ -1232,9 +1235,10 @@ def test_kbc_tri_takes_its_outer_product_directly():
     phi = UnaryTable.zeros(kb)
     _, _, planes = engine._storage(kb)
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    messages, refill = engine._schedule(program, weights, phi.extremes(kb), planes)
+    steps, refill, _ = engine._schedule(program, weights, phi.extremes(kb), planes)
     assert refill == {"kind"}
-    (writer,) = [ci for ci, _, writes in messages if writes and ci.hypothesis == "tri"]
+    (writer,) = [step.implication for step in steps
+                 if step.writes and step.implication.hypothesis == "tri"]
     assert str(writer.plan.spec) == "bc,ac->abc" and writer.plan.fills_output
 
 
@@ -1252,6 +1256,88 @@ def test_fully_observed_hypothesis_gets_no_message(monkeypatch):
     into_o = sum(ci.hypothesis == "o" for ci in program.implications)
     assert into_o == 3
     assert "o" not in hypotheses and len(hypotheses) == 2 * (len(program.implications) - into_o)
+
+
+def test_schedule_runs_once_per_solve_with_signs_and_cells_resolved(monkeypatch):
+    program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(5))
+    phi = UnaryTable({"c": np.random.default_rng(4).normal(0.0, 1.5, (5, 5, 2))})
+    built = []
+    original = engine._schedule
+
+    def recording(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(engine, "_schedule", recording)
+    iterate(phi, program, EngineConfig(iterations=4))
+    ((steps, refill, written),) = built
+    # the summed product runs first and refills c after building its sum
+    # there; on the plane x0 - x1 label 1 negates the weight, so the q1
+    # products go in as -msg and the ones terms as +msg
+    assert refill == written == frozenset()
+    assert [(str(s.implication.plan.spec), s.weight, s.summed is not None, s.refills)
+            for s in steps] == [("ab,bc->ac", -1.0, True, True), ("bc->ab", 1.0, False, False),
+                                ("ab,ac->bc", -1.0, False, False), ("ab->bc", 1.0, False, False)]
+    assert all(s.cells == ((slice(None),) * 2,) and s.sliced and not s.writes for s in steps)
+
+
+def test_schedule_of_the_kbc_rules_on_tables_and_planes():
+    rules, kb, phi = _kbc_instance(4)
+    program = compile_rules(rules, kb)
+    planes = engine._storage(kb)[2]
+    weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
+    steps, refill, written = engine._schedule(program, weights, phi.extremes(kb), planes)
+    assert refill == set(kb.predicates) and written == frozenset()
+    step = {(s.implication.rule_id, s.implication.hypothesis, s.implication.target_labels): s
+            for s in steps}
+    # a multi-class table gets one index per target label, with the weight as given
+    assert step["f5", "kind", (0, 1)].cells == ((slice(None), 0), (slice(None), 1))
+    assert step["f5", "kind", (0, 1)].weight == 1.0
+    # label 1 of a binary plane negates the weight; a constant keeps the
+    # plane's other axis, so the add runs in row blocks
+    assert (step["f1", "rel", (1,)].weight, step["f1", "rel", (0,)].weight) == (-2.0, 2.0)
+    assert step["f5", "rel", (0,)].cells == ((0, slice(None)),) and step["f5", "rel", (0,)].sliced
+    # the arity-0 `active` is one cell
+    assert step["f4", "active", (0,)].cells == ((),) and not step["f4", "active", (0,)].sliced
+    q = initial_marginals(phi, kb)
+    assert {step_kind(s, q) for s in steps} == {"add weight ±1", "add scaled view",
+                                                "add into cells"}
+    zero = UnaryTable.zeros(kb)
+    steps, refill, written = engine._schedule(program, weights, zero.extremes(kb), planes)
+    assert refill == {"kind"} and written == planes
+    assert {step_kind(s, q) for s in steps} == {"write through out=", "add weight ±1",
+                                                "add scaled view"}
+
+
+@pytest.mark.parametrize("instance", ["summed write", "summed refill", "write scaled"])
+def test_schedule_drops_each_message_before_the_next_is_computed(monkeypatch, instance):
+    if instance == "write scaled":
+        program, phi = _writer_instance("broadcast", "diagonal")
+    else:
+        kb = trans_kb(6)
+        program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], kb)
+        rng = np.random.default_rng(2)
+        phi = UnaryTable({"c": np.zeros((6, 6, 2)) if instance == "summed write"
+                          else rng.normal(0.0, 1.5, (6, 6, 2))})
+    steps, _, _ = engine._schedule(program, tuple(ci.weight * ci.coefficient
+                                                  for ci in program.implications),
+                                   phi.extremes(program.kb), engine._storage(program.kb)[2])
+    q = initial_marginals(phi, program.kb)
+    assert instance in {step_kind(s, q) for s in steps}
+    kept = []
+    original = engine.message
+
+    def recording(ci, *args, **kwargs):
+        # a message written through out= is the logit plane, which lives on
+        assert all(ref() is None for ref in kept)
+        msg = original(ci, *args, **kwargs)
+        if kwargs.get("out") is None:
+            kept.append(weakref.ref(msg))
+        return msg
+
+    monkeypatch.setattr(engine, "message", recording)
+    iterate(phi, program, EngineConfig(iterations=2))
+    assert kept
 
 
 # matrix products split over the calling thread and the helper (see planner._split_matmul)
@@ -1353,7 +1439,7 @@ def test_half_start_is_the_refilled_sigmoid_bitwise(zeros):
     program = compile_rules(rules, kb)
     _, refilled, planes = engine._storage(kb)
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    _, refill = engine._schedule(program, weights, phi.extremes(kb), planes)
+    _, refill, _ = engine._schedule(program, weights, phi.extremes(kb), planes)
     halves = planes - refill
     assert halves == {"rel", "tri"}
     pins = engine._pins(kb)
@@ -1530,15 +1616,14 @@ def _summed_matches_one_at_a_time(seen, rules, n, seed, damping, iterations, ove
     config = EngineConfig(iterations, weights=weights, damping=damping)
     program = compile_rules(rules, kb)
     planes = engine._storage(kb)[2]
-    scheduled, _ = engine._schedule(program, tuple(ci.weight * ci.coefficient
-                                                   for ci in program.implications),
-                                    phi.extremes(kb), planes)
+    scheduled, _, _ = engine._schedule(program, tuple(ci.weight * ci.coefficient
+                                                      for ci in program.implications),
+                                       phi.extremes(kb), planes)
     for s in program.sums:
         seen["summed"].append(s.hypothesis)
         seen["table"] += s.hypothesis not in planes
         seen["override"] += s.kept.rule_id in weights
-    seen["writing"] += sum(writes for ci, _, writes in scheduled
-                           if isinstance(ci, engine.SummedProduct))
+    seen["writing"] += sum(step.writes for step in scheduled if step.summed is not None)
     got = iterate(phi, program, config)
     want = iterate(phi, Program(kb, program.implications), config)
     assert max_abs_diff(got, want) <= 1e-12
@@ -1594,7 +1679,7 @@ def test_summed_message_is_the_kept_plan_on_the_summed_operand():
     q1 = np.random.default_rng(3).random((n, n))
     q = MarginalTable({"c": q1})
     scratch = np.empty((n, n))
-    got = engine.summed_message(s, q, scratch)
+    got = message(s.kept, q, summed=s, scratch=scratch)
     assert np.array_equal(scratch, q1 + q1.T)
     assert np.array_equal(got, planner.execute(s.kept.plan, [q1, q1 + q1.T]))
     # weight 1 and coefficient -1 on label 0: both go into x0 - x1 as -msg

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from einlog.engine import (EngineConfig, IterationTrace, MarginalTable, UnaryTable,
@@ -17,7 +17,7 @@ from einlog.oracle import (OracleError, brute_einsum, enumerate_groundings,
 from einlog.tensor import softmax_lastaxis
 from einlog.testing import random_instance
 
-from helpers import max_abs_diff, same_bytes
+from helpers import STEP_KINDS, max_abs_diff, same_bytes, step_kind
 
 S = Predicate("s", 1)
 F = Predicate("f", 2)
@@ -271,7 +271,20 @@ def rule_lists(draw):
     return rules
 
 
-# an all-zero unary table lets a message write its plane with no refill
+def _transitivity_on_p(weight):
+    x, y, z = TERMS[:3]
+    p = PALETTE[3]
+    return [CnfFormula((Clause(merge_literals([
+        Literal(p, (x, y), frozenset({0})), Literal(p, (y, z), frozenset({0})),
+        Literal(p, (x, z), frozenset({1}))])),), weight=weight)]
+
+
+# an all-zero unary table lets a message write its plane with no refill; the
+# examples run a summed product that refills p and one that writes it
+@example(rules=_transitivity_on_p(0.7), n=3, seed=5, damping=0.0, iterations=2,
+         zero_unary=set())
+@example(rules=_transitivity_on_p(1.0), n=3, seed=6, damping=0.3, iterations=3,
+         zero_unary={"p"})
 @given(rules=rule_lists(), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
        damping=st.sampled_from([0.0, 0.3]), iterations=st.integers(1, 3),
        zero_unary=st.sets(st.sampled_from([p.name for p in PALETTE])))
@@ -287,8 +300,10 @@ def _matches_chained_oracle(seen, rules, n, seed, damping, iterations, zero_unar
     program = compile_rules(rules, kb)
     seen["expanding"].append(any(ci.coefficient != 1.0 for ci in program.implications))
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    messages, _ = _schedule(program, weights, phi.extremes(kb), _storage(kb)[2])
-    seen["writing"].append(any(writes for _, _, writes in messages))
+    steps, _, _ = _schedule(program, weights, phi.extremes(kb), _storage(kb)[2])
+    seen["writing"].append(any(step.writes for step in steps))
+    start = initial_marginals(phi, kb)
+    seen["kinds"].update(step_kind(step, start) for step in steps)
     got = iterate(phi, program, EngineConfig(iterations=iterations, damping=damping))
     q = chained_oracle(phi, rules, kb, iterations, damping)
     for name, mask in kb.masks().items():
@@ -298,14 +313,24 @@ def _matches_chained_oracle(seen, rules, n, seed, damping, iterations, zero_unar
 
 def test_iterate_matches_chained_oracle_on_every_rule_shape():
     # per example: does a summed 1 - q1 premise expand, does a message write
-    # a zero-unary plane?
-    seen: dict[str, list[bool]] = {"expanding": [], "writing": []}
+    # a zero-unary plane?  And every kind of step runs at least once.
+    seen = {"expanding": [], "writing": [], "kinds": set()}
     _matches_chained_oracle(seen)
     assert any(seen["expanding"]) and any(seen["writing"])
+    assert seen["kinds"] == STEP_KINDS
 
 
 # Every cell observed stops at iteration 1; logits of ten thousand saturate
-# the sigmoid and softmax to exact 0 and 1, which messages rarely move.
+# the sigmoid and softmax to exact 0 and 1, which messages rarely move.  The
+# examples stop after messages moved a cell, at iteration 3 undamped and 2
+# damped, and one runs out its single iteration, so every run of the test
+# holds each case its caller asserts was seen.
+@example(rules=_transitivity_on_p(1.0), n=3, seed=3, damping=0.0, iterations=5,
+         observed=0.2, scale=1e4, zero_unary=set())
+@example(rules=_transitivity_on_p(1.0), n=3, seed=14, damping=0.3, iterations=5,
+         observed=0.2, scale=1e4, zero_unary=set())
+@example(rules=_transitivity_on_p(1.0), n=3, seed=3, damping=0.0, iterations=1,
+         observed=0.2, scale=1e4, zero_unary=set())
 @given(rules=rule_lists(), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
        damping=st.sampled_from([0.0, 0.3]), iterations=st.integers(1, 5),
        observed=st.sampled_from([0.2, 1.0]), scale=st.sampled_from([1.0, 1e4]),

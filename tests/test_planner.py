@@ -130,7 +130,7 @@ def test_four_fold_plan_structure():
     assert len(p.steps) == 4
     folded = {s.operand_subscripts[0] for s in p.steps} | {s.operand_subscripts[1] for s in p.steps}
     assert {"pi", "qj", "rk", "sl"} <= folded
-    assert p.max_result_arity() == 4
+    assert max(len(s.result_subscript) for s in p.steps) == 4
     assert p.steps[-1].result_subscript == "pqrs"
 
 
