@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engine, io, oracle, testing
 from .demo import run_demo
-from .engine import EngineConfig, EngineError, IterationTrace, UnaryTable
+from .engine import EngineConfig, EngineError, IterationTrace
 from .fol import RuleError, parse_rules
 from .kb import EvidenceError, KnowledgeBase, load_evidence, load_queries
 from .metrics import MetricError, auc_pr
@@ -70,7 +70,7 @@ def cmd_infer(args) -> int:
         raise UsageError("--iterations must be >= 1")
     ruleset = parse_rules(_read(args.rules))
     kb = load_evidence(_read(args.evidence), ruleset.predicates)
-    phi = io.load_unary(_read(args.unary), kb) if args.unary else UnaryTable.zeros(kb)
+    phi = io.load_unary(_read(args.unary) if args.unary else "", kb)
     queries = load_queries(_read(args.queries), kb) if args.queries else None
     config = EngineConfig(iterations=args.iterations,
                           weights=_parse_weight_overrides(args.weight),
@@ -122,7 +122,7 @@ def cmd_plan(args) -> int:
     ruleset = parse_rules(_read(args.rules))
     if not len(ruleset):
         raise RuleError("no formulas in rule file")
-    # synthetic domain: any constants the rules mention plus filler entities
+    # synthetic domain of --entities entities: the rules' constants, then fillers
     constants = []
     for formula in ruleset:
         for clause in formula.clauses:
@@ -130,8 +130,10 @@ def cmd_plan(args) -> int:
                 for term in lit.args:
                     if term.is_constant and term.symbol not in constants:
                         constants.append(term.symbol)
-    filler = max(args.entities - len(constants), 2)
-    kb = KnowledgeBase(constants + [f"e{i}" for i in range(filler)],
+    if len(constants) > args.entities:
+        raise UsageError(f"--entities {args.entities} is fewer than the "
+                         f"{len(constants)} constants the rules name")
+    kb = KnowledgeBase(constants + [f"e{i}" for i in range(args.entities - len(constants))],
                        ruleset.predicates, {})
     program = engine.compile_rules(ruleset, kb)
     for ci in program.implications:
@@ -219,7 +221,7 @@ def build_parser() -> _Parser:
                        "and the pairs run as one summed product")
     p.add_argument("--rules", required=True)
     p.add_argument("--entities", type=int, default=8,
-                   help="domain size used for costs")
+                   help="domain size used for costs, the rules' constants included")
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("demo-transitivity", help="noisy block-matrix repair demo")

@@ -138,6 +138,7 @@ class UnaryTable:
 
     @classmethod
     def zeros(cls, kb: KnowledgeBase) -> "UnaryTable":
+        """Writable zero tables; ``io.load_unary("", kb)`` gives read-only ones."""
         return cls({name: label_planes(kb.shape(p) + (p.num_labels,), np.zeros)
                     for name, p in kb.predicates.items()})
 
@@ -147,7 +148,8 @@ class UnaryTable:
 
     def extremes(self, kb: KnowledgeBase) -> dict[str, tuple[float, float]]:
         """Each table's ``(min, max)``, from the one pass that checks the
-        tables against ``kb`` and raises what ``validate`` raises."""
+        tables against ``kb`` and raises what ``validate`` raises; an axis of
+        stride 0 (see ``io.load_unary``) is read as its one slice."""
         unknown = sorted(set(self.tables).difference(kb.predicates))
         if unknown:
             raise EngineError(f"unary table for unknown predicate {', '.join(unknown)}")
@@ -159,6 +161,7 @@ class UnaryTable:
             want = kb.shape(pred) + (pred.num_labels,)
             if arr.shape != want:
                 raise EngineError(f"unary table {name}: shape {arr.shape}, expected {want}")
+            arr = arr[tuple(slice(None) if step else slice(0, 1) for step in arr.strides)]
             lo, hi = arr.min(), arr.max()  # NaN propagates into both
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise EngineError(f"unary table {name} contains non-finite values")

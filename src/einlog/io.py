@@ -30,7 +30,8 @@ from .kb import (Declined, EvidenceError, KnowledgeBase, Queries, atom_blocks, f
 
 
 def load_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
-    """Unary logit table from text; zero logits for unlisted cells."""
+    """Unary logit table from text; zero logits for unlisted cells, and one
+    read-only ``np.broadcast_to(0.0, shape)`` for a predicate no line lists."""
     return read_bulk(_bulk_unary, _walk_unary, text, kb)
 
 
@@ -52,6 +53,9 @@ def _bulk_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
     tables = {}
     for name, pred in kb.predicates.items():
         flat = flat_cells(np.concatenate(found[name][0]), kb.n)
+        if not len(flat):       # no line lists it: one read-only zero, stride 0
+            tables[name] = np.broadcast_to(0.0, kb.shape(pred) + (pred.num_labels,))
+            continue
         if np.any(np.diff(np.sort(flat)) == 0):
             raise Declined                      # duplicate unary entry
         # label-major storage, as UnaryTable.zeros allocates it

@@ -16,13 +16,13 @@ read in bulk, in blocks of ``BLOCK_LINES`` lines: ``atom_blocks`` checks the
 atom grammar of a block in array passes over its characters' classes (the
 sequence of delimiters ``!``, ``(``, ``,``, ``)``, ``=`` and the gaps between
 them) and cuts it into tokens as spans of positions, not strings.  Predicate
-and entity names are resolved by exact key lookup in sorted tables of their
-padded bytes (``_Keys``), and fields become float64 values read from their
-digits (``_numbers``), so no token becomes a Python object unless it is a
-label or a number outside the fast path.  When a bulk reader declines a
-text, ``read_bulk`` runs the reader's per-line walk, which goes through
-``fol.content_lines`` and ``parse_atom`` and raises the first error in line
-order, so each reader error starts with ``line N:``.
+and entity names are found by a hashed lookup of their padded bytes, which
+matches only when every byte is equal (``_Keys``), and fields become float64
+values read from their digits (``_numbers``), so no token becomes a Python
+object unless it is a label or a number outside the fast path.  When a bulk
+reader declines a text, ``read_bulk`` runs the reader's per-line walk, which
+goes through ``fol.content_lines`` and ``parse_atom`` and raises the first
+error in line order, so each reader error starts with ``line N:``.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class KnowledgeBase:
 
     @cached_property
     def entity_keys(self) -> _Keys:
-        """The sorted key table the bulk readers look entity names up in."""
+        """The hashed key table the bulk readers look entity names up in."""
         return _Keys(self.entities)
 
     def entity_index(self, name: str) -> int:
@@ -300,80 +300,34 @@ def _words(win: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int)
     return out
 
 
-def _levels(words: np.ndarray):
-    """A key table of the rows of ``words``, and each row's id in it: equal
-    rows, and only those, share an id, and the ids count up from 0.
-
-    Level k holds the sorted distinct words of column k and, past the first,
-    the sorted distinct codes ``id * (number of those words) + word rank``,
-    where the id numbers the distinct first k words of a row.
-    """
-    levels, ids = [], np.zeros(len(words), np.intp)
-    for k, col in enumerate(words.T):
-        vals, rank = np.unique(col, return_inverse=True)
-        codes = None
-        if k:
-            codes, ids = np.unique(ids * len(vals) + rank, return_inverse=True)
-        else:
-            ids = rank
-        levels.append((vals, codes))
-    return levels, ids
-
-
-def _find(table: np.ndarray, keys: np.ndarray):
-    """The position of each key in the sorted ``table`` (clipped to its last
-    entry), and whether the key is there.  numpy's binary search starts from
-    its last result, so searching the keys in ascending order, argsort
-    included, takes about half as long as searching them as they come."""
-    order = np.argsort(keys)
-    at = np.empty(len(keys), np.intp)
-    at[order] = np.searchsorted(table, keys[order])
-    np.minimum(at, len(table) - 1, out=at)
-    return at, table[at] == keys
-
-
-class _Table:
-    """A sorted key table of names given as (m, width) key words (``_words``)
-    and the name index of each row."""
-
-    def __init__(self, kept: np.ndarray, words: np.ndarray):
-        self.kept, self.words = kept, words
-        self.levels, ids = _levels(words)
-        self.name_of = np.empty(len(kept), np.intp)     # per table id
-        self.name_of[ids] = kept
-
-    def find(self, win: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-        """The name index of each token, and whether it names one."""
-        width = self.words.shape[1]
-        words = _words(win, starts, lengths, width)
-        found = lengths <= 8 * width
-        ids = np.zeros(len(starts), np.intp)
-        for k, (vals, codes) in enumerate(self.levels):
-            rank, hit = _find(vals, words[:, k])
-            found &= hit
-            if codes is None:
-                ids = rank
-            else:
-                ids, hit = _find(codes, ids * len(vals) + rank)
-                found &= hit
-        return self.name_of[ids], found
+# Odd multipliers of a key's words, used in turn: a key hashes to the sum of
+# its words times theirs, so zero words past its end add nothing, and
+# widening the table moves no key.
+_MULTIPLIER = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+                        0xD6E8FEB86659FD93], np.uint64)
 
 
 class _Keys:
-    """Names, and sorted key tables to look tokens up among them exactly.
+    """Names, and an open-addressing hash table to look tokens up among
+    them exactly.
 
-    A key is a name's bytes, zero-padded to a multiple of 8 and read as
-    uint64 words: one word holds a name of up to 8 bytes.  Only symbols can
-    be tokens, so the tables hold the names that are symbols, and a symbol
-    has no zero byte to make two keys equal.  A lookup is a ``searchsorted``
-    and an equality check per word (``_levels``), so a token matches a name
-    only when every byte does.
+    A key is a name's bytes, zero-padded to ``8 * width`` and read as
+    ``width`` uint64 words (``_words``): one word holds a name of up to 8
+    bytes.  Only symbols can be tokens, so the table holds the names that
+    are symbols, and a symbol is not empty and has no zero byte, so no key
+    equals the zero words of an empty slot.  A token's home slot is the top
+    bits of its hash; it probes on from there, one slot at a time, until a
+    slot holds its key or is empty.  A token matches a name only when every
+    word is equal, so the hash decides no match: a set of names whose hashes
+    collide only lengthens the probes.  The table is at most a quarter full
+    and has at least 256 slots, so most tokens, and those of a few predicate
+    names, find their name at its home slot.
 
     A token that matches no name declines its block; with ``grow`` it is
-    added instead, numbered after the names in first-occurrence order.  The
-    names a block adds form a new table, merged with the one before it while
-    that one is no larger, so a file of n new names costs O(n log n) in
-    table builds and each lookup searches at most log2(n) tables.
+    added instead, numbered after the names in first-occurrence order.  A
+    block's new names go into the table as it stands, which is rebuilt, at
+    twice its size or more, only when they would fill more than a quarter of
+    it.
     """
 
     def __init__(self, names, grow: bool = False):
@@ -383,46 +337,81 @@ class _Keys:
         lengths = np.fromiter((len(self.names[i]) for i in kept), np.intp, len(kept))
         raw = "".join(self.names[i] for i in kept).encode("ascii") + bytes(8)
         words = _words(_window(np.frombuffer(raw, np.uint8)), np.cumsum(lengths) - lengths,
-                       lengths, -(-int(lengths.max(initial=0)) // 8))
-        self._tables = [_Table(np.array(kept, np.intp), words)] if kept else []
+                       lengths, max(1, -(-int(lengths.max(initial=0)) // 8)))
+        self._build(words, np.array(kept, np.intp), len(kept))
+
+    def _build(self, words: np.ndarray, ids: np.ndarray, size: int) -> None:
+        """A new table with room for ``size`` names (a power of two of at
+        least 256 and ``4 * size`` slots) that holds the distinct keys
+        ``words`` with their name indices ``ids``."""
+        bits = max(8, (4 * size - 1).bit_length())
+        self.ids = np.full(1 << bits, -1, np.intp)      # name index per slot, -1 if empty
+        self.keys = np.zeros((words.shape[1], 1 << bits), np.uint64)
+        self._shift = 64 - bits
+        self.ids[self._probe(words, claim=True)] = ids
+
+    def _probe(self, words: np.ndarray, claim: bool = False) -> np.ndarray:
+        """The slot of each row of ``words`` (an (m, width) key array), or -1
+        where its key is not in the table.  With ``claim`` a key not in the
+        table takes the first empty slot it probes, shared by the rows that
+        hold it; a claimed slot's id is left below -1 for the caller to set.
+        """
+        # each key's hash, kept on arrays, which wrap where a scalar would warn
+        hashed = words[:, 0] * _MULTIPLIER[0]
+        for k in range(1, words.shape[1]):
+            hashed += words[:, k] * _MULTIPLIER[k % len(_MULTIPLIER)]
+        slot = (hashed >> self._shift).astype(np.intp)
+        at = np.full(len(words), -1, np.intp)
+        pending, rows = np.arange(len(words)), words
+        while len(pending):
+            if claim and (free := np.flatnonzero(self.ids[slot] == -1)).size:
+                # one row at each empty slot takes it; the key written is its own
+                self.ids[slot[free]] = -2 - pending[free]
+                won = free[self.ids[slot[free]] == -2 - pending[free]]
+                self.keys[:, slot[won]] = rows[won].T
+            hit = self.keys[0][slot] == rows[:, 0]
+            for k in range(1, len(self.keys)):
+                hit &= self.keys[k][slot] == rows[:, k]
+            at[pending[hit]] = slot[hit]
+            go = np.flatnonzero(~hit)
+            go = go[self.ids[slot[go]] != -1]       # an empty slot ends a probe
+            pending, rows, slot = pending[go], rows[go], (slot[go] + 1) & (len(self.ids) - 1)
+        return at
 
     def index(self, block: str, win: np.ndarray, starts: np.ndarray,
               stops: np.ndarray) -> np.ndarray:
         """The name index of each token ``block[start:stop]``."""
         lengths = stops - starts
-        out, found = np.zeros(len(starts), np.intp), np.zeros(len(starts), bool)
-        for table in self._tables:
-            got, hit = table.find(win, starts, lengths)
-            np.copyto(out, got, where=hit)
-            found |= hit
-        miss = np.flatnonzero(~found)
+        width = -(-int(lengths.max(initial=0)) // 8)
+        if width > len(self.keys):
+            if not self.grow:
+                raise Declined
+            self.keys = np.pad(self.keys, ((0, width - len(self.keys)), (0, 0)))
+        words = _words(win, starts, lengths, len(self.keys))
+        at = self._probe(words)
+        out = self.ids[at]
+        miss = np.flatnonzero(at < 0)
         if len(miss):
             if not self.grow:
                 raise Declined
-            self._add(block, win, starts[miss], stops[miss], out, miss)
+            out[miss] = self._add(block, starts[miss], stops[miss], words[miss])
         return out
 
-    def _add(self, block, win, starts, stops, out, miss) -> None:
-        """Number the names of the tokens at ``starts``, which ``out`` lacks
-        at ``miss``, after the names in first-occurrence order."""
-        lengths = stops - starts
-        words = _words(win, starts, lengths, -(-int(lengths.max()) // 8))
-        _, first, inverse = np.unique(_levels(words)[1], return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)
-        number = np.empty(len(first), np.intp)
-        number[order] = len(self.names) + np.arange(len(first))
-        out[miss] = number[inverse]
-        heads = first[order]
+    def _add(self, block, starts, stops, words) -> np.ndarray:
+        """The name index of each token at ``starts``, whose names are not
+        in the table, after adding those names in first-occurrence order."""
+        size = len(self.names) + len(words)
+        if 4 * size > len(self.ids):
+            full = np.flatnonzero(self.ids >= 0)
+            self._build(self.keys[:, full].T, self.ids[full], size)
+        slots = self._probe(words, claim=True)
+        # each claimed slot keeps -2 - (the first row of its name)
+        rows = np.arange(len(slots))
+        np.maximum.at(self.ids, slots, -2 - rows)
+        heads = np.flatnonzero(self.ids[slots] == -2 - rows)
+        self.ids[slots[heads]] = len(self.names) + np.arange(len(heads))
         self.names += [block[s:e] for s, e in zip(starts[heads].tolist(), stops[heads].tolist())]
-        self._tables.append(_Table(number[order], words[heads]))
-        while len(self._tables) > 1 and len(self._tables[-2].kept) <= len(self._tables[-1].kept):
-            b, a = self._tables.pop(), self._tables.pop()
-            width = max(a.words.shape[1], b.words.shape[1])
-            self._tables.append(_Table(
-                np.concatenate([a.kept, b.kept]),
-                np.concatenate([np.pad(t.words, ((0, 0), (0, width - t.words.shape[1])))
-                                for t in (a, b)])))
+        return self.ids[slots]
 
 
 # A field of at most _NUMBER_CHARS characters that reads [+-]?digits[.digits]

@@ -248,12 +248,19 @@ def test_first_error_in_a_later_block_names_its_line():
 
 
 def test_bulk_unary_tables_are_label_plane():
+    # a listed predicate's table is label-plane; one no line lists is a
+    # read-only zero whose every stride is 0
     phi = io.load_unary("friend(A,B) 1 2\nactive() 0 3\n", SEEDED)
     assert phi.tables["friend"][2, 3].tolist() == [1.0, 2.0]
     assert phi.tables["active"].tolist() == [0.0, 3.0]
     assert np.count_nonzero(phi.tables["friend"]) == 2
-    for table in phi.tables.values():
-        assert table[..., 0].flags.c_contiguous
+    for name in ("friend", "active"):
+        assert phi.tables[name][..., 0].flags.c_contiguous
+    for name in PREDS.keys() - {"friend", "active"}:
+        table, pred = phi.tables[name], PREDS[name]
+        assert table.shape == SEEDED.shape(pred) + (pred.num_labels,)
+        assert not table.flags.writeable and set(table.strides) <= {0}
+        assert not table.any()
 
 
 SHAPE_PREDS = {p.name: p for p in [Predicate("rel", 2), Predicate("kind", 1, 2, ("K0", "K1"))]}
@@ -576,3 +583,59 @@ def test_blocks_know_every_break_that_splitlines_honours():
     breaks = {chr(c) for c in range(sys.maxunicode + 1)
               if len(f"a{chr(c)}b".splitlines()) == 2}
     assert breaks == {"\n", *kb._BREAKS}
+
+
+# --- the hashed key table --------------------------------------------------
+
+SYMBOL_CHARS = "abcXYZ019_.-"
+NAMES = st.text(st.sampled_from(SYMBOL_CHARS), min_size=1, max_size=30)
+
+
+@st.composite
+def _name_sets(draw):
+    """Distinct names of up to 30 bytes, with pairs equal in their first 8
+    bytes and names that are prefixes of others."""
+    names = draw(st.lists(NAMES, min_size=1, max_size=10))
+    for head in draw(st.lists(st.text(st.sampled_from(SYMBOL_CHARS), min_size=8, max_size=8),
+                              max_size=3)):
+        names += [head + draw(st.text(st.sampled_from(SYMBOL_CHARS), max_size=22))
+                  for _ in range(2)]
+    for name in draw(st.lists(st.sampled_from(names), max_size=4)):
+        names.append(name[:draw(st.integers(1, len(name)))])
+    return list(dict.fromkeys(names))
+
+
+def _index(keys, tokens):
+    """``keys.index`` of tokens, one per line of a block."""
+    block = "".join(token + "\n" for token in tokens)
+    lengths = np.array([len(token) for token in tokens], np.intp)
+    stops = np.cumsum(lengths + 1) - 1
+    return keys.index(block, kb._classes(block)[0], stops - lengths, stops).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_keys_index_agrees_with_a_dict(data):
+    names = data.draw(_name_sets())
+    seed = data.draw(st.lists(st.sampled_from(names), unique=True))
+    tokens = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=80))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(tokens)), max_size=4)))
+    # grown block by block, new names numbered in first-occurrence order
+    want = {name: i for i, name in enumerate(seed)}
+    keys = kb._Keys(seed, grow=True)
+    for start, stop in zip([0, *cuts], [*cuts, len(tokens)]):
+        part = tokens[start:stop]
+        assert _index(keys, part) == [want.setdefault(t, len(want)) for t in part]
+    assert keys.names == list(want)
+    # a fixed table finds each of its names and declines any other token
+    fixed = kb._Keys(list(want))
+    assert _index(fixed, tokens) == [want[t] for t in tokens]
+    stranger = data.draw(NAMES.filter(lambda name: name not in want))
+    with pytest.raises(kb.Declined):
+        _index(fixed, [*tokens, stranger])
+    # load_evidence grows its table across blocks of a few lines
+    pairs = [f"friend({a},{b})" for a, b in zip(tokens, tokens[1:] + tokens[:1])]
+    with mock.patch.object(kb, "BLOCK_LINES", data.draw(st.sampled_from([1, 2, 3]))):
+        got = load_evidence("\n".join(pairs), PREDS, seed)
+    assert got.entities == tuple(dict.fromkeys([*seed, *(t for pair in zip(
+        tokens, tokens[1:] + tokens[:1]) for t in pair)]))

@@ -565,6 +565,23 @@ def test_plan_rejects_fewer_than_one_entity(tmp_path, capsys, entities):
     assert err == "usage error: --entities must be >= 1\n"
 
 
+def test_plan_prices_exactly_the_entities_asked_for(capsys):
+    # one entity: the smoke rules' chain over a 1 x 1 friend table costs 1
+    code, out, _ = run(capsys, "plan", "--rules", str(DATA / "smoke.rules"), "--entities", "1")
+    assert code == 0
+    assert "ab,b->a kernel=einsum cost=1\n" in out
+
+
+def test_plan_rejects_fewer_entities_than_the_rules_constants(tmp_path, capsys):
+    rules = tmp_path / "c.rules"
+    rules.write_text("predicate p(t)\npredicate q(t,t)\n!p(A) | q(A,B)\n")
+    code, out, err = run(capsys, "plan", "--rules", str(rules), "--entities", "1")
+    assert (code, out) == (1, "")
+    assert err == "usage error: --entities 1 is fewer than the 2 constants the rules name\n"
+    code, out, _ = run(capsys, "plan", "--rules", str(rules), "--entities", "2")
+    assert code == 0 and "-> q (labels [1]), spec ->\n" in out
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import einlog as E
-from einlog.engine import EngineConfig
+from einlog.engine import EngineConfig, UnaryTable
 from einlog.io import (format_marginals_csv, format_marginals_json, load_predictions,
                        load_truth, load_unary)
 from einlog.kb import EvidenceError, load_evidence, load_queries
-from helpers import report_rows
+from helpers import report_rows, same_bytes
 
 
 def test_unary_defaults_to_zero(smoke_kb):
@@ -16,6 +16,64 @@ def test_unary_defaults_to_zero(smoke_kb):
     assert np.allclose(phi.tables["smoke"][1], [0.5, -0.5])
     assert np.allclose(phi.tables["smoke"][0], [0.0, 0.0])
     assert np.allclose(phi.tables["friend"], 0.0)
+
+
+class _Reductions(np.ndarray):
+    """An array that records the element count of every reduction over it."""
+
+    counts: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method == "reduce":
+            self.counts.append(inputs[0].size)
+        inputs = [np.asarray(x) if isinstance(x, _Reductions) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_validate_reads_one_slice_of_a_broadcast_zero():
+    # validate reduces a zero-stride axis over one slice; every axis of this
+    # 16 GB table has stride 0, so it reads one value, not 2e9
+    pred = E.Predicate("p", 3)
+    kb = E.KnowledgeBase([f"E{i}" for i in range(1000)], {"p": pred}, {})
+    table = np.broadcast_to(0.0, (1000, 1000, 1000, 2)).view(_Reductions)
+    _Reductions.counts = []
+    assert UnaryTable({"p": table}).extremes(kb) == {"p": (0.0, 0.0)}
+    assert _Reductions.counts and max(_Reductions.counts) == 1
+
+
+def _kbc_texts(workloads):
+    """The benchmark's kbc rules at N=5, with evidence and unary lines for
+    rel, link and kind, so tri and active are listed by no line."""
+    rng = np.random.default_rng(5)
+    names = [f"E{i}" for i in range(5)]
+    cells = [(a, b) for a in names for b in names]
+    evidence = [f"{'' if rng.random() < 0.5 else '!'}rel({a},{b})"
+                for a, b in cells if rng.random() < 0.3]
+    evidence += [f"kind({names[0]})=K2", f"link({names[1]},{names[2]})"]
+    unary = [f"{p}({a},{b}) {rng.normal():.3f} {rng.normal():.3f}"
+             for p in ("rel", "link") for a, b in cells if rng.random() < 0.6]
+    unary += [f"kind({a}) " + " ".join(f"{x:.3f}" for x in rng.normal(size=5)) for a in names]
+    rules = E.parse_rules(workloads.KBC_RULES)
+    kb = load_evidence("\n".join(evidence), rules.predicates, names)
+    return rules, kb, "\n".join(unary)
+
+
+@pytest.mark.parametrize("rule_set", ["smoke", "kbc"])
+@pytest.mark.parametrize("listed", [False, True])
+def test_broadcast_zero_unary_solves_as_zeros(smoke_rules, smoke_kb, workloads, rule_set,
+                                              listed):
+    if rule_set == "smoke":
+        rules, kb, text = smoke_rules, smoke_kb, "smoke(A) 0.5 -0.5\n"
+    else:
+        rules, kb, text = _kbc_texts(workloads)
+    phi = load_unary(text if listed else "", kb)
+    zeros = UnaryTable.zeros(kb).tables
+    dense = UnaryTable({name: zeros[name] if 0 in table.strides else table
+                        for name, table in phi.tables.items()})
+    assert any(0 in table.strides for table in phi.tables.values())
+    for config in (EngineConfig(iterations=1), EngineConfig(iterations=4, damping=0.3)):
+        assert same_bytes(E.run_inference(rules, kb, phi, config),
+                          E.run_inference(rules, kb, dense, config))
 
 
 def test_unary_errors(smoke_kb):
