@@ -23,6 +23,21 @@ object unless it is a label or a number outside the fast path.  When a bulk
 reader declines a text, ``read_bulk`` runs the reader's per-line walk, which
 goes through ``fol.content_lines`` and ``parse_atom`` and raises the first
 error in line order, so each reader error starts with ``line N:``.
+
+A block costs a fixed part, its few dozen array passes, and a part per line:
+on ``transitivity``'s 32,768 query lines (``perfbench``, one BLAS thread,
+2-CPU host, warm) about 0.16 ms per block plus 0.19 us per line, the latter
+0.23 us in blocks of 16,384 lines.  Median cold set-up in fresh processes,
+in ms (25 per size, seed 11)::
+
+    lines per block  1,024  2,048  3,072  4,096  5,120  6,144  8,192  16,384
+    transitivity     14.66  12.00  11.37  11.10  11.04  10.86  10.71  11.59
+    kbc              23.51  19.07  18.30  17.75  17.16  17.16  18.57  20.71
+
+``BLOCK_LINES`` is 4,096, the smallest size within 4% of the fastest on
+both workloads.  Larger blocks save a few more fixed parts, and on ``kbc``
+mostly by where a file's last block falls: at 4,096 its 16,409-line
+evidence leaves a fifth block of 25 lines.
 """
 
 from __future__ import annotations
@@ -41,9 +56,10 @@ _SYMBOL_RE = re.compile(_SYMBOL)
 ATOM_RE = re.compile(rf"^(?P<neg>!?)(?P<name>{_SYMBOL})"
                      rf"\((?P<args>(?:{_SYMBOL}(?:,{_SYMBOL})*)?)\)(?:=(?P<label>{_SYMBOL}))?$")
 
-# Lines per bulk-read block.  Reading a whole file at once would keep every
-# character's class and position arrays alive together.
-BLOCK_LINES = 2048
+# Lines per bulk-read block (measured: see the module docstring).  Reading a
+# whole file at once would keep every character's class and position arrays
+# alive together.
+BLOCK_LINES = 4096
 
 
 class EvidenceError(Exception):
@@ -307,6 +323,12 @@ _MULTIPLIER = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779
                         0xD6E8FEB86659FD93], np.uint64)
 
 
+def _slots(size: int) -> int:
+    """The slots of a key table for ``size`` names: the smallest power of
+    two of at least 256 and ``4 * size``."""
+    return 1 << max(8, (4 * size - 1).bit_length())
+
+
 class _Keys:
     """Names, and an open-addressing hash table to look tokens up among
     them exactly.
@@ -325,9 +347,10 @@ class _Keys:
 
     A token that matches no name declines its block; with ``grow`` it is
     added instead, numbered after the names in first-occurrence order.  A
-    block's new names go into the table as it stands, which is rebuilt, at
-    twice its size or more, only when they would fill more than a quarter of
-    it.
+    block's new names are claimed into the table as it stands, unless its
+    missing tokens, duplicates included, could fill more than a quarter of
+    it; then they are claimed into a table with room for them all, which is
+    rebuilt after the claim at the size its names need (``_slots``).
     """
 
     def __init__(self, names, grow: bool = False):
@@ -341,13 +364,13 @@ class _Keys:
         self._build(words, np.array(kept, np.intp), len(kept))
 
     def _build(self, words: np.ndarray, ids: np.ndarray, size: int) -> None:
-        """A new table with room for ``size`` names (a power of two of at
-        least 256 and ``4 * size`` slots) that holds the distinct keys
-        ``words`` with their name indices ``ids``."""
-        bits = max(8, (4 * size - 1).bit_length())
-        self.ids = np.full(1 << bits, -1, np.intp)      # name index per slot, -1 if empty
-        self.keys = np.zeros((words.shape[1], 1 << bits), np.uint64)
-        self._shift = 64 - bits
+        """A new table with room for ``size`` names (``_slots(size)``
+        slots) that holds the distinct keys ``words`` with their name
+        indices ``ids``."""
+        slots = _slots(size)
+        self.ids = np.full(slots, -1, np.intp)      # name index per slot, -1 if empty
+        self.keys = np.zeros((words.shape[1], slots), np.uint64)
+        self._shift = 64 - (slots - 1).bit_length()
         self.ids[self._probe(words, claim=True)] = ids
 
     def _probe(self, words: np.ndarray, claim: bool = False) -> np.ndarray:
@@ -397,13 +420,19 @@ class _Keys:
             out[miss] = self._add(block, starts[miss], stops[miss], words[miss])
         return out
 
+    def _rebuild(self, size: int) -> None:
+        """The table's names in a new table with room for ``size`` names."""
+        full = np.flatnonzero(self.ids >= 0)
+        self._build(self.keys[:, full].T, self.ids[full], size)
+
     def _add(self, block, starts, stops, words) -> np.ndarray:
         """The name index of each token at ``starts``, whose names are not
         in the table, after adding those names in first-occurrence order."""
+        # the rows' names are told apart only by claiming them, so the claim
+        # needs room for every row to be a new name
         size = len(self.names) + len(words)
         if 4 * size > len(self.ids):
-            full = np.flatnonzero(self.ids >= 0)
-            self._build(self.keys[:, full].T, self.ids[full], size)
+            self._rebuild(size)
         slots = self._probe(words, claim=True)
         # each claimed slot keeps -2 - (the first row of its name)
         rows = np.arange(len(slots))
@@ -411,7 +440,10 @@ class _Keys:
         heads = np.flatnonzero(self.ids[slots] == -2 - rows)
         self.ids[slots[heads]] = len(self.names) + np.arange(len(heads))
         self.names += [block[s:e] for s, e in zip(starts[heads].tolist(), stops[heads].tolist())]
-        return self.ids[slots]
+        out = self.ids[slots]
+        if len(self.ids) > _slots(len(self.names)):
+            self._rebuild(len(self.names))
+        return out
 
 
 # A field of at most _NUMBER_CHARS characters that reads [+-]?digits[.digits]

@@ -441,6 +441,16 @@ def _in_order(sub: str, result: str) -> bool:
     return "".join(ch for ch in dict.fromkeys(sub) if ch in result) == result
 
 
+def _operands(cplan: ContractionPlan, inputs: list) -> list[np.ndarray]:
+    """``inputs`` as float64 arrays, each checked against its subscript's
+    planned shape."""
+    pool = [np.asarray(t, dtype=_F64) for t in inputs]
+    for arr, shape, sub in zip(pool, cplan.input_shapes, cplan.spec.inputs):
+        if arr.shape != shape:
+            raise PlanError(f"operand shape {arr.shape} does not match subscript {sub!r}")
+    return pool
+
+
 def execute(cplan: ContractionPlan, inputs, out: np.ndarray | None = None) -> np.ndarray:
     """Run a plan; the result broadcasts to the unplanned einsum of the same
     spec.  Each broadcast output letter gets a size-1 axis rather than a
@@ -449,37 +459,45 @@ def execute(cplan: ContractionPlan, inputs, out: np.ndarray | None = None) -> np
     With ``out`` the last step writes its result there and ``out`` is
     returned; the plan must fill its output (``cplan.fills_output``).
     """
-    # a float64 ndarray, the usual operand, skips the conversion call; the
-    # shapes are compared as one tuple, and only a mismatch is looked into
-    pool = [t if type(t) is np.ndarray and t.dtype is _F64 else np.asarray(t, dtype=_F64)
-            for t in inputs]
+    # the usual operands, float64 ndarrays of the planned shapes, pass one
+    # loop of identity and tuple tests; any other goes to _operands
+    pool = list(inputs)
+    shapes = cplan.input_shapes
+    if len(pool) != len(shapes):
+        raise PlanError(f"plan has {len(shapes)} operands, got {len(pool)}")
+    n = 0
+    for t in pool:
+        if type(t) is not np.ndarray or t.dtype is not _F64 or t.shape != shapes[n]:
+            pool = _operands(cplan, pool)
+            break
+        n += 1
     spec = cplan.spec
-    if tuple([t.shape for t in pool]) != cplan.input_shapes:
-        if len(pool) != len(cplan.input_shapes):
-            raise PlanError(f"plan has {len(spec.inputs)} operands, got {len(pool)}")
-        for arr, shape, sub in zip(pool, cplan.input_shapes, spec.inputs):
-            if arr.shape != shape:
-                raise PlanError(f"operand shape {arr.shape} does not match subscript {sub!r}")
     if out is not None and not cplan.fills_output:
         raise PlanError(f"plan of {spec} does not fill its output, so it cannot write out=")
+    # only the last step writes into out, found by identity: a small plan's
+    # products take about a microsecond, so each test per step counts
+    final = cplan.steps[-1] if out is not None else None
     last = None
-    final = len(cplan.steps) - 1
-    for n, step in enumerate(cplan.steps):
-        dest = out if n == final else None
-        if step.gemm is None:
+    for step in cplan.steps:
+        gemm = step.gemm
+        if gemm is None:
             operands = [pool[i] for i in step.operand_ids]
             if step.est_flops >= parallel.FLOOR:
-                last = _split_einsum(step, operands, dest, cplan.extents)
+                last = _split_einsum(step, operands, out if step is final else None,
+                                     cplan.extents)
             else:
-                last = np.einsum(step.expr, *operands, out=dest, optimize=False)
+                last = np.einsum(step.expr, *operands, out=out if step is final else None,
+                                 optimize=False)
         else:
-            i, j, ti, tj = step.gemm
+            i, j, ti, tj = gemm
             left, right = pool[i].T if ti else pool[i], pool[j].T if tj else pool[j]
             # est_flops is the product's m * k * n multiply-adds
             if step.est_flops >= _SPLIT_FLOPS:
-                last = _split_matmul(left, right, dest, pool[i] is pool[j] and ti != tj)
+                last = _split_matmul(left, right, out if step is final else None,
+                                     pool[i] is pool[j] and ti != tj)
             else:
-                last = np.matmul(left, right, out=dest)
+                last = np.matmul(left, right, out=out if step is final else None)
         pool.append(last)
-    last = np.asarray(np.float64(1.0) if last is None else last)
+    if type(last) is not np.ndarray:
+        last = np.asarray(np.float64(1.0) if last is None else last)
     return last if last.ndim == len(spec.output) else broadcast_output(last, spec)

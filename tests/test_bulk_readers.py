@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from einlog import io, kb
-from einlog.fol import Predicate
+from einlog.fol import Predicate, parse_rules
 from einlog.kb import EvidenceError, KnowledgeBase, load_evidence, load_queries
 
 PREDS = {p.name: p for p in [
@@ -289,9 +289,13 @@ def test_each_bad_delimiter_shape_gets_the_walk_error(reader, shape):
         _assert_same(block, bulk, walk, text)
 
 
-def _multi_block_lines(reader, entities):
-    """Over 6,000 lines of every arity, read form and separator, in an order
-    that mixes predicates within each block."""
+def _multi_block_lines(reader):
+    """Entities, and more than three blocks of lines of every arity, read
+    form and separator over them, in an order that mixes predicates within
+    each block.  The entity count is the smallest whose friend and tri
+    cells alone exceed three blocks."""
+    n = next(n for n in itertools.count(1) if n * n + n ** 3 // 16 > 3 * kb.BLOCK_LINES)
+    entities = [f"E{i}" for i in range(n)]
     cells = [(p, args) for p in PREDS.values() if p.arity < 3
              and (reader != "truth" or p.num_labels == 2)
              for args in itertools.product(entities, repeat=p.arity)]
@@ -321,13 +325,12 @@ def _multi_block_lines(reader, entities):
             lines.append("" if i % 2 else "# a comment line")
         if reader not in ("unary", "predictions") and i % 50 == 49:
             lines.append(lines[-40])          # a repeated line
-    return lines
+    return entities, lines
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_multi_block_text_at_default_block_size_matches_the_walk(reader):
-    entities = [f"E{i}" for i in range(40)]
-    lines = _multi_block_lines(reader, entities)
+    entities, lines = _multi_block_lines(reader)
     assert len(lines) > 3 * kb.BLOCK_LINES
     text = "\r\n".join(lines) + "\r\n"
     wide = KnowledgeBase(entities, PREDS, {})
@@ -343,6 +346,50 @@ def test_multi_block_text_at_default_block_size_matches_the_walk(reader):
     got = _outcome(bulk, text)
     assert got[0] == "ok"
     assert got == _outcome(walk, text)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [11, 3])
+@pytest.mark.parametrize("make, n", [("make_kbc", 24), ("make_transitivity", 48)])
+def test_benchmark_inputs_read_the_same_at_every_block_size(workloads, make, n, seed):
+    # the benchmark's set-up of its evidence, unary and query texts
+    inst = getattr(workloads, make)(seed, n)
+    runs = []
+    for block in (1, 7, 2048, 4096):
+        with mock.patch.object(kb, "BLOCK_LINES", block):
+            runs.append(workloads.setup(inst, inst.texts.__getitem__))
+    first = runs[0]
+    assert len(first.queries) > 0 and first.kb.n == n
+    for run in runs[1:]:
+        assert run.kb.entities == first.kb.entities
+        assert run.kb.observed.keys() == first.kb.observed.keys()
+        for name, arrays in first.kb.observed.items():
+            assert all(map(_same_bytes, run.kb.observed[name], arrays)), name
+        assert run.phi.tables.keys() == first.phi.tables.keys()
+        for name, table in first.phi.tables.items():
+            assert _same_bytes(run.phi.tables[name], table), name
+        assert _same_bytes(run.queries._lines, first.queries._lines)
+        assert run.queries.cells.keys() == first.queries.cells.keys()
+        for name, cells in first.queries.cells.items():
+            assert _same_bytes(run.queries.cells[name], cells), name
+
+
+@pytest.mark.parametrize("block", [7, kb.BLOCK_LINES])
+def test_grown_key_table_is_sized_by_its_names(workloads, block):
+    # kbc's evidence: each block repeats its 128 names many times over
+    inst = workloads.make_kbc(11)
+    rules = parse_rules(inst.texts["rules"])
+    keys = kb._Keys([], grow=True)
+    with mock.patch.object(kb, "BLOCK_LINES", block):
+        for _ in kb.atom_blocks(inst.texts["evidence"], rules.predicates, keys):
+            want = 256
+            while want < 4 * len(keys.names):
+                want *= 2
+            assert len(keys.ids) == want
+    assert len(keys.names) == 128
 
 
 SCAN_PIECES = ["p", "A", "!", "(", ")", ",", "=", " ", "\xa0", "#", "é", "+1", "p(A)", "()"]

@@ -365,8 +365,11 @@ def pairwise_steps(draw):
     return step, extents
 
 
+# derandomized: the draws are the same on every run, so the test's share of
+# draws that split is a fixed figure, not a chance one
 @given(step=pairwise_steps(), seed=st.integers(0, 2**32 - 1), into_out=st.booleans())
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+          derandomize=True)
 def _pairwise_steps_match(splits, step, seed, into_out):
     step, extents = step
     rng = np.random.default_rng(seed)
