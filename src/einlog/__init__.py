@@ -12,7 +12,7 @@ from .metrics import MetricError, auc_pr
 from .oracle import (Grounding, OracleError, brute_einsum, enumerate_groundings,
                      exact_marginals, naive_mf_step)
 from .planner import ContractionPlan, ContractionStep, PlanError, execute, plan
-from .tensor import EinsumSpec, TensorError, einsum, softmax_lastaxis
+from .tensor import EinsumSpec, TensorError, softmax_lastaxis
 
 __version__ = "0.1.0"
 

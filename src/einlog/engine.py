@@ -10,10 +10,9 @@ labels in the hypothesis value set before renormalizing.  Updates are
 synchronous: all messages of one iteration read the same marginal snapshot.
 
 Where a summed premise would read ``1 - q1`` of a binary predicate, the
-literal compiles to two implications instead of one (see
-``_complement_expansion``): ``contract(..., q1, ...)`` with coefficient -1
-and ``contract(other premises)`` with coefficient ``N^k``, so no complement
-table is built.  Each implication's coefficient scales its rule weight.
+literal may compile to two implications that build no complement table
+(``_complement_expansion``).  Each implication's coefficient scales its
+rule weight.
 
 Two implications of one clause whose plans are one matrix product each,
 into every cell of one hypothesis with the same signed weight, and which
@@ -84,16 +83,10 @@ program, so one that reproduces its snapshot bit for bit would be
 reproduced by every later one: ``iterate`` stops there, with the bytes the
 remaining iterations would give.
 
-Each large pass of an iteration over a table, a plane or a label slice
-(refill, a summed product's sum, a message's scale and its add through a
-basic index, the finite check, normalize, damping, flush, the fixed-point
-compare, the ½ start, the result's ``1 - q1`` and the trace's passes) runs
-in row blocks through ``parallel.rows``, and each large contraction step
-through ``planner.execute``'s split.  The fixed-point compare and the trace
-walk their blocks in chunks of rows (see ``_chunks``), so they need no
-table-sized temporary.  Every block does the whole pass's arithmetic on its
-own rows, so the bytes are those of the whole pass.  Clamping and an add
-into a diagonal, which index by array, stay whole.
+The large passes of an iteration run in row blocks through ``parallel.rows``,
+by the split rules of the ``parallel`` module docstring.  The fixed-point
+compare and the trace walk their blocks in chunks of rows (see ``_chunks``),
+so they need no table-sized temporary.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 Unary potential files reuse the evidence atom syntax followed by one logit
 per label (``coexist(T1,T2) 0.3 -0.3``); unlisted cells default to zero
 logits.  Prediction files hold ``Atom score`` lines and truth files ``Atom``
-or ``!Atom`` lines.  All three are read in bulk through ``kb.atom_blocks``,
-with a per-line walk that names the first bad line when the bulk reader
-declines.
+or ``!Atom`` lines.  Unary and prediction files are read in bulk through
+``kb.atom_blocks``, with a per-line walk that names the first bad line when
+the bulk reader declines; truth files are read line by line.
 
 Marginal reports are CSV ``predicate,arg1,...,argk,label,probability,
 observed`` rows (9 decimals, lexicographically sorted; binary predicates
@@ -25,8 +25,8 @@ import numpy as np
 
 from .engine import MarginalTable, UnaryTable
 from .fol import Predicate, content_lines
-from .kb import (Declined, EvidenceError, KnowledgeBase, Queries, atom_blocks, first_rows,
-                 flat_cells, parse_atom, read_bulk)
+from .kb import (Declined, EvidenceError, KnowledgeBase, Queries, atom_blocks, flat_cells,
+                 parse_atom, read_bulk)
 
 
 def load_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
@@ -332,32 +332,8 @@ def _walk_predictions(text: str, kb: KnowledgeBase):
 
 
 def load_truth(text: str, kb: KnowledgeBase):
-    """Held-out binary facts: `Atom` lines are true, `!Atom` lines false."""
-    return read_bulk(_bulk_truth, _walk_truth, text, kb)
-
-
-def _bulk_truth(text: str, kb: KnowledgeBase):
-    found = {}
-    for block in atom_blocks(text, kb.predicates, kb.entity_keys):
-        if block.named.any() or block.counts.any():
-            raise Declined
-        for pred, at, cells in block.groups:
-            if pred.num_labels != 2:
-                raise Declined
-            found.setdefault(pred.name, []).append((cells, ~block.negated[at]))
-    out = {}
-    for name, parts in found.items():
-        cells = np.concatenate([c for c, _ in parts])
-        truth = np.concatenate([v for _, v in parts])
-        keep = first_rows(cells, truth, kb.n)
-        out.update(_keyed(name, cells[keep], truth[keep]))
-    if not out:
-        raise Declined                          # empty truth file
-    return out
-
-
-def _walk_truth(text: str, kb: KnowledgeBase):
-    """The per-line truth reader; its errors name the first bad line."""
+    """Held-out binary facts: `Atom` lines are true, `!Atom` lines false.
+    Errors name the first bad line."""
     out = {}
     for lineno, line in content_lines(text):
         negated, pred, args, label = parse_atom(line, lineno, kb.predicates, kb.index.__getitem__)

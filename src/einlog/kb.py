@@ -11,11 +11,11 @@ inside atoms, ``#`` comments)::
 Entity constants are collected in first-occurrence order; an optional seed
 list pins the leading indices.
 
-Data files (evidence, queries, unary potentials, predictions, truth) are
-read in bulk, in blocks of ``BLOCK_LINES`` lines: ``atom_blocks`` checks the
-atom grammar of a block in array passes over its characters' classes (the
-sequence of delimiters ``!``, ``(``, ``,``, ``)``, ``=`` and the gaps between
-them) and cuts it into tokens as spans of positions, not strings.  Predicate
+Evidence, query, unary-potential and prediction files are read in bulk, in
+blocks of ``BLOCK_LINES`` lines: ``atom_blocks`` checks the atom grammar of
+a block in array passes over its characters' classes (the sequence of
+delimiters ``!``, ``(``, ``,``, ``)``, ``=`` and the gaps between them) and
+cuts it into tokens as spans of positions, not strings.  Predicate
 and entity names are found by a hashed lookup of their padded bytes, which
 matches only when every byte is equal (``_Keys``), and fields become float64
 values read from their digits (``_numbers``), so no token becomes a Python

@@ -1,16 +1,31 @@
-"""Row blocks on the calling thread and one helper thread.
+"""Row blocks on the calling thread and one helper thread: the split rules.
 
-When BLAS is pinned to fewer threads than the process has CPUs, the large
-array passes of an iteration (matrix products, ``einsum`` steps, elementwise
-passes, reductions) run in two row blocks at once: the calling thread
-computes one, and one helper thread, started on the first split, computes
-the other.  numpy releases the interpreter lock inside these loops, so the
-two blocks overlap.  Each block writes its own rows of one result through a
-view, so the bytes do not depend on which thread runs which block.
+When BLAS is pinned to fewer threads than the process has CPUs, at least two
+CPUs per BLAS thread (``WORKERS``), each large pass of an iteration runs in
+two row blocks at once: the calling thread computes one, and one helper
+thread, started by the first split, the other.  numpy releases the
+interpreter lock inside these loops, so the blocks overlap, and an einlog
+process with BLAS pinned to one thread may use two CPUs.  With no BLAS
+variable set, nothing splits and no helper starts.  The passes that split:
 
-A split that finds the helper busy, because another thread's split or a
-split nested inside a block holds it, runs both blocks on its own thread:
-no caller waits for the helper to become free.
+* a matrix product of at least 256³ multiply-adds, in two row blocks, or in
+  upper-triangle blocks for an operand times its own transpose, which keeps
+  numpy's half cost (``planner._split_matmul``);
+* any other contraction step over at least ``FLOOR`` = 2¹⁸ index cells, in
+  row blocks of its result's first letter where that keeps numpy's
+  summation order (``planner._split_einsum`` lists the steps kept whole);
+* on a table, plane or label slice of at least ``FLOOR`` cells (``rows``):
+  the refill, a summed product's sum, each message's scale and its add
+  through a basic index, the finite check, the sigmoid and softmax,
+  damping, the flush, the ½ start, the fixed-point compare, the result's
+  ``1 - q1``, and the trace's residual and argmax passes.  Clamping and an
+  add into a diagonal, which index by array, stay whole.
+
+Each block does the whole pass's arithmetic on its own rows of one result,
+through a view, so but for matrix products a split pass gives the bytes of
+the whole one.  A split that finds the helper busy, held by another
+thread's split or by a split nested inside a block, runs both blocks on its
+own thread: no caller waits for the helper.
 """
 
 from __future__ import annotations
@@ -25,8 +40,8 @@ def _split_workers(environ) -> int:
     """How many blocks a large pass splits into: the CPUs this process may
     run on divided by the BLAS thread count, the first positive integer
     among ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-    ``MKL_NUM_THREADS``, and at most ``_MAX_WORKERS``.  With none set, BLAS
-    already runs on every CPU, so the answer is 1 and nothing splits."""
+    ``MKL_NUM_THREADS``, and at most ``_MAX_WORKERS``; 1 with none set, as
+    BLAS then runs on every CPU."""
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         try:
             threads = int(environ.get(name, ""))

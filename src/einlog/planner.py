@@ -16,13 +16,10 @@ single-shot evaluation.
 A pairwise step that is a plain 2-D matrix product runs as BLAS
 ``np.matmul`` on (transposed) views; every other step runs as
 ``np.einsum(..., optimize=False)``.  The choice is made once, when planning.
-When BLAS is pinned to fewer threads than the process has CPUs, a large
-step runs in two blocks that the calling thread and ``parallel``'s helper
-thread compute at once: a matrix product of at least ``_SPLIT_FLOPS``
-multiply-adds (``_split_matmul``) and an ``einsum`` step over at least
-``parallel.FLOOR`` index cells (``_split_einsum``).  The last step can
-write into a caller's array (``execute(out=)``) when its result is the
-whole output.
+A large step may run in two row blocks at once (``_split_matmul``,
+``_split_einsum``), by the split rules of the ``parallel`` module docstring.
+The last step can write into a caller's array (``execute(out=)``) when its
+result is the whole output.
 """
 
 from __future__ import annotations
@@ -452,9 +449,8 @@ def _operands(cplan: ContractionPlan, inputs: list) -> list[np.ndarray]:
 
 
 def execute(cplan: ContractionPlan, inputs, out: np.ndarray | None = None) -> np.ndarray:
-    """Run a plan; the result broadcasts to the unplanned einsum of the same
-    spec.  Each broadcast output letter gets a size-1 axis rather than a
-    replicated one, so the result is never larger than the contraction.
+    """Run a plan; the result broadcasts to the output shape, with a size-1
+    axis at each broadcast letter, so it is never larger than the contraction.
 
     With ``out`` the last step writes its result there and ``out`` is
     returned; the plan must fill its output (``cplan.fills_output``).

@@ -1,9 +1,7 @@
-"""Einstein-summation kernel over float64 ndarrays, with broadcast outputs.
+"""Einsum subscripts, label-plane tables and the label normalizations.
 
-The kernel extends ordinary einsum with *broadcast output letters*: an output
-index that appears in no input replicates the contracted value along a new
-axis whose extent has to be supplied explicitly.  Repeated letters inside one
-input subscript select the diagonal, as usual.
+``EinsumSpec`` is the parsed ``"ab,bc->ac"`` form that the planner and the
+oracle share; an output letter that no input holds is a broadcast letter.
 """
 
 from __future__ import annotations
@@ -79,25 +77,6 @@ def broadcast_output(core: np.ndarray, spec: EinsumSpec) -> np.ndarray:
     letters = spec.input_letters()
     return np.expand_dims(core, tuple(pos for pos, ch in enumerate(spec.output)
                                       if ch not in letters))
-
-
-def einsum(spec, inputs, extents=None) -> np.ndarray:
-    """Single-shot (unplanned) Einstein summation with broadcast output.
-
-    output[o] = sum over bound indices of the product of projected inputs;
-    output letters absent from every input replicate the result.
-    """
-    if isinstance(spec, str):
-        spec = EinsumSpec.parse(spec)
-    arrays = [np.asarray(t, dtype=np.float64) for t in inputs]
-    ext = spec.resolve_extents([a.shape for a in arrays], extents)
-    core_sub = "".join(ch for ch in spec.output if ch in spec.input_letters())
-    if arrays:
-        core = np.einsum(",".join(spec.inputs) + "->" + core_sub, *arrays, optimize=False)
-    else:
-        core = np.float64(1.0)
-    return np.broadcast_to(broadcast_output(core, spec),
-                           tuple(ext[ch] for ch in spec.output)).copy()
 
 
 def label_planes(shape: tuple[int, ...], alloc=np.empty) -> np.ndarray:

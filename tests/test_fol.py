@@ -1,6 +1,8 @@
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from einlog.engine import compile_rules
 from einlog.fol import (Clause, CnfFormula, Literal, Predicate, RuleError,
@@ -275,3 +277,93 @@ def test_formula_ids_keep_the_number_of_a_dropped_tautology():
     kb = KnowledgeBase(["u"], ruleset.predicates, {})
     weights = {ci.rule_id: ci.weight for ci in compile_rules(ruleset, kb).implications}
     assert weights == {"f2": 1.0, "f3": 3.0}
+
+
+# --- parse, print, parse ----------------------------------------------------
+
+PRED_NAMES = ["smoke", "friend_of", "p.q", "R2", "has-label", "kind"]
+LABEL_NAMES = ["O", "B-PER", "I-PER", "yes", "no", "x_1", "Level.2"]
+VARIABLES = ["a", "b", "c", "x1"]
+CONSTANTS = ["A", "B_2", "Level_500", "7"]
+WEIGHTS = st.one_of(st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+                    st.sampled_from(["1", "1.0", "-1", "2", "-0.5", "+3", "1e-3", "-2.5E2",
+                                     "0", "-0.0", "0.1", "1_0", "1e300", "5e-324"]))
+
+
+@st.composite
+def declarations(draw):
+    """Declared predicates of arity 0 to 3: binary, named multi-class, and
+    multi-class with numbered labels in any order (``labels {2,0,1}``)."""
+    names = draw(st.lists(st.sampled_from(PRED_NAMES), min_size=1, max_size=4, unique=True))
+    lines, preds = [], []
+    for name in names:
+        arity = draw(st.integers(0, 3))
+        kind = draw(st.sampled_from(["binary", "binary", "named", "numbered"]))
+        line = f"predicate {name}({','.join(f't{i}' for i in range(arity))})"
+        labels = None
+        if kind == "named":
+            labels = draw(st.lists(st.sampled_from(LABEL_NAMES), min_size=2, max_size=4,
+                                   unique=True))
+        elif kind == "numbered":
+            labels = draw(st.permutations([str(i) for i in range(draw(st.integers(3, 5)))]))
+        if labels is not None:
+            line += f" labels {{{','.join(labels)}}}"
+        lines.append(line)
+        preds.append((name, arity, labels))
+    return "".join(line + "\n" for line in lines), preds
+
+
+def _literal_text(draw, pred, args):
+    """One literal over a drawn value set: plain or ``!`` for a binary
+    predicate, else ``in {...}`` of the set or ``!`` and its complement."""
+    name, _, labels = pred
+    head = f"{name}({','.join(args)})"
+    if labels is None:
+        return draw(st.sampled_from(["", "!"])) + head + draw(
+            st.sampled_from(["", "", " in {0}", " in {1}"]))
+    subset = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=len(labels) - 1,
+                           unique=True))
+    negated = draw(st.booleans())
+    shown = [label for label in labels if label not in subset] if negated else subset
+    return ("!" if negated else "") + f"{head} in {{{','.join(shown)}}}"
+
+
+@st.composite
+def formula_lines(draw, preds):
+    """One formula line: an optional weight, then a clause, a CNF of up to
+    three clauses, or ``A & B => CNF``.  No atom repeats within the line,
+    so no clause merges into a tautology."""
+    atoms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        pred = draw(st.sampled_from(preds))
+        terms = draw(st.lists(st.sampled_from(VARIABLES + CONSTANTS), min_size=pred[1],
+                              max_size=pred[1]))
+        plus = draw(st.lists(st.booleans(), min_size=pred[1], max_size=pred[1]))
+        args = tuple("+" + t if p and t in VARIABLES else t for t, p in zip(terms, plus))
+        atoms.setdefault((pred[0], tuple(t.lstrip("+") for t in args)), (pred, args))
+    atoms = list(atoms.values())
+    arrow = len(atoms) > 1 and draw(st.booleans())
+    antecedent = atoms[:draw(st.integers(1, len(atoms) - 1))] if arrow else []
+    rest = atoms[len(antecedent):]
+    parts = sorted(draw(st.lists(st.integers(1, len(rest) - 1), max_size=2, unique=True))
+                   if len(rest) > 1 else [])
+    clauses = [rest[i:j] for i, j in zip([0] + parts, parts + [len(rest)])]
+    texts = [" | ".join(_literal_text(draw, *atom) for atom in clause) for clause in clauses]
+    body = " & ".join(f"({t})" if draw(st.booleans()) else t for t in texts)
+    if antecedent:
+        body = " & ".join(_literal_text(draw, *atom) for atom in antecedent) + " => " + body
+    weight = draw(st.one_of(st.none(), WEIGHTS))
+    return body if weight is None else f"{weight}: {body}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_printed_formulas_parse_to_the_same_formulas(data):
+    declared, preds = data.draw(declarations())
+    lines = data.draw(st.lists(formula_lines(preds), min_size=1, max_size=4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rules = parse_rules(declared + "\n".join(lines))
+    assume(not caught)          # a clause repeated in its CNF is dropped
+    printed = [str(formula) for formula in rules.formulas]
+    assert parse_rules(declared + "\n".join(printed)).formulas == rules.formulas

@@ -288,7 +288,10 @@ def _transitivity_on_p(weight):
 @given(rules=rule_lists(), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
        damping=st.sampled_from([0.0, 0.3]), iterations=st.integers(1, 3),
        zero_unary=st.sets(st.sampled_from([p.name for p in PALETTE])))
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# derandomized, so that every asserted step kind, expanding draw and writing
+# draw is met on every run
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+          derandomize=True)
 def _matches_chained_oracle(seen, rules, n, seed, damping, iterations, zero_unary):
     rng = np.random.default_rng(seed)
     kb = KnowledgeBase([f"E{i}" for i in range(n)], {p.name: p for p in PALETTE}, {

@@ -325,9 +325,12 @@ def einsum_steps(draw):
     return EinsumSpec(tuple(inputs), output), extents
 
 
+# derandomized, as _pairwise_steps_match, so that whether a draw splits is
+# the same on every run
 @given(step=einsum_steps(), seed=st.integers(0, 2**32 - 1), into_out=st.booleans(),
        transposed=st.booleans())
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+          derandomize=True)
 def _einsum_steps_match(splits, step, seed, into_out, transposed):
     spec, extents = step
     p = plan(spec, extents)

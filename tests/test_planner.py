@@ -11,7 +11,7 @@ import pytest
 from einlog import parallel, planner
 from einlog.oracle import brute_einsum
 from einlog.planner import PlanError, execute, plan
-from einlog.tensor import EinsumSpec, einsum
+from einlog.tensor import EinsumSpec
 
 
 def uniform_extents(spec, n):
@@ -85,8 +85,6 @@ def test_execute_matches_brute_force(spec):
     got = execute(p, ins)
     want = brute_einsum(spec, ins, ext)
     assert np.allclose(got, want, atol=1e-10)
-    direct = einsum(spec, ins, ext)
-    assert np.allclose(got, direct, atol=1e-10)
 
 
 @pytest.mark.parametrize("spec", PLAN_SPECS)
@@ -119,7 +117,7 @@ def test_chain_execute_matches_direct_at_4():
     ext = uniform_extents(spec, 4)
     ins = random_inputs(spec, ext, seed=1)
     planned = execute(plan(spec, ext), ins)
-    direct = einsum(spec, ins)
+    direct = brute_einsum(spec, ins)
     assert np.max(np.abs(planned - direct)) <= 1e-10 * max(1.0, np.abs(direct).max())
 
 
