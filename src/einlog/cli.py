@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``infer`` (run inference, write marginals), ``plan`` (show
-contraction plans per implication, then one line per pair of messages run as
-one summed product), ``demo-transitivity`` (noisy block-matrix repair),
+the contraction plan of each implication, a summed one's naming both
+specs), ``demo-transitivity`` (noisy block-matrix repair),
 ``aucpr`` (ranking metric), ``check`` (random engine-vs-oracle equivalence
 trials).  Exit codes: 0 success, 1 usage error, 2 data error,
 3 internal check failure.
@@ -88,8 +88,6 @@ def cmd_infer(args) -> int:
     result = engine.iterate(phi, program, config, trace=trace)
     for ci in program.implications:
         print(ci.describe(), file=sys.stderr)
-    for summed in program.sums:
-        print(summed.describe(), file=sys.stderr)
     print("logit bound per predicate: " + ", ".join(
         f"{name} {bound:.3e} (finite check "
         f"{'skipped' if bound < engine.LOGIT_LIMIT else 'runs'})"
@@ -138,18 +136,13 @@ def cmd_plan(args) -> int:
     program = engine.compile_rules(ruleset, kb)
     for ci in program.implications:
         plan = ci.plan
-        notes = "" if ci.coefficient == 1.0 else f" x {ci.coefficient:.17g}"
-        if ci.symmetric:
-            notes += " symmetric"
-        print(f"# rule {ci.rule_id} clause {ci.clause_id} -> {ci.hypothesis}"
-              f" (labels {list(ci.target_labels)}), spec {plan.spec}{notes}")
+        print(f"# rule {ci.rule_id} clause {ci.clause_id} -> {ci.hypothesis} (labels "
+              f"{list(ci.target_labels)}), {ci.specs()}{' symmetric' if ci.symmetric else ''}")
         print(plan.describe())
         ratio = plan.naive_cost / plan.total_cost if plan.total_cost else float("inf")
         print(f"naive={int(plan.naive_cost)} optimized={int(plan.total_cost)} "
               f"ratio={ratio:.1f}")
         print()
-    for summed in program.sums:
-        print(f"# {summed.describe()}")
     return EXIT_OK
 
 
@@ -217,8 +210,8 @@ def build_parser() -> _Parser:
                    help="cross-check one iteration against the sequential oracle")
     p.set_defaults(fn=cmd_infer)
 
-    p = sub.add_parser("plan", help="print contraction plans per implication "
-                       "and the pairs run as one summed product")
+    p = sub.add_parser("plan", help="print the contraction plan of each implication; "
+                       "a summed one names both specs")
     p.add_argument("--rules", required=True)
     p.add_argument("--entities", type=int, default=8,
                    help="domain size used for costs, the rules' constants included")

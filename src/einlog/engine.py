@@ -16,16 +16,17 @@ rule weight.
 
 Two implications of one clause whose plans are one matrix product each,
 into every cell of one hypothesis with the same signed weight, and which
-read one operand in the same role, run as one summed product
-(``SummedProduct``, ``Program.sums``): by linearity ``A·B + A·C = A·(B +
-C)``, so ``message`` runs one plan on the sum of the two other operands.
-The sum is built in row blocks in the hypothesis's spare table, whose bytes
-are dead until its first message; a transposed operand is first copied in
-strips (see ``_add``).  On transitivity ``Q·Q`` takes in ``Q·Qᵀ``, and the
-three messages cost 1.5N³ multiply-adds per iteration instead of 2N³.  The
-sum adds in another order than the two messages, so on a rule set with a
-summed pair the marginals can differ from adding them one at a time in
-their last bits, and a 9-decimal report at a rounding tie.
+read one operand in the same role, fold into one summed implication: the
+one that is not a symmetric product keeps the other as its ``partner``.
+By linearity ``A·B + A·C = A·(B + C)``, so ``message`` runs its plan on
+the sum of the two other operands, built in row blocks in the hypothesis's
+spare table, whose bytes are dead until its first message; a transposed
+operand is first copied in strips (see ``_add``).  On transitivity ``Q·Q``
+takes in ``Q·Qᵀ``, and the three messages cost 1.5N³ multiply-adds per
+iteration instead of 2N³.  The sum adds in another order than the two
+messages, so on a rule set with a summed pair the marginals can differ from
+adding them one at a time in their last bits, and a 9-decimal report at a
+rounding tie.
 
 Inside ``iterate`` a binary predicate is held as one plane at a time,
 since ``q0 = 1 - q1``: the logit difference ``x0 - x1`` while messages are
@@ -41,8 +42,8 @@ The messages of an iteration run as a tuple of ``Step`` records, built once
 per solve by ``_schedule`` and run in order by ``_add_messages``.  A step
 holds its implication, its weight (negated into label 1 of a binary plane,
 which holds ``x0 - x1``; negation is exact), the logit cells it goes into,
-and its summed product, if any.  A predicate observed in every cell gets no
-step, since clamping overwrites whatever it adds.  A step is of one kind:
+and whether it writes.  A predicate observed in every cell gets no step,
+since clamping overwrites whatever it adds.  A step is of one kind:
 
 * add: the message goes into its cells by ``+=``, or ``-=`` with weight -1,
   with no scale pass at weight ±1 (``1.0 * x == x``).  At any other weight a
@@ -58,22 +59,24 @@ step, since clamping overwrites whatever it adds.  A step is of one kind:
   when its plan fills the plane (preferred), else as ``w * msg``.  The
   refilled sum ``(0 + a) + b`` equals ``b + a`` bit for bit, so either may
   write, and the plane starts at ½ with no refill and no sigmoid.
-* summed: runs first of the messages into its hypothesis, with its sum
-  built in the table's dead bytes.  It then refills the table and adds, or
-  writes the plane of a binary predicate with an all-zero unary table.
+* summed: a summed implication's step runs first of the messages into its
+  hypothesis, with its sum built in the table's dead bytes.  It then
+  refills the table and adds, or writes the plane of a binary predicate
+  with an all-zero unary table.
 
 Marginals are bit-identical to refilling and adding every scaled message,
-but for the summed products' order of adds.
+but for the summed implications' order of adds.
 
 Before its first iteration ``iterate`` bounds the logits of each predicate
 H (``_bounds``): ``max|phi_H|`` (the spread ``hi - lo`` on a binary plane,
 which holds ``x0 - x1``), read from the extremes ``UnaryTable.extremes``
-validates, plus, over the implications into H, ``|w * coefficient|`` (the
-weights ``iterate`` uses, overrides included) times the groundings per cell:
-the product of the extents of the premise letters absent from the output.  A
-message sums, over those groundings, products of marginal masses of at most
-1, so no logit exceeds the bound, whatever damping and clamping do, but by
-rounding (a damped marginal can be an ulp above 1).  Only a predicate whose
+validates, plus, over the messages into H (two of a summed implication),
+``|w * coefficient|`` (the weights ``iterate`` uses, overrides included)
+times the groundings per cell: the product of the extents of the premise
+letters absent from the output.  A message sums, over those groundings,
+products of marginal masses of at most 1, so no logit exceeds the bound,
+whatever damping and clamping do, but by rounding (a damped marginal can be
+an ulp above 1).  Only a predicate whose
 bound is not below ``LOGIT_LIMIT`` (1e300, far under float64's 1.8e308), an
 infinite or NaN bound included, gets the per-iteration finite check, which
 fails with an ``EngineError`` naming the predicate and the iteration.
@@ -252,6 +255,14 @@ class CompiledImplication:
     coefficient: float
     # index of the hypothesis cells, in message axis order; see _scatter_index
     scatter: tuple = field(compare=False, repr=False)
+    # of a summed implication (see the module docstring): the folded one,
+    # whose premise `other` is added, transposed when `transpose`, to
+    # `operand`, and the multiply-adds that saves per iteration
+    partner: CompiledImplication | None = None
+    operand: int = 0
+    other: int = 0
+    transpose: bool = False
+    saved: float = 0.0
 
     @property
     def symmetric(self) -> bool:
@@ -264,56 +275,33 @@ class CompiledImplication:
         left, right, t_left, t_right = steps[0].gemm
         return self.premises[left].key == self.premises[right].key and t_left != t_right
 
+    def specs(self) -> str:
+        """The spec and its coefficient; of a summed implication also its
+        partner's, the two operands it adds and the multiply-adds saved."""
+        out = f"spec {self.plan.spec}{_times(self.coefficient)}"
+        if self.partner is None:
+            return out
+        partner, turned = self.partner, " transposed" if self.transpose else ""
+        return (f"{out} + spec {partner.plan.spec}{_times(partner.coefficient)} (summed operand "
+                f"{self.plan.spec.inputs[self.operand]} plus "
+                f"{partner.plan.spec.inputs[self.other]}{turned}; saves {int(self.saved)})")
+
     def describe(self) -> str:
-        times = "" if self.coefficient == 1.0 else f" x {self.coefficient:.17g}"
-        return (f"rule {self.rule_id} -> {self.hypothesis}: spec {self.plan.spec}{times} "
+        return (f"rule {self.rule_id} -> {self.hypothesis}: {self.specs()} "
                 f"M'={self.plan.max_intermediate_arity}")
 
 
-@dataclass(frozen=True)
-class SummedProduct:
-    """Two implications of one clause whose messages run as one matrix
-    product (see the module docstring).
-
-    ``kept``'s plan, run with its premise ``operand`` replaced by that
-    premise's array plus the array of ``dropped``'s premise ``other``
-    (transposed when ``transpose``), gives the sum of the two messages.
-    ``kept`` is not a symmetric product, and ``saved`` is the multiply-adds
-    this saves per iteration: ``dropped``'s product, half of it when
-    symmetric, less the ``N^2`` adds of the sum.
-    """
-
-    kept: CompiledImplication
-    dropped: CompiledImplication
-    operand: int
-    other: int
-    transpose: bool
-    saved: float
-
-    @property
-    def hypothesis(self) -> str:
-        return self.kept.hypothesis
-
-    def describe(self) -> str:
-        kept, dropped = self.kept, self.dropped
-        times = "" if kept.coefficient == 1.0 else f" x {kept.coefficient:.17g}"
-        dtimes = "" if dropped.coefficient == 1.0 else f" x {dropped.coefficient:.17g}"
-        turned = " transposed" if self.transpose else ""
-        return (f"summed rule {kept.rule_id} clause {kept.clause_id} -> {kept.hypothesis}: "
-                f"spec {kept.plan.spec}{times} + spec {dropped.plan.spec}{dtimes}, run as "
-                f"{kept.plan.steps[0].describe()} on its operand "
-                f"{kept.plan.spec.inputs[self.operand]} plus the second's operand "
-                f"{dropped.plan.spec.inputs[self.other]}{turned}; saves {int(self.saved)}")
+def _times(coefficient: float) -> str:
+    return "" if coefficient == 1.0 else f" x {coefficient:.17g}"
 
 
 @dataclass(frozen=True)
 class Program:
     """Rules compiled against one knowledge base: every implication, planned,
-    and the pairs of them whose messages run as one product."""
+    one per message an iteration runs."""
 
     kb: KnowledgeBase
     implications: tuple[CompiledImplication, ...]
-    sums: tuple[SummedProduct, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -321,13 +309,11 @@ class Step:
     """One message of an iteration, as ``_add_messages`` runs it (see the
     module docstring for the kinds)."""
 
-    implication: CompiledImplication   # a summed product's kept implication
+    implication: CompiledImplication
     weight: float                      # negated into label 1 of a binary plane
     cells: tuple[tuple, ...]           # one index of the logit table per target label
     sliced: bool                       # the cells keep a slice: the add runs in row blocks
-    summed: SummedProduct | None = None
-    writes: bool = False               # overwrites its plane instead of adding
-    refills: bool = False              # a summed step refills its table after the message
+    writes: bool = False               # overwrites its plane, else a summed step refills it
 
 
 @dataclass
@@ -468,12 +454,12 @@ def _scatter_index(output: str, pattern, n: int) -> tuple:
 
 
 def _summed(a: CompiledImplication, b: CompiledImplication,
-            kb: KnowledgeBase) -> SummedProduct | None:
-    """``a`` and ``b`` as one product (see ``SummedProduct``) when that saves
-    multiply-adds, else None.  Their signed coefficients must be equal: on a
-    binary hypothesis, which ``iterate`` holds as the plane ``x0 - x1``, the
-    coefficient with the target label's sign, on a table the coefficient
-    with equal target labels."""
+            kb: KnowledgeBase) -> CompiledImplication | None:
+    """``a`` and ``b`` as one summed implication (see the module docstring)
+    when that saves multiply-adds, else None.  Their signed coefficients
+    must be equal: on a binary hypothesis, which ``iterate`` holds as the
+    plane ``x0 - x1``, the coefficient with the target label's sign, on a
+    table the coefficient with equal target labels."""
     if ((a.rule_id, a.clause_id, a.weight, a.hypothesis)
             != (b.rule_id, b.clause_id, b.weight, b.hypothesis)
             or not all(isinstance(ix, slice) for ix in a.scatter)
@@ -497,39 +483,44 @@ def _summed(a: CompiledImplication, b: CompiledImplication,
         operand, other, transpose = left, d_left, t_left != dt_left
     else:
         return None
+    # the partner's product, half when symmetric, less the adds of the sum
     saved = (dropped.plan.total_cost / (2 if dropped.symmetric else 1)
              - math.prod(kept.plan.input_shapes[operand]))
-    return SummedProduct(kept, dropped, operand, other, transpose, saved) if saved > 0 else None
+    return replace(kept, partner=dropped, operand=operand, other=other, transpose=transpose,
+                   saved=saved) if saved > 0 else None
 
 
-def _summed_products(implications: tuple[CompiledImplication, ...],
-                     kb: KnowledgeBase) -> tuple[SummedProduct, ...]:
-    """The pairs of ``implications`` whose messages run as one product, the
-    largest saving first and then in implication order, at most one per
-    hypothesis: ``iterate`` builds the sum in the hypothesis's spare table,
-    whose bytes are dead only until its first message."""
-    found = [s for i, a in enumerate(implications) for b in implications[i + 1:]
+def _fold_sums(implications: list[CompiledImplication],
+               kb: KnowledgeBase) -> tuple[CompiledImplication, ...]:
+    """``implications`` with pairs folded into summed implications, which
+    take the place of the one whose plan they run: the largest saving first,
+    then in implication order, at most one per hypothesis, whose spare table
+    holds the sum and is dead only until its first message."""
+    found = [(s, i, j) for i, a in enumerate(implications)
+             for j, b in enumerate(implications[i + 1:], i + 1)
              if (s := _summed(a, b, kb)) is not None]
-    taken: dict[str, SummedProduct] = {}
-    for s in sorted(found, key=lambda s: -s.saved):
-        taken.setdefault(s.hypothesis, s)
-    return tuple(taken.values())
+    taken = {}
+    for s, i, j in sorted(found, key=lambda f: -f[0].saved):
+        taken.setdefault(s.hypothesis, (s, i, j))
+    out = list(implications)
+    for s, i, j in taken.values():
+        kept, dropped = (i, j) if s.partner is implications[j] else (j, i)
+        out[kept], out[dropped] = s, None
+    return tuple(ci for ci in out if ci is not None)
 
 
 def compile_rules(rules, kb: KnowledgeBase) -> Program:
-    """Split CNF formulas into clauses, plan every implication and pair the
-    ones whose messages run as one product."""
+    """Split CNF formulas into clauses, plan every implication and fold the
+    pairs whose messages run as one product."""
     compiled = []
     for formula in normalize_rules(rules):
         for clause in split_cnf(formula):
             compiled.extend(_compile_clause(clause, kb, formula.id))
-    implications = tuple(compiled)
-    return Program(kb, implications, _summed_products(implications, kb))
+    return Program(kb, _fold_sums(compiled, kb))
 
 
 def message(ci: CompiledImplication, marginals: MarginalTable,
-            out: np.ndarray | None = None, summed: SummedProduct | None = None,
-            scratch: np.ndarray | None = None) -> np.ndarray:
+            out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Expected count of true-premise groundings per hypothesis cell.
 
     The message broadcasts to the hypothesis cells: a hypothesis variable
@@ -543,19 +534,20 @@ def message(ci: CompiledImplication, marginals: MarginalTable,
 
     With ``out`` the plan's last step writes the message into ``out``,
     which is returned; the plan must fill its output (see
-    ``planner.execute``).  With ``summed``, whose ``kept`` is ``ci``, it is
-    the pair's message (see the module docstring), with the summed operand
-    written into ``scratch``, an array of its shape whose bytes the caller
-    does not need.
+    ``planner.execute``).  Of a summed implication it is the pair's message
+    (see the module docstring), with the summed operand written into
+    ``scratch``, a C-contiguous array of its shape whose bytes the caller
+    does not need, or into a new array when ``scratch`` is None.
     """
-    extra = () if summed is None else (summed.dropped.premises[summed.other],)
+    extra = () if ci.partner is None else (ci.partner.premises[ci.other],)
     first = {p.key: p for p in (*ci.premises, *extra)}
     gathered = {key: p.gather(marginals.tables[p.predicate]) for key, p in first.items()}
     inputs = [gathered[p.key] for p in ci.premises]
-    if summed is not None:
+    if extra:
         other = gathered[extra[0].key]
-        rows(_add, scratch, inputs[summed.operand], other.T if summed.transpose else other)
-        inputs[summed.operand] = scratch
+        summed = np.empty(inputs[ci.operand].shape) if scratch is None else scratch
+        rows(_add, summed, inputs[ci.operand], other.T if ci.transpose else other)
+        inputs[ci.operand] = summed
     return planner.execute(ci.plan, inputs, out=out)
 
 
@@ -682,21 +674,18 @@ def _schedule(program: Program, weights: tuple[float, ...],
               planes: frozenset) -> tuple[tuple[Step, ...], frozenset, frozenset]:
     """The steps of one iteration in run order (see the module docstring),
     the tables to refill before them, and the binary planes they write,
-    which start at ½.  A summed product runs as one step, with the weight
-    of ``kept``.  A step that writes, or is summed, runs first of the steps
-    into its hypothesis, which is not refilled before it."""
+    which start at ½.  A step that writes, or is summed, runs first of the
+    steps into its hypothesis, which is not refilled before it."""
     kb = program.kb
     full = {name for name, (cells, _) in kb.observed.items()
             if len(cells) == kb.n ** cells.shape[1]}
     zero = {name for name, (lo, hi) in extremes.items() if lo == hi == 0.0}
-    summed = {id(s.kept): s for s in program.sums}
-    dropped = {id(s.dropped) for s in program.sums}
-    order = [(ci, w, summed.get(id(ci))) for ci, w in zip(program.implications, weights)
-             if ci.hypothesis not in full and id(ci) not in dropped]
+    order = [(ci, w) for ci, w in zip(program.implications, weights)
+             if ci.hypothesis not in full]
     lead, rank = {}, {}
-    for name in planes | {s.hypothesis for s in program.sums}:
-        into = [i for i, (ci, _, _) in enumerate(order) if ci.hypothesis == name]
-        sums = [i for i in into if order[i][2] is not None]
+    for name in planes | {ci.hypothesis for ci, _ in order if ci.partner is not None}:
+        into = [i for i, (ci, _) in enumerate(order) if ci.hypothesis == name]
+        sums = [i for i in into if order[i][0].partner is not None]
         cover = [i for i in into[:2] if all(isinstance(ix, slice) for ix in order[i][0].scatter)]
         if sums or (cover and name in zero):
             lead[name] = sums[0] if sums else min(
@@ -705,7 +694,7 @@ def _schedule(program: Program, weights: tuple[float, ...],
     written = frozenset(name for name in lead if name in planes and name in zero)
     steps = []
     for i in sorted(range(len(order)), key=lambda i: rank.get(i, i)):
-        ci, w, s = order[i]
+        ci, w = order[i]
         if ci.hypothesis in planes:
             (label,) = ci.target_labels
             w, cells = (-w if label else w), (ci.scatter,)
@@ -713,7 +702,7 @@ def _schedule(program: Program, weights: tuple[float, ...],
             cells = tuple(ci.scatter + (label,) for label in ci.target_labels)
         writes = lead.get(ci.hypothesis) == i and ci.hypothesis in written
         steps.append(Step(ci, w, cells, any(isinstance(ix, slice) for ix in ci.scatter),
-                          s, writes, s is not None and not writes))
+                          writes))
     return tuple(steps), frozenset(kb.predicates).difference(lead), written
 
 
@@ -721,14 +710,14 @@ def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, steps,
                   phi: UnaryTable | None = None, planes: frozenset = frozenset()):
     """Run ``steps`` (see ``_schedule``) into ``logits``, every message read
     from the snapshot ``q``; ``phi`` and ``planes`` refill the table of a
-    step that ``refills``.  Each message, and what it gathered, is dropped
+    summed step that does not write.  Each message, and what it gathered, is dropped
     before the next is computed."""
     for step in steps:
         ci, w = step.implication, step.weight
         target = logits[ci.hypothesis]
-        if step.summed is not None:
-            msg = message(ci, q, summed=step.summed, scratch=target[step.cells[0]])
-            if step.refills:
+        if ci.partner is not None:
+            msg = message(ci, q, scratch=target[step.cells[0]])
+            if not step.writes:
                 _refill(logits, phi, planes, (ci.hypothesis,))
         else:
             msg = message(ci, q, out=target if step.writes and ci.plan.fills_output else None)
@@ -761,14 +750,15 @@ def _accumulate(out: np.ndarray, msg: np.ndarray, add):
 def _bounds(program: Program, weights: tuple[float, ...],
             extremes: dict[str, tuple[float, float]], planes: frozenset) -> dict[str, float]:
     """Each predicate's logit bound (see the module docstring), in Python
-    floats, so that an overflow gives ``inf``."""
+    floats, so that an overflow gives ``inf``.  A summed implication counts
+    its two messages, whose weights have one magnitude."""
     bound = {name: hi - lo if name in planes else max(-lo, hi)
              for name, (lo, hi) in extremes.items()}
     for ci, w in zip(program.implications, weights):
-        spec = ci.plan.spec
-        letters = spec.input_letters().difference(spec.output)
-        bound[ci.hypothesis] += abs(w) * math.prod((ci.plan.extents[ch] for ch in letters),
-                                                   start=1.0)
+        for plan in (ci.plan,) if ci.partner is None else (ci.plan, ci.partner.plan):
+            letters = plan.spec.input_letters().difference(plan.spec.output)
+            bound[ci.hypothesis] += abs(w) * math.prod((plan.extents[ch] for ch in letters),
+                                                       start=1.0)
     return bound
 
 

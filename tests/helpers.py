@@ -1,12 +1,15 @@
 """Helpers that only the tests use: rule-file printing, table comparison,
-the kind of a solve step, a row view of the report and a per-threshold loop
-for ``auc_pr``."""
+the chained oracle, summed implications taken apart, the kind of a solve
+step, a row view of the report and a per-threshold loop for ``auc_pr``."""
+
+from dataclasses import replace
 
 import numpy as np
 
-from einlog.engine import MarginalTable, UnaryTable, message
+from einlog.engine import MarginalTable, UnaryTable, initial_marginals, message
 from einlog.fol import RuleSet
 from einlog.io import report_columns
+from einlog.oracle import naive_mf_step
 
 
 def format_rules(ruleset: RuleSet) -> str:
@@ -31,6 +34,23 @@ def max_abs_diff(a: MarginalTable, b: MarginalTable) -> float:
     return max(float(np.max(np.abs(a.tables[k] - b.tables[k]))) for k in a.tables)
 
 
+def chained_oracle(phi, rules, kb, iterations, damping) -> MarginalTable:
+    """``iterations`` damped sequential oracle steps from the initial marginals."""
+    q = initial_marginals(phi, kb)
+    for _ in range(iterations):
+        new = naive_mf_step(q, rules, kb, phi)
+        q = MarginalTable({name: (1.0 - damping) * new.tables[name]
+                           + damping * q.tables[name] for name in new.tables})
+    return q
+
+
+def apart(implications):
+    """The implications, one message each: a summed implication as the one
+    whose plan it runs, then its partner."""
+    for ci in implications:
+        yield from (ci,) if ci.partner is None else (replace(ci, partner=None), ci.partner)
+
+
 # every kind of engine step, an add told apart by its weight and, when
 # scaled, by whether its message is a view (see the engine module docstring)
 STEP_KINDS = frozenset({"add weight ±1", "add scaled owned", "add scaled view", "add into cells",
@@ -40,7 +60,7 @@ STEP_KINDS = frozenset({"add weight ±1", "add scaled owned", "add scaled view",
 def step_kind(step, q: MarginalTable) -> str:
     """The kind of an engine ``Step``, one of ``STEP_KINDS``; ``q`` is any
     snapshot the step's message can read."""
-    if step.summed is not None:
+    if step.implication.partner is not None:
         return "summed write" if step.writes else "summed refill"
     if step.writes:
         return "write through out=" if step.implication.plan.fills_output else "write scaled"

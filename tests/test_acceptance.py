@@ -188,16 +188,21 @@ def test_multiclass_reduces_to_binary_50_draws():
         q = initial_marginals(phi, kb)
         for ci in program.implications:
             got = message(ci, q)
+
             # binary reference: opposite-label slice per premise literal
-            ref_inputs = []
-            for p in ci.premises:
+            def binary_slice(p):
                 arr = q.tables[p.predicate]
                 for axis, pos in reversed(p.const_slices):
                     arr = np.take(arr, pos, axis=axis)
                 (label,) = p.complement_labels
-                # contiguous copy so the kernel iterates identically
-                ref_inputs.append(np.ascontiguousarray(arr[..., label]))
-            want = planner.execute(ci.plan, ref_inputs)
+                return arr[..., label]
+            ref_inputs = [binary_slice(p) for p in ci.premises]
+            if ci.partner is not None:  # a summed implication's operand sum
+                other = binary_slice(ci.partner.premises[ci.other])
+                ref_inputs[ci.operand] = ref_inputs[ci.operand] + (
+                    other.T if ci.transpose else other)
+            # contiguous copies so the kernel iterates identically
+            want = planner.execute(ci.plan, [np.ascontiguousarray(a) for a in ref_inputs])
             exact = exact and np.array_equal(got, want)
     report("multi-class message path at D=2 vs binary slices (50 draws)", exact,
            "messages bit-identical" if exact else "messages differ")

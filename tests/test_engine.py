@@ -15,13 +15,12 @@ from einlog.engine import (EngineConfig, EngineError, IterationTrace, MarginalTa
                            PremiseInput, Program, UnaryTable, _add_messages, compile_rules,
                            initial_marginals, iterate, message, transitivity_violations)
 from einlog.fol import (Clause, CnfFormula, Literal, Predicate, binary_literal, constant,
-                        merge_literals, variable)
+                        merge_literals, normalize_rules, split_cnf, variable)
 from einlog.kb import KnowledgeBase
-from einlog.oracle import naive_mf_step
 from einlog.tensor import softmax_lastaxis
 from einlog.testing import ORACLE_TOL, engine_oracle_gap, random_instance
 
-from helpers import copy_unary, max_abs_diff, same_bytes, step_kind
+from helpers import apart, chained_oracle, copy_unary, max_abs_diff, same_bytes, step_kind
 
 C = Predicate("c", 2)
 A, B, D = variable("a"), variable("b"), variable("d")
@@ -44,12 +43,14 @@ def test_compile_transitivity_specs():
     assert [p.complement_labels for p in compiled[2].premises] == [(1,), (1,)]
     assert [p.complement_labels for p in compiled[0].premises] == [(1,), (0,)]
     # from N = 3 on, each label-0 literal compiles to a pair: the product
-    # reading q1 with coefficient -1, then the ones term with N^0
+    # reading q1 with coefficient -1, then the ones term with N^0; the first
+    # product folds into the last as its summed partner
     compiled = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(3)).implications
     assert [(str(ci.plan.spec), ci.coefficient) for ci in compiled] == [
-        ("bc,ac->ab", -1.0), ("bc->ab", 1.0), ("ab,ac->bc", -1.0), ("ab->bc", 1.0),
-        ("ab,bc->ac", 1.0)]
-    assert [p.complement_labels for p in compiled[0].premises] == [(1,), (1,)]
+        ("bc->ab", 1.0), ("ab,ac->bc", -1.0), ("ab->bc", 1.0), ("ab,bc->ac", 1.0)]
+    partner = compiled[-1].partner
+    assert (str(partner.plan.spec), partner.coefficient) == ("bc,ac->ab", -1.0)
+    assert [p.complement_labels for p in partner.premises] == [(1,), (1,)]
 
 
 def test_compile_smoke_matches_worked_messages(smoke_rules, smoke_kb):
@@ -92,7 +93,7 @@ def test_message_counts_true_premises():
     q1[1, 2] = 1.0
     q = MarginalTable({"c": np.stack([1 - q1, q1], axis=-1)})
     compiled = compile_rules([TRANSITIVITY], trans_kb(3)).implications
-    msg = message(compiled[-1], q)
+    msg = message(replace(compiled[-1], partner=None), q)
     want = np.zeros((3, 3))
     for a in range(3):
         for d in range(3):
@@ -192,7 +193,7 @@ def _logits_within_bound(seen, seed, damping, iterations, override):
                 trace)
     seen["damped"] += damping > 0.0
     seen["multi-class"] += any(p.num_labels > 2 for p in kb.predicates.values())
-    seen["summed"] += bool(program.sums)
+    seen["summed"] += any(ci.partner is not None for ci in program.implications)
     seen["override"] += bool(weights)
     for name, bound in trace.bounds.items():
         assert bound < engine.LOGIT_LIMIT
@@ -514,7 +515,8 @@ def _reference_softmax(arr):
 
 
 def _reference_iterate(phi, program, config):
-    """Mean field on fresh C-order tables each iteration, one gather per premise."""
+    """Mean field on fresh C-order tables each iteration, one gather per
+    premise and one message per implication, a summed one's two apart."""
     masks = program.kb.masks()
 
     def clamp(tables):
@@ -525,7 +527,7 @@ def _reference_iterate(phi, program, config):
     clamp(q)
     for _ in range(config.iterations):
         logits = {name: np.array(arr, order="C") for name, arr in phi.tables.items()}
-        for ci in program.implications:
+        for ci in apart(program.implications):
             arrays = [p.gather(q[p.predicate]) for p in ci.premises]
             w = config.weights.get(ci.rule_id, ci.weight) * ci.coefficient
             weighted = w * planner.execute(ci.plan, arrays)
@@ -650,9 +652,10 @@ def test_chain_steps_of_workload_rules_run_as_gemm():
     assert sum(s.kernel == "gemm" for _, s in steps) == 8
     assert all(s.kernel == "gemm" for rid, s in steps if rid == "f7")
     trans = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(5)).implications
-    # each label-0 literal also has its ones term, a single-operand row sum
-    assert [s.kernel for ci in trans for s in ci.plan.steps] == [
-        "gemm", "einsum", "gemm", "einsum", "gemm"]
+    # each label-0 literal also has its ones term, a single-operand row sum;
+    # the summed Q @ Q runs its partner's product too
+    assert [s.kernel for ci in apart(trans) for s in ci.plan.steps] == [
+        "einsum", "gemm", "einsum", "gemm", "gemm"]
 
 
 def test_broadcast_message_keeps_its_contracted_size():
@@ -932,6 +935,13 @@ def test_record_matches_the_two_label_formula():
 
 # --- summed 1 - q1 premises compiled into N^k - sum q1 pairs ----------------
 
+def _unfolded(rules, kb):
+    """The implications of ``rules`` in compile order, before summed pairs
+    fold (see ``engine._fold_sums``)."""
+    return [ci for formula in normalize_rules(rules) for clause in split_cnf(formula)
+            for ci in engine._compile_clause(clause, kb, formula.id)]
+
+
 def _pairs(implications):
     """Each expanded literal's two implications: the one reading ``q1`` with
     coefficient -1, and its ones term, compiled right after it."""
@@ -942,7 +952,7 @@ def _pairs(implications):
 
 def _expanded(rules, n):
     kb = KnowledgeBase([f"E{i}" for i in range(n)], rules.predicates, {})
-    return _pairs(compile_rules(rules, kb).implications)
+    return _pairs(_unfolded(rules, kb))
 
 
 def _unexpanded_premises(main, ones):
@@ -996,7 +1006,6 @@ def test_only_a_symmetric_main_product_tips_the_decision():
 
 def test_symmetric_message_agrees_with_the_complement_product(monkeypatch):
     n = 64
-    program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(n))
     rng = np.random.default_rng(64)
     q1 = rng.random((n, n))
     operands = []
@@ -1008,7 +1017,7 @@ def test_symmetric_message_agrees_with_the_complement_product(monkeypatch):
 
     monkeypatch.setattr(planner, "execute", recording)
     want = [(1.0 - q1) @ q1.T, q1.T @ (1.0 - q1)]
-    pairs = _pairs(program.implications)
+    pairs = _pairs(_unfolded([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(n)))
     assert len(pairs) == 2
     for (main, ones), ref in zip(pairs, want):
         assert main.symmetric
@@ -1025,9 +1034,9 @@ def test_symmetric_message_agrees_with_the_complement_product(monkeypatch):
 
 
 def test_message_on_public_tables_is_the_unexpanded_contraction(workloads):
-    # every implication is an ordinary contraction on either storage; an
-    # expanded pair's coefficient-weighted sum is the contraction over 1 - q1
-    # it came from
+    # every implication, before summed pairs fold, is an ordinary
+    # contraction on either storage; an expanded pair's coefficient-weighted
+    # sum is the contraction over 1 - q1 it came from
     rng = np.random.default_rng(6)
     instances = [_kbc_instance(5)]
     for text in (workloads.TRANSITIVITY_RULES,
@@ -1043,12 +1052,13 @@ def test_message_on_public_tables_is_the_unexpanded_contraction(workloads):
         q = iterate(phi, program, EngineConfig(iterations=2))
         planes = MarginalTable({name: t[..., 1] if kb.predicates[name].num_labels == 2
                                 else t for name, t in q.tables.items()})
-        for ci in program.implications:
+        implications = _unfolded(rules, kb)
+        for ci in implications:
             want = planner.execute(ci.plan, [p.gather(q.tables[p.predicate])
                                              for p in ci.premises])
             assert np.array_equal(message(ci, q), want)
             assert np.max(np.abs(message(ci, planes) - want)) <= 1e-12
-        for main, ones in _pairs(program.implications):
+        for main, ones in _pairs(implications):
             unexpanded = _unexpanded_premises(main, ones)
             for tables in (q, planes):
                 want = planner.execute(main.plan, [p.gather(tables.tables[p.predicate])
@@ -1085,12 +1095,7 @@ def test_expanded_shapes_match_reference_and_chained_oracle(rule, damping):
     config = EngineConfig(3, damping=damping)
     _assert_matches_reference(phi, program, config)
     got = iterate(phi, program, config)
-    q = initial_marginals(phi, kb)
-    for _ in range(3):
-        new = naive_mf_step(q, rules, kb, phi)
-        q = MarginalTable({name: (1.0 - damping) * new.tables[name] + damping * q.tables[name]
-                           for name in new.tables})
-    assert max_abs_diff(got, q) <= 1e-9
+    assert max_abs_diff(got, chained_oracle(phi, rules, kb, 3, damping)) <= 1e-9
 
 
 # --- q1 planes flushed below sqrt(tiny) ---------------------------------------
@@ -1271,13 +1276,13 @@ def test_schedule_runs_once_per_solve_with_signs_and_cells_resolved(monkeypatch)
     monkeypatch.setattr(engine, "_schedule", recording)
     iterate(phi, program, EngineConfig(iterations=4))
     ((steps, refill, written),) = built
-    # the summed product runs first and refills c after building its sum
-    # there; on the plane x0 - x1 label 1 negates the weight, so the q1
-    # products go in as -msg and the ones terms as +msg
+    # the summed product runs first and, as it does not write, refills c
+    # after building its sum there; on the plane x0 - x1 label 1 negates the
+    # weight, so the q1 products go in as -msg and the ones terms as +msg
     assert refill == written == frozenset()
-    assert [(str(s.implication.plan.spec), s.weight, s.summed is not None, s.refills)
-            for s in steps] == [("ab,bc->ac", -1.0, True, True), ("bc->ab", 1.0, False, False),
-                                ("ab,ac->bc", -1.0, False, False), ("ab->bc", 1.0, False, False)]
+    assert [(str(s.implication.plan.spec), s.weight, s.implication.partner is not None)
+            for s in steps] == [("ab,bc->ac", -1.0, True), ("bc->ab", 1.0, False),
+                                ("ab,ac->bc", -1.0, False), ("ab->bc", 1.0, False)]
     assert all(s.cells == ((slice(None),) * 2,) and s.sliced and not s.writes for s in steps)
 
 
@@ -1359,7 +1364,9 @@ def test_split_transitivity_stays_within_1e_12_of_the_unsplit_run(split_products
     kb = trans_kb(64)
     phi = UnaryTable({"c": np.random.default_rng(5).normal(0.0, 2.0, (64, 64, 2))})
     program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], kb)
-    assert sum(ci.symmetric for ci in program.implications) == 2
+    # one symmetric product runs; the other is the summed Q @ Q's partner
+    assert sum(ci.symmetric for ci in program.implications) == 1
+    assert program.implications[-1].partner.symmetric
     config = EngineConfig(iterations=3)
     split = iterate(phi, program, config)
     assert splits
@@ -1619,13 +1626,15 @@ def _summed_matches_one_at_a_time(seen, rules, n, seed, damping, iterations, ove
     scheduled, _, _ = engine._schedule(program, tuple(ci.weight * ci.coefficient
                                                       for ci in program.implications),
                                        phi.extremes(kb), planes)
-    for s in program.sums:
-        seen["summed"].append(s.hypothesis)
-        seen["table"] += s.hypothesis not in planes
-        seen["override"] += s.kept.rule_id in weights
-    seen["writing"] += sum(step.writes for step in scheduled if step.summed is not None)
+    for ci in program.implications:
+        if ci.partner is not None:
+            seen["summed"].append(ci.hypothesis)
+            seen["table"] += ci.hypothesis not in planes
+            seen["override"] += ci.rule_id in weights
+    seen["writing"] += sum(step.writes for step in scheduled
+                           if step.implication.partner is not None)
     got = iterate(phi, program, config)
-    want = iterate(phi, Program(kb, program.implications), config)
+    want = iterate(phi, Program(kb, tuple(apart(program.implications))), config)
     assert max_abs_diff(got, want) <= 1e-12
     # the argmax agrees wherever the best label leads by more than rounding;
     # an exact tie, such as two rules that cancel, is broken by the last bits
@@ -1655,37 +1664,91 @@ def test_split_summed_products_match_the_messages_one_at_a_time(split_products, 
     assert splits
 
 
+def _summed_implications(program):
+    return [ci for ci in program.implications if ci.partner is not None]
+
+
 @pytest.mark.parametrize("n", [8, 1024])
 def test_summed_products_of_the_workload_rules(workloads, smoke_rules, smoke_kb, n):
     def sums(rules, kb=None):
         kb = kb or KnowledgeBase([f"E{i}" for i in range(n)], rules.predicates, {})
-        return compile_rules(rules, kb).sums
+        return _summed_implications(compile_rules(rules, kb))
 
-    assert sums(E.parse_rules(workloads.KBC_RULES)) == ()
-    assert sums(E.parse_rules(workloads.REPORT_RULES)) == ()
-    assert sums(smoke_rules, smoke_kb) == ()
+    assert sums(E.parse_rules(workloads.KBC_RULES)) == []
+    assert sums(E.parse_rules(workloads.REPORT_RULES)) == []
+    assert sums(smoke_rules, smoke_kb) == []
     (s,) = sums(E.parse_rules(workloads.TRANSITIVITY_RULES))
     # Q @ Q into coexist(a,c) takes in Q @ Q^T into coexist(a,b): one N^3
     # product and an N^2 sum in place of N^3 + N^3 / 2
-    assert (str(s.kept.plan.spec), str(s.dropped.plan.spec)) == ("ab,bc->ac", "bc,ac->ab")
-    assert not s.kept.symmetric and s.dropped.symmetric and s.transpose
+    assert (str(s.plan.spec), str(s.partner.plan.spec)) == ("ab,bc->ac", "bc,ac->ab")
+    assert not s.symmetric and s.partner.symmetric and s.transpose
     assert s.saved == n ** 3 / 2 - n ** 2
 
 
 def test_summed_message_is_the_kept_plan_on_the_summed_operand():
     n = 40
     program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(n))
-    (s,) = program.sums
+    (s,) = _summed_implications(program)
     q1 = np.random.default_rng(3).random((n, n))
     q = MarginalTable({"c": q1})
     scratch = np.empty((n, n))
-    got = message(s.kept, q, summed=s, scratch=scratch)
+    got = message(s, q, scratch=scratch)
     assert np.array_equal(scratch, q1 + q1.T)
-    assert np.array_equal(got, planner.execute(s.kept.plan, [q1, q1 + q1.T]))
+    assert np.array_equal(got, planner.execute(s.plan, [q1, q1 + q1.T]))
     # weight 1 and coefficient -1 on label 0: both go into x0 - x1 as -msg
-    assert s.kept.target_labels == (1,) and s.dropped.coefficient == -1.0
-    apart = message(s.kept, q) + message(s.dropped, q)
-    assert np.max(np.abs(got - apart)) <= 1e-12
+    assert s.target_labels == (1,) and s.partner.coefficient == -1.0
+    one_at_a_time = message(replace(s, partner=None), q) + message(s.partner, q)
+    assert np.max(np.abs(got - one_at_a_time)) <= 1e-12
+
+
+@pytest.mark.parametrize("rules", [
+    [CnfFormula((TRANSITIVITY,), id="t")],
+    _transitivity_on("p", {0}, {1}, 0.7),
+    _transitivity_on("m", {0, 2}, {0, 2}, 1.5),
+], ids=["plane", "weighted plane", "multi-class table"])
+def test_summed_message_without_scratch_is_the_two_messages_added(rules):
+    # the sum goes into a new array, and the snapshot is left as it was
+    n = 6
+    preds = rules[0].clauses[0].literals[0].predicate
+    kb = KnowledgeBase([f"E{i}" for i in range(n)], {preds.name: preds}, {})
+    program = compile_rules(rules, kb)
+    (s,) = _summed_implications(program)
+    rng = np.random.default_rng(9)
+    q = initial_marginals(UnaryTable({preds.name: rng.normal(0.0, 1.5, kb.shape(preds)
+                                                             + (preds.num_labels,))}), kb)
+    before = q.copy()
+    got = message(s, q)
+    assert same_bytes(q, before)
+    one_at_a_time = message(replace(s, partner=None), q) + message(s.partner, q)
+    assert got.shape == one_at_a_time.shape
+    assert np.max(np.abs(got - one_at_a_time)) <= 1e-12
+    assert np.array_equal(got, message(s, q, scratch=np.empty(s.plan.input_shapes[s.operand])))
+
+
+@pytest.mark.parametrize("override", [None, -0.7])
+@pytest.mark.parametrize("n", [8, 1024])
+def test_summed_implication_bound_counts_both_messages(workloads, n, override):
+    # coexist gets five messages of N groundings each, two of them as one
+    # summed product: the bound is the unary spread plus 5 N |w|
+    rules = E.parse_rules(workloads.TRANSITIVITY_RULES)
+    kb = KnowledgeBase([f"E{i}" for i in range(n)], rules.predicates, {})
+    program = compile_rules(rules, kb)
+    assert len(program.implications) == 4 and len(_summed_implications(program)) == 1
+    phi = UnaryTable({"coexist": np.random.default_rng(n).normal(0.0, 2.0, (n, n, 2))})
+    (weight,) = [f.weight for f in rules]
+    weights = {} if override is None else {"f1": override}
+    lo, hi = phi.extremes(kb)["coexist"]
+    traces = {}
+    for name, prog in (("summed", program),
+                       ("apart", Program(kb, tuple(apart(program.implications))))):
+        traces[name] = IterationTrace()
+        iterate(phi, prog, EngineConfig(1, weights=weights), traces[name])
+    # added one message at a time, as every implication's bound is
+    want = hi - lo
+    for _ in range(5):
+        want += abs(weight if override is None else override) * n
+    assert traces["summed"].bounds == {"coexist": want}
+    assert traces["summed"].bounds == traces["apart"].bounds
 
 
 @pytest.mark.parametrize("iterations", [3, 4])
@@ -1695,7 +1758,7 @@ def test_summed_product_allocates_no_plane_beyond_output_and_a_message(iteration
     n = 128
     kb = trans_kb(n)
     program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], kb)
-    assert len(program.sums) == 1
+    assert len(_summed_implications(program)) == 1
     rng = np.random.default_rng(8)
     phi = UnaryTable({"c": np.zeros((n, n, 2)) if zeros else rng.normal(0.0, 2.0, (n, n, 2))})
     program.kb.masks()      # cached by the knowledge base, not by the solve

@@ -17,7 +17,7 @@ from einlog.oracle import (OracleError, brute_einsum, enumerate_groundings,
 from einlog.tensor import softmax_lastaxis
 from einlog.testing import random_instance
 
-from helpers import STEP_KINDS, max_abs_diff, same_bytes, step_kind
+from helpers import STEP_KINDS, chained_oracle, max_abs_diff, same_bytes, step_kind
 
 S = Predicate("s", 1)
 F = Predicate("f", 2)
@@ -183,16 +183,6 @@ def test_engine_matches_oracle_on_degenerate_diagonals():
     got = iterate(phi, compile_rules([loop], kb), EngineConfig(iterations=1))
     want = naive_mf_step(initial_marginals(phi, kb), [loop], kb, phi)
     assert max_abs_diff(got, want) <= 1e-12
-
-
-def chained_oracle(phi, rules, kb, iterations, damping) -> MarginalTable:
-    """``iterations`` damped sequential oracle steps from the initial marginals."""
-    q = initial_marginals(phi, kb)
-    for _ in range(iterations):
-        new = naive_mf_step(q, rules, kb, phi)
-        q = MarginalTable({name: (1.0 - damping) * new.tables[name]
-                           + damping * q.tables[name] for name in new.tables})
-    return q
 
 
 @pytest.mark.parametrize("text, rule_id", [("KBC_RULES", "f2"), ("TRANSITIVITY_RULES", "f1")])

@@ -74,17 +74,22 @@ def test_irreducible_examples_fall_back_to_single_step(spec):
 PLAN_SPECS = ["hk,kj,ji->i", "hk,kj,ji,h->i", "pi,qj,ijkl,rk,sl->pqrs",
               "a,ab->b", "abcd,bc,cd,ad->ac", "abc,bcd,cb,ad->ac",
               "ab,bc,cd->ad", "ab,bc->c", "aa,ab->b", "ab,cd->ac",
-              "ab->ba", "a,a->a", "ab,b,bc->ac", "ab,ac->a", "ab,c->c", "abb,acc,d->ad"]
+              "ab->ba", "a,a->a", "ab,b,bc->ac", "ab,ac->a", "ab,c->c", "abb,acc,d->ad",
+              "ab,bc->ac", "ab,ab->", "abc->b", "aa->a", "ab,cb->ac", "abc,bc->a",
+              "a,b,c->abc", "abc,cb->ab"]
 
 
 @pytest.mark.parametrize("spec", PLAN_SPECS)
 def test_execute_matches_brute_force(spec):
-    ext = uniform_extents(spec, 3)
-    p = plan(spec, ext)
-    ins = random_inputs(spec, ext, seed=42)
-    got = execute(p, ins)
-    want = brute_einsum(spec, ins, ext)
-    assert np.allclose(got, want, atol=1e-10)
+    # at extent 3 for every letter, then at drawn extents of 2 to 4, under
+    # which axes swapped by mistake mostly no longer fit
+    rng = np.random.default_rng(PLAN_SPECS.index(spec))   # str hashes change per process
+    for ext in (uniform_extents(spec, 3),
+                {c: int(rng.integers(2, 5)) for c in uniform_extents(spec, 1)}):
+        ins = random_inputs(spec, ext, seed=42)
+        got = execute(plan(spec, ext), ins)
+        want = brute_einsum(spec, ins, ext)
+        assert np.allclose(got, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", PLAN_SPECS)

@@ -21,14 +21,14 @@ def test_every_tracer_target_resolves():
 
 
 def test_every_planned_product_runs_inside_a_message_span():
-    # a summed product is a message too, so its product, and the N^2 sum
-    # before it, count toward engine.message
+    # a summed implication's message is one product, so it and the N^2 sum
+    # before it count toward engine.message
     rules = E.parse_rules(workloads.TRANSITIVITY_RULES)
     n = 16
     kb = E.KnowledgeBase([f"E{i}" for i in range(n)], rules.predicates, {})
     phi = E.UnaryTable({"coexist": np.random.default_rng(5).normal(0.0, 2.0, (n, n, 2))})
     program = E.compile_rules(rules, kb)
-    assert len(program.sums) == 1
+    assert sum(ci.partner is not None for ci in program.implications) == 1
     with tracing.Tracer() as tracer:
         engine.iterate(phi, program, E.EngineConfig(iterations=3))
     spans = tracer.spans
