@@ -53,16 +53,15 @@ since clamping overwrites whatever it adds.  A step is of one kind:
   cells.  Through a slice the add runs in row blocks; into one cell or a
   diagonal, which indexing copies, it is whole.
 * write: a binary plane with an all-zero unary table is not refilled when
-  one of its first two messages covers every cell (a slice per axis).  That
-  message runs first of those into the plane and overwrites it: through
-  ``planner.execute(out=)``, then scaled in place unless the weight is 1,
-  when its plan fills the plane (preferred), else as ``w * msg``.  The
-  refilled sum ``(0 + a) + b`` equals ``b + a`` bit for bit, so either may
-  write, and the plane starts at ½ with no refill and no sigmoid.
+  the plan of one of its first two messages fills the plane (a slice per
+  axis, no size-1 axis).  That message runs first of those into the plane
+  and writes it through ``planner.execute(out=)``, then is scaled in place
+  unless the weight is 1.  The refilled sum ``(0 + a) + b`` equals ``b + a``
+  bit for bit, so either may write, and the plane starts at ½ with no
+  refill and no sigmoid.  With no such message the plane is refilled.
 * summed: a summed implication's step runs first of the messages into its
   hypothesis, with its sum built in the table's dead bytes.  It then
-  refills the table and adds, or writes the plane of a binary predicate
-  with an all-zero unary table.
+  refills the table and adds.
 
 Marginals are bit-identical to refilling and adding every scaled message,
 but for the summed implications' order of adds.
@@ -313,7 +312,7 @@ class Step:
     weight: float                      # negated into label 1 of a binary plane
     cells: tuple[tuple, ...]           # one index of the logit table per target label
     sliced: bool                       # the cells keep a slice: the add runs in row blocks
-    writes: bool = False               # overwrites its plane, else a summed step refills it
+    writes: bool = False               # writes its plane through planner.execute(out=)
 
 
 @dataclass
@@ -686,12 +685,12 @@ def _schedule(program: Program, weights: tuple[float, ...],
     for name in planes | {ci.hypothesis for ci, _ in order if ci.partner is not None}:
         into = [i for i, (ci, _) in enumerate(order) if ci.hypothesis == name]
         sums = [i for i in into if order[i][0].partner is not None]
-        cover = [i for i in into[:2] if all(isinstance(ix, slice) for ix in order[i][0].scatter)]
-        if sums or (cover and name in zero):
-            lead[name] = sums[0] if sums else min(
-                cover, key=lambda i: not order[i][0].plan.fills_output)
+        fills = [i for i in into[:2] if order[i][0].plan.fills_output
+                 and all(isinstance(ix, slice) for ix in order[i][0].scatter)]
+        if sums or (fills and name in zero):
+            lead[name] = (sums or fills)[0]
             rank[lead[name]] = into[0] - 0.5
-    written = frozenset(name for name in lead if name in planes and name in zero)
+    written = frozenset(name for name, i in lead.items() if order[i][0].partner is None)
     steps = []
     for i in sorted(range(len(order)), key=lambda i: rank.get(i, i)):
         ci, w = order[i]
@@ -710,20 +709,19 @@ def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, steps,
                   phi: UnaryTable | None = None, planes: frozenset = frozenset()):
     """Run ``steps`` (see ``_schedule``) into ``logits``, every message read
     from the snapshot ``q``; ``phi`` and ``planes`` refill the table of a
-    summed step that does not write.  Each message, and what it gathered, is dropped
-    before the next is computed."""
+    summed step.  Each message, and what it gathered, is dropped before the
+    next is computed."""
     for step in steps:
         ci, w = step.implication, step.weight
         target = logits[ci.hypothesis]
         if ci.partner is not None:
             msg = message(ci, q, scratch=target[step.cells[0]])
-            if not step.writes:
-                _refill(logits, phi, planes, (ci.hypothesis,))
+            _refill(logits, phi, planes, (ci.hypothesis,))
         else:
-            msg = message(ci, q, out=target if step.writes and ci.plan.fills_output else None)
+            msg = message(ci, q, out=target if step.writes else None)
         if step.writes:
-            if msg is not target or w != 1.0:
-                rows(_scale, target, msg, w)
+            if w != 1.0:
+                rows(_scale, target, target, w)
         else:
             if abs(w) != 1.0:
                 scaled = msg if msg.flags.owndata else np.empty_like(msg)

@@ -3,9 +3,9 @@
 Unary potential files reuse the evidence atom syntax followed by one logit
 per label (``coexist(T1,T2) 0.3 -0.3``); unlisted cells default to zero
 logits.  Prediction files hold ``Atom score`` lines and truth files ``Atom``
-or ``!Atom`` lines.  Unary and prediction files are read in bulk through
-``kb.atom_blocks``, with a per-line walk that names the first bad line when
-the bulk reader declines; truth files are read line by line.
+or ``!Atom`` lines.  Unary files are read in bulk through ``kb.atom_blocks``,
+with a per-line walk that names the first bad line when the bulk reader
+declines; prediction and truth files are read line by line.
 
 Marginal reports are CSV ``predicate,arg1,...,argk,label,probability,
 observed`` rows (9 decimals, lexicographically sorted; binary predicates
@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -280,33 +279,8 @@ def format_marginals_json(result: MarginalTable, kb: KnowledgeBase, queries=None
 
 
 def load_predictions(text: str, kb: KnowledgeBase):
-    """Scored atoms: one `Atom score` per line."""
-    return read_bulk(_bulk_predictions, _walk_predictions, text, kb)
-
-
-def _bulk_predictions(text: str, kb: KnowledgeBase):
-    found = {}
-    for block in atom_blocks(text, kb.predicates, kb.entity_keys):
-        if block.negated.any() or block.named.any() or np.any(block.counts != 1):
-            raise Declined
-        scores = block.values
-        if not np.all(np.isfinite(scores)):
-            raise Declined
-        for pred, at, cells in block.groups:
-            found.setdefault(pred.name, []).append((cells, scores[at]))
-    out = {}
-    for name, parts in found.items():
-        cells = np.concatenate([c for c, _ in parts])
-        if np.any(np.diff(np.sort(flat_cells(cells, kb.n))) == 0):
-            raise Declined                      # duplicate prediction
-        out.update(_keyed(name, cells, np.concatenate([v for _, v in parts])))
-    if not out:
-        raise Declined                          # empty prediction file
-    return out
-
-
-def _walk_predictions(text: str, kb: KnowledgeBase):
-    """The per-line prediction reader; its errors name the first bad line."""
+    """Scored atoms: one `Atom score` per line.  Errors name the first bad
+    line."""
     out = {}
     for lineno, line in content_lines(text):
         parts = line.split()
@@ -349,9 +323,3 @@ def load_truth(text: str, kb: KnowledgeBase):
     if not out:
         raise EvidenceError("empty truth file")
     return out
-
-
-def _keyed(name: str, cells: np.ndarray, values: np.ndarray):
-    """``((name, args), value)`` pairs of an (m, arity) cell array and m values."""
-    args = zip(*cells.T.tolist()) if cells.shape[1] else repeat((), len(cells))
-    return zip(zip(repeat(name), args), values.tolist())

@@ -11,18 +11,18 @@ inside atoms, ``#`` comments)::
 Entity constants are collected in first-occurrence order; an optional seed
 list pins the leading indices.
 
-Evidence, query, unary-potential and prediction files are read in bulk, in
-blocks of ``BLOCK_LINES`` lines: ``atom_blocks`` checks the atom grammar of
-a block in array passes over its characters' classes (the sequence of
-delimiters ``!``, ``(``, ``,``, ``)``, ``=`` and the gaps between them) and
-cuts it into tokens as spans of positions, not strings.  Predicate
-and entity names are found by a hashed lookup of their padded bytes, which
-matches only when every byte is equal (``_Keys``), and fields become float64
-values read from their digits (``_numbers``), so no token becomes a Python
-object unless it is a label or a number outside the fast path.  When a bulk
-reader declines a text, ``read_bulk`` runs the reader's per-line walk, which
-goes through ``fol.content_lines`` and ``parse_atom`` and raises the first
-error in line order, so each reader error starts with ``line N:``.
+Evidence, query and unary-potential files are read in bulk, in blocks of
+``BLOCK_LINES`` lines: ``atom_blocks`` checks the atom grammar of a block in
+array passes over its characters' classes (the sequence of delimiters
+``!``, ``(``, ``,``, ``)``, ``=`` and the gaps between them) and cuts it
+into tokens as spans of positions, not strings.  Predicate and entity names
+are found by a hashed lookup of their padded bytes, which matches only when
+every byte is equal (``_Keys``), and fields become float64 values read from
+their digits (``_numbers``), so no token becomes a Python object unless it
+is a label or a number outside the fast path.  When a bulk reader declines
+a text, ``read_bulk`` runs the reader's per-line walk, which goes through
+``fol.content_lines`` and ``parse_atom`` and raises the first error in line
+order, so each reader error starts with ``line N:``.
 
 A block costs a fixed part, its few dozen array passes, and a part per line:
 on ``transitivity``'s 32,768 query lines (``perfbench``, one BLAS thread,

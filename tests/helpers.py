@@ -51,19 +51,21 @@ def apart(implications):
         yield from (ci,) if ci.partner is None else (replace(ci, partner=None), ci.partner)
 
 
-# every kind of engine step, an add told apart by its weight and, when
-# scaled, by whether its message is a view (see the engine module docstring)
+# every kind of engine step (see the engine module docstring): an add, told
+# apart by its weight and, when scaled, by whether its message is a view; a
+# write, whose plan fills its plane through out=; and a summed step, which
+# always refills its table
 STEP_KINDS = frozenset({"add weight ±1", "add scaled owned", "add scaled view", "add into cells",
-                        "write through out=", "write scaled", "summed refill", "summed write"})
+                        "write through out=", "summed refill"})
 
 
 def step_kind(step, q: MarginalTable) -> str:
     """The kind of an engine ``Step``, one of ``STEP_KINDS``; ``q`` is any
     snapshot the step's message can read."""
     if step.implication.partner is not None:
-        return "summed write" if step.writes else "summed refill"
+        return "summed refill"
     if step.writes:
-        return "write through out=" if step.implication.plan.fills_output else "write scaled"
+        return "write through out="
     if not step.sliced:
         return "add into cells"
     if abs(step.weight) == 1.0:

@@ -15,11 +15,11 @@ import pytest
 import einlog as E
 from einlog import planner
 from einlog.demo import RULES_TEXT, run_demo
-from einlog.engine import (EngineConfig, MarginalTable, UnaryTable,
-                           compile_rules, initial_marginals, iterate, message)
-from einlog.fol import Clause, CnfFormula, Literal, Predicate, binary_literal, variable
+from einlog.engine import (EngineConfig, UnaryTable, compile_rules, initial_marginals, iterate,
+                           message)
+from einlog.fol import CnfFormula
 from einlog.kb import KnowledgeBase
-from einlog.oracle import brute_einsum, naive_mf_step
+from einlog.oracle import brute_einsum
 from einlog.tensor import EinsumSpec, softmax_lastaxis
 from einlog.testing import engine_oracle_gap, random_instance
 

@@ -1,11 +1,11 @@
 """The bulk readers against the per-line walks they fall back on.
 
-Every evidence, query, unary and prediction text must give the same result
-from the bulk reader as from the per-line walk, or the same error string.
-Small block sizes put block edges between the lines, so a first error in a
-later block must still carry its own line number.  The truth reader reads
-line by line; it stands in the tables below as its own walk, and a truth
-text read as evidence must give what it reads.
+Every evidence, query and unary text must give the same result from the
+bulk reader as from the per-line walk, or the same error string.  Small
+block sizes put block edges between the lines, so a first error in a later
+block must still carry its own line number.  The prediction and truth
+readers read line by line; each stands in the tables below as its own walk,
+and a truth text read as evidence must give what the truth reader reads.
 """
 
 import itertools
@@ -157,7 +157,7 @@ READERS = {  # reader -> (bulk, walk), both taking the text
     "queries": (lambda t: load_queries(t, SEEDED), lambda t: kb._walk_queries(t, SEEDED)),
     "unary": (lambda t: io.load_unary(t, SEEDED), lambda t: io._walk_unary(t, SEEDED)),
     "predictions": (lambda t: io.load_predictions(t, SEEDED),
-                    lambda t: io._walk_predictions(t, SEEDED)),
+                    lambda t: io.load_predictions(t, SEEDED)),
     "truth": (lambda t: io.load_truth(t, SEEDED), lambda t: io.load_truth(t, SEEDED)),
 }
 PROPERTY = settings(max_examples=200, deadline=None,
@@ -182,12 +182,6 @@ def test_bulk_queries_match_line_walk(case):
 @given(reader_texts("unary"))
 def test_bulk_unary_matches_line_walk(case):
     _assert_same(case[0], *READERS["unary"], case[1])
-
-
-@PROPERTY
-@given(reader_texts("predictions"))
-def test_bulk_predictions_match_line_walk(case):
-    _assert_same(case[0], *READERS["predictions"], case[1])
 
 
 @PROPERTY
@@ -280,7 +274,7 @@ SHAPE_READERS = {
     "queries": (lambda t: load_queries(t, SHAPE_KB), lambda t: kb._walk_queries(t, SHAPE_KB)),
     "unary": (lambda t: io.load_unary(t, SHAPE_KB), lambda t: io._walk_unary(t, SHAPE_KB)),
     "predictions": (lambda t: io.load_predictions(t, SHAPE_KB),
-                    lambda t: io._walk_predictions(t, SHAPE_KB)),
+                    lambda t: io.load_predictions(t, SHAPE_KB)),
     "truth": (lambda t: io.load_truth(t, SHAPE_KB), lambda t: io.load_truth(t, SHAPE_KB)),
 }
 FIELDS = {"unary": " 0 0", "predictions": " 0"}
@@ -349,7 +343,7 @@ def test_multi_block_text_at_default_block_size_matches_the_walk(reader):
         "queries": (lambda t: load_queries(t, wide), lambda t: kb._walk_queries(t, wide)),
         "unary": (lambda t: io.load_unary(t, wide), lambda t: io._walk_unary(t, wide)),
         "predictions": (lambda t: io.load_predictions(t, wide),
-                        lambda t: io._walk_predictions(t, wide)),
+                        lambda t: io.load_predictions(t, wide)),
         "truth": (lambda t: io.load_truth(t, wide), lambda t: io.load_truth(t, wide)),
     }[reader]
     got = _outcome(bulk, text)
@@ -492,7 +486,7 @@ LONG_READERS = {
     "queries": (lambda t: load_queries(t, LONG_KB), lambda t: kb._walk_queries(t, LONG_KB)),
     "unary": (lambda t: io.load_unary(t, LONG_KB), lambda t: io._walk_unary(t, LONG_KB)),
     "predictions": (lambda t: io.load_predictions(t, LONG_KB),
-                    lambda t: io._walk_predictions(t, LONG_KB)),
+                    lambda t: io.load_predictions(t, LONG_KB)),
     "truth": (lambda t: io.load_truth(t, LONG_KB), lambda t: io.load_truth(t, LONG_KB)),
 }
 

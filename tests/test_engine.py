@@ -20,7 +20,8 @@ from einlog.kb import KnowledgeBase
 from einlog.tensor import softmax_lastaxis
 from einlog.testing import ORACLE_TOL, engine_oracle_gap, random_instance
 
-from helpers import apart, chained_oracle, copy_unary, max_abs_diff, same_bytes, step_kind
+from helpers import (STEP_KINDS, apart, chained_oracle, copy_unary, max_abs_diff, same_bytes,
+                     step_kind)
 
 C = Predicate("c", 2)
 A, B, D = variable("a"), variable("b"), variable("d")
@@ -1204,7 +1205,7 @@ def _refill_and_add(phi, program, config):
 # the message that writes t: the first one, the second one, or none (refilled)
 WRITER = {("broadcast", "contraction"): 1, ("diagonal", "contraction"): 1,
           ("constant slice", "contraction"): 1, ("weight 2.0", "contraction"): 0,
-          ("broadcast", "diagonal"): 0, ("diagonal", "diagonal"): None,
+          ("broadcast", "diagonal"): None, ("diagonal", "diagonal"): None,
           ("constant slice", "diagonal"): None, ("weight 2.0", "diagonal"): 0}
 
 
@@ -1276,9 +1277,9 @@ def test_schedule_runs_once_per_solve_with_signs_and_cells_resolved(monkeypatch)
     monkeypatch.setattr(engine, "_schedule", recording)
     iterate(phi, program, EngineConfig(iterations=4))
     ((steps, refill, written),) = built
-    # the summed product runs first and, as it does not write, refills c
-    # after building its sum there; on the plane x0 - x1 label 1 negates the
-    # weight, so the q1 products go in as -msg and the ones terms as +msg
+    # the summed product runs first and refills c after building its sum
+    # there; on the plane x0 - x1 label 1 negates the weight, so the q1
+    # products go in as -msg and the ones terms as +msg
     assert refill == written == frozenset()
     assert [(str(s.implication.plan.spec), s.weight, s.implication.partner is not None)
             for s in steps] == [("ab,bc->ac", -1.0, True), ("bc->ab", 1.0, False),
@@ -1314,16 +1315,20 @@ def test_schedule_of_the_kbc_rules_on_tables_and_planes():
                                                 "add scaled view"}
 
 
-@pytest.mark.parametrize("instance", ["summed write", "summed refill", "write scaled"])
+def _instance_running(kind):
+    """A program and unary table whose schedule has a step of ``kind``."""
+    if kind in ("add into cells", "add scaled view"):
+        rules, kb, phi = _kbc_instance(4)
+        return compile_rules(rules, kb), phi
+    if kind in ("add scaled owned", "write through out="):
+        return _writer_instance("broadcast", "contraction")
+    program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(6))
+    return program, UnaryTable({"c": np.random.default_rng(2).normal(0.0, 1.5, (6, 6, 2))})
+
+
+@pytest.mark.parametrize("instance", sorted(STEP_KINDS))
 def test_schedule_drops_each_message_before_the_next_is_computed(monkeypatch, instance):
-    if instance == "write scaled":
-        program, phi = _writer_instance("broadcast", "diagonal")
-    else:
-        kb = trans_kb(6)
-        program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], kb)
-        rng = np.random.default_rng(2)
-        phi = UnaryTable({"c": np.zeros((6, 6, 2)) if instance == "summed write"
-                          else rng.normal(0.0, 1.5, (6, 6, 2))})
+    program, phi = _instance_running(instance)
     steps, _, _ = engine._schedule(program, tuple(ci.weight * ci.coefficient
                                                   for ci in program.implications),
                                    phi.extremes(program.kb), engine._storage(program.kb)[2])
@@ -1343,6 +1348,32 @@ def test_schedule_drops_each_message_before_the_next_is_computed(monkeypatch, in
     monkeypatch.setattr(engine, "message", recording)
     iterate(phi, program, EngineConfig(iterations=2))
     assert kept
+
+
+def test_schedule_refills_a_zero_plane_that_no_filling_message_writes():
+    # zero-unary planes that no message writes: t, whose first message
+    # broadcasts over c and whose second is a diagonal, and c, into which a
+    # summed product runs first
+    summed = (compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(6)),
+              UnaryTable({"c": np.zeros((6, 6, 2))}))
+    writer = _writer_instance("broadcast", "diagonal")
+    for (program, phi), plane, summing in ((writer, "t", False), (summed, "c", True)):
+        weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
+        steps, refill, written = engine._schedule(program, weights, phi.extremes(program.kb),
+                                                  engine._storage(program.kb)[2])
+        assert written == frozenset() and not any(step.writes for step in steps)
+        # the summed step refills c itself, after building its sum there
+        assert (plane in refill) != summing
+        tol = 1e-12 if summing else 0.0
+        for iterations in (1, 2, 3):
+            config = EngineConfig(iterations)
+            got = iterate(phi, program, config)
+            want = _reference_iterate(phi, program, config)
+            assert all(np.max(np.abs(got.tables[k] - want[k])) <= 1e-12 for k in want)
+            # each binary plane against refilling and adding every message in
+            # implication order: the summed step adds first and in another order
+            ref = _refill_and_add(phi, program, config)
+            assert all(np.max(np.abs(got.tables[k][..., 1] - ref[k])) <= tol for k in ref)
 
 
 # matrix products split over the calling thread and the helper (see planner._split_matmul)
@@ -1598,8 +1629,8 @@ def _transitivity_on(name, held, head, weight=1.0):
     return [CnfFormula((clause,), weight=weight, id="r0")]
 
 
-# a pair that writes a zero-unary plane under an override, and a pair into
-# the multi-class table m
+# a pair into a zero-unary plane, which it refills, under an override, and a
+# pair into the multi-class table m
 @example(rules=_transitivity_on("p", {0}, {1}), n=4, seed=1, damping=0.0, iterations=2,
          override=0.7, zero_unary={"p"})
 @example(rules=_transitivity_on("m", {0, 2}, {0, 2}, 1.5), n=3, seed=2, damping=0.3,
@@ -1623,16 +1654,12 @@ def _summed_matches_one_at_a_time(seen, rules, n, seed, damping, iterations, ove
     config = EngineConfig(iterations, weights=weights, damping=damping)
     program = compile_rules(rules, kb)
     planes = engine._storage(kb)[2]
-    scheduled, _, _ = engine._schedule(program, tuple(ci.weight * ci.coefficient
-                                                      for ci in program.implications),
-                                       phi.extremes(kb), planes)
     for ci in program.implications:
         if ci.partner is not None:
             seen["summed"].append(ci.hypothesis)
             seen["table"] += ci.hypothesis not in planes
             seen["override"] += ci.rule_id in weights
-    seen["writing"] += sum(step.writes for step in scheduled
-                           if step.implication.partner is not None)
+            seen["zero"] += ci.hypothesis in zero_unary
     got = iterate(phi, program, config)
     want = iterate(phi, Program(kb, tuple(apart(program.implications))), config)
     assert max_abs_diff(got, want) <= 1e-12
@@ -1647,12 +1674,12 @@ def _summed_matches_one_at_a_time(seen, rules, n, seed, damping, iterations, ove
 
 
 def _assert_summed_matches_one_at_a_time():
-    seen = {"summed": [], "table": 0, "override": 0, "writing": 0}
+    seen = {"summed": [], "table": 0, "override": 0, "zero": 0}
     _summed_matches_one_at_a_time(seen)
     # pairs into binary planes and into a table, under an override, and
-    # pairs that write a zero-unary plane
+    # pairs into a zero-unary plane
     assert len(seen["summed"]) >= 10 and "p" in seen["summed"]
-    assert seen["table"] and seen["override"] and seen["writing"]
+    assert seen["table"] and seen["override"] and seen["zero"]
 
 
 def test_summed_products_match_the_messages_one_at_a_time():

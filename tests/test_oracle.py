@@ -269,8 +269,9 @@ def _transitivity_on_p(weight):
         Literal(p, (x, z), frozenset({1}))])),), weight=weight)]
 
 
-# an all-zero unary table lets a message write its plane with no refill; the
-# examples run a summed product that refills p and one that writes it
+# an all-zero unary table lets a message whose plan fills the plane write it
+# with no refill; the examples run a summed product, which refills p, with a
+# drawn and with an all-zero unary table
 @example(rules=_transitivity_on_p(0.7), n=3, seed=5, damping=0.0, iterations=2,
          zero_unary=set())
 @example(rules=_transitivity_on_p(1.0), n=3, seed=6, damping=0.3, iterations=3,
