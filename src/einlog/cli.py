@@ -21,7 +21,7 @@ import numpy as np
 from . import engine, io, oracle, testing
 from .demo import run_demo
 from .engine import EngineConfig, EngineError, IterationTrace
-from .fol import RuleError, parse_rules
+from .fol import RuleError, content_lines, parse_rules
 from .kb import EvidenceError, KnowledgeBase, load_evidence, load_queries
 from .metrics import MetricError, auc_pr
 from .planner import PlanError
@@ -164,10 +164,11 @@ def cmd_aucpr(args) -> int:
     kb = load_evidence(text, ruleset.predicates)
     predictions = io.load_predictions(_read(args.predictions), kb)
     # The truth file read as evidence holds the truth (label 1 is true).  The
-    # one thing evidence takes that truth does not is an '=LABEL' suffix, so
-    # a text with an '=' goes through the truth reader, for its error.
-    truth = (io.load_truth(text, kb) if "=" in text
-             else {key: label == 1 for key, label in kb.observations.items()})
+    # one thing evidence takes that truth does not is an '=LABEL' suffix.
+    for lineno, line in content_lines(text):
+        if "=" in line:
+            raise EvidenceError(f"line {lineno}: malformed truth atom {line!r}")
+    truth = {key: label == 1 for key, label in kb.observations.items()}
     if set(predictions) != set(truth):
         raise EvidenceError("prediction and truth atom sets differ")
     keys = sorted(predictions)

@@ -365,6 +365,9 @@ def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[Com
         if pred != lit.predicate:
             raise EngineError(f"rule {rule_id}: predicate {lit.predicate.name!r} "
                               "differs from the knowledge-base declaration")
+        for t in lit.args:
+            if t.is_constant and t.symbol not in kb.index:
+                raise EngineError(f"rule {rule_id}: constant {t.symbol!r} is not an entity")
     variables = clause.variables()
     if len(variables) > len(_LETTERS):
         raise EngineError("more than 26 distinct variables in one clause")

@@ -2,10 +2,10 @@
 
 Unary potential files reuse the evidence atom syntax followed by one logit
 per label (``coexist(T1,T2) 0.3 -0.3``); unlisted cells default to zero
-logits.  Prediction files hold ``Atom score`` lines and truth files ``Atom``
-or ``!Atom`` lines.  Unary files are read in bulk through ``kb.atom_blocks``,
-with a per-line walk that names the first bad line when the bulk reader
-declines; prediction and truth files are read line by line.
+logits.  Prediction files hold ``Atom score`` lines; ``einlog aucpr`` reads
+its truth file as evidence.  Unary files are read in bulk through
+``kb.atom_blocks``, with a per-line walk that names the first bad line when
+the bulk reader declines; prediction files are read line by line.
 
 Marginal reports are CSV ``predicate,arg1,...,argk,label,probability,
 observed`` rows (9 decimals, lexicographically sorted; binary predicates
@@ -304,22 +304,3 @@ def load_predictions(text: str, kb: KnowledgeBase):
         raise EvidenceError("empty prediction file")
     return out
 
-
-def load_truth(text: str, kb: KnowledgeBase):
-    """Held-out binary facts: `Atom` lines are true, `!Atom` lines false.
-    Errors name the first bad line."""
-    out = {}
-    for lineno, line in content_lines(text):
-        negated, pred, args, label = parse_atom(line, lineno, kb.predicates, kb.index.__getitem__)
-        if label is not None:
-            raise EvidenceError(f"line {lineno}: malformed truth atom {line!r}")
-        if pred.num_labels != 2:
-            raise EvidenceError(f"line {lineno}: truth atoms must be binary")
-        key = (pred.name, args)
-        truth = not negated
-        if key in out and out[key] != truth:
-            raise EvidenceError(f"line {lineno}: conflicting truth for {line!r}")
-        out[key] = truth
-    if not out:
-        raise EvidenceError("empty truth file")
-    return out

@@ -584,14 +584,11 @@ _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 def _blocks(text: str):
     """Each ``BLOCK_LINES`` lines of ``text``, as ``str.splitlines`` cuts
-    them, joined and ended by "\\n".  A text whose only break is "\\n" is cut
-    at the offsets of every ``BLOCK_LINES``-th one, so no line becomes a
-    string of its own."""
+    them, joined and ended by "\\n".  A text with another break is first
+    rejoined by "\\n"; then it is cut at the offsets of every
+    ``BLOCK_LINES``-th "\\n"."""
     if any(ch in text for ch in _BREAKS):
-        lines = text.splitlines()
-        for start in range(0, len(lines), BLOCK_LINES):
-            yield "\n".join(lines[start:start + BLOCK_LINES]) + "\n"
-        return
+        text = "\n".join(text.splitlines()) + "\n"
     codes = (np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii()
              else np.frombuffer(text.encode("utf-32-le"), "<u4"))
     cuts = (np.flatnonzero(codes == 10)[BLOCK_LINES - 1::BLOCK_LINES] + 1).tolist()

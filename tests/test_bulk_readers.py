@@ -3,9 +3,11 @@
 Every evidence, query and unary text must give the same result from the
 bulk reader as from the per-line walk, or the same error string.  Small
 block sizes put block edges between the lines, so a first error in a later
-block must still carry its own line number.  The prediction and truth
-readers read line by line; each stands in the tables below as its own walk,
-and a truth text read as evidence must give what the truth reader reads.
+block must still carry its own line number.  The prediction reader reads
+line by line and has no walk, so in the tables below a good prediction text
+must read and a bad one must fail at its bad line.  A truth text read as
+evidence, as ``einlog aucpr`` reads it, must give each line's atom as true
+or as false.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from einlog import io, kb
-from einlog.fol import Predicate, parse_rules
+from einlog.fol import Predicate, content_lines, parse_rules
 from einlog.kb import EvidenceError, KnowledgeBase, load_evidence, load_queries
 
 PREDS = {p.name: p for p in [
@@ -151,14 +153,25 @@ def _assert_same(block, bulk, walk, *args):
         assert _outcome(bulk, *args) == _outcome(walk, *args)
 
 
+def _assert_reads(block, bulk, walk, text, bad_at=None):
+    """``bulk`` against ``walk``; for a reader with no walk, ``text`` must
+    read when ``bad_at`` is None and otherwise fail at line ``bad_at``."""
+    if walk is not None:
+        _assert_same(block, bulk, walk, text)
+        return
+    kind, got = _outcome(bulk, text)
+    if bad_at is None:
+        assert kind == "ok", got
+    else:
+        assert kind == "error" and got.startswith(f"line {bad_at}:"), got
+
+
 SEEDED = KnowledgeBase(ENTITIES, PREDS, {})
 READERS = {  # reader -> (bulk, walk), both taking the text
     "evidence": (lambda t: load_evidence(t, PREDS), lambda t: kb._walk_evidence(t, PREDS, [])),
     "queries": (lambda t: load_queries(t, SEEDED), lambda t: kb._walk_queries(t, SEEDED)),
     "unary": (lambda t: io.load_unary(t, SEEDED), lambda t: io._walk_unary(t, SEEDED)),
-    "predictions": (lambda t: io.load_predictions(t, SEEDED),
-                    lambda t: io.load_predictions(t, SEEDED)),
-    "truth": (lambda t: io.load_truth(t, SEEDED), lambda t: io.load_truth(t, SEEDED)),
+    "predictions": (lambda t: io.load_predictions(t, SEEDED), None),
 }
 PROPERTY = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -194,8 +207,11 @@ def test_truth_read_as_evidence_is_what_the_truth_reader_reads(case):
             base = load_evidence(text, PREDS)
         except EvidenceError:
             return
-    assert {key: label == 1 for key, label in base.observations.items()} == \
-        io.load_truth(text, base)
+    want = {}
+    for lineno, line in content_lines(text):
+        negated, pred, args, _ = kb.parse_atom(line, lineno, PREDS, base.index.__getitem__)
+        want[(pred.name, args)] = not negated
+    assert {key: label == 1 for key, label in base.observations.items()} == want
 
 
 def _plain_good_line(reader, pred, args):
@@ -210,20 +226,19 @@ def _plain_good_line(reader, pred, args):
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_each_kind_of_bad_line_alone_gets_the_walk_error(reader):
-    preds = [p for p in PREDS.values() if reader != "truth" or p.num_labels == 2]
     others = [_plain_good_line(reader, p, tuple((ENTITIES[2:] + ENTITIES)[:p.arity]))
-              for p in preds if p.arity]
+              for p in PREDS.values() if p.arity]
     assert _outcome(READERS[reader][0], "\n".join(others))[0] == "ok"
-    for pred in preds:
+    for pred in PREDS.values():
         args = tuple(ENTITIES[:pred.arity])
         good = _plain_good_line(reader, pred, args)
-        # evidence and truth repeat a cell to conflict; a repeated unary cell
-        # or prediction would be the first error itself
-        first = [good] if reader in ("evidence", "truth") else []
+        # evidence repeats a cell to conflict; a repeated unary cell or
+        # prediction would be the first error itself
+        first = [good] if reader == "evidence" else []
         for bad in _bad_lines(reader, pred, args, good):
             text = "\n".join(others[:2] + first + [bad] + others[2:])
             for block in (1, kb.BLOCK_LINES):
-                _assert_same(block, *READERS[reader], text)
+                _assert_reads(block, *READERS[reader], text, bad_at=3 + len(first))
 
 
 def test_first_error_in_a_later_block_names_its_line():
@@ -238,8 +253,6 @@ def test_first_error_in_a_later_block_names_its_line():
                   lambda t: io.load_unary(t, base)),
         "predictions": ([f"smoke(E{i}) 0.5" for i in range(n)], " 0",
                         lambda t: io.load_predictions(t, base)),
-        "truth": ([f"{'!' * (i % 2)}smoke(E{i})" for i in range(n)], "",
-                  lambda t: io.load_truth(t, base)),
     }
     bad_at = kb.BLOCK_LINES + 57
     for reader, (lines, tail, read) in cases.items():
@@ -273,9 +286,7 @@ SHAPE_READERS = {
                  lambda t: kb._walk_evidence(t, SHAPE_PREDS, [])),
     "queries": (lambda t: load_queries(t, SHAPE_KB), lambda t: kb._walk_queries(t, SHAPE_KB)),
     "unary": (lambda t: io.load_unary(t, SHAPE_KB), lambda t: io._walk_unary(t, SHAPE_KB)),
-    "predictions": (lambda t: io.load_predictions(t, SHAPE_KB),
-                    lambda t: io.load_predictions(t, SHAPE_KB)),
-    "truth": (lambda t: io.load_truth(t, SHAPE_KB), lambda t: io.load_truth(t, SHAPE_KB)),
+    "predictions": (lambda t: io.load_predictions(t, SHAPE_KB), None),
 }
 FIELDS = {"unary": " 0 0", "predictions": " 0"}
 
@@ -287,9 +298,10 @@ def test_each_bad_delimiter_shape_gets_the_walk_error(reader, shape):
     logits = FIELDS.get(reader, "")
     text = "\n".join(["rel(B,A)" + logits, shape + logits, "kind(B)" + logits])
     bulk, walk = SHAPE_READERS[reader]
-    assert _outcome(walk, text) == ("error", f"line 2: malformed atom {shape!r}")
-    for block in (1, kb.BLOCK_LINES):
-        _assert_same(block, bulk, walk, text)
+    assert _outcome(walk or bulk, text) == ("error", f"line 2: malformed atom {shape!r}")
+    if walk is not None:
+        for block in (1, kb.BLOCK_LINES):
+            _assert_same(block, bulk, walk, text)
 
 
 def _multi_block_lines(reader):
@@ -300,7 +312,6 @@ def _multi_block_lines(reader):
     n = next(n for n in itertools.count(1) if n * n + n ** 3 // 16 > 3 * kb.BLOCK_LINES)
     entities = [f"E{i}" for i in range(n)]
     cells = [(p, args) for p in PREDS.values() if p.arity < 3
-             and (reader != "truth" or p.num_labels == 2)
              for args in itertools.product(entities, repeat=p.arity)]
     cells += list(itertools.product([PREDS["tri"]], itertools.product(entities, repeat=3)))[::16]
     cells = [cells[i * 7919 % len(cells)] for i in range(len(cells))]   # 7919 is prime
@@ -320,8 +331,6 @@ def _multi_block_lines(reader):
                             for k in range(pred.num_labels))
         elif reader == "predictions":
             atom += [" ", "\t", "\xa0", " \t"][i % 4] + f"{(i * 3) % 11 - 5}.{i % 7}5"
-        elif reader == "truth":
-            atom = "!" * (i % 3 == 1) + atom
         lines.append(["", " ", "\t", "\xa0"][i % 4 if i % 3 == 0 else 0] + atom
                      + ("  # note" if i % 5 == 0 else ""))
         if i % 13 == 0:
@@ -342,13 +351,11 @@ def test_multi_block_text_at_default_block_size_matches_the_walk(reader):
                      lambda t: kb._walk_evidence(t, PREDS, [])),
         "queries": (lambda t: load_queries(t, wide), lambda t: kb._walk_queries(t, wide)),
         "unary": (lambda t: io.load_unary(t, wide), lambda t: io._walk_unary(t, wide)),
-        "predictions": (lambda t: io.load_predictions(t, wide),
-                        lambda t: io.load_predictions(t, wide)),
-        "truth": (lambda t: io.load_truth(t, wide), lambda t: io.load_truth(t, wide)),
+        "predictions": (lambda t: io.load_predictions(t, wide), None),
     }[reader]
     got = _outcome(bulk, text)
     assert got[0] == "ok"
-    assert got == _outcome(walk, text)
+    assert walk is None or got == _outcome(walk, text)
 
 
 def _same_bytes(a, b):
@@ -485,9 +492,7 @@ LONG_READERS = {
                  lambda t: kb._walk_evidence(t, LONG_PREDS, [])),
     "queries": (lambda t: load_queries(t, LONG_KB), lambda t: kb._walk_queries(t, LONG_KB)),
     "unary": (lambda t: io.load_unary(t, LONG_KB), lambda t: io._walk_unary(t, LONG_KB)),
-    "predictions": (lambda t: io.load_predictions(t, LONG_KB),
-                    lambda t: io.load_predictions(t, LONG_KB)),
-    "truth": (lambda t: io.load_truth(t, LONG_KB), lambda t: io.load_truth(t, LONG_KB)),
+    "predictions": (lambda t: io.load_predictions(t, LONG_KB), None),
 }
 
 
@@ -495,12 +500,10 @@ def _long_lines(reader):
     lines = []
     for i, (pred, args) in enumerate((p, args) for p in LONG_PREDS.values()
                                      for args in itertools.product(LONG_ENTITIES, repeat=p.arity)):
-        if reader == "truth" and pred.num_labels > 2:
-            continue
         if reader == "evidence" and pred.num_labels > 2:
             lines.append(_atom(pred, args, label="=" + pred.label_names[i % 3]))
         else:
-            negated = reader in ("evidence", "truth") and i % 3 == 1
+            negated = reader == "evidence" and i % 3 == 1
             lines.append("!" * negated + _plain_good_line(reader, pred, args))
     return lines
 
@@ -512,7 +515,7 @@ def test_long_names_and_names_sharing_eight_bytes_match_the_walk(reader):
     for block in (1, 3, kb.BLOCK_LINES):
         with mock.patch.object(kb, "BLOCK_LINES", block):
             assert _outcome(bulk, "\n".join(lines))[0] == "ok"
-        _assert_same(block, bulk, walk, "\n".join(lines))
+        _assert_reads(block, bulk, walk, "\n".join(lines))
     # unknown names one byte or one word away from known ones
     for bad in ["ABCDEFGH(entity_0003)", "ABCDEFGH(ABCDEFG)", "ABCDEFGHI(ABCDEFGHIJ)",
                 "ABCDEFGHIJ(Q)", "relationship(Q,Q)", "relationship_of_(Q,Q)",
@@ -521,7 +524,7 @@ def test_long_names_and_names_sharing_eight_bytes_match_the_walk(reader):
                 "ABCDEFGHI(a_name_longer_than_twenty_four_bytes_and_one_more_word)"]:
         text = "\n".join(lines[:5] + [bad + FIELDS.get(reader, "")] + lines[5:])
         for block in (1, 3, kb.BLOCK_LINES):
-            _assert_same(block, bulk, walk, text)
+            _assert_reads(block, bulk, walk, text, bad_at=6)
 
 
 @pytest.mark.parametrize("block", [1, 3])

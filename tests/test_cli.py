@@ -148,6 +148,23 @@ def test_infer_bytes_match_the_committed_outputs(tmp_path, capsys, fmt, unary):
     assert path.read_bytes() == golden
 
 
+# Reading a file as text turns "\r\n" into "\n"; a U+2028 line separator
+# reaches the readers, which rejoin its lines by "\n" before they cut blocks.
+@pytest.mark.parametrize("newline", ["\r\n", "\u2028"], ids=["crlf", "u2028"])
+@pytest.mark.parametrize("unary", [False, True], ids=["zero unary", "unary"])
+def test_infer_reads_other_line_breaks_to_the_committed_bytes(tmp_path, capsys, unary, newline):
+    for name in ["smoke.rules", "smoke.evidence"] + ["smoke.unary"] * unary:
+        text = (DATA / name).read_text()
+        (tmp_path / name).write_bytes(text.replace("\n", newline).encode())
+    argv = ["infer", "--rules", str(tmp_path / "smoke.rules"),
+            "--evidence", str(tmp_path / "smoke.evidence")]
+    if unary:
+        argv += ["--unary", str(tmp_path / "smoke.unary")]
+    code, out, _ = run(capsys, *argv)
+    golden = (DATA / f"smoke.infer{'-unary' if unary else ''}.csv").read_bytes()
+    assert code == 0 and out.encode() == golden
+
+
 def _verdict(err):
     (line,) = [l for l in err.splitlines() if l.startswith("converged: ")]
     word, rest = line[len("converged: "):].split(" ", 1)
@@ -263,6 +280,14 @@ def test_infer_damping_out_of_range_is_data_error(tmp_path, capsys, value):
     assert code == 2
     assert "error: damping must lie in [0, 1]" in err
     assert not out.exists()
+
+
+def test_rule_constant_that_is_no_entity_is_data_error(tmp_path, capsys):
+    rules, evidence = tmp_path / "r.rules", tmp_path / "e.txt"
+    rules.write_text("predicate p(t)\npredicate q(t)\n!p(Z) | q(a)\n")
+    evidence.write_text("p(A)\n")
+    code, out, err = run(capsys, "infer", "--rules", str(rules), "--evidence", str(evidence))
+    assert (code, out, err) == (2, "", "error: rule f1: constant 'Z' is not an entity\n")
 
 
 def test_unknown_weight_name_is_data_error(tmp_path, capsys):
@@ -524,6 +549,7 @@ def test_aucpr_reads_the_truth_file_with_or_without_an_equals_sign(tmp_path, cap
     ("hit(A)\ntag(A)\n!hit(B)\n", "line 2: multi-class fact tag needs '=LABEL'"),
     ("hit(A)\ntag(A)=T1\n!hit(B)\n", "line 2: malformed truth atom 'tag(A)=T1'"),
     ("hit(A)=1\n!hit(B)\n", "line 1: malformed truth atom 'hit(A)=1'"),
+    ("hit(A)  # a=b\n!hit(B)\ntag(A)=T1\n", "line 3: malformed truth atom 'tag(A)=T1'"),
     ("hit(A)\n!hit(B)=1\n", "line 2: '!' and '=' cannot be combined"),
     ("hit(A)\n!hit(B)\n!hit(A)\n", "line 3: conflicting observation for '!hit(A)'"),
     ("hit(A)\nghost(B)\n", "line 2: undeclared predicate 'ghost'"),

@@ -5,8 +5,7 @@ import pytest
 
 import einlog as E
 from einlog.engine import EngineConfig, UnaryTable
-from einlog.io import (format_marginals_csv, format_marginals_json, load_predictions,
-                       load_truth, load_unary)
+from einlog.io import format_marginals_csv, format_marginals_json, load_predictions, load_unary
 from einlog.kb import EvidenceError, load_evidence, load_queries
 from helpers import report_rows, same_bytes
 
@@ -139,18 +138,13 @@ def test_multiclass_rows_list_every_label():
     assert [(r[2], r[3]) for r in rows] == [("B", 0.5), ("I", 0.3), ("O", 0.2)]
 
 
-def test_prediction_and_truth_loaders(smoke_kb):
+def test_prediction_loader(smoke_kb):
     preds = load_predictions("smoke(A) 0.9\nsmoke(B) 0.4\n", smoke_kb)
     assert preds[("smoke", (1,))] == 0.9
-    truth = load_truth("smoke(A)\n!smoke(B)\n", smoke_kb)
-    assert truth[("smoke", (1,))] is True
-    assert truth[("smoke", (0,))] is False
     with pytest.raises(EvidenceError):
         load_predictions("smoke(A)\n", smoke_kb)
     with pytest.raises(EvidenceError, match="duplicate"):
         load_predictions("smoke(A) 1\nsmoke(A) 2\n", smoke_kb)
-    with pytest.raises(EvidenceError, match="conflicting"):
-        load_truth("smoke(A)\n!smoke(A)\n", smoke_kb)
 
 
 # Each reader gets a comment line, one good line, then the atom under test.
@@ -159,7 +153,6 @@ ATOM_READERS = {
     "queries": lambda kb, atom: load_queries(f"#\nsmoke(A)\n{atom}\n", kb),
     "unary": lambda kb, atom: load_unary(f"#\nsmoke(A) 0 0\n{atom} 0 0\n", kb),
     "predictions": lambda kb, atom: load_predictions(f"#\nsmoke(A) 1\n{atom} 0\n", kb),
-    "truth": lambda kb, atom: load_truth(f"#\nsmoke(A)\n{atom}\n", kb),
 }
 
 
