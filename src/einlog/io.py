@@ -26,6 +26,7 @@ from .engine import MarginalTable, UnaryTable
 from .fol import Predicate, content_lines
 from .kb import (Declined, EvidenceError, KnowledgeBase, Queries, atom_blocks, flat_cells,
                  parse_atom, read_bulk)
+from .tensor import label_planes
 
 
 def load_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
@@ -57,10 +58,10 @@ def _bulk_unary(text: str, kb: KnowledgeBase) -> UnaryTable:
             continue
         if np.any(np.diff(np.sort(flat)) == 0):
             raise Declined                      # duplicate unary entry
-        # label-major storage, as UnaryTable.zeros allocates it
-        planes = np.zeros((pred.num_labels, kb.n ** pred.arity))
-        planes[:, flat] = np.concatenate(found[name][1]).T
-        tables[name] = np.moveaxis(planes.reshape((pred.num_labels,) + kb.shape(pred)), 0, -1)
+        tables[name] = label_planes(kb.shape(pred) + (pred.num_labels,), np.zeros)
+        # filled through its label-major planes, one row of cells per label
+        np.moveaxis(tables[name], -1, 0).reshape(pred.num_labels, kb.n ** pred.arity)[
+            :, flat] = np.concatenate(found[name][1]).T
     return UnaryTable(tables)
 
 

@@ -9,7 +9,8 @@ inside atoms, ``#`` comments)::
     label(T3)=B-PER      # multi-class predicate fixed to a label
 
 Entity constants are collected in first-occurrence order; an optional seed
-list pins the leading indices.
+list pins the leading indices.  ``KnowledgeBase`` alone decides the domain:
+it may be empty only when no declared predicate takes an argument.
 
 Evidence, query and unary-potential files are read in bulk, in blocks of
 ``BLOCK_LINES`` lines: ``atom_blocks`` checks the atom grammar of a block in
@@ -104,14 +105,15 @@ class KnowledgeBase:
     arrays ``{name: (cells, labels)}`` as ``load_evidence`` passes them: an
     (m, arity) entity index array and the m labels observed at those cells.
     Both forms are kept as read-only copies in ``observed`` and validated
-    there.
+    there.  ``entities`` may be empty only when every declared predicate
+    has arity 0; otherwise the empty domain is an ``EvidenceError``.
     """
 
     def __init__(self, entities, predicates, observations):
         self.entities: tuple[str, ...] = tuple(entities)
-        if not self.entities:
-            raise EvidenceError("empty entity domain")
         self.predicates: dict[str, Predicate] = dict(predicates)
+        if not self.entities and any(p.arity for p in self.predicates.values()):
+            raise EvidenceError("empty entity domain: no entities seeded or observed")
         self.index: dict[str, int] = {name: i for i, name in enumerate(self.entities)}
         if len(self.index) != len(self.entities):
             raise EvidenceError("duplicate entity names")
@@ -672,8 +674,6 @@ def _bulk_evidence(text: str, preds: dict[str, Predicate], seed: list) -> Knowle
         labels = np.concatenate([v for _, v in parts])
         keep = first_rows(cells, labels, len(keys.names))
         observed[name] = (cells[keep], labels[keep])
-    if not keys.names:
-        raise EvidenceError("empty entity domain: no entities seeded or observed")
     return KnowledgeBase(keys.names, preds, observed)
 
 
@@ -700,9 +700,6 @@ def _walk_evidence(text: str, preds: dict[str, Predicate], seed: list) -> Knowle
         key = (pred.name, args)
         if observations.setdefault(key, label) != label:
             raise EvidenceError(f"line {lineno}: conflicting observation for {line!r}")
-
-    if not index:
-        raise EvidenceError("empty entity domain: no entities seeded or observed")
     return KnowledgeBase(index, preds, observations)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,48 @@ def test_query_file_without_atoms_gives_empty_report(tmp_path, capsys, fmt, want
     assert out.read_text() == want
 
 
+def _infer_prop(tmp_path, capsys, evidence, *extra):
+    path = tmp_path / "prop.evidence"
+    path.write_text(evidence)
+    return run(capsys, "infer", "--rules", str(DATA / "prop.rules"),
+               "--evidence", str(path), *extra)
+
+
+def test_argument_free_rules_need_no_entity(tmp_path, capsys):
+    code, out, err = _infer_prop(tmp_path, capsys, "a()\n", "--oracle")
+    assert code == 0 and "oracle cross-check: max deviation" in err
+    assert out == (DATA / "prop.infer.csv").read_text()
+    # a() is observed true, so b()'s one message is the rule weight: sigmoid(1)
+    assert out.splitlines()[1] == f"b,1,{1 / (1 + math.exp(-1)):.9f},0"
+    code, out, err = _infer_prop(tmp_path, capsys, "", "--oracle")
+    assert code == 0 and "oracle cross-check: max deviation" in err
+    assert out == "a,1,0.400979695,0\nb,1,0.599020305,0\n"
+    code, out, _ = _infer_prop(tmp_path, capsys, "a()\n", "--format", "json")
+    assert code == 0 and json.loads(out) == [
+        {"predicate": "a", "args": [], "label": "1", "probability": 1.0, "observed": True},
+        {"predicate": "b", "args": [], "label": "1", "probability": 0.731058579,
+         "observed": False}]
+    queries = tmp_path / "prop.queries"
+    queries.write_text("b()\n")
+    for fmt, want in (("csv", "b,1,0.599020305,0\n"),
+                      ("json", '[\n  {\n    "predicate": "b",\n    "args": [],\n    "label": "1",'
+                               '\n    "probability": 0.599020305,\n    "observed": false\n  }\n]\n')):
+        code, out, _ = _infer_prop(tmp_path, capsys, "", "--queries", str(queries),
+                                   "--format", fmt)
+        assert (code, out) == (0, want)
+
+
+@pytest.mark.parametrize("fmt, want", [("csv", ""), ("json", "[]\n")])
+def test_rule_file_without_predicates_gives_an_empty_report(tmp_path, capsys, fmt, want):
+    rules, evidence = tmp_path / "none.rules", tmp_path / "none.evidence"
+    rules.write_text("# no predicate, no formula\n")
+    evidence.write_text("")
+    code, out, err = run(capsys, "infer", "--rules", str(rules), "--evidence", str(evidence),
+                         "--format", fmt)
+    assert (code, out) == (0, want)
+    assert "logit bound per predicate: \niterations=1 " in err
+
+
 def test_plan_reports_chain_costs(tmp_path, capsys):
     rules = tmp_path / "chain.rules"
     rules.write_text("predicate r1(t,t)\npredicate r2(t,t)\npredicate r3(t,t)\n"
@@ -558,6 +601,16 @@ def test_aucpr_reads_the_truth_file_with_or_without_an_equals_sign(tmp_path, cap
 ])
 def test_aucpr_bad_truth_file_errors(tmp_path, capsys, truth, error):
     assert _aucpr(tmp_path, capsys, truth) == (2, "", f"error: {error}\n")
+
+
+def test_aucpr_scores_argument_free_predicates(tmp_path, capsys):
+    paths = []
+    for name, text in (("r.rules", "predicate a()\npredicate b()\n"),
+                       ("p.txt", "a() 0.9\nb() 0.2\n"), ("t.txt", "a()\n!b()\n")):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text)
+    assert run(capsys, "aucpr", "--rules", str(paths[0]), "--predictions", str(paths[1]),
+               "--truth", str(paths[2])) == (0, "1.000000000\n", "")
 
 
 def test_aucpr_bad_prediction_comes_before_a_truth_label(tmp_path, capsys):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import einlog as E
-from einlog.fol import Predicate
+from einlog.engine import EngineConfig, UnaryTable, compile_rules, initial_marginals, iterate
+from einlog.fol import Predicate, parse_rules
 from einlog.io import report_columns
 from einlog.kb import EvidenceError, KnowledgeBase, flat_cells, load_evidence, load_queries
+
+from helpers import chained_oracle, max_abs_diff
 
 SMOKE_PREDS = [Predicate("smoke", 1), Predicate("friend", 2), Predicate("cancer", 1)]
 
@@ -44,6 +47,38 @@ def test_conflicting_duplicate_rejected():
 def test_empty_file_without_seed_entities_fails():
     with pytest.raises(EvidenceError, match="empty entity domain"):
         load_evidence("", SMOKE_PREDS)
+
+
+ARGUMENT_FREE_RULES = """\
+predicate rain()
+predicate wet()
+predicate alarm()
+predicate mood() labels {LOW,MID,HIGH}
+1.5: !rain() | wet()
+-0.8: wet() => alarm()
+mood() in {HIGH} | !alarm()
+(mood() in {LOW,MID} | rain()) & (!wet() | mood() in {MID,HIGH})
+"""
+
+
+def test_argument_free_rules_need_no_entity_and_match_the_chained_oracle():
+    rules = parse_rules(ARGUMENT_FREE_RULES)
+    kb = load_evidence("rain()\n!alarm()\n", rules.predicates)
+    assert kb.entities == () and kb.n == 0
+    rng = np.random.default_rng(5)
+    phi = UnaryTable({name: rng.normal(0.0, 1.5, kb.shape(p) + (p.num_labels,))
+                      for name, p in kb.predicates.items()})
+    got = iterate(phi, compile_rules(rules, kb), EngineConfig(iterations=3, damping=0.3))
+    assert max_abs_diff(got, chained_oracle(phi, rules, kb, 3, 0.3)) <= 1e-9
+    assert max_abs_diff(got, initial_marginals(phi, kb)) > 1e-3
+    assert got.tables["rain"].tolist() == [0.0, 1.0] and got.tables["alarm"].tolist() == [1.0, 0.0]
+    # one predicate that takes an argument needs an entity
+    for make in (lambda: KnowledgeBase((), {p.name: p for p in SMOKE_PREDS}, {}),
+                 lambda: load_evidence("", SMOKE_PREDS),
+                 lambda: load_evidence("rain()\n", [*rules.predicates.values(), *SMOKE_PREDS])):
+        with pytest.raises(EvidenceError) as err:
+            make()
+        assert str(err.value) == "empty entity domain: no entities seeded or observed"
 
 
 def test_seed_entities_allow_empty_evidence():
