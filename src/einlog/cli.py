@@ -88,10 +88,10 @@ def cmd_infer(args) -> int:
     result = engine.iterate(phi, program, config, trace=trace)
     for ci in program.implications:
         print(ci.describe(), file=sys.stderr)
-    print("logit bound per predicate: " + ", ".join(
+    print("logit bound per predicate: " + (", ".join(
         f"{name} {bound:.3e} (finite check "
         f"{'skipped' if bound < engine.LOGIT_LIMIT else 'runs'})"
-        for name, bound in trace.bounds.items()), file=sys.stderr)
+        for name, bound in trace.bounds.items()) or "none"), file=sys.stderr)
     secs = ", ".join(f"{s:.4f}s" for s in trace.seconds)
     residual = ", ".join(f"{r:.3e}" for r in trace.residual)
     changed = ", ".join(map(str, trace.changed))

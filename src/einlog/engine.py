@@ -38,33 +38,35 @@ of arity at most 2 holds exactly 0 wherever it would hold less than
 ``_FLUSH``, so the product of two nonzero entries of a matrix-product
 operand is a normal number.
 
-The messages of an iteration run as a tuple of ``Step`` records, built once
-per solve by ``_schedule`` and run in order by ``_add_messages``.  A step
-holds its implication, its weight (negated into label 1 of a binary plane,
-which holds ``x0 - x1``; negation is exact), the logit cells it goes into,
-and whether it writes.  A predicate observed in every cell gets no step,
-since clamping overwrites whatever it adds.  A step is of one kind:
+The tables of an iteration are computed as one ``Run`` per table, built
+once per solve by ``_runs`` and run by ``_add_messages``.  A run records how
+its table starts and its terms in add order: each an implication, its weight
+(negated into label 1 of a binary plane, which holds ``x0 - x1``; negation is
+exact) and the logit cells it goes into.  A predicate observed in every cell
+gets no term, since clamping overwrites whatever it adds.  Only the order of
+adds within a table fixes its bytes, so the runs may follow one another in
+any order.  A table starts in one of three ways:
 
-* add: the message goes into its cells by ``+=``, or ``-=`` with weight -1,
-  with no scale pass at weight ±1 (``1.0 * x == x``).  At any other weight a
-  message ``planner.execute`` allocated is scaled in place and a view (a
-  message without contraction aliases its gathered input or the snapshot)
-  is scaled into a new array.  A size-1 message axis broadcasts over the
-  cells.  Through a slice the add runs in row blocks; into one cell or a
-  diagonal, which indexing copies, it is whole.
-* write: a binary plane with an all-zero unary table is not refilled when
+* refilled with its unary logits.
+* written: a binary plane with an all-zero unary table is not refilled when
   the plan of one of its first two messages fills the plane (a slice per
-  axis, no size-1 axis).  That message runs first of those into the plane
-  and writes it through ``planner.execute(out=)``, then is scaled in place
-  unless the weight is 1.  The refilled sum ``(0 + a) + b`` equals ``b + a``
-  bit for bit, so either may write, and the plane starts at ½ with no
-  refill and no sigmoid.  With no such message the plane is refilled.
-* summed: a summed implication's step runs first of the messages into its
-  hypothesis, with its sum built in the table's dead bytes.  It then
-  refills the table and adds.
+  axis, no size-1 axis).  That message is the first term and writes the
+  plane through ``planner.execute(out=)``, then is scaled in place unless
+  the weight is 1.  The refilled sum ``(0 + a) + b`` equals ``b + a`` bit
+  for bit, so either may write, and the plane starts at ½ with no refill
+  and no sigmoid.
+* summed: a summed implication is the first term, with its sum built in the
+  table's dead bytes.  It then refills the table and adds.
 
-Marginals are bit-identical to refilling and adding every scaled message,
-but for the summed implications' order of adds.
+Every other term follows in implication order.  A message goes into its
+cells by ``+=``, or ``-=`` with weight -1, with no scale pass at weight ±1
+(``1.0 * x == x``).  At any other weight a message ``planner.execute``
+allocated is scaled in place and a view (a message without contraction
+aliases its gathered input or the snapshot) is scaled into a new array.  A
+size-1 message axis broadcasts over the cells.  Through a slice the add runs
+in row blocks; into one cell or a diagonal, which indexing copies, it is
+whole.  Marginals are bit-identical to refilling and adding every scaled
+message in implication order, but for the summed implications' order of adds.
 
 Before its first iteration ``iterate`` bounds the logits of each predicate
 H (``_bounds``): ``max|phi_H|`` (the spread ``hi - lo`` on a binary plane,
@@ -304,15 +306,15 @@ class Program:
 
 
 @dataclass(frozen=True)
-class Step:
-    """One message of an iteration, as ``_add_messages`` runs it (see the
-    module docstring for the kinds)."""
+class Run:
+    """How one table starts and the messages into it in add order, as
+    ``_add_messages`` runs them (see the module docstring)."""
 
-    implication: CompiledImplication
-    weight: float                      # negated into label 1 of a binary plane
-    cells: tuple[tuple, ...]           # one index of the logit table per target label
-    sliced: bool                       # the cells keep a slice: the add runs in row blocks
-    writes: bool = False               # writes its plane through planner.execute(out=)
+    hypothesis: str
+    start: str                         # "refill", "write" or "sum"
+    # per message: its implication, its weight (negated into label 1 of a
+    # binary plane) and one index of the logit table per target label
+    terms: tuple[tuple[CompiledImplication, float, tuple[tuple, ...]], ...]
 
 
 @dataclass
@@ -633,14 +635,15 @@ def _flush_block(arr: np.ndarray):
 
 
 def _start(q: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset, pins: dict,
-           halves: frozenset = frozenset()):
+           runs: tuple = ()):
     """The state inference starts from, into ``q``: label softmax (a sigmoid
     for binary planes), observed cells pinned, small ``q1`` flushed.
 
-    The binary planes ``halves`` must have all-zero unary tables.  They are
-    filled with ½, which is ``sigmoid(x0 - x1)`` bit for bit: the difference
-    of two zeros is ±0, and ``1 / (1 + exp(±0))`` is exactly 0.5.  That
-    takes one write pass, where a refill and the sigmoid take four."""
+    The binary planes ``runs`` write (see ``_runs``) have all-zero unary
+    tables.  They are filled with ½, which is ``sigmoid(x0 - x1)`` bit for
+    bit: the difference of two zeros is ±0, and ``1 / (1 + exp(±0))`` is
+    exactly 0.5.  That takes one write pass, where refill and sigmoid take four."""
+    halves = {run.hypothesis for run in runs if run.start == "write"}
     computed = {name: arr for name, arr in q.items() if name not in halves}
     _refill(q, phi, planes, computed)
     _normalize(computed, planes)
@@ -671,73 +674,71 @@ def initial_marginals(phi: UnaryTable, kb: KnowledgeBase) -> MarginalTable:
     return _expand(tables, planes)
 
 
-def _schedule(program: Program, weights: tuple[float, ...],
-              extremes: dict[str, tuple[float, float]],
-              planes: frozenset) -> tuple[tuple[Step, ...], frozenset, frozenset]:
-    """The steps of one iteration in run order (see the module docstring),
-    the tables to refill before them, and the binary planes they write,
-    which start at ½.  A step that writes, or is summed, runs first of the
-    steps into its hypothesis, which is not refilled before it."""
+def _runs(program: Program, weights: tuple[float, ...],
+          extremes: dict[str, tuple[float, float]], planes: frozenset) -> tuple[Run, ...]:
+    """One run per table of ``program.kb`` (see the module docstring), with
+    ``weights`` the signed weight of each implication."""
     kb = program.kb
     full = {name for name, (cells, _) in kb.observed.items()
             if len(cells) == kb.n ** cells.shape[1]}
-    zero = {name for name, (lo, hi) in extremes.items() if lo == hi == 0.0}
-    order = [(ci, w) for ci, w in zip(program.implications, weights)
-             if ci.hypothesis not in full]
-    lead, rank = {}, {}
-    for name in planes | {ci.hypothesis for ci, _ in order if ci.partner is not None}:
-        into = [i for i, (ci, _) in enumerate(order) if ci.hypothesis == name]
-        sums = [i for i in into if order[i][0].partner is not None]
-        fills = [i for i in into[:2] if order[i][0].plan.fills_output
-                 and all(isinstance(ix, slice) for ix in order[i][0].scatter)]
-        if sums or (fills and name in zero):
-            lead[name] = (sums or fills)[0]
-            rank[lead[name]] = into[0] - 0.5
-    written = frozenset(name for name, i in lead.items() if order[i][0].partner is None)
-    steps = []
-    for i in sorted(range(len(order)), key=lambda i: rank.get(i, i)):
-        ci, w = order[i]
-        if ci.hypothesis in planes:
-            (label,) = ci.target_labels
-            w, cells = (-w if label else w), (ci.scatter,)
+    runs = []
+    for name in kb.predicates:
+        into = [] if name in full else [(ci, w) for ci, w in zip(program.implications, weights)
+                                         if ci.hypothesis == name]
+        sums = [i for i, (ci, _) in enumerate(into) if ci.partner is not None]
+        fills = [i for i, (ci, _) in enumerate(into[:2]) if ci.plan.fills_output
+                 and all(isinstance(ix, slice) for ix in ci.scatter)]
+        if sums:
+            start, lead = "sum", sums[0]
+        elif fills and name in planes and extremes[name] == (0.0, 0.0):
+            start, lead = "write", fills[0]
         else:
-            cells = tuple(ci.scatter + (label,) for label in ci.target_labels)
-        writes = lead.get(ci.hypothesis) == i and ci.hypothesis in written
-        steps.append(Step(ci, w, cells, any(isinstance(ix, slice) for ix in ci.scatter),
-                          writes))
-    return tuple(steps), frozenset(kb.predicates).difference(lead), written
+            start, lead = "refill", 0
+        terms = []
+        for ci, w in into[lead:lead + 1] + into[:lead] + into[lead + 1:]:
+            if name in planes:
+                (label,) = ci.target_labels
+                terms.append((ci, -w if label else w, (ci.scatter,)))
+            else:
+                terms.append((ci, w, tuple(ci.scatter + (label,) for label in ci.target_labels)))
+        runs.append(Run(name, start, tuple(terms)))
+    return tuple(runs)
 
 
-def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, steps,
-                  phi: UnaryTable | None = None, planes: frozenset = frozenset()):
-    """Run ``steps`` (see ``_schedule``) into ``logits``, every message read
-    from the snapshot ``q``; ``phi`` and ``planes`` refill the table of a
-    summed step.  Each message, and what it gathered, is dropped before the
-    next is computed."""
-    for step in steps:
-        ci, w = step.implication, step.weight
-        target = logits[ci.hypothesis]
-        if ci.partner is not None:
-            msg = message(ci, q, scratch=target[step.cells[0]])
-            _refill(logits, phi, planes, (ci.hypothesis,))
-        else:
-            msg = message(ci, q, out=target if step.writes else None)
-        if step.writes:
+def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, runs,
+                  phi: UnaryTable, planes: frozenset):
+    """Each run's table (see ``_runs``) into ``logits``: its start, then its
+    terms, every message read from the snapshot ``q``.  Each message, and
+    what it gathered, is dropped before the next is computed."""
+    for run in runs:
+        name, terms = run.hypothesis, run.terms
+        target = logits[name]
+        if run.start == "refill":
+            _refill(logits, phi, planes, (name,))
+        elif run.start == "write":
+            (ci, w, _), *terms = terms
+            message(ci, q, out=target)
             if w != 1.0:
                 rows(_scale, target, target, w)
-        else:
+        for ci, w, cells in terms:
+            if ci.partner is None:
+                msg = message(ci, q)
+            else:   # the summed start: the sum is built in the table's dead bytes
+                msg = message(ci, q, scratch=target[cells[0]])
+                _refill(logits, phi, planes, (name,))
             if abs(w) != 1.0:
                 scaled = msg if msg.flags.owndata else np.empty_like(msg)
                 rows(_scale, scaled, msg, w)
                 msg = scaled
                 del scaled
             add = np.subtract if w == -1.0 else np.add
-            for index in step.cells:
-                if step.sliced:
+            sliced = any(isinstance(ix, slice) for ix in ci.scatter)
+            for index in cells:
+                if sliced:
                     rows(_accumulate, target[index], msg, add)
                 else:   # one cell or a diagonal, which indexing copies
                     target[index] = add(target[index], msg)
-        del msg
+            del msg
 
 
 def _scale(out: np.ndarray, msg: np.ndarray, w: float):
@@ -834,15 +835,14 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     """Run mean-field iterations and return the final marginals.
 
     Two tables per predicate take turns: one holds the current marginals,
-    the other is refilled with the unary logits, receives the messages and
-    is normalized, damped, clamped and flushed in place.  The messages run
-    as the steps ``_schedule`` builds once (see the module docstring), and a
-    plane a step writes starts at ½.  A binary predicate's pair is the two
-    label planes of its output table: iteration ``config.iterations``
-    writes label 1, and label 0 is the spare until the result's one
-    ``1 - q1`` pass writes it, so the predicate needs no buffer beyond its
-    output table and the result no copy.  A multi-class predicate has one
-    spare table beside its output table.
+    the other starts and receives its messages by the run ``_runs`` builds
+    for it once (see the module docstring), then is normalized, damped,
+    clamped and flushed in place; a plane a run writes starts at ½.  A
+    binary predicate's pair is the two label planes of its output table:
+    iteration ``config.iterations`` writes label 1, and label 0 is the spare
+    until the result's one ``1 - q1`` pass writes it, so the predicate needs
+    no buffer beyond its output table and the result no copy.  A
+    multi-class predicate has one spare table beside its output table.
 
     After every iteration but the last, each new table is compared bit for
     bit with the snapshot it was computed from.  When all are identical the
@@ -864,18 +864,17 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     checked = [name for name, bound in bounds.items() if not bound < LOGIT_LIMIT]
     if trace is not None:
         trace.bounds = bounds
-    steps, refill, written = _schedule(program, weights, extremes, planes)
+    runs = _runs(program, weights, extremes, planes)
     # iteration T writes `last`; a binary predicate's spare is label 0 of its
     # output table, read for the last time before `_expand` writes it
     other = {name: tables[name][..., 0] if name in planes else label_planes(arr.shape)
              for name, arr in last.items()}
     q, spare = (last, other) if config.iterations % 2 == 0 else (other, last)
-    _start(q, phi, planes, pins, written)
+    _start(q, phi, planes, pins, runs)
     lam = config.damping
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
-        _refill(spare, phi, planes, refill)
-        _add_messages(spare, MarginalTable(q), steps, phi, planes)
+        _add_messages(spare, MarginalTable(q), runs, phi, planes)
         for name in checked:
             if not all(rows(_finite, spare[name])):
                 raise EngineError(f"non-finite logits for {name} at iteration {t}")

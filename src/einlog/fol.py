@@ -484,8 +484,17 @@ def _build_literal(raw: _RawLiteral, predicates: dict[str, Predicate]) -> Litera
 def _build_clause(raws: list[_RawLiteral], predicates: dict[str, Predicate],
                   weight: float, cid: str, lineno: int) -> Clause | None:
     """Validate every literal, then merge repeated atoms; None when the clause
-    is a tautology."""
+    is a tautology.  A variable at argument positions of two declared types
+    is refused: every variable ranges over all entities, so the types would
+    be ignored without a word."""
     literals = [_build_literal(raw, predicates) for raw in raws]
+    types: dict[str, str] = {}
+    for raw in raws:
+        for symbol, arg_type in zip(raw.args, predicates[raw.name].arg_types):
+            term = _term_from_symbol(symbol)
+            if not term.is_constant and types.setdefault(term.symbol, arg_type) != arg_type:
+                raise RuleError(f"variable {term.symbol!r} is used as {types[term.symbol]} "
+                                f"and as {arg_type}", raw.line, raw.col)
     merged = None if any(lit is None for lit in literals) else merge_literals(literals)
     if merged is None:
         warnings.warn(f"line {lineno}: tautological clause dropped ({cid})", RuleWarning,

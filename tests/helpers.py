@@ -1,6 +1,7 @@
 """Helpers that only the tests use: rule-file printing, table comparison,
-the chained oracle, summed implications taken apart, the kind of a solve
-step, a row view of the report and a per-threshold loop for ``auc_pr``."""
+the chained oracle, summed implications taken apart, the kinds and terms of
+the engine's runs, a row view of the report and a per-threshold loop for
+``auc_pr``."""
 
 from dataclasses import replace
 
@@ -53,25 +54,35 @@ def apart(implications):
 
 # every kind of engine step (see the engine module docstring): an add, told
 # apart by its weight and, when scaled, by whether its message is a view; a
-# write, whose plan fills its plane through out=; and a summed step, which
-# always refills its table
+# write, the first term of a run that starts written, whose plan fills its
+# plane through out=; and a summed step, which always refills its table
 STEP_KINDS = frozenset({"add weight ±1", "add scaled owned", "add scaled view", "add into cells",
                         "write through out=", "summed refill"})
 
 
-def step_kind(step, q: MarginalTable) -> str:
-    """The kind of an engine ``Step``, one of ``STEP_KINDS``; ``q`` is any
-    snapshot the step's message can read."""
-    if step.implication.partner is not None:
-        return "summed refill"
-    if step.writes:
-        return "write through out="
-    if not step.sliced:
-        return "add into cells"
-    if abs(step.weight) == 1.0:
-        return "add weight ±1"
-    owned = message(step.implication, q).flags.owndata
-    return "add scaled owned" if owned else "add scaled view"
+def step_kinds(runs, q: MarginalTable) -> set[str]:
+    """The kinds of the terms of engine ``Run``s, each one of
+    ``STEP_KINDS``; ``q`` is any snapshot their messages can read."""
+    kinds = set()
+    for run in runs:
+        for i, (ci, w, _) in enumerate(run.terms):
+            if ci.partner is not None:
+                kinds.add("summed refill")
+            elif i == 0 and run.start == "write":
+                kinds.add("write through out=")
+            elif not any(isinstance(ix, slice) for ix in ci.scatter):
+                kinds.add("add into cells")
+            elif abs(w) == 1.0:
+                kinds.add("add weight ±1")
+            else:
+                owned = message(ci, q).flags.owndata
+                kinds.add("add scaled owned" if owned else "add scaled view")
+    return kinds
+
+
+def terms(runs) -> list[tuple]:
+    """The terms of engine ``Run``s, one run after another."""
+    return [term for run in runs for term in run.terms]
 
 
 def same_bytes(a: MarginalTable, b: MarginalTable) -> bool:

@@ -291,6 +291,18 @@ def test_rule_constant_that_is_no_entity_is_data_error(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: rule f1: constant 'Z' is not an entity\n")
 
 
+def test_variable_of_two_types_is_a_rule_error(tmp_path, capsys):
+    # a at person in smoke(a) and at course in hard(a)
+    rules, evidence = tmp_path / "r.rules", tmp_path / "e.txt"
+    rules.write_text("predicate smoke(person)\npredicate teaches(person,course)\n"
+                     "predicate hard(course)\n!teaches(a,c) | !hard(c) | smoke(a)\n"
+                     "!smoke(a) | hard(a)\n")
+    evidence.write_text("teaches(Ann,Logic)\nhard(Logic)\n!smoke(Bob)\nteaches(Bob,Art)\n")
+    code, out, err = run(capsys, "infer", "--rules", str(rules), "--evidence", str(evidence))
+    assert (code, out, err) == (2, "", "error: line 5, column 13: variable 'a' is used as "
+                                       "person and as course\n")
+
+
 def test_unknown_weight_name_is_data_error(tmp_path, capsys):
     out, argv = infer_args(tmp_path, "--weight", "nosuchrule=50")
     code, _, err = run(capsys, *argv)
@@ -428,7 +440,7 @@ def test_rule_file_without_predicates_gives_an_empty_report(tmp_path, capsys, fm
     code, out, err = run(capsys, "infer", "--rules", str(rules), "--evidence", str(evidence),
                          "--format", fmt)
     assert (code, out) == (0, want)
-    assert "logit bound per predicate: \niterations=1 " in err
+    assert "logit bound per predicate: none\niterations=1 " in err
 
 
 def test_plan_reports_chain_costs(tmp_path, capsys):

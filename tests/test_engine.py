@@ -21,7 +21,7 @@ from einlog.tensor import softmax_lastaxis
 from einlog.testing import ORACLE_TOL, engine_oracle_gap, random_instance
 
 from helpers import (STEP_KINDS, apart, chained_oracle, copy_unary, max_abs_diff, same_bytes,
-                     step_kind)
+                     step_kinds, terms)
 
 C = Predicate("c", 2)
 A, B, D = variable("a"), variable("b"), variable("d")
@@ -626,11 +626,11 @@ def test_one_gather_per_distinct_premise_key(monkeypatch):
     assert (len(premises), len(keys)) == (38, 10)
     assert ("tri", (), (0,)) not in keys and ("tri", (), (1,)) in keys
 
-    # each iteration gathers each distinct key once per scheduled message
-    scheduled, _, _ = engine._schedule(program, tuple(ci.weight for ci in program.implications),
-                                       phi.extremes(kb), engine._storage(kb)[2])
-    per_iteration = sorted(key for step in scheduled
-                           for key in {p.key for p in step.implication.premises})
+    # each iteration gathers each distinct key once per message of a run
+    runs = engine._runs(program, tuple(ci.weight for ci in program.implications),
+                        phi.extremes(kb), engine._storage(kb)[2])
+    per_iteration = sorted(key for ci, _, _ in terms(runs)
+                           for key in {p.key for p in ci.premises})
     calls = []
     original = PremiseInput.gather
 
@@ -690,11 +690,13 @@ def test_weighting_leaves_shared_gathered_input_unchanged(monkeypatch):
         return out
 
     monkeypatch.setattr(PremiseInput, "gather", recording)
-    logits = UnaryTable.zeros(kb).tables
+    logits, zero = {name: np.full((3, 3, 2), np.nan) for name in "prs"}, UnaryTable.zeros(kb)
     snapshot = q.copy()
-    steps, _, _ = engine._schedule(program, tuple(ci.weight * ci.coefficient
-                                                  for ci in program.implications), {}, frozenset())
-    _add_messages(logits, q, steps)
+    runs = engine._runs(program, tuple(ci.weight * ci.coefficient
+                                       for ci in program.implications), {}, frozenset())
+    # every table starts refilled, with zeros
+    assert {run.start for run in runs} == {"refill"}
+    _add_messages(logits, q, runs, zero, frozenset())
     assert all(np.array_equal(out, before) for _, out, before in gathered)
     # a message without contraction may alias the live snapshot q itself
     assert all(np.array_equal(q.tables[name], snapshot.tables[name]) for name in q.tables)
@@ -838,15 +840,20 @@ def test_one_plane_weighting_leaves_aliased_snapshot_unchanged():
     rng = np.random.default_rng(2)
     q1 = {name: rng.random((3, 3)) for name in "prs"}
     snapshot = {name: arr.copy() for name, arr in q1.items()}
-    diff = {name: np.zeros((3, 3)) for name in "prs"}
+    diff = {name: np.full((3, 3), np.nan) for name in "prs"}
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    on_planes, _, _ = engine._schedule(program, weights, {}, frozenset("prs"))
-    _add_messages(diff, MarginalTable(q1), on_planes)
+    # extremes of unary tables that are not all zero, so that every plane
+    # starts refilled, here from zeros
+    phi = UnaryTable.zeros(kb)
+    on_planes = engine._runs(program, weights, dict.fromkeys("prs", (-1.0, 1.0)),
+                             frozenset("prs"))
+    assert {run.start for run in on_planes} == {"refill"}
+    _add_messages(diff, MarginalTable(q1), on_planes, phi, frozenset("prs"))
     assert all(np.array_equal(q1[name], snapshot[name]) for name in q1)
     # the same messages added to two label planes give x0 - x1 exactly
     q = MarginalTable({name: np.stack([1.0 - arr, arr], axis=-1) for name, arr in q1.items()})
-    logits = {name: np.zeros((3, 3, 2)) for name in "prs"}
-    _add_messages(logits, q, engine._schedule(program, weights, {}, frozenset())[0])
+    logits = {name: np.full((3, 3, 2), np.nan) for name in "prs"}
+    _add_messages(logits, q, engine._runs(program, weights, {}, frozenset()), phi, frozenset())
     for name in "prs":
         assert np.array_equal(diff[name], logits[name][..., 0] - logits[name][..., 1])
     assert np.array_equal(diff["r"], -2.5 * q1["p"]) and np.array_equal(diff["s"], 0.5 * q1["p"])
@@ -1215,18 +1222,20 @@ def test_written_plane_is_bitwise_the_refilled_sum(candidate, partner, damping):
     program, phi = _writer_instance(candidate, partner)
     planes = frozenset(program.kb.predicates)
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    steps, refill, _ = engine._schedule(program, weights, phi.extremes(program.kb), planes)
-    assert "o" not in {step.implication.hypothesis for step in steps}
+    run = {r.hypothesis: r for r in engine._runs(program, weights, phi.extremes(program.kb),
+                                                 planes)}
+    assert run["o"].terms == ()
     into_t = [ci for ci in program.implications if ci.hypothesis == "t"]
-    writers = [step.implication for step in steps if step.writes]
+    order = [ci for ci, _, _ in run["t"].terms]
     want = WRITER[candidate, partner]
     if want is None:
-        assert writers == [] and "t" in refill
+        assert run["t"].start == "refill" and order == into_t
     else:
-        assert writers == [into_t[want]] and refill == {"r", "o"}
-        # the writer runs before every other message into t
-        order = [step.implication for step in steps if step.implication.hypothesis == "t"]
-        assert order[0] is into_t[want]
+        assert {name: r.start for name, r in run.items()} == {
+            "r": "refill", "o": "refill", "t": "write"}
+        # the writer runs before every other message into t, which follow
+        # in implication order
+        assert order == [into_t[want]] + into_t[:want] + into_t[want + 1:]
     for iterations in (1, 2, 3):
         config = EngineConfig(iterations, damping=damping)
         got = iterate(phi, program, config)
@@ -1241,10 +1250,11 @@ def test_kbc_tri_takes_its_outer_product_directly():
     phi = UnaryTable.zeros(kb)
     _, _, planes = engine._storage(kb)
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    steps, refill, _ = engine._schedule(program, weights, phi.extremes(kb), planes)
-    assert refill == {"kind"}
-    (writer,) = [step.implication for step in steps
-                 if step.writes and step.implication.hypothesis == "tri"]
+    runs = engine._runs(program, weights, phi.extremes(kb), planes)
+    assert {run.hypothesis for run in runs if run.start == "refill"} == {"kind"}
+    (tri,) = [run for run in runs if run.hypothesis == "tri"]
+    writer = tri.terms[0][0]
+    assert tri.start == "write"
     assert str(writer.plan.spec) == "bc,ac->abc" and writer.plan.fills_output
 
 
@@ -1268,23 +1278,25 @@ def test_schedule_runs_once_per_solve_with_signs_and_cells_resolved(monkeypatch)
     program = compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(5))
     phi = UnaryTable({"c": np.random.default_rng(4).normal(0.0, 1.5, (5, 5, 2))})
     built = []
-    original = engine._schedule
+    original = engine._runs
 
     def recording(*args):
         built.append(original(*args))
         return built[-1]
 
-    monkeypatch.setattr(engine, "_schedule", recording)
+    monkeypatch.setattr(engine, "_runs", recording)
     iterate(phi, program, EngineConfig(iterations=4))
-    ((steps, refill, written),) = built
+    ((run,),) = built
     # the summed product runs first and refills c after building its sum
     # there; on the plane x0 - x1 label 1 negates the weight, so the q1
     # products go in as -msg and the ones terms as +msg
-    assert refill == written == frozenset()
-    assert [(str(s.implication.plan.spec), s.weight, s.implication.partner is not None)
-            for s in steps] == [("ab,bc->ac", -1.0, True), ("bc->ab", 1.0, False),
-                                ("ab,ac->bc", -1.0, False), ("ab->bc", 1.0, False)]
-    assert all(s.cells == ((slice(None),) * 2,) and s.sliced and not s.writes for s in steps)
+    assert (run.hypothesis, run.start) == ("c", "sum")
+    assert [(str(ci.plan.spec), w, ci.partner is not None) for ci, w, _ in run.terms] == [
+        ("ab,bc->ac", -1.0, True), ("bc->ab", 1.0, False),
+        ("ab,ac->bc", -1.0, False), ("ab->bc", 1.0, False)]
+    assert all(cells == ((slice(None),) * 2,) for _, _, cells in run.terms)
+    assert step_kinds([run], initial_marginals(phi, program.kb)) == {"summed refill",
+                                                                     "add weight ±1"}
 
 
 def test_schedule_of_the_kbc_rules_on_tables_and_planes():
@@ -1292,31 +1304,33 @@ def test_schedule_of_the_kbc_rules_on_tables_and_planes():
     program = compile_rules(rules, kb)
     planes = engine._storage(kb)[2]
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    steps, refill, written = engine._schedule(program, weights, phi.extremes(kb), planes)
-    assert refill == set(kb.predicates) and written == frozenset()
-    step = {(s.implication.rule_id, s.implication.hypothesis, s.implication.target_labels): s
-            for s in steps}
+    runs = engine._runs(program, weights, phi.extremes(kb), planes)
+    # one run per table, in declaration order, each refilled
+    assert [(run.hypothesis, run.start) for run in runs] == [
+        (name, "refill") for name in kb.predicates]
+    term = {(ci.rule_id, ci.hypothesis, ci.target_labels): (w, cells)
+            for ci, w, cells in terms(runs)}
     # a multi-class table gets one index per target label, with the weight as given
-    assert step["f5", "kind", (0, 1)].cells == ((slice(None), 0), (slice(None), 1))
-    assert step["f5", "kind", (0, 1)].weight == 1.0
+    assert term["f5", "kind", (0, 1)] == (1.0, ((slice(None), 0), (slice(None), 1)))
     # label 1 of a binary plane negates the weight; a constant keeps the
     # plane's other axis, so the add runs in row blocks
-    assert (step["f1", "rel", (1,)].weight, step["f1", "rel", (0,)].weight) == (-2.0, 2.0)
-    assert step["f5", "rel", (0,)].cells == ((0, slice(None)),) and step["f5", "rel", (0,)].sliced
-    # the arity-0 `active` is one cell
-    assert step["f4", "active", (0,)].cells == ((),) and not step["f4", "active", (0,)].sliced
+    assert (term["f1", "rel", (1,)][0], term["f1", "rel", (0,)][0]) == (-2.0, 2.0)
+    assert term["f5", "rel", (0,)][1] == ((0, slice(None)),)
+    # the arity-0 `active` is one cell, so its add is whole
+    assert term["f4", "active", (0,)][1] == ((),)
     q = initial_marginals(phi, kb)
-    assert {step_kind(s, q) for s in steps} == {"add weight ±1", "add scaled view",
-                                                "add into cells"}
+    assert step_kinds([run for run in runs if run.hypothesis == "active"], q) == {
+        "add into cells"}
+    assert step_kinds(runs, q) == {"add weight ±1", "add scaled view", "add into cells"}
     zero = UnaryTable.zeros(kb)
-    steps, refill, written = engine._schedule(program, weights, zero.extremes(kb), planes)
-    assert refill == {"kind"} and written == planes
-    assert {step_kind(s, q) for s in steps} == {"write through out=", "add weight ±1",
-                                                "add scaled view"}
+    runs = engine._runs(program, weights, zero.extremes(kb), planes)
+    assert {run.hypothesis: run.start for run in runs} == {
+        name: "write" if name in planes else "refill" for name in kb.predicates}
+    assert step_kinds(runs, q) == {"write through out=", "add weight ±1", "add scaled view"}
 
 
 def _instance_running(kind):
-    """A program and unary table whose schedule has a step of ``kind``."""
+    """A program and unary table whose runs have a term of ``kind``."""
     if kind in ("add into cells", "add scaled view"):
         rules, kb, phi = _kbc_instance(4)
         return compile_rules(rules, kb), phi
@@ -1329,11 +1343,10 @@ def _instance_running(kind):
 @pytest.mark.parametrize("instance", sorted(STEP_KINDS))
 def test_schedule_drops_each_message_before_the_next_is_computed(monkeypatch, instance):
     program, phi = _instance_running(instance)
-    steps, _, _ = engine._schedule(program, tuple(ci.weight * ci.coefficient
-                                                  for ci in program.implications),
-                                   phi.extremes(program.kb), engine._storage(program.kb)[2])
-    q = initial_marginals(phi, program.kb)
-    assert instance in {step_kind(s, q) for s in steps}
+    runs = engine._runs(program, tuple(ci.weight * ci.coefficient
+                                       for ci in program.implications),
+                        phi.extremes(program.kb), engine._storage(program.kb)[2])
+    assert instance in step_kinds(runs, initial_marginals(phi, program.kb))
     kept = []
     original = engine.message
 
@@ -1353,27 +1366,33 @@ def test_schedule_drops_each_message_before_the_next_is_computed(monkeypatch, in
 def test_schedule_refills_a_zero_plane_that_no_filling_message_writes():
     # zero-unary planes that no message writes: t, whose first message
     # broadcasts over c and whose second is a diagonal, and c, into which a
-    # summed product runs first
+    # summed product runs first; and the kbc rules, whose messages into five
+    # tables interleave in implication order but run table by table
     summed = (compile_rules([CnfFormula((TRANSITIVITY,), id="t")], trans_kb(6)),
               UnaryTable({"c": np.zeros((6, 6, 2))}))
     writer = _writer_instance("broadcast", "diagonal")
-    for (program, phi), plane, summing in ((writer, "t", False), (summed, "c", True)):
+    rules, kb, phi = _kbc_instance(5)
+    kbc = (compile_rules(rules, kb), phi)
+    assert len({ci.hypothesis for ci in kbc[0].implications}) == 5
+    for (program, phi), plane, start in ((writer, "t", "refill"), (summed, "c", "sum"),
+                                         (kbc, "tri", "refill")):
         weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-        steps, refill, written = engine._schedule(program, weights, phi.extremes(program.kb),
-                                                  engine._storage(program.kb)[2])
-        assert written == frozenset() and not any(step.writes for step in steps)
+        planes = engine._storage(program.kb)[2]
+        runs = engine._runs(program, weights, phi.extremes(program.kb), planes)
         # the summed step refills c itself, after building its sum there
-        assert (plane in refill) != summing
-        tol = 1e-12 if summing else 0.0
+        assert {run.hypothesis: run.start for run in runs}[plane] == start
+        assert not any(run.start == "write" for run in runs)
+        tol = 1e-12 if start == "sum" else 0.0
         for iterations in (1, 2, 3):
             config = EngineConfig(iterations)
             got = iterate(phi, program, config)
             want = _reference_iterate(phi, program, config)
             assert all(np.max(np.abs(got.tables[k] - want[k])) <= 1e-12 for k in want)
-            # each binary plane against refilling and adding every message in
+            # each table against refilling and adding every message in
             # implication order: the summed step adds first and in another order
             ref = _refill_and_add(phi, program, config)
-            assert all(np.max(np.abs(got.tables[k][..., 1] - ref[k])) <= tol for k in ref)
+            assert all(np.max(np.abs((got.tables[k][..., 1] if k in planes else got.tables[k])
+                                     - ref[k])) <= tol for k in ref)
 
 
 # matrix products split over the calling thread and the helper (see planner._split_matmul)
@@ -1477,13 +1496,12 @@ def test_half_start_is_the_refilled_sigmoid_bitwise(zeros):
     program = compile_rules(rules, kb)
     _, refilled, planes = engine._storage(kb)
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    _, refill, _ = engine._schedule(program, weights, phi.extremes(kb), planes)
-    halves = planes - refill
-    assert halves == {"rel", "tri"}
+    runs = engine._runs(program, weights, phi.extremes(kb), planes)
+    assert {run.hypothesis for run in runs if run.start == "write"} == {"rel", "tri"}
     pins = engine._pins(kb)
     _, half, _ = engine._storage(kb)
     engine._start(refilled, phi, planes, pins)
-    engine._start(half, phi, planes, pins, halves)
+    engine._start(half, phi, planes, pins, runs)
     assert same_bytes(MarginalTable(half), MarginalTable(refilled))
     latent = ~kb.masks()["tri"].mask
     assert latent.any() and np.all(half["tri"][latent] == 0.5)

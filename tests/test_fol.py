@@ -249,6 +249,28 @@ def test_declaration_errors_name_their_line():
     assert (err.value.line, err.value.column) == (2, 11)
 
 
+TYPED = "predicate smoke(person)\npredicate teaches(person,course)\npredicate hard(course)\n"
+
+
+@pytest.mark.parametrize("formula,column", [
+    ("!smoke(a) | hard(a)", 13),
+    ("!teaches(a,c) | !hard(c) | smoke(+c)", 28),
+    ("teaches(a,b) => teaches(b,a)", 17),
+    ("smoke(a) | !smoke(a) | hard(a)", 24),    # a tautology does not hide it
+])
+def test_variable_of_two_types_is_an_error(formula, column):
+    with pytest.raises(RuleError, match="variable '[abc]' is used as (person|course) and as "
+                                        "(course|person)") as err:
+        parse_rules(TYPED + f"!teaches(a,c) | !hard(c) | smoke(a)\n{formula}\n")
+    assert (err.value.line, err.value.column) == (5, column)
+
+
+def test_one_variable_name_may_take_one_type_per_clause():
+    # each clause of a CNF quantifies its own variables; constants have no type
+    rules = parse_rules(TYPED + "(!smoke(a) | smoke(A)) & (hard(a) | hard(A))\n")
+    assert len(rules.formulas[0].clauses) == 2
+
+
 @pytest.mark.parametrize("literal,fragment", [
     ("ghost(a,b,c)", "undeclared"),
     ("smoke(a,b)", "expects 1 args"),
@@ -284,6 +306,9 @@ def test_formula_ids_keep_the_number_of_a_dropped_tautology():
 PRED_NAMES = ["smoke", "friend_of", "p.q", "R2", "has-label", "kind"]
 LABEL_NAMES = ["O", "B-PER", "I-PER", "yes", "no", "x_1", "Level.2"]
 VARIABLES = ["a", "b", "c", "x1"]
+# the declared argument type each variable may stand at: a variable of two
+# types is a rule error
+VARIABLE_TYPES = {"a": "t0", "b": "t1", "c": "t0", "x1": "t1"}
 CONSTANTS = ["A", "B_2", "Level_500", "7"]
 WEIGHTS = st.one_of(st.floats(-1e6, 1e6, allow_nan=False).map(repr),
                     st.sampled_from(["1", "1.0", "-1", "2", "-0.5", "+3", "1e-3", "-2.5E2",
@@ -292,14 +317,16 @@ WEIGHTS = st.one_of(st.floats(-1e6, 1e6, allow_nan=False).map(repr),
 
 @st.composite
 def declarations(draw):
-    """Declared predicates of arity 0 to 3: binary, named multi-class, and
-    multi-class with numbered labels in any order (``labels {2,0,1}``)."""
+    """Declared predicates of arity 0 to 3, each argument of type ``t0`` or
+    ``t1``: binary, named multi-class, and multi-class with numbered labels
+    in any order (``labels {2,0,1}``)."""
     names = draw(st.lists(st.sampled_from(PRED_NAMES), min_size=1, max_size=4, unique=True))
     lines, preds = [], []
     for name in names:
         arity = draw(st.integers(0, 3))
         kind = draw(st.sampled_from(["binary", "binary", "named", "numbered"]))
-        line = f"predicate {name}({','.join(f't{i}' for i in range(arity))})"
+        types = draw(st.lists(st.sampled_from(["t0", "t1"]), min_size=arity, max_size=arity))
+        line = f"predicate {name}({','.join(types)})"
         labels = None
         if kind == "named":
             labels = draw(st.lists(st.sampled_from(LABEL_NAMES), min_size=2, max_size=4,
@@ -309,14 +336,14 @@ def declarations(draw):
         if labels is not None:
             line += f" labels {{{','.join(labels)}}}"
         lines.append(line)
-        preds.append((name, arity, labels))
+        preds.append((name, arity, labels, tuple(types)))
     return "".join(line + "\n" for line in lines), preds
 
 
 def _literal_text(draw, pred, args):
     """One literal over a drawn value set: plain or ``!`` for a binary
     predicate, else ``in {...}`` of the set or ``!`` and its complement."""
-    name, _, labels = pred
+    name, _, labels, _ = pred
     head = f"{name}({','.join(args)})"
     if labels is None:
         return draw(st.sampled_from(["", "!"])) + head + draw(
@@ -332,12 +359,13 @@ def _literal_text(draw, pred, args):
 def formula_lines(draw, preds):
     """One formula line: an optional weight, then a clause, a CNF of up to
     three clauses, or ``A & B => CNF``.  No atom repeats within the line,
-    so no clause merges into a tautology."""
+    so no clause merges into a tautology, and each variable stands only at
+    arguments of its type (``VARIABLE_TYPES``)."""
     atoms = {}
     for _ in range(draw(st.integers(1, 6))):
         pred = draw(st.sampled_from(preds))
-        terms = draw(st.lists(st.sampled_from(VARIABLES + CONSTANTS), min_size=pred[1],
-                              max_size=pred[1]))
+        terms = [draw(st.sampled_from([v for v in VARIABLES if VARIABLE_TYPES[v] == arg_type]
+                                      + CONSTANTS)) for arg_type in pred[3]]
         plus = draw(st.lists(st.booleans(), min_size=pred[1], max_size=pred[1]))
         args = tuple("+" + t if p and t in VARIABLES else t for t, p in zip(terms, plus))
         atoms.setdefault((pred[0], tuple(t.lstrip("+") for t in args)), (pred, args))

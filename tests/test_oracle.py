@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from einlog.engine import (EngineConfig, IterationTrace, MarginalTable, UnaryTable,
-                           _schedule, _storage,
+                           _runs, _storage,
                            compile_rules, initial_marginals, iterate)
 from einlog.fol import (Clause, CnfFormula, Literal, Predicate, binary_literal, constant,
                         merge_literals, parse_rules, variable)
@@ -17,7 +17,7 @@ from einlog.oracle import (OracleError, brute_einsum, enumerate_groundings,
 from einlog.tensor import softmax_lastaxis
 from einlog.testing import random_instance
 
-from helpers import STEP_KINDS, chained_oracle, max_abs_diff, same_bytes, step_kind
+from helpers import STEP_KINDS, chained_oracle, max_abs_diff, same_bytes, step_kinds
 
 S = Predicate("s", 1)
 F = Predicate("f", 2)
@@ -294,10 +294,9 @@ def _matches_chained_oracle(seen, rules, n, seed, damping, iterations, zero_unar
     program = compile_rules(rules, kb)
     seen["expanding"].append(any(ci.coefficient != 1.0 for ci in program.implications))
     weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    steps, _, _ = _schedule(program, weights, phi.extremes(kb), _storage(kb)[2])
-    seen["writing"].append(any(step.writes for step in steps))
-    start = initial_marginals(phi, kb)
-    seen["kinds"].update(step_kind(step, start) for step in steps)
+    runs = _runs(program, weights, phi.extremes(kb), _storage(kb)[2])
+    seen["writing"].append(any(run.start == "write" for run in runs))
+    seen["kinds"].update(step_kinds(runs, initial_marginals(phi, kb)))
     got = iterate(phi, program, EngineConfig(iterations=iterations, damping=damping))
     q = chained_oracle(phi, rules, kb, iterations, damping)
     for name, mask in kb.masks().items():
