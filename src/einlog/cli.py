@@ -102,8 +102,11 @@ def cmd_infer(args) -> int:
     if ran < config.iterations:
         print(f"stopped at an exact fixed point: iteration {ran} of {config.iterations} "
               "reproduced the state it read bit for bit", file=sys.stderr)
-    print(f"converged: {'yes' if trace.converged else 'no'} (last residual "
-          f"{trace.residual[-1]:.3e}, {trace.changed[-1]} cells flipped)", file=sys.stderr)
+    if not kb.predicates:
+        print("converged: no table", file=sys.stderr)
+    else:
+        print(f"converged: {'yes' if trace.converged else 'no'} (last residual "
+              f"{trace.residual[-1]:.3e}, {trace.changed[-1]} cells flipped)", file=sys.stderr)
 
     text = (io.format_marginals_json(result, kb, queries) if args.format == "json"
             else io.format_marginals_csv(result, kb, queries))

@@ -68,16 +68,17 @@ in row blocks; into one cell or a diagonal, which indexing copies, it is
 whole.  Marginals are bit-identical to refilling and adding every scaled
 message in implication order, but for the summed implications' order of adds.
 
-Before its first iteration ``iterate`` bounds the logits of each predicate
-H (``_bounds``): ``max|phi_H|`` (the spread ``hi - lo`` on a binary plane,
-which holds ``x0 - x1``), read from the extremes ``UnaryTable.extremes``
-validates, plus, over the messages into H (two of a summed implication),
-``|w * coefficient|`` (the weights ``iterate`` uses, overrides included)
-times the groundings per cell: the product of the extents of the premise
-letters absent from the output.  A message sums, over those groundings,
-products of marginal masses of at most 1, so no logit exceeds the bound,
-whatever damping and clamping do, but by rounding (a damped marginal can be
-an ulp above 1).  Only a predicate whose
+Each run also holds its table's logit bound (``Run.bound``), summed in the
+same pass that builds the runs: ``max|phi_H|`` (the spread ``hi - lo`` on a
+binary plane, which holds ``x0 - x1``), read from the extremes
+``UnaryTable.extremes`` validates, plus, over the messages into H in
+implication order (two of a summed implication, and those into a table
+observed in every cell, whose run drops them), ``|w * coefficient|`` (the
+weights the terms carry, overrides included) times the groundings per cell:
+the product of the extents of the premise letters absent from the output.
+A message sums, over those groundings, products of marginal masses of at
+most 1, so no logit exceeds the bound, whatever damping and clamping do, but
+by rounding (a damped marginal can be an ulp above 1).  Only a table whose
 bound is not below ``LOGIT_LIMIT`` (1e300, far under float64's 1.8e308), an
 infinite or NaN bound included, gets the per-iteration finite check, which
 fails with an ``EngineError`` naming the predicate and the iteration.
@@ -308,13 +309,15 @@ class Program:
 @dataclass(frozen=True)
 class Run:
     """How one table starts and the messages into it in add order, as
-    ``_add_messages`` runs them (see the module docstring)."""
+    ``_add_messages`` runs them, and its logit bound (see the module
+    docstring)."""
 
     hypothesis: str
     start: str                         # "refill", "write" or "sum"
     # per message: its implication, its weight (negated into label 1 of a
     # binary plane) and one index of the logit table per target label
     terms: tuple[tuple[CompiledImplication, float, tuple[tuple, ...]], ...]
+    bound: float
 
 
 @dataclass
@@ -372,7 +375,7 @@ def _compile_clause(clause: Clause, kb: KnowledgeBase, rule_id: str) -> list[Com
                 raise EngineError(f"rule {rule_id}: constant {t.symbol!r} is not an entity")
     variables = clause.variables()
     if len(variables) > len(_LETTERS):
-        raise EngineError("more than 26 distinct variables in one clause")
+        raise EngineError(f"rule {rule_id}: more than 26 distinct variables in one clause")
     letter = dict(zip(variables, _LETTERS))
 
     out = []
@@ -674,17 +677,32 @@ def initial_marginals(phi: UnaryTable, kb: KnowledgeBase) -> MarginalTable:
     return _expand(tables, planes)
 
 
-def _runs(program: Program, weights: tuple[float, ...],
+def _runs(program: Program, overrides: dict[str, float],
           extremes: dict[str, tuple[float, float]], planes: frozenset) -> tuple[Run, ...]:
-    """One run per table of ``program.kb`` (see the module docstring), with
-    ``weights`` the signed weight of each implication."""
+    """One run per table of ``program.kb``, with its logit bound (see the
+    module docstring).  An implication's weight is its rule's override in
+    ``overrides`` (rule id to weight), else its own, times its coefficient.
+    The bound is summed in Python floats, so that an overflow gives ``inf``;
+    the two messages of a summed implication have weights of one magnitude."""
     kb = program.kb
+    unknown = sorted(set(overrides) - {ci.rule_id for ci in program.implications})
+    if unknown:
+        raise EngineError(f"weight override for unknown rule id {', '.join(unknown)}")
     full = {name for name, (cells, _) in kb.observed.items()
             if len(cells) == kb.n ** cells.shape[1]}
+    bound = {name: hi - lo if name in planes else max(-lo, hi)
+             for name, (lo, hi) in extremes.items()}
+    weighted = {name: [] for name in kb.predicates}
+    for ci in program.implications:
+        w = overrides.get(ci.rule_id, ci.weight) * ci.coefficient
+        for plan in (ci.plan,) if ci.partner is None else (ci.plan, ci.partner.plan):
+            letters = plan.spec.input_letters().difference(plan.spec.output)
+            bound[ci.hypothesis] += abs(w) * math.prod((plan.extents[ch] for ch in letters),
+                                                       start=1.0)
+        weighted[ci.hypothesis].append((ci, w))
     runs = []
     for name in kb.predicates:
-        into = [] if name in full else [(ci, w) for ci, w in zip(program.implications, weights)
-                                         if ci.hypothesis == name]
+        into = [] if name in full else weighted[name]
         sums = [i for i, (ci, _) in enumerate(into) if ci.partner is not None]
         fills = [i for i, (ci, _) in enumerate(into[:2]) if ci.plan.fills_output
                  and all(isinstance(ix, slice) for ix in ci.scatter)]
@@ -701,7 +719,7 @@ def _runs(program: Program, weights: tuple[float, ...],
                 terms.append((ci, -w if label else w, (ci.scatter,)))
             else:
                 terms.append((ci, w, tuple(ci.scatter + (label,) for label in ci.target_labels)))
-        runs.append(Run(name, start, tuple(terms)))
+        runs.append(Run(name, start, tuple(terms), bound[name]))
     return tuple(runs)
 
 
@@ -747,21 +765,6 @@ def _scale(out: np.ndarray, msg: np.ndarray, w: float):
 
 def _accumulate(out: np.ndarray, msg: np.ndarray, add):
     add(out, msg, out=out)
-
-
-def _bounds(program: Program, weights: tuple[float, ...],
-            extremes: dict[str, tuple[float, float]], planes: frozenset) -> dict[str, float]:
-    """Each predicate's logit bound (see the module docstring), in Python
-    floats, so that an overflow gives ``inf``.  A summed implication counts
-    its two messages, whose weights have one magnitude."""
-    bound = {name: hi - lo if name in planes else max(-lo, hi)
-             for name, (lo, hi) in extremes.items()}
-    for ci, w in zip(program.implications, weights):
-        for plan in (ci.plan,) if ci.partner is None else (ci.plan, ci.partner.plan):
-            letters = plan.spec.input_letters().difference(plan.spec.output)
-            bound[ci.hypothesis] += abs(w) * math.prod((plan.extents[ch] for ch in letters),
-                                                       start=1.0)
-    return bound
 
 
 def _max_abs(d: np.ndarray) -> float:
@@ -852,19 +855,11 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     gets one entry per iteration that ran, and the logit bounds.  ``phi``
     is validated against the program's knowledge base first.
     """
-    extremes = phi.extremes(program.kb)
-    unknown = sorted(set(config.weights) - {ci.rule_id for ci in program.implications})
-    if unknown:
-        raise EngineError(f"weight override for unknown rule id {', '.join(unknown)}")
-    weights = tuple(config.weights.get(ci.rule_id, ci.weight) * ci.coefficient
-                    for ci in program.implications)
     pins = _pins(program.kb)
     tables, last, planes = _storage(program.kb)
-    bounds = _bounds(program, weights, extremes, planes)
-    checked = [name for name, bound in bounds.items() if not bound < LOGIT_LIMIT]
+    runs = _runs(program, config.weights, phi.extremes(program.kb), planes)
     if trace is not None:
-        trace.bounds = bounds
-    runs = _runs(program, weights, extremes, planes)
+        trace.bounds = {run.hypothesis: run.bound for run in runs}
     # iteration T writes `last`; a binary predicate's spare is label 0 of its
     # output table, read for the last time before `_expand` writes it
     other = {name: tables[name][..., 0] if name in planes else label_planes(arr.shape)
@@ -875,9 +870,9 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
         _add_messages(spare, MarginalTable(q), runs, phi, planes)
-        for name in checked:
-            if not all(rows(_finite, spare[name])):
-                raise EngineError(f"non-finite logits for {name} at iteration {t}")
+        for run in runs:
+            if not run.bound < LOGIT_LIMIT and not all(rows(_finite, spare[run.hypothesis])):
+                raise EngineError(f"non-finite logits for {run.hypothesis} at iteration {t}")
         _normalize(spare, planes)
         if lam > 0.0:
             for name in spare:

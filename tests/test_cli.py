@@ -441,6 +441,16 @@ def test_rule_file_without_predicates_gives_an_empty_report(tmp_path, capsys, fm
                          "--format", fmt)
     assert (code, out) == (0, want)
     assert "logit bound per predicate: none\niterations=1 " in err
+    # there is no table to converge
+    assert err.endswith("\nconverged: no table\n")
+
+
+def test_clause_of_27_variables_is_refused_with_its_rule(tmp_path, capsys):
+    rules, evidence = tmp_path / "wide.rules", tmp_path / "wide.evidence"
+    rules.write_text("predicate p(t)\n" + " | ".join(f"p(x{i})" for i in range(27)) + "\n")
+    evidence.write_text("p(A)\n")
+    assert run(capsys, "infer", "--rules", str(rules), "--evidence", str(evidence)) == (
+        2, "", "error: rule f1: more than 26 distinct variables in one clause\n")
 
 
 def test_plan_reports_chain_costs(tmp_path, capsys):
@@ -625,6 +635,11 @@ def test_aucpr_scores_argument_free_predicates(tmp_path, capsys):
                "--truth", str(paths[2])) == (0, "1.000000000\n", "")
 
 
+def test_aucpr_refuses_an_empty_prediction_file(tmp_path, capsys):
+    assert _aucpr(tmp_path, capsys, "hit(A)\n!hit(B)\n", "") == (
+        2, "", "error: empty prediction file\n")
+
+
 def test_aucpr_bad_prediction_comes_before_a_truth_label(tmp_path, capsys):
     got = _aucpr(tmp_path, capsys, "hit(A)=1\n!hit(B)\n", "hit(A) 0.9\nhit(B) x\n")
     assert got == (2, "", "error: line 2: bad score 'x'\n")
@@ -651,6 +666,18 @@ def test_plan_rejects_fewer_than_one_entity(tmp_path, capsys, entities):
     code, out, err = run(capsys, "plan", "--rules", str(rules), "--entities", entities)
     assert (code, out) == (1, "")
     assert err == "usage error: --entities must be >= 1\n"
+
+
+def test_plan_refuses_a_rule_file_with_only_declarations(tmp_path, capsys):
+    rules = tmp_path / "decl.rules"
+    rules.write_text("predicate p(t)\npredicate q(t,t)\n")
+    assert run(capsys, "plan", "--rules", str(rules)) == (
+        2, "", "error: no formulas in rule file\n")
+
+
+def test_demo_rejects_fewer_than_one_iteration(capsys):
+    assert run(capsys, "demo-transitivity", "--iterations", "0") == (
+        1, "", "usage error: --iterations must be >= 1\n")
 
 
 def test_plan_prices_exactly_the_entities_asked_for(capsys):

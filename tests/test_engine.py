@@ -254,6 +254,12 @@ def test_non_integer_iterations_rejected(value):
         EngineConfig(iterations=value)
 
 
+def test_fewer_than_one_iteration_rejected():
+    with pytest.raises(EngineError) as err:
+        EngineConfig(iterations=0)
+    assert str(err.value) == "iterations must be >= 1"
+
+
 def test_iterate_rejects_misshaped_unary_table():
     # a (1,3,2) table would broadcast against p's (3,3) cells
     p = Predicate("p", 2)
@@ -627,8 +633,7 @@ def test_one_gather_per_distinct_premise_key(monkeypatch):
     assert ("tri", (), (0,)) not in keys and ("tri", (), (1,)) in keys
 
     # each iteration gathers each distinct key once per message of a run
-    runs = engine._runs(program, tuple(ci.weight for ci in program.implications),
-                        phi.extremes(kb), engine._storage(kb)[2])
+    runs = engine._runs(program, {}, phi.extremes(kb), engine._storage(kb)[2])
     per_iteration = sorted(key for ci, _, _ in terms(runs)
                            for key in {p.key for p in ci.premises})
     calls = []
@@ -692,8 +697,7 @@ def test_weighting_leaves_shared_gathered_input_unchanged(monkeypatch):
     monkeypatch.setattr(PremiseInput, "gather", recording)
     logits, zero = {name: np.full((3, 3, 2), np.nan) for name in "prs"}, UnaryTable.zeros(kb)
     snapshot = q.copy()
-    runs = engine._runs(program, tuple(ci.weight * ci.coefficient
-                                       for ci in program.implications), {}, frozenset())
+    runs = engine._runs(program, {}, zero.extremes(kb), frozenset())
     # every table starts refilled, with zeros
     assert {run.start for run in runs} == {"refill"}
     _add_messages(logits, q, runs, zero, frozenset())
@@ -841,19 +845,18 @@ def test_one_plane_weighting_leaves_aliased_snapshot_unchanged():
     q1 = {name: rng.random((3, 3)) for name in "prs"}
     snapshot = {name: arr.copy() for name, arr in q1.items()}
     diff = {name: np.full((3, 3), np.nan) for name in "prs"}
-    weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
     # extremes of unary tables that are not all zero, so that every plane
     # starts refilled, here from zeros
     phi = UnaryTable.zeros(kb)
-    on_planes = engine._runs(program, weights, dict.fromkeys("prs", (-1.0, 1.0)),
-                             frozenset("prs"))
+    on_planes = engine._runs(program, {}, dict.fromkeys("prs", (-1.0, 1.0)), frozenset("prs"))
     assert {run.start for run in on_planes} == {"refill"}
     _add_messages(diff, MarginalTable(q1), on_planes, phi, frozenset("prs"))
     assert all(np.array_equal(q1[name], snapshot[name]) for name in q1)
     # the same messages added to two label planes give x0 - x1 exactly
     q = MarginalTable({name: np.stack([1.0 - arr, arr], axis=-1) for name, arr in q1.items()})
     logits = {name: np.full((3, 3, 2), np.nan) for name in "prs"}
-    _add_messages(logits, q, engine._runs(program, weights, {}, frozenset()), phi, frozenset())
+    _add_messages(logits, q, engine._runs(program, {}, phi.extremes(kb), frozenset()), phi,
+                  frozenset())
     for name in "prs":
         assert np.array_equal(diff[name], logits[name][..., 0] - logits[name][..., 1])
     assert np.array_equal(diff["r"], -2.5 * q1["p"]) and np.array_equal(diff["s"], 0.5 * q1["p"])
@@ -1221,9 +1224,7 @@ WRITER = {("broadcast", "contraction"): 1, ("diagonal", "contraction"): 1,
 def test_written_plane_is_bitwise_the_refilled_sum(candidate, partner, damping):
     program, phi = _writer_instance(candidate, partner)
     planes = frozenset(program.kb.predicates)
-    weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    run = {r.hypothesis: r for r in engine._runs(program, weights, phi.extremes(program.kb),
-                                                 planes)}
+    run = {r.hypothesis: r for r in engine._runs(program, {}, phi.extremes(program.kb), planes)}
     assert run["o"].terms == ()
     into_t = [ci for ci in program.implications if ci.hypothesis == "t"]
     order = [ci for ci, _, _ in run["t"].terms]
@@ -1249,8 +1250,7 @@ def test_kbc_tri_takes_its_outer_product_directly():
     program = compile_rules(rules, kb)
     phi = UnaryTable.zeros(kb)
     _, _, planes = engine._storage(kb)
-    weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    runs = engine._runs(program, weights, phi.extremes(kb), planes)
+    runs = engine._runs(program, {}, phi.extremes(kb), planes)
     assert {run.hypothesis for run in runs if run.start == "refill"} == {"kind"}
     (tri,) = [run for run in runs if run.hypothesis == "tri"]
     writer = tri.terms[0][0]
@@ -1303,8 +1303,7 @@ def test_schedule_of_the_kbc_rules_on_tables_and_planes():
     rules, kb, phi = _kbc_instance(4)
     program = compile_rules(rules, kb)
     planes = engine._storage(kb)[2]
-    weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    runs = engine._runs(program, weights, phi.extremes(kb), planes)
+    runs = engine._runs(program, {}, phi.extremes(kb), planes)
     # one run per table, in declaration order, each refilled
     assert [(run.hypothesis, run.start) for run in runs] == [
         (name, "refill") for name in kb.predicates]
@@ -1323,7 +1322,7 @@ def test_schedule_of_the_kbc_rules_on_tables_and_planes():
         "add into cells"}
     assert step_kinds(runs, q) == {"add weight ±1", "add scaled view", "add into cells"}
     zero = UnaryTable.zeros(kb)
-    runs = engine._runs(program, weights, zero.extremes(kb), planes)
+    runs = engine._runs(program, {}, zero.extremes(kb), planes)
     assert {run.hypothesis: run.start for run in runs} == {
         name: "write" if name in planes else "refill" for name in kb.predicates}
     assert step_kinds(runs, q) == {"write through out=", "add weight ±1", "add scaled view"}
@@ -1343,9 +1342,7 @@ def _instance_running(kind):
 @pytest.mark.parametrize("instance", sorted(STEP_KINDS))
 def test_schedule_drops_each_message_before_the_next_is_computed(monkeypatch, instance):
     program, phi = _instance_running(instance)
-    runs = engine._runs(program, tuple(ci.weight * ci.coefficient
-                                       for ci in program.implications),
-                        phi.extremes(program.kb), engine._storage(program.kb)[2])
+    runs = engine._runs(program, {}, phi.extremes(program.kb), engine._storage(program.kb)[2])
     assert instance in step_kinds(runs, initial_marginals(phi, program.kb))
     kept = []
     original = engine.message
@@ -1376,9 +1373,8 @@ def test_schedule_refills_a_zero_plane_that_no_filling_message_writes():
     assert len({ci.hypothesis for ci in kbc[0].implications}) == 5
     for (program, phi), plane, start in ((writer, "t", "refill"), (summed, "c", "sum"),
                                          (kbc, "tri", "refill")):
-        weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
         planes = engine._storage(program.kb)[2]
-        runs = engine._runs(program, weights, phi.extremes(program.kb), planes)
+        runs = engine._runs(program, {}, phi.extremes(program.kb), planes)
         # the summed step refills c itself, after building its sum there
         assert {run.hypothesis: run.start for run in runs}[plane] == start
         assert not any(run.start == "write" for run in runs)
@@ -1495,8 +1491,7 @@ def test_half_start_is_the_refilled_sigmoid_bitwise(zeros):
                             "mixed": np.where(rng.random(shape) < 0.5, -0.0, 0.0)}[zeros]
     program = compile_rules(rules, kb)
     _, refilled, planes = engine._storage(kb)
-    weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    runs = engine._runs(program, weights, phi.extremes(kb), planes)
+    runs = engine._runs(program, {}, phi.extremes(kb), planes)
     assert {run.hypothesis for run in runs if run.start == "write"} == {"rel", "tri"}
     pins = engine._pins(kb)
     _, half, _ = engine._storage(kb)
@@ -1794,6 +1789,38 @@ def test_summed_implication_bound_counts_both_messages(workloads, n, override):
         want += abs(weight if override is None else override) * n
     assert traces["summed"].bounds == {"coexist": want}
     assert traces["summed"].bounds == traces["apart"].bounds
+
+
+def test_bound_of_each_run_counts_every_message_into_its_table():
+    # link observed in every cell, as in the benchmark's kbc workload: its
+    # run drops the messages into it, and its bound still counts them
+    n = 5
+    rules, kb, phi = _kbc_instance(n)
+    cells = np.array(list(np.ndindex(n, n)))
+    labels = np.random.default_rng(5).integers(0, 2, len(cells))
+    kb = KnowledgeBase(kb.entities, kb.predicates, {"link": (cells, labels)})
+    program = compile_rules(rules, kb)
+    planes = engine._storage(kb)[2]
+    overrides = {"f3": -0.5}
+    extremes = phi.extremes(kb)
+    runs = engine._runs(program, overrides, extremes, planes)
+    # per message, in implication order: |weight x coefficient| times the
+    # groundings per cell, N to the number of premise letters the message
+    # sums out, on top of the unary spread (hi - lo on a binary plane)
+    want = {name: hi - lo if name in planes else max(-lo, hi)
+            for name, (lo, hi) in extremes.items()}
+    for ci in apart(program.implications):
+        spec = ci.plan.spec
+        summed_out = set("".join(spec.inputs)).difference(spec.output)
+        w = overrides.get(ci.rule_id, ci.weight) * ci.coefficient
+        want[ci.hypothesis] += abs(w) * n ** len(summed_out)
+    assert {run.hypothesis: run.bound for run in runs} == want
+    (link,) = [run for run in runs if run.hypothesis == "link"]
+    lo, hi = extremes["link"]
+    assert link.terms == () and link.bound > hi - lo
+    trace = IterationTrace()
+    iterate(phi, program, EngineConfig(2, weights=overrides), trace)
+    assert trace.bounds == want
 
 
 @pytest.mark.parametrize("iterations", [3, 4])

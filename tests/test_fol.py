@@ -291,6 +291,31 @@ def test_pure_tautology_still_warns_and_is_dropped():
     assert [str(f) for f in ruleset] == ["!smoke(a) | cancer(a)"]
 
 
+def test_duplicate_clause_warns_and_is_dropped():
+    with pytest.warns(RuleWarning) as caught:
+        (formula,) = parse_rules("predicate p(t)\npredicate q(t)\n"
+                                 "(p(a) | q(a)) & (p(a) | q(a))\n")
+    assert [str(w.message) for w in caught] == ["line 3: duplicate clause dropped"]
+    assert len(formula.clauses) == 1
+
+
+@pytest.mark.parametrize("text, error", [
+    ("predicate p(t)\npredicate p(t)\n", "line 2, column 11: duplicate predicate declaration 'p'"),
+    ("predicate t(x) labels {A,A}\n", "line 1: duplicate label names for t"),
+    ("predicate p(t) junk\n", "line 1, column 16: trailing input 'junk'"),
+    ("predicate p(t)\np(a) p\n", "line 2, column 6: trailing input 'p'"),
+    ("predicate p(t)\np(a);\n", "line 2, column 5: unexpected character ';'"),
+    ("predicate p(t)\n(p(a)\n", "line 2: expected ')', got end of line"),
+    ("predicate t(x) labels {A,B,C}\n!t(a) in {A,B,C}\n",
+     "line 2, column 2: empty value set for t"),
+    ("predicate p(t)\nfoo: p(a)\n", "line 2, column 4: expected '(', got ':'"),
+])
+def test_rule_errors_give_their_exact_message(text, error):
+    with pytest.raises(RuleError) as err:
+        parse_rules(text)
+    assert str(err.value) == error
+
+
 def test_formula_ids_keep_the_number_of_a_dropped_tautology():
     text = "predicate p(e)\npredicate q(e)\np(a) | !p(a)\nq(a)\n3.0: !q(a) | p(a)\n"
     with pytest.warns(RuleWarning, match=r"line 3: tautological clause dropped \(f1\)"):

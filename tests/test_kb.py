@@ -100,6 +100,23 @@ def test_seed_entities_keep_their_indices():
 def test_repeated_seed_entity_rejected():
     with pytest.raises(EvidenceError, match="duplicate entity names"):
         load_evidence("smoke(C)\n", SMOKE_PREDS, entities=["A", "B", "A"])
+    # the constructor's own check, which load_evidence's seed check comes before
+    with pytest.raises(EvidenceError) as err:
+        KnowledgeBase(["A", "B", "A"], {}, {})
+    assert str(err.value) == "duplicate entity names"
+
+
+@pytest.mark.parametrize("observed, error", [
+    ({"f": (np.array([[0, 1, 1]]), np.array([1]))}, "observation arity mismatch for f"),
+    ({"t": (np.array([[0]]), np.array([3]))}, "observation label out of range for t"),
+    ({"f": (np.array([[0, 1], [1, 0], [0, 1]]), np.array([1, 0, 0]))},
+     "repeated observation cell for f"),
+])
+def test_knowledge_base_checks_per_predicate_arrays(observed, error):
+    preds = {"f": Predicate("f", 2), "t": Predicate("t", 1, 3, ("A", "B", "C"))}
+    with pytest.raises(EvidenceError) as err:
+        KnowledgeBase(["A", "B"], preds, observed)
+    assert str(err.value) == error
 
 
 def test_negative_evidence_and_multiclass_labels():

@@ -293,8 +293,7 @@ def _matches_chained_oracle(seen, rules, n, seed, damping, iterations, zero_unar
                       for p in PALETTE for shape in [(n,) * p.arity + (p.num_labels,)]})
     program = compile_rules(rules, kb)
     seen["expanding"].append(any(ci.coefficient != 1.0 for ci in program.implications))
-    weights = tuple(ci.weight * ci.coefficient for ci in program.implications)
-    runs = _runs(program, weights, phi.extremes(kb), _storage(kb)[2])
+    runs = _runs(program, {}, phi.extremes(kb), _storage(kb)[2])
     seen["writing"].append(any(run.start == "write" for run in runs))
     seen["kinds"].update(step_kinds(runs, initial_marginals(phi, kb)))
     got = iterate(phi, program, EngineConfig(iterations=iterations, damping=damping))
