@@ -92,19 +92,19 @@ def cmd_infer(args) -> int:
         f"{name} {bound:.3e} (finite check "
         f"{'skipped' if bound < engine.LOGIT_LIMIT else 'runs'})"
         for name, bound in trace.bounds.items()) or "none"), file=sys.stderr)
-    secs = ", ".join(f"{s:.4f}s" for s in trace.seconds)
-    residual = ", ".join(f"{r:.3e}" for r in trace.residual)
-    changed = ", ".join(map(str, trace.changed))
     ran = len(trace.seconds)
-    print(f"iterations={ran} wall clock per iteration: {secs}; "
-          f"latent cells whose argmax changed: {changed}; "
-          f"residual max|q_t - q_t-1|: {residual}", file=sys.stderr)
-    if ran < config.iterations:
-        print(f"stopped at an exact fixed point: iteration {ran} of {config.iterations} "
-              "reproduced the state it read bit for bit", file=sys.stderr)
-    if not kb.predicates:
+    if not ran:     # a program with no table runs no iteration
         print("converged: no table", file=sys.stderr)
     else:
+        secs = ", ".join(f"{s:.4f}s" for s in trace.seconds)
+        residual = ", ".join(f"{r:.3e}" for r in trace.residual)
+        changed = ", ".join(map(str, trace.changed))
+        print(f"iterations={ran} wall clock per iteration: {secs}; "
+              f"latent cells whose argmax changed: {changed}; "
+              f"residual max|q_t - q_t-1|: {residual}", file=sys.stderr)
+        if ran < config.iterations:
+            print(f"stopped at an exact fixed point: iteration {ran} of {config.iterations} "
+                  "reproduced the state it read bit for bit", file=sys.stderr)
         print(f"converged: {'yes' if trace.converged else 'no'} (last residual "
               f"{trace.residual[-1]:.3e}, {trace.changed[-1]} cells flipped)", file=sys.stderr)
 

@@ -39,13 +39,15 @@ of arity at most 2 holds exactly 0 wherever it would hold less than
 operand is a normal number.
 
 The tables of an iteration are computed as one ``Run`` per table, built
-once per solve by ``_runs`` and run by ``_add_messages``.  A run records how
-its table starts and its terms in add order: each an implication, its weight
-(negated into label 1 of a binary plane, which holds ``x0 - x1``; negation is
-exact) and the logit cells it goes into.  A predicate observed in every cell
-gets no term, since clamping overwrites whatever it adds.  Only the order of
-adds within a table fixes its bytes, so the runs may follow one another in
-any order.  A table starts in one of three ways:
+once per solve by ``_runs``.  A run records how its table starts and its
+terms in add order: each an implication, its weight (negated into label 1 of
+a binary plane, which holds ``x0 - x1``; negation is exact) and the logit
+cells it goes into.  A predicate observed in every cell gets no term, since
+clamping overwrites whatever it adds.  A run finishes its table before the
+next run starts: start and terms, finite check, normalize, damp, pin and
+flush.  Every message reads the snapshot, so only the order of operations
+within a table fixes its bytes, and the runs may follow one another in any
+order.  A table starts in one of three ways:
 
 * refilled with its unary logits.
 * written: a binary plane with an all-zero unary table is not refilled when
@@ -308,9 +310,9 @@ class Program:
 
 @dataclass(frozen=True)
 class Run:
-    """How one table starts and the messages into it in add order, as
-    ``_add_messages`` runs them, and its logit bound (see the module
-    docstring)."""
+    """How one table starts, the messages into it in add order, its logit
+    bound, and what finishes the table before the next run starts (see the
+    module docstring)."""
 
     hypothesis: str
     start: str                         # "refill", "write" or "sum"
@@ -318,6 +320,10 @@ class Run:
     # binary plane) and one index of the logit table per target label
     terms: tuple[tuple[CompiledImplication, float, tuple[tuple, ...]], ...]
     bound: float
+    plane: bool                        # a binary predicate's q1 plane
+    unary: np.ndarray = field(compare=False, repr=False)
+    # observed cells, one index array per axis, and their labels, or None
+    observed: tuple | None = field(compare=False, repr=False)
 
 
 @dataclass
@@ -571,95 +577,80 @@ def _add(out: np.ndarray, a: np.ndarray, b: np.ndarray):
     np.add(a, b, out=out)
 
 
-def _pins(kb: KnowledgeBase) -> dict[str, tuple]:
-    """The observed cells, one index array per axis, and their labels, of
-    each predicate with an observed cell."""
-    return {name: (tuple(cells.T), labels) for name, (cells, labels) in kb.observed.items()
-            if len(labels)}
-
-
-def _clamp(tables: dict[str, np.ndarray], pins: dict[str, tuple]):
-    """Pin observed cells (``pins``, see ``_pins``) to the one-hot marginal
-    of their observed label; a ``q1`` plane gets the label itself."""
-    for name, (cells, labels) in pins.items():
-        arr = tables[name]
-        arr[(*cells, ...)] = labels if arr.ndim == len(cells) else np.eye(arr.shape[-1])[labels]
-
-
-def _storage(kb: KnowledgeBase) -> tuple[dict, dict, frozenset]:
-    """Label-plane ``N^arity x D`` output tables; the storage ``iterate``
-    works in, which is label 1's plane of a binary table and the table
-    itself otherwise; and the names of the binary predicates."""
+def _storage(kb: KnowledgeBase) -> tuple[dict, dict]:
+    """Label-plane ``N^arity x D`` output tables, and the storage ``iterate``
+    works in: label 1's plane of a binary table, the table itself otherwise."""
     tables = {name: label_planes(kb.shape(p) + (p.num_labels,))
               for name, p in kb.predicates.items()}
-    planes = frozenset(name for name, p in kb.predicates.items() if p.num_labels == 2)
-    return tables, {name: t[..., 1] if name in planes else t
-                    for name, t in tables.items()}, planes
+    return tables, {name: t[..., 1] if kb.predicates[name].num_labels == 2 else t
+                    for name, t in tables.items()}
 
 
-def _refill(tables: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset, names):
-    """Unary logits into the tables ``names``; a binary plane gets
-    ``x0 - x1``, which is finite when ``phi`` passed ``validate``."""
-    for name in names:
-        arr, logits = tables[name], phi.tables[name]
-        if name in planes:
-            rows(_difference, arr, logits[..., 0], logits[..., 1])
-        else:
-            rows(np.copyto, arr, logits)
+def _refill(arr: np.ndarray, run: Run):
+    """The run's unary logits into its table ``arr``; a binary plane gets
+    ``x0 - x1``, which is finite since ``_runs`` validated the unary table."""
+    if run.plane:
+        rows(_difference, arr, run.unary[..., 0], run.unary[..., 1])
+    else:
+        rows(np.copyto, arr, run.unary)
 
 
 def _difference(out: np.ndarray, a, b):
     np.subtract(a, b, out=out)
 
 
-def _normalize(tables: dict[str, np.ndarray], planes: frozenset):
+def _normalize(arr: np.ndarray, run: Run):
     """Logits to marginals in place: the sigmoid of a binary plane's logit
     difference, the label softmax of a table."""
-    for name, arr in tables.items():
-        if name in planes:
-            sigmoid(arr, out=arr)
-        else:
-            softmax_lastaxis(arr, out=arr)
+    if run.plane:
+        sigmoid(arr, out=arr)
+    else:
+        softmax_lastaxis(arr, out=arr)
 
 
-def _flush(tables: dict[str, np.ndarray], planes: frozenset):
-    """Write exactly 0 over every ``q1`` entry below ``_FLUSH`` on the
-    binary planes of arity at most 2, the ones a matrix product can read.
-    ``q1`` is never negative, so multiplying by the kept mask does it in
-    one pass with no branch."""
-    for name in planes:
-        arr = tables[name]
-        if arr.ndim <= 2:
-            rows(_flush_block, arr)
+def _pin_and_flush(arr: np.ndarray, run: Run):
+    """Pin the run's observed cells of ``arr`` to the one-hot marginal of
+    their observed label (a ``q1`` plane gets the label itself), then write
+    exactly 0 over every ``q1`` entry below ``_FLUSH`` on a binary plane of
+    arity at most 2, which a matrix product can read.  ``q1`` is never
+    negative, so multiplying by the kept mask flushes in one pass with no
+    branch."""
+    if run.observed is not None:
+        cells, labels = run.observed
+        arr[(*cells, ...)] = labels if run.plane else np.eye(arr.shape[-1])[labels]
+    if run.plane and arr.ndim <= 2:
+        rows(_flush_block, arr)
 
 
 def _flush_block(arr: np.ndarray):
     np.multiply(arr, arr >= _FLUSH, out=arr)
 
 
-def _start(q: dict[str, np.ndarray], phi: UnaryTable, planes: frozenset, pins: dict,
-           runs: tuple = ()):
-    """The state inference starts from, into ``q``: label softmax (a sigmoid
-    for binary planes), observed cells pinned, small ``q1`` flushed.
+def _start(q: dict[str, np.ndarray], runs: tuple[Run, ...]):
+    """The state inference starts from, into ``q``, one run's table after
+    another: label softmax (a sigmoid for binary planes), observed cells
+    pinned, small ``q1`` flushed.
 
-    The binary planes ``runs`` write (see ``_runs``) have all-zero unary
-    tables.  They are filled with ½, which is ``sigmoid(x0 - x1)`` bit for
-    bit: the difference of two zeros is ±0, and ``1 / (1 + exp(±0))`` is
-    exactly 0.5.  That takes one write pass, where refill and sigmoid take four."""
-    halves = {run.hypothesis for run in runs if run.start == "write"}
-    computed = {name: arr for name, arr in q.items() if name not in halves}
-    _refill(q, phi, planes, computed)
-    _normalize(computed, planes)
-    for name in halves:
-        rows(np.copyto, q[name], 0.5)
-    _clamp(q, pins)
-    _flush(q, planes)
+    A binary plane its run writes (see ``_runs``) has an all-zero unary
+    table.  It is filled with ½, which is ``sigmoid(x0 - x1)`` bit for bit:
+    the difference of two zeros is ±0, and ``1 / (1 + exp(±0))`` is exactly
+    0.5.  That takes one write pass, where refill and sigmoid take four."""
+    for run in runs:
+        arr = q[run.hypothesis]
+        if run.start == "write":
+            rows(np.copyto, arr, 0.5)
+        else:
+            _refill(arr, run)
+            _normalize(arr, run)
+        _pin_and_flush(arr, run)
 
 
-def _expand(tables: dict[str, np.ndarray], planes: frozenset) -> MarginalTable:
+def _expand(tables: dict[str, np.ndarray], runs: tuple[Run, ...]) -> MarginalTable:
     """Fill label 0 of each binary table with ``1 - q1``."""
-    for name in planes:
-        rows(_difference, tables[name][..., 0], 1.0, tables[name][..., 1])
+    for run in runs:
+        if run.plane:
+            table = tables[run.hypothesis]
+            rows(_difference, table[..., 0], 1.0, table[..., 1])
     return MarginalTable(tables)
 
 
@@ -669,25 +660,29 @@ def initial_marginals(phi: UnaryTable, kb: KnowledgeBase) -> MarginalTable:
 
     The tables are label-plane (see ``tensor.label_planes``), as every
     marginal table ``iterate`` returns, and hold what ``iterate`` starts from.
-    ``phi`` is validated against ``kb`` first.
+    They are started by the runs of a program with no implication, one run
+    finishing its table before the next, and ``_runs`` validates ``phi``.
     """
-    phi.validate(kb)
-    tables, q, planes = _storage(kb)
-    _start(q, phi, planes, _pins(kb))
-    return _expand(tables, planes)
+    runs = _runs(Program(kb, ()), {}, phi)
+    tables, q = _storage(kb)
+    _start(q, runs)
+    return _expand(tables, runs)
 
 
-def _runs(program: Program, overrides: dict[str, float],
-          extremes: dict[str, tuple[float, float]], planes: frozenset) -> tuple[Run, ...]:
+def _runs(program: Program, overrides: dict[str, float], phi: UnaryTable) -> tuple[Run, ...]:
     """One run per table of ``program.kb``, with its logit bound (see the
-    module docstring).  An implication's weight is its rule's override in
+    module docstring), its unary logits from ``phi`` and its observed cells.
+    ``phi`` is validated against the knowledge base by the pass that reads
+    its extremes.  An implication's weight is its rule's override in
     ``overrides`` (rule id to weight), else its own, times its coefficient.
     The bound is summed in Python floats, so that an overflow gives ``inf``;
     the two messages of a summed implication have weights of one magnitude."""
     kb = program.kb
+    extremes = phi.extremes(kb)
     unknown = sorted(set(overrides) - {ci.rule_id for ci in program.implications})
     if unknown:
         raise EngineError(f"weight override for unknown rule id {', '.join(unknown)}")
+    planes = {name for name, p in kb.predicates.items() if p.num_labels == 2}
     full = {name for name, (cells, _) in kb.observed.items()
             if len(cells) == kb.n ** cells.shape[1]}
     bound = {name: hi - lo if name in planes else max(-lo, hi)
@@ -702,61 +697,62 @@ def _runs(program: Program, overrides: dict[str, float],
         weighted[ci.hypothesis].append((ci, w))
     runs = []
     for name in kb.predicates:
+        plane = name in planes
         into = [] if name in full else weighted[name]
         sums = [i for i, (ci, _) in enumerate(into) if ci.partner is not None]
         fills = [i for i, (ci, _) in enumerate(into[:2]) if ci.plan.fills_output
                  and all(isinstance(ix, slice) for ix in ci.scatter)]
         if sums:
             start, lead = "sum", sums[0]
-        elif fills and name in planes and extremes[name] == (0.0, 0.0):
+        elif fills and plane and extremes[name] == (0.0, 0.0):
             start, lead = "write", fills[0]
         else:
             start, lead = "refill", 0
         terms = []
         for ci, w in into[lead:lead + 1] + into[:lead] + into[lead + 1:]:
-            if name in planes:
+            if plane:
                 (label,) = ci.target_labels
                 terms.append((ci, -w if label else w, (ci.scatter,)))
             else:
                 terms.append((ci, w, tuple(ci.scatter + (label,) for label in ci.target_labels)))
-        runs.append(Run(name, start, tuple(terms), bound[name]))
+        cells, labels = kb.observed[name]
+        observed = (tuple(cells.T), labels) if len(labels) else None
+        runs.append(Run(name, start, tuple(terms), bound[name], plane, phi.tables[name],
+                        observed))
     return tuple(runs)
 
 
-def _add_messages(logits: dict[str, np.ndarray], q: MarginalTable, runs,
-                  phi: UnaryTable, planes: frozenset):
-    """Each run's table (see ``_runs``) into ``logits``: its start, then its
+def _add_messages(target: np.ndarray, q: MarginalTable, run: Run):
+    """The run's table (see ``_runs``) into ``target``: its start, then its
     terms, every message read from the snapshot ``q``.  Each message, and
     what it gathered, is dropped before the next is computed."""
-    for run in runs:
-        name, terms = run.hypothesis, run.terms
-        target = logits[name]
-        if run.start == "refill":
-            _refill(logits, phi, planes, (name,))
-        elif run.start == "write":
-            (ci, w, _), *terms = terms
-            message(ci, q, out=target)
-            if w != 1.0:
-                rows(_scale, target, target, w)
-        for ci, w, cells in terms:
-            if ci.partner is None:
-                msg = message(ci, q)
-            else:   # the summed start: the sum is built in the table's dead bytes
-                msg = message(ci, q, scratch=target[cells[0]])
-                _refill(logits, phi, planes, (name,))
-            if abs(w) != 1.0:
-                scaled = msg if msg.flags.owndata else np.empty_like(msg)
-                rows(_scale, scaled, msg, w)
-                msg = scaled
-                del scaled
-            add = np.subtract if w == -1.0 else np.add
-            sliced = any(isinstance(ix, slice) for ix in ci.scatter)
-            for index in cells:
-                if sliced:
-                    rows(_accumulate, target[index], msg, add)
-                else:   # one cell or a diagonal, which indexing copies
-                    target[index] = add(target[index], msg)
-            del msg
+    terms = run.terms
+    if run.start == "refill":
+        _refill(target, run)
+    elif run.start == "write":
+        (ci, w, _), *terms = terms
+        message(ci, q, out=target)
+        if w != 1.0:
+            rows(_scale, target, target, w)
+    for ci, w, cells in terms:
+        if ci.partner is None:
+            msg = message(ci, q)
+        else:   # the summed start: the sum is built in the table's dead bytes
+            msg = message(ci, q, scratch=target[cells[0]])
+            _refill(target, run)
+        if abs(w) != 1.0:
+            scaled = msg if msg.flags.owndata else np.empty_like(msg)
+            rows(_scale, scaled, msg, w)
+            msg = scaled
+            del scaled
+        add = np.subtract if w == -1.0 else np.add
+        sliced = any(isinstance(ix, slice) for ix in ci.scatter)
+        for index in cells:
+            if sliced:
+                rows(_accumulate, target[index], msg, add)
+            else:   # one cell or a diagonal, which indexing copies
+                target[index] = add(target[index], msg)
+        del msg
 
 
 def _scale(out: np.ndarray, msg: np.ndarray, w: float):
@@ -784,13 +780,13 @@ def _chunks(a: np.ndarray, b: np.ndarray):
         yield a[r:r + step], b[r:r + step]
 
 
-def _record(trace: IterationTrace, q: dict, new: dict, planes: frozenset):
-    """Residual and argmax changes between two states, in row blocks of
-    large tables (see ``parallel.rows``).  Observed cells stay pinned, so
-    every cell whose argmax changes is latent."""
+def _record(trace: IterationTrace, q: dict, new: dict, runs: tuple[Run, ...]):
+    """Residual and argmax changes between two states of the runs' tables,
+    in row blocks of large tables (see ``parallel.rows``).  Observed cells
+    stay pinned, so every cell whose argmax changes is latent."""
     residual, changed = 0.0, 0
-    for name, arr in new.items():
-        blocks = rows(_change, arr, q[name], name in planes)
+    for run in runs:
+        blocks = rows(_change, new[run.hypothesis], q[run.hypothesis], run.plane)
         residual = max(residual, *(r for r, _ in blocks))
         changed += sum(c for _, c in blocks)
     trace.residual.append(residual)
@@ -838,55 +834,58 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     """Run mean-field iterations and return the final marginals.
 
     Two tables per predicate take turns: one holds the current marginals,
-    the other starts and receives its messages by the run ``_runs`` builds
-    for it once (see the module docstring), then is normalized, damped,
-    clamped and flushed in place; a plane a run writes starts at ½.  A
-    binary predicate's pair is the two label planes of its output table:
-    iteration ``config.iterations`` writes label 1, and label 0 is the spare
-    until the result's one ``1 - q1`` pass writes it, so the predicate needs
-    no buffer beyond its output table and the result no copy.  A
-    multi-class predicate has one spare table beside its output table.
+    the other is computed in place by the run ``_runs`` builds for it once,
+    which finishes it before the next run starts (see the module
+    docstring); a plane a run writes starts at ½.  A binary predicate's pair
+    is the two label planes of its output table: iteration
+    ``config.iterations`` writes label 1, and label 0 is the spare until the
+    result's one ``1 - q1`` pass writes it, so the predicate needs no buffer
+    beyond its output table and the result no copy.  A multi-class
+    predicate has one spare table beside its output table.
 
     After every iteration but the last, each new table is compared bit for
     bit with the snapshot it was computed from.  When all are identical the
     run is at an exact fixed point and stops: every later iteration would
     give the same bytes, and both tables of each pair now hold them, so
     label 1 holds the result whichever of the two the stop wrote.  ``trace``
-    gets one entry per iteration that ran, and the logit bounds.  ``phi``
-    is validated against the program's knowledge base first.
+    gets one entry per iteration that ran, and the logit bounds; a program
+    with no table runs none.  ``phi`` is validated against the program's
+    knowledge base first.
     """
-    pins = _pins(program.kb)
-    tables, last, planes = _storage(program.kb)
-    runs = _runs(program, config.weights, phi.extremes(program.kb), planes)
+    runs = _runs(program, config.weights, phi)
+    tables, last = _storage(program.kb)
     if trace is not None:
         trace.bounds = {run.hypothesis: run.bound for run in runs}
+    if not runs:
+        return MarginalTable(tables)
     # iteration T writes `last`; a binary predicate's spare is label 0 of its
     # output table, read for the last time before `_expand` writes it
-    other = {name: tables[name][..., 0] if name in planes else label_planes(arr.shape)
-             for name, arr in last.items()}
+    other = {run.hypothesis: tables[run.hypothesis][..., 0] if run.plane
+             else label_planes(tables[run.hypothesis].shape) for run in runs}
     q, spare = (last, other) if config.iterations % 2 == 0 else (other, last)
-    _start(q, phi, planes, pins, runs)
+    _start(q, runs)
     lam = config.damping
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
-        _add_messages(spare, MarginalTable(q), runs, phi, planes)
+        snapshot = MarginalTable(q)
         for run in runs:
-            if not run.bound < LOGIT_LIMIT and not all(rows(_finite, spare[run.hypothesis])):
-                raise EngineError(f"non-finite logits for {run.hypothesis} at iteration {t}")
-        _normalize(spare, planes)
-        if lam > 0.0:
-            for name in spare:
-                rows(_damp, spare[name], q[name], lam)
-        _clamp(spare, pins)
-        _flush(spare, planes)
+            name = run.hypothesis
+            arr = spare[name]
+            _add_messages(arr, snapshot, run)
+            if not run.bound < LOGIT_LIMIT and not all(rows(_finite, arr)):
+                raise EngineError(f"non-finite logits for {name} at iteration {t}")
+            _normalize(arr, run)
+            if lam > 0.0:
+                rows(_damp, arr, q[name], lam)
+            _pin_and_flush(arr, run)
         q, spare = spare, q
         fixed = t < config.iterations and _same(q, spare)
         if trace is not None:
             trace.seconds.append(time.perf_counter() - started)
-            _record(trace, spare, q, planes)
+            _record(trace, spare, q, runs)
         if fixed:
             break
-    return _expand(tables, planes)
+    return _expand(tables, runs)
 
 
 def run_inference(rules, kb: KnowledgeBase, phi: UnaryTable, config: EngineConfig,

@@ -1,7 +1,7 @@
 """Helpers that only the tests use: rule-file printing, table comparison,
-the chained oracle, summed implications taken apart, the kinds and terms of
-the engine's runs, a row view of the report and a per-threshold loop for
-``auc_pr``."""
+the chained oracle, summed implications taken apart, the binary predicates,
+the kinds and terms of the engine's runs, a row view of the report and a
+per-threshold loop for ``auc_pr``."""
 
 from dataclasses import replace
 
@@ -78,6 +78,11 @@ def step_kinds(runs, q: MarginalTable) -> set[str]:
                 owned = message(ci, q).flags.owndata
                 kinds.add("add scaled owned" if owned else "add scaled view")
     return kinds
+
+
+def plane_names(kb) -> set[str]:
+    """The binary predicates of ``kb``, which the engine holds as ``q1`` planes."""
+    return {name for name, p in kb.predicates.items() if p.num_labels == 2}
 
 
 def terms(runs) -> list[tuple]:

@@ -17,11 +17,11 @@ from einlog.engine import (EngineConfig, EngineError, IterationTrace, MarginalTa
 from einlog.fol import (Clause, CnfFormula, Literal, Predicate, binary_literal, constant,
                         merge_literals, normalize_rules, split_cnf, variable)
 from einlog.kb import KnowledgeBase
-from einlog.tensor import softmax_lastaxis
+from einlog.tensor import sigmoid, softmax_lastaxis
 from einlog.testing import ORACLE_TOL, engine_oracle_gap, random_instance
 
-from helpers import (STEP_KINDS, apart, chained_oracle, copy_unary, max_abs_diff, same_bytes,
-                     step_kinds, terms)
+from helpers import (STEP_KINDS, apart, chained_oracle, copy_unary, max_abs_diff, plane_names,
+                     same_bytes, step_kinds, terms)
 
 C = Predicate("c", 2)
 A, B, D = variable("a"), variable("b"), variable("d")
@@ -182,10 +182,9 @@ def _logits_within_bound(seen, seed, damping, iterations, override):
     peaks = {name: [] for name in kb.predicates}
     original = engine._normalize
 
-    def normalize(tables, planes):
-        for name, arr in tables.items():
-            peaks[name].append(float(np.max(np.abs(arr))))
-        return original(tables, planes)
+    def normalize(arr, run):
+        peaks[run.hypothesis].append(float(np.max(np.abs(arr))))
+        return original(arr, run)
 
     trace = IterationTrace()
     with pytest.MonkeyPatch.context() as mp:
@@ -633,7 +632,7 @@ def test_one_gather_per_distinct_premise_key(monkeypatch):
     assert ("tri", (), (0,)) not in keys and ("tri", (), (1,)) in keys
 
     # each iteration gathers each distinct key once per message of a run
-    runs = engine._runs(program, {}, phi.extremes(kb), engine._storage(kb)[2])
+    runs = engine._runs(program, {}, phi)
     per_iteration = sorted(key for ci, _, _ in terms(runs)
                            for key in {p.key for p in ci.premises})
     calls = []
@@ -677,6 +676,20 @@ def test_broadcast_message_keeps_its_contracted_size():
     assert all(np.max(np.abs(got.tables[name] - want[name])) <= 1e-12 for name in want)
 
 
+def _table_runs(program, phi):
+    """The runs of ``program`` with every predicate held as an ``N^arity x D``
+    table, which ``engine._runs`` gives only a predicate of more than two
+    labels: each refilled from ``phi``, with its messages in implication
+    order, weights as given and one index per target label."""
+    runs = []
+    for name in program.kb.predicates:
+        terms = tuple((ci, ci.weight * ci.coefficient,
+                       tuple(ci.scatter + (label,) for label in ci.target_labels))
+                      for ci in program.implications if ci.hypothesis == name)
+        runs.append(engine.Run(name, "refill", terms, 0.0, False, phi.tables[name], None))
+    return tuple(runs)
+
+
 def test_weighting_leaves_shared_gathered_input_unchanged(monkeypatch):
     # the r and s messages are views of their gathered p(a,b) complements,
     # and neither weight is 1
@@ -697,10 +710,11 @@ def test_weighting_leaves_shared_gathered_input_unchanged(monkeypatch):
     monkeypatch.setattr(PremiseInput, "gather", recording)
     logits, zero = {name: np.full((3, 3, 2), np.nan) for name in "prs"}, UnaryTable.zeros(kb)
     snapshot = q.copy()
-    runs = engine._runs(program, {}, zero.extremes(kb), frozenset())
+    runs = _table_runs(program, zero)
     # every table starts refilled, with zeros
     assert {run.start for run in runs} == {"refill"}
-    _add_messages(logits, q, runs, zero, frozenset())
+    for run in runs:
+        _add_messages(logits[run.hypothesis], q, run)
     assert all(np.array_equal(out, before) for _, out, before in gathered)
     # a message without contraction may alias the live snapshot q itself
     assert all(np.array_equal(q.tables[name], snapshot.tables[name]) for name in q.tables)
@@ -845,18 +859,19 @@ def test_one_plane_weighting_leaves_aliased_snapshot_unchanged():
     q1 = {name: rng.random((3, 3)) for name in "prs"}
     snapshot = {name: arr.copy() for name, arr in q1.items()}
     diff = {name: np.full((3, 3), np.nan) for name in "prs"}
-    # extremes of unary tables that are not all zero, so that every plane
-    # starts refilled, here from zeros
-    phi = UnaryTable.zeros(kb)
-    on_planes = engine._runs(program, {}, dict.fromkeys("prs", (-1.0, 1.0)), frozenset("prs"))
+    # unary tables of ones are not all zero, so that every plane starts
+    # refilled, here with x0 - x1 = 0
+    ones = UnaryTable({name: np.ones((3, 3, 2)) for name in "prs"})
+    on_planes = engine._runs(program, {}, ones)
     assert {run.start for run in on_planes} == {"refill"}
-    _add_messages(diff, MarginalTable(q1), on_planes, phi, frozenset("prs"))
+    for run in on_planes:
+        _add_messages(diff[run.hypothesis], MarginalTable(q1), run)
     assert all(np.array_equal(q1[name], snapshot[name]) for name in q1)
     # the same messages added to two label planes give x0 - x1 exactly
     q = MarginalTable({name: np.stack([1.0 - arr, arr], axis=-1) for name, arr in q1.items()})
     logits = {name: np.full((3, 3, 2), np.nan) for name in "prs"}
-    _add_messages(logits, q, engine._runs(program, {}, phi.extremes(kb), frozenset()), phi,
-                  frozenset())
+    for run in _table_runs(program, UnaryTable.zeros(kb)):
+        _add_messages(logits[run.hypothesis], q, run)
     for name in "prs":
         assert np.array_equal(diff[name], logits[name][..., 0] - logits[name][..., 1])
     assert np.array_equal(diff["r"], -2.5 * q1["p"]) and np.array_equal(diff["s"], 0.5 * q1["p"])
@@ -920,6 +935,11 @@ def test_record_matches_the_two_label_formula():
             edges += [v for v in (below, above) if 0.0 <= v <= 1.0]
     rng = np.random.default_rng(14)
     planes = frozenset({"p", "t", "flag"})
+    decls = E.parse_rules("predicate p(e,e)\npredicate t(e,e,e)\npredicate flag()\n"
+                          "predicate k(e) labels {K0,K1,K2}\n")
+    kb = KnowledgeBase([f"E{i}" for i in range(5)], decls.predicates, {})
+    runs = engine._runs(Program(kb, ()), {}, UnaryTable.zeros(kb))
+    assert {run.hypothesis for run in runs if run.plane} == planes
     below_two_label = 0
     for trial in range(40):
         q = _record_state(rng, edges, trial % 2)
@@ -931,7 +951,7 @@ def test_record_matches_the_two_label_formula():
             new["t"][0, :, 1] = (np.nextafter(q["t"][0, :, 1], 2.0) if trial % 8
                                  else rng.choice(edges, 5))
         trace = IterationTrace()
-        engine._record(trace, q, new, planes)
+        engine._record(trace, q, new, runs)
         residual, changed = _two_label_record(q, new, planes)
         assert trace.changed[0] == changed
         # the residual is over the stored q1, so it drops only what the two
@@ -1182,14 +1202,16 @@ def _writer_instance(candidate, partner):
 
 def _refill_and_add(phi, program, config):
     """``iterate`` with every table refilled and every message scaled by its
-    weight and added, messages into observed tables included."""
+    weight and added, messages into observed tables included, in plain
+    numpy: a binary predicate as its ``q1`` plane, refilled with ``x0 - x1``."""
     kb = program.kb
-    pins = engine._pins(kb)
-    _, q, planes = engine._storage(kb)
-    engine._start(q, phi, planes, pins)
+    planes = plane_names(kb)
+    start = initial_marginals(phi, kb).tables
+    q = {name: start[name][..., 1] if name in planes else start[name] for name in start}
     for _ in range(config.iterations):
-        _, new, _ = engine._storage(kb)
-        engine._refill(new, phi, planes, new)
+        # np.array keeps the difference of an arity-0 predicate an array
+        new = {name: np.array(logits[..., 0] - logits[..., 1]) if name in planes
+               else logits.copy() for name, logits in phi.tables.items()}
         for ci in program.implications:
             w = config.weights.get(ci.rule_id, ci.weight) * ci.coefficient
             target = new[ci.hypothesis]
@@ -1201,13 +1223,19 @@ def _refill_and_add(phi, program, config):
             weighted = w * message(ci, MarginalTable(q))
             for index in cells:
                 target[index] += weighted
-        engine._normalize(new, planes)
-        if config.damping > 0.0:
-            for name, arr in new.items():
+        for name, arr in new.items():
+            if name in planes:
+                sigmoid(arr, out=arr)
+            else:
+                softmax_lastaxis(arr, out=arr)
+            if config.damping > 0.0:
                 arr *= 1.0 - config.damping
                 arr += config.damping * q[name]
-        engine._clamp(new, pins)
-        engine._flush(new, planes)
+            cells, labels = kb.observed[name]
+            if len(labels):
+                arr[(*cells.T, ...)] = labels if name in planes else np.eye(arr.shape[-1])[labels]
+            if name in planes and arr.ndim <= 2:
+                np.multiply(arr, arr >= FLUSH, out=arr)
         q = new
     return q
 
@@ -1223,8 +1251,7 @@ WRITER = {("broadcast", "contraction"): 1, ("diagonal", "contraction"): 1,
 @pytest.mark.parametrize("candidate, partner", WRITER.keys())
 def test_written_plane_is_bitwise_the_refilled_sum(candidate, partner, damping):
     program, phi = _writer_instance(candidate, partner)
-    planes = frozenset(program.kb.predicates)
-    run = {r.hypothesis: r for r in engine._runs(program, {}, phi.extremes(program.kb), planes)}
+    run = {r.hypothesis: r for r in engine._runs(program, {}, phi)}
     assert run["o"].terms == ()
     into_t = [ci for ci in program.implications if ci.hypothesis == "t"]
     order = [ci for ci, _, _ in run["t"].terms]
@@ -1249,8 +1276,7 @@ def test_kbc_tri_takes_its_outer_product_directly():
     rules, kb, _ = _kbc_instance(5)
     program = compile_rules(rules, kb)
     phi = UnaryTable.zeros(kb)
-    _, _, planes = engine._storage(kb)
-    runs = engine._runs(program, {}, phi.extremes(kb), planes)
+    runs = engine._runs(program, {}, phi)
     assert {run.hypothesis for run in runs if run.start == "refill"} == {"kind"}
     (tri,) = [run for run in runs if run.hypothesis == "tri"]
     writer = tri.terms[0][0]
@@ -1302,8 +1328,8 @@ def test_schedule_runs_once_per_solve_with_signs_and_cells_resolved(monkeypatch)
 def test_schedule_of_the_kbc_rules_on_tables_and_planes():
     rules, kb, phi = _kbc_instance(4)
     program = compile_rules(rules, kb)
-    planes = engine._storage(kb)[2]
-    runs = engine._runs(program, {}, phi.extremes(kb), planes)
+    planes = plane_names(kb)
+    runs = engine._runs(program, {}, phi)
     # one run per table, in declaration order, each refilled
     assert [(run.hypothesis, run.start) for run in runs] == [
         (name, "refill") for name in kb.predicates]
@@ -1322,7 +1348,7 @@ def test_schedule_of_the_kbc_rules_on_tables_and_planes():
         "add into cells"}
     assert step_kinds(runs, q) == {"add weight ±1", "add scaled view", "add into cells"}
     zero = UnaryTable.zeros(kb)
-    runs = engine._runs(program, {}, zero.extremes(kb), planes)
+    runs = engine._runs(program, {}, zero)
     assert {run.hypothesis: run.start for run in runs} == {
         name: "write" if name in planes else "refill" for name in kb.predicates}
     assert step_kinds(runs, q) == {"write through out=", "add weight ±1", "add scaled view"}
@@ -1342,7 +1368,7 @@ def _instance_running(kind):
 @pytest.mark.parametrize("instance", sorted(STEP_KINDS))
 def test_schedule_drops_each_message_before_the_next_is_computed(monkeypatch, instance):
     program, phi = _instance_running(instance)
-    runs = engine._runs(program, {}, phi.extremes(program.kb), engine._storage(program.kb)[2])
+    runs = engine._runs(program, {}, phi)
     assert instance in step_kinds(runs, initial_marginals(phi, program.kb))
     kept = []
     original = engine.message
@@ -1373,8 +1399,8 @@ def test_schedule_refills_a_zero_plane_that_no_filling_message_writes():
     assert len({ci.hypothesis for ci in kbc[0].implications}) == 5
     for (program, phi), plane, start in ((writer, "t", "refill"), (summed, "c", "sum"),
                                          (kbc, "tri", "refill")):
-        planes = engine._storage(program.kb)[2]
-        runs = engine._runs(program, {}, phi.extremes(program.kb), planes)
+        planes = plane_names(program.kb)
+        runs = engine._runs(program, {}, phi)
         # the summed step refills c itself, after building its sum there
         assert {run.hypothesis: run.start for run in runs}[plane] == start
         assert not any(run.start == "write" for run in runs)
@@ -1389,6 +1415,39 @@ def test_schedule_refills_a_zero_plane_that_no_filling_message_writes():
             ref = _refill_and_add(phi, program, config)
             assert all(np.max(np.abs((got.tables[k][..., 1] if k in planes else got.tables[k])
                                      - ref[k])) <= tol for k in ref)
+
+
+def test_schedule_finishes_each_table_before_the_next_run_starts(monkeypatch):
+    # the kbc rules send messages into five tables in interleaved
+    # implication order; each run computes, normalizes, pins and flushes its
+    # table before the next run's first message
+    rules, kb, phi = _kbc_instance(5)
+    kb = _with_evidence(kb, np.random.default_rng(6))
+    program = compile_rules(rules, kb)
+    events = []
+    for name in ("_normalize", "_pin_and_flush"):
+        original = getattr(engine, name)
+
+        def recording(arr, run, name=name, original=original):
+            events.append((name, run.hypothesis))
+            return original(arr, run)
+
+        monkeypatch.setattr(engine, name, recording)
+    original_message = engine.message
+
+    def message_recording(ci, *args, **kwargs):
+        events.append(("message", ci.hypothesis))
+        return original_message(ci, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "message", message_recording)
+    trace = IterationTrace()
+    iterate(phi, program, EngineConfig(iterations=3), trace)
+    runs = engine._runs(program, {}, phi)
+    assert len(runs) == 5 and all(run.start == "refill" for run in runs)
+    start = [(step, run.hypothesis) for run in runs for step in ("_normalize", "_pin_and_flush")]
+    one = [(step, run.hypothesis) for run in runs
+           for step in ["message"] * len(run.terms) + ["_normalize", "_pin_and_flush"]]
+    assert events == start + one * len(trace.seconds)
 
 
 # matrix products split over the calling thread and the helper (see planner._split_matmul)
@@ -1480,6 +1539,16 @@ def test_fixed_point_stop_compares_bit_patterns():
         assert not engine._same(new, old), name
 
 
+def test_fixed_point_loop_runs_no_iteration_without_a_table():
+    # no predicate, so no run: nothing iterates and nothing converges
+    kb = KnowledgeBase([], {}, {})
+    trace = IterationTrace()
+    result = iterate(UnaryTable({}), compile_rules([], kb), EngineConfig(iterations=5), trace)
+    assert result.tables == {} == initial_marginals(UnaryTable({}), kb).tables
+    assert (trace.seconds, trace.residual, trace.changed, trace.bounds) == ([], [], [], {})
+    assert not trace.converged
+
+
 @pytest.mark.parametrize("zeros", ["+0", "-0", "mixed"])
 def test_half_start_is_the_refilled_sigmoid_bitwise(zeros):
     rules, kb, phi = _kbc_instance(6)
@@ -1490,13 +1559,13 @@ def test_half_start_is_the_refilled_sigmoid_bitwise(zeros):
         phi.tables[name] = {"+0": np.zeros(shape), "-0": np.full(shape, -0.0),
                             "mixed": np.where(rng.random(shape) < 0.5, -0.0, 0.0)}[zeros]
     program = compile_rules(rules, kb)
-    _, refilled, planes = engine._storage(kb)
-    runs = engine._runs(program, {}, phi.extremes(kb), planes)
+    _, refilled = engine._storage(kb)
+    planes = plane_names(kb)
+    runs = engine._runs(program, {}, phi)
     assert {run.hypothesis for run in runs if run.start == "write"} == {"rel", "tri"}
-    pins = engine._pins(kb)
-    _, half, _ = engine._storage(kb)
-    engine._start(refilled, phi, planes, pins)
-    engine._start(half, phi, planes, pins, runs)
+    _, half = engine._storage(kb)
+    engine._start(refilled, engine._runs(Program(kb, ()), {}, phi))
+    engine._start(half, runs)
     assert same_bytes(MarginalTable(half), MarginalTable(refilled))
     latent = ~kb.masks()["tri"].mask
     assert latent.any() and np.all(half["tri"][latent] == 0.5)
@@ -1514,9 +1583,9 @@ def test_fixed_point_stop_frees_the_spare_planes_before_expand(workloads, monkey
     live = []
     original = engine._expand
 
-    def expand(tables, planes):
+    def expand(tables, runs):
         live.append(tracemalloc.get_traced_memory()[0])
-        return original(tables, planes)
+        return original(tables, runs)
 
     monkeypatch.setattr(engine, "_expand", expand)
     trace = IterationTrace()
@@ -1666,7 +1735,7 @@ def _summed_matches_one_at_a_time(seen, rules, n, seed, damping, iterations, ove
     weights = {} if override is None else {"r0": override}
     config = EngineConfig(iterations, weights=weights, damping=damping)
     program = compile_rules(rules, kb)
-    planes = engine._storage(kb)[2]
+    planes = plane_names(kb)
     for ci in program.implications:
         if ci.partner is not None:
             seen["summed"].append(ci.hypothesis)
@@ -1800,10 +1869,10 @@ def test_bound_of_each_run_counts_every_message_into_its_table():
     labels = np.random.default_rng(5).integers(0, 2, len(cells))
     kb = KnowledgeBase(kb.entities, kb.predicates, {"link": (cells, labels)})
     program = compile_rules(rules, kb)
-    planes = engine._storage(kb)[2]
+    planes = plane_names(kb)
     overrides = {"f3": -0.5}
     extremes = phi.extremes(kb)
-    runs = engine._runs(program, overrides, extremes, planes)
+    runs = engine._runs(program, overrides, phi)
     # per message, in implication order: |weight x coefficient| times the
     # groundings per cell, N to the number of premise letters the message
     # sums out, on top of the unary spread (hi - lo on a binary plane)

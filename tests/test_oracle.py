@@ -7,8 +7,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from einlog.engine import (EngineConfig, IterationTrace, MarginalTable, UnaryTable,
-                           _runs, _storage,
-                           compile_rules, initial_marginals, iterate)
+                           _runs, compile_rules, initial_marginals, iterate)
 from einlog.fol import (Clause, CnfFormula, Literal, Predicate, binary_literal, constant,
                         merge_literals, parse_rules, variable)
 from einlog.kb import KnowledgeBase
@@ -293,7 +292,7 @@ def _matches_chained_oracle(seen, rules, n, seed, damping, iterations, zero_unar
                       for p in PALETTE for shape in [(n,) * p.arity + (p.num_labels,)]})
     program = compile_rules(rules, kb)
     seen["expanding"].append(any(ci.coefficient != 1.0 for ci in program.implications))
-    runs = _runs(program, {}, phi.extremes(kb), _storage(kb)[2])
+    runs = _runs(program, {}, phi)
     seen["writing"].append(any(run.start == "write" for run in runs))
     seen["kinds"].update(step_kinds(runs, initial_marginals(phi, kb)))
     got = iterate(phi, program, EngineConfig(iterations=iterations, damping=damping))
