@@ -45,9 +45,10 @@ a binary plane, which holds ``x0 - x1``; negation is exact) and the logit
 cells it goes into.  A predicate observed in every cell gets no term, since
 clamping overwrites whatever it adds.  A run finishes its table before the
 next run starts: start and terms, finite check, normalize, damp, pin and
-flush.  Every message reads the snapshot, so only the order of operations
-within a table fixes its bytes, and the runs may follow one another in any
-order.  A table starts in one of three ways:
+flush, then it compares the table with the snapshot's and, when traced,
+walks it for the trace.  Every message reads the snapshot, so only the
+order of operations within a table fixes its bytes, and the runs may follow
+one another in any order.  A table starts in one of three ways:
 
 * refilled with its unary logits.
 * written: a binary plane with an all-zero unary table is not refilled when
@@ -346,13 +347,13 @@ class EngineConfig:
 
 @dataclass
 class IterationTrace:
-    """Optional per-iteration record: wall seconds, the residual
-    ``max|q_t - q_{t-1}|`` over the values the engine stores (``q1`` of a
-    binary predicate, every label of the others), and the number of latent
-    cells whose argmax label changed.  It holds one entry per
-    iteration that ran: fewer than configured when ``iterate`` stopped at an
-    exact fixed point, whose last entry then has residual 0.  ``bounds``
-    holds each predicate's logit bound (see the module docstring)."""
+    """Optional per-iteration record: wall seconds (the trace walk
+    included), the residual ``max|q_t - q_{t-1}|`` over the values the
+    engine stores (``q1`` of a binary predicate, every label of the others),
+    and the number of latent cells whose argmax label changed.  It holds one
+    entry per iteration that ran: fewer than configured when ``iterate``
+    stopped at an exact fixed point, whose last entry then has residual 0.
+    ``bounds`` holds each predicate's logit bound (see the module docstring)."""
 
     seconds: list[float] = field(default_factory=list)
     residual: list[float] = field(default_factory=list)
@@ -780,19 +781,6 @@ def _chunks(a: np.ndarray, b: np.ndarray):
         yield a[r:r + step], b[r:r + step]
 
 
-def _record(trace: IterationTrace, q: dict, new: dict, runs: tuple[Run, ...]):
-    """Residual and argmax changes between two states of the runs' tables,
-    in row blocks of large tables (see ``parallel.rows``).  Observed cells
-    stay pinned, so every cell whose argmax changes is latent."""
-    residual, changed = 0.0, 0
-    for run in runs:
-        blocks = rows(_change, new[run.hypothesis], q[run.hypothesis], run.plane)
-        residual = max(residual, *(r for r, _ in blocks))
-        changed += sum(c for _, c in blocks)
-    trace.residual.append(residual)
-    trace.changed.append(changed)
-
-
 def _change(new: np.ndarray, old: np.ndarray, plane: bool) -> tuple[float, int]:
     """``max|new - old|`` over the stored values and the count of cells
     whose argmax differs, chunk by chunk (see ``_chunks``).  On a ``q1``
@@ -809,13 +797,6 @@ def _change(new: np.ndarray, old: np.ndarray, plane: bool) -> tuple[float, int]:
 
 def _finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))  # NaN propagates
-
-
-def _same(new: dict[str, np.ndarray], old: dict[str, np.ndarray]) -> bool:
-    """Whether every table of ``new`` holds the bytes of its table in
-    ``old``.  The tables are compared as ``uint64``, so ``-0.0`` differs
-    from ``0.0`` and a NaN is equal only to its own bit pattern."""
-    return all(all(rows(_same_block, new[name], old[name])) for name in new)
 
 
 def _same_block(a: np.ndarray, b: np.ndarray) -> bool:
@@ -843,14 +824,16 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     beyond its output table and the result no copy.  A multi-class
     predicate has one spare table beside its output table.
 
-    After every iteration but the last, each new table is compared bit for
-    bit with the snapshot it was computed from.  When all are identical the
-    run is at an exact fixed point and stops: every later iteration would
-    give the same bytes, and both tables of each pair now hold them, so
-    label 1 holds the result whichever of the two the stop wrote.  ``trace``
-    gets one entry per iteration that ran, and the logit bounds; a program
-    with no table runs none.  ``phi`` is validated against the program's
-    knowledge base first.
+    After every iteration but the last, each run compares its new table bit
+    for bit with the snapshot table it read, until one differs; with
+    ``trace`` it also walks the table for the residual and argmax changes,
+    before the next run starts.  When all are identical the solve is at an
+    exact fixed point and stops: every later iteration would give the same
+    bytes, and both tables of each pair now hold them, so label 1 holds the
+    result whichever of the two the stop wrote.  ``trace`` gets one entry
+    per iteration that ran, its seconds including the trace walk, and the
+    logit bounds; a program with no table runs none.  ``phi`` is validated
+    against the program's knowledge base first.
     """
     runs = _runs(program, config.weights, phi)
     tables, last = _storage(program.kb)
@@ -868,6 +851,7 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
         snapshot = MarginalTable(q)
+        fixed, walked = t < config.iterations, []
         for run in runs:
             name = run.hypothesis
             arr = spare[name]
@@ -878,11 +862,14 @@ def iterate(phi: UnaryTable, program: Program, config: EngineConfig,
             if lam > 0.0:
                 rows(_damp, arr, q[name], lam)
             _pin_and_flush(arr, run)
+            fixed = fixed and all(rows(_same_block, arr, q[name]))
+            if trace is not None:
+                walked += rows(_change, arr, q[name], run.plane)
         q, spare = spare, q
-        fixed = t < config.iterations and _same(q, spare)
         if trace is not None:
             trace.seconds.append(time.perf_counter() - started)
-            _record(trace, spare, q, runs)
+            trace.residual.append(max(0.0, *(r for r, _ in walked)))
+            trace.changed.append(sum(c for _, c in walked))
         if fixed:
             break
     return _expand(tables, runs)
@@ -895,10 +882,11 @@ def run_inference(rules, kb: KnowledgeBase, phi: UnaryTable, config: EngineConfi
 
 
 def transitivity_violations(q: np.ndarray) -> int:
-    """Triples (a,b,c) whose argmax labels assert ab and bc but deny ac."""
+    """Triples (a,b,c) whose argmax labels assert ab and bc but deny ac, by
+    one float64 matrix product, whose sum is exact while N^3 < 2^53."""
     arr = np.asarray(q)
     if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[1]:
         raise EngineError("expected marginals of one binary arity-2 predicate "
                           f"(N,N,2); got shape {arr.shape}")
-    b = np.argmax(arr, axis=-1).astype(np.int64)
-    return int(np.einsum("ab,bc,ac->", b, b, 1 - b))
+    b = np.argmax(arr, axis=-1).astype(np.float64)
+    return int(((b @ b) * (1.0 - b)).sum())

@@ -85,17 +85,15 @@ def enumerate_groundings(clause: Clause, kb: KnowledgeBase,
 
 
 def naive_mf_step(q: MarginalTable, rules, kb: KnowledgeBase, phi: UnaryTable, *,
-                  simplified: bool = False, include_self_groundings: bool = True,
-                  message_limit: int = 10 ** 5) -> MarginalTable:
+                  simplified: bool = False, message_limit: int = 10 ** 5) -> MarginalTable:
     """One sequential mean-field update over explicitly enumerated groundings.
 
     For every unobserved-or-not cell the update sums, over all groundings and
     hypothesis positions touching it, the full expectation of the clause
     potential over every premise-position label assignment (``simplified=False``)
     or only the true-premise product (``simplified=True``); both normalize to
-    the same marginals.  ``include_self_groundings=False`` skips hypothesis
-    positions whose premise mentions the target atom itself.  Observed cells
-    are pinned to their observed label afterwards, as in the engine.
+    the same marginals.  Observed cells are pinned to their observed label
+    afterwards, as in the engine.
     """
     clauses = [c for formula in normalize_rules(rules) for c in split_cnf(formula)]
     total = 0
@@ -115,9 +113,6 @@ def naive_mf_step(q: MarginalTable, rules, kb: KnowledgeBase, phi: UnaryTable, *
         for g in enumerate_groundings(clause, kb):
             for h in range(len(lits)):
                 target = g.atoms[h]
-                if not include_self_groundings:
-                    if any(g.atoms[j] == target for j in range(len(lits)) if j != h):
-                        continue
                 premise = [j for j in range(len(lits)) if j != h]
                 table = contrib[target.predicate.name]
                 if simplified:

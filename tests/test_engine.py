@@ -404,6 +404,17 @@ def test_transitivity_violations_examples():
         transitivity_violations(np.zeros((3, 3, 3)))
 
 
+def test_transitivity_violations_match_the_einsum_count():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 7, 40, 129):
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            probs = np.where(rng.random((n, n)) < density, rng.uniform(0.5, 1.0, (n, n)),
+                             rng.uniform(0.0, 0.5, (n, n)))
+            q = np.stack([1 - probs, probs], axis=-1)   # a tie at 0.5 is label 0
+            b = np.argmax(q, axis=-1).astype(np.int64)
+            assert transitivity_violations(q) == int(np.einsum("ab,bc,ac->", b, b, 1 - b))
+
+
 def test_cnf_equals_split_clauses_bitwise(smoke_kb, smoke_phi, smoke_rules):
     cnf = smoke_rules[1]
     assert len(cnf.clauses) == 2
@@ -950,17 +961,17 @@ def test_record_matches_the_two_label_formula():
             # one ulp up below 0.5: 1 - q1 moves by twice as much, or not at all
             new["t"][0, :, 1] = (np.nextafter(q["t"][0, :, 1], 2.0) if trial % 8
                                  else rng.choice(edges, 5))
-        trace = IterationTrace()
-        engine._record(trace, q, new, runs)
+        walked = [engine._change(new[run.hypothesis], q[run.hypothesis], run.plane)
+                  for run in runs]
+        got_residual, got_changed = max(r for r, _ in walked), sum(c for _, c in walked)
         residual, changed = _two_label_record(q, new, planes)
-        assert trace.changed[0] == changed
+        assert got_changed == changed
         # the residual is over the stored q1, so it drops only what the two
         # roundings of 1 - q1 and one of their difference add
-        assert trace.residual[0] == max(float(np.max(np.abs(new[name] - q[name])))
-                                        for name in new)
-        assert residual - 3 * 2.0 ** -53 <= trace.residual[0] <= residual
-        assert type(trace.residual[0]) is float and type(trace.changed[0]) is int
-        below_two_label += trace.residual[0] < residual
+        assert got_residual == max(float(np.max(np.abs(new[name] - q[name]))) for name in new)
+        assert residual - 3 * 2.0 ** -53 <= got_residual <= residual
+        assert type(got_residual) is float and type(got_changed) is int
+        below_two_label += got_residual < residual
     assert below_two_label > 0   # the one-ulp steps below 0.5
 
 
@@ -1524,19 +1535,22 @@ def test_fixed_point_stop_ends_kbc_after_iteration_4(workloads, monkeypatch, ite
     got = iterate(phi, program, EngineConfig(iterations), trace)
     assert len(trace.seconds) == len(trace.residual) == 4
     assert trace.residual[2] > 0.0 and (trace.residual[3], trace.changed[3]) == (0.0, 0)
-    monkeypatch.setattr(engine, "_same", lambda new, old: False)
+    monkeypatch.setattr(engine, "_same_block", lambda a, b: False)
     assert same_bytes(got, iterate(phi, program, EngineConfig(iterations)))
 
 
 def test_fixed_point_stop_compares_bit_patterns():
     # 300 rows of 300 compare in two chunks; a zero's sign differs in the last
     new = {"p": np.zeros((300, 300)), "s": np.zeros(())}
-    same = {name: arr.copy() for name, arr in new.items()}
-    assert engine._same(new, same)
+    for name in new:
+        assert engine._same_block(new[name], new[name].copy()), name
     for name, cell in (("p", (-1, -1)), ("s", ())):
-        old = {name: arr.copy() for name, arr in new.items()}
-        old[name][cell] = -0.0
-        assert not engine._same(new, old), name
+        old = new[name].copy()
+        old[cell] = -0.0
+        assert not engine._same_block(new[name], old), name
+    # a NaN equals its own bit pattern only, here not its negation
+    nan = np.full(3, np.nan)
+    assert engine._same_block(nan, nan.copy()) and not engine._same_block(nan, -nan)
 
 
 def test_fixed_point_loop_runs_no_iteration_without_a_table():
